@@ -59,11 +59,24 @@ def _check_fields(obj: dict, where: str, required: set[str], optional: set[str] 
             raise CliError(f"{where}: missing field {key!r}")
 
 
+def _number(value, where: str) -> float:
+    # JSON true/false load as bool, a subclass of int: not numbers here
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise CliError(f"{where}: expected a finite number")
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CliError(f"{where}: expected an integer")
+
+
 def _parse_xy(obj, where: str) -> Point2:
-    if (not isinstance(obj, list) or len(obj) != 2
-            or not all(isinstance(v, (int, float)) for v in obj)):
+    if not isinstance(obj, list) or len(obj) != 2:
         raise CliError(f"{where}: expected [x, y]")
-    return Point2(float(obj[0]), float(obj[1]))
+    return Point2(_number(obj[0], f"{where}[0]"), _number(obj[1], f"{where}[1]"))
 
 
 def _parse_curve(obj, where: str):
@@ -77,7 +90,8 @@ def _parse_curve(obj, where: str):
         if kind == "arc":
             _check_fields(obj, where, {"type", "center", "radius", "theta0", "theta1"})
             return Arc(_parse_xy(obj["center"], f"{where}.center"),
-                       float(obj["radius"]), float(obj["theta0"]), float(obj["theta1"]))
+                       *(_number(obj[key], f"{where}.{key}")
+                         for key in ("radius", "theta0", "theta1")))
     except ValueError as exc:
         raise CliError(f"{where}: {exc}") from exc
     raise CliError(f"{where}: unknown curve type {kind!r}")
@@ -117,16 +131,19 @@ def parse_problem_doc(doc, where: str = "problem") -> tuple[Problem, dict]:
                         for i, c in enumerate(doc["constraints"]))
     beta = tuple(_parse_xy(b, f"{where}.beta[{i}]")
                  for i, b in enumerate(doc.get("beta", [])))
-    if not isinstance(doc["n"], int):
-        raise CliError(f"{where}.n: expected an integer")
+    n = _integer(doc["n"], f"{where}.n")
     solver_over = doc.get("solver", {})
     _check_fields(solver_over, f"{where}.solver", set(),
                   {"restarts", "rng_seed", "param_tol", "max_iters"})
+    overrides = {}
+    for key, value in solver_over.items():
+        parse = _number if key == "param_tol" else _integer
+        overrides[key] = parse(value, f"{where}.solver.{key}")
     try:
-        problem = Problem(UniformCurveMeasure(curves), constraints, doc["n"], beta=beta)
+        problem = Problem(UniformCurveMeasure(curves), constraints, n, beta=beta)
     except ValueError as exc:
         raise CliError(f"{where}: {exc}") from exc
-    return problem, dict(solver_over)
+    return problem, overrides
 
 
 def load_problem_file(path: str) -> tuple[Problem, dict]:

@@ -1,9 +1,9 @@
-"""Plane curves, uniform measures on them, and Voronoi-split quadrature.
+"""Plane curves, uniform measures on them, and exact Voronoi-split integrals.
 
 Supports are finite unions of segments and circular arcs, parametrized by
 arc length. Distortion integrals against a finite site set are computed by
-splitting every curve at the Voronoi breakpoints and applying fixed-order
-Gauss-Legendre panels on each smooth piece.
+splitting every curve at its exact Voronoi breakpoints and integrating the
+squared distance to each piece's site in closed form.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PARAM_TOL = 1e-12
-_PREGRID = 1024
-_GL_PANELS = 16
-
-_gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(10)
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,88 +136,134 @@ def _owners(c: Curve, s: np.ndarray, sites_xy: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
+def _downward_crossings(c: Curve, t: float, dK, dP, dQ):
+    """First parameter >= t where each site's term falls below the owner's
+    (inf if never), and the slope of the difference there. dK, dP, dQ are
+    coefficients minus the owner's, so the owner itself never crosses."""
+    root = np.full(len(dK), np.inf)
+    if isinstance(c, Segment):
+        down = dP < 0.0
+        root[down] = np.maximum(-dK[down] / dP[down], t)
+        return root, dP
+    # dK + r cos(t - phi) is negative on (phi + alpha, phi + 2 pi - alpha)
+    r = np.hypot(dP, dQ)
+    h2 = (r - dK) * (r + dK)
+    sin_part = np.sqrt(np.maximum(h2, 0.0))
+    alpha = np.arctan2(sin_part, -dK)
+    # a negative stretch narrower than 2 * PARAM_TOL is no cell; a root a
+    # hair behind t (roundoff at a crossing just taken) still counts as t
+    down = (h2 > 0.0) & (alpha < math.pi - PARAM_TOL)
+    ahead = np.mod(np.arctan2(dQ, dP) + alpha - t + PARAM_TOL, TWO_PI) - PARAM_TOL
+    root[down] = t + np.maximum(ahead[down], 0.0)
+    return root, -sin_part
+
+
 def voronoi_breakpoints(c: Curve, sites) -> list[float]:
     """Arc-length values where the nearest-site index changes along c.
 
-    Changes are detected on a 1024-point pre-grid and each one is located by
-    bisection to 1e-12 parameter tolerance. Curve endpoints are excluded.
+    Exact: marches along the lower envelope of the per-site distance terms
+    (lines on a segment, sinusoids on an arc), from each owner to the
+    earliest parameter where another site's term crosses below its own; of
+    the sites crossing there the steepest wins, ties to the lower index.
+    Curve endpoints are excluded and breakpoints within 1e-12 are merged.
     """
     sites_xy = _sites_array(sites)
     length = curve_length(c)
-    grid = np.linspace(0.0, length, _PREGRID + 1)
-    owners = _owners(c, grid, sites_xy)
-    flip = owners[:-1] != owners[1:]
-    lo = grid[:-1][flip]
-    hi = grid[1:][flip]
-    left = owners[:-1][flip]
-    while lo.size and np.max(hi - lo) > PARAM_TOL:
-        mid = 0.5 * (lo + hi)
-        same = _owners(c, mid, sites_xy) == left
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
+    # |curve(t) - q_i|^2 = shared(t) + K_i + P_i x + Q_i y, with (x, y) = (t, 0)
+    # for arc length t on a segment and (cos t, sin t) for angle t on an arc
+    if isinstance(c, Segment):
+        a = np.array([c.p0.x, c.p0.y]) - sites_xy
+        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / length
+        t0, scale, P, Q = 0.0, 1.0, 2.0 * (a @ u), np.zeros(len(a))
+    else:
+        a = np.array([c.center.x, c.center.y]) - sites_xy
+        t0, scale, P, Q = c.theta0, c.radius, 2.0 * c.radius * a[:, 0], 2.0 * c.radius * a[:, 1]
+    K = (a * a).sum(axis=1)
+    owner = int(_owners(c, np.zeros(1), sites_xy)[0])
+    t = t0
     out: list[float] = []
-    for s in 0.5 * (lo + hi):
-        s = float(s)
-        if s <= PARAM_TOL or s >= length - PARAM_TOL:
-            continue
-        if out and s - out[-1] <= PARAM_TOL:
-            continue
-        out.append(s)
-    return out
+    while True:
+        root, slope = _downward_crossings(c, t, K - K[owner], P - P[owner], Q - Q[owner])
+        t = float(root.min())
+        s = (t - t0) * scale
+        if s >= length - PARAM_TOL:
+            return out
+        owner = int(np.argmin(np.where(root <= t + PARAM_TOL, slope, np.inf)))
+        if s > PARAM_TOL and not (out and s - out[-1] <= PARAM_TOL):
+            out.append(s)
 
 
 def _pieces(c: Curve, sites_xy: np.ndarray):
-    """Split c at breakpoints; yield (s0, s1, owner_index) per smooth piece."""
-    length = curve_length(c)
-    cuts = [0.0]
-    cuts.extend(voronoi_breakpoints(c, [Point2(x, y) for x, y in sites_xy]))
-    cuts.append(length)
-    for s0, s1 in zip(cuts[:-1], cuts[1:]):
-        if s1 - s0 <= 0.0:
-            continue
-        mid = np.array([0.5 * (s0 + s1)])
-        owner = int(_owners(c, mid, sites_xy)[0])
-        yield s0, s1, owner
+    """Split c at its breakpoints: arrays (s0, s1, owner), one entry per piece."""
+    cuts = np.array([0.0, *voronoi_breakpoints(c, [Point2(x, y) for x, y in sites_xy]),
+                     curve_length(c)])
+    s0, s1 = cuts[:-1], cuts[1:]
+    return s0, s1, _owners(c, 0.5 * (s0 + s1), sites_xy)
 
 
-def _gl_integral_min_sqdist(c: Curve, s0: float, s1: float, sites_xy: np.ndarray) -> float:
-    """Integral of min-squared-distance over one smooth piece (GL panels)."""
-    h = (s1 - s0) / _GL_PANELS
-    starts = s0 + h * np.arange(_GL_PANELS)
-    s = (starts[:, None] + 0.5 * h * (_gl_nodes[None, :] + 1.0)).ravel()
-    pts = _eval_array(c, s)
-    d2 = ((pts[:, None, :] - sites_xy[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-    w = np.tile(0.5 * h * _gl_weights, _GL_PANELS)
-    return float(d2 @ w)
+def _h_minus_sin(h: np.ndarray) -> np.ndarray:
+    """h - sin(h) for h >= 0; a Taylor series below 1, where the difference cancels."""
+    h2 = h * h
+    tail = np.ones_like(h)
+    for k in (272, 210, 156, 110, 72, 42, 20):  # (2j)(2j + 1), j = 8 .. 2
+        tail = 1.0 - h2 / k * tail
+    return np.where(h < 1.0, h * h2 / 6.0 * tail, h - np.sin(h))
+
+
+def _piece_integrals(c: Curve, s0: np.ndarray, s1: np.ndarray, q: np.ndarray):
+    """Closed-form integrals of |curve(s) - q|^2, shape (k,), and of curve(s),
+    shape (k, 2), over pieces [s0, s1] of c with sites q. Each is written in
+    the site's own frame, so no large terms cancel on short pieces."""
+    ds = s1 - s0
+    if isinstance(c, Segment):
+        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / curve_length(c)
+        a = q - np.array([c.p0.x, c.p0.y])
+        foot = a @ u  # arc length of the site's projection onto the line
+        off = a[:, 0] * u[1] - a[:, 1] * u[0]
+        sq = off * off * ds + ((s1 - foot) ** 3 - (s0 - foot) ** 3) / 3.0
+        return sq, ds[:, None] * _eval_array(c, 0.5 * (s0 + s1))
+    r = c.radius
+    half = 0.5 * ds / r
+    mid = c.theta0 + 0.5 * (s0 + s1) / r
+    center = np.array([c.center.x, c.center.y])
+    chord = 2.0 * r * r * np.sin(half)
+    moment = np.outer(ds, center) + chord[:, None] * np.stack([np.cos(mid), np.sin(mid)], axis=1)
+    # site at radius rho, angle psi about the center:
+    # |curve - q|^2 = (r - rho)^2 + 4 r rho sin^2((theta - psi) / 2)
+    a = q - center
+    rho = np.hypot(a[:, 0], a[:, 1])
+    bend = np.sin(0.5 * (mid - np.arctan2(a[:, 1], a[:, 0])))
+    sq = (r - rho) ** 2 * ds + 4.0 * r * r * rho * (
+        _h_minus_sin(half) + 2.0 * np.sin(half) * bend * bend)
+    return sq, moment
+
+
+def _cell_state(measure: UniformCurveMeasure, sites_xy: np.ndarray):
+    """One Voronoi-split pass: (distortion, masses, cell position moments).
+
+    masses is an (m,) probability vector and moments an (m, 2) array of
+    arc-length integrals of the position over each cell.
+    """
+    m = len(sites_xy)
+    total = 0.0
+    lengths = np.zeros(m)
+    moments = np.zeros((m, 2))
+    for c in measure.curves:
+        s0, s1, owner = _pieces(c, sites_xy)
+        sq, mom = _piece_integrals(c, s0, s1, sites_xy[owner])
+        total += float(sq.sum())
+        lengths += np.bincount(owner, s1 - s0, minlength=m)
+        np.add.at(moments, owner, mom)
+    return total * measure.density, lengths * measure.density, moments
 
 
 def distortion(measure: UniformCurveMeasure, sites) -> float:
     """Mean squared distance from the support to the nearest site.
 
-    Computed as density * sum over Voronoi-split pieces of Gauss-Legendre
-    panel integrals; the integrand is smooth on each piece, so the fixed
-    10-point x 16-panel rule is accurate to roundoff here.
+    Exact: the support is split at the Voronoi breakpoints and the squared
+    distance to each piece's site is integrated in closed form.
     """
-    sites_xy = _sites_array(sites)
-    total = 0.0
-    for c in measure.curves:
-        for s0, s1, _ in _pieces(c, sites_xy):
-            total += _gl_integral_min_sqdist(c, s0, s1, sites_xy)
-    return measure.density * total
-
-
-def _piece_moment(c: Curve, s0: float, s1: float) -> tuple[float, float]:
-    """Closed-form first moment: integral of the position over [s0, s1]."""
-    ds = s1 - s0
-    if isinstance(c, Segment):
-        mid = _eval_array(c, np.array([0.5 * (s0 + s1)]))[0]
-        return float(mid[0]) * ds, float(mid[1]) * ds
-    r = c.radius
-    a0 = c.theta0 + s0 / r
-    a1 = c.theta0 + s1 / r
-    mx = c.center.x * ds + r * r * (math.sin(a1) - math.sin(a0))
-    my = c.center.y * ds - r * r * (math.cos(a1) - math.cos(a0))
-    return mx, my
+    return _cell_state(measure, _sites_array(sites))[0]
 
 
 def voronoi_cell_stats(measure: UniformCurveMeasure, sites):
@@ -232,17 +274,8 @@ def voronoi_cell_stats(measure: UniformCurveMeasure, sites):
     cell, so moments[i] / (cell arc length) is the conditional mean. Both use
     exact piece lengths and closed-form moments, no quadrature.
     """
-    sites_xy = _sites_array(sites)
-    m = len(sites_xy)
-    lengths = np.zeros(m)
-    moments = np.zeros((m, 2))
-    for c in measure.curves:
-        for s0, s1, owner in _pieces(c, sites_xy):
-            lengths[owner] += s1 - s0
-            mx, my = _piece_moment(c, s0, s1)
-            moments[owner, 0] += mx
-            moments[owner, 1] += my
-    return lengths * measure.density, moments
+    _, masses, moments = _cell_state(measure, _sites_array(sites))
+    return masses, moments
 
 
 def voronoi_masses(measure: UniformCurveMeasure, sites) -> list[float]:

@@ -25,8 +25,7 @@ from curvequant.geometry import (
     Point2,
     Segment,
     UniformCurveMeasure,
-    _eval_array,
-    _pieces,
+    _cell_state as _exact_state,
     curve_eval,
     curve_length,
     distortion,
@@ -141,57 +140,6 @@ class SandwichReport:
     v_cond_n: float
     v_n_minus_l: float
     holds: bool
-
-
-# ---------------------------------------------------------------------------
-# exact per-iteration state
-
-
-def _piece_sqdist_exact(c: Curve, s0: float, s1: float, px: float, py: float) -> float:
-    """Closed-form integral of |curve(s) - p|^2 over [s0, s1]."""
-    ds = s1 - s0
-    if isinstance(c, Segment):
-        length = curve_length(c)
-        ux = (c.p1.x - c.p0.x) / length
-        uy = (c.p1.y - c.p0.y) / length
-        ax = c.p0.x - px
-        ay = c.p0.y - py
-        a2 = ax * ax + ay * ay
-        au = ax * ux + ay * uy
-        return a2 * ds + au * (s1 * s1 - s0 * s0) + (s1 ** 3 - s0 ** 3) / 3.0
-    r = c.radius
-    a0 = c.theta0 + s0 / r
-    a1 = c.theta0 + s1 / r
-    cx = c.center.x - px
-    cy = c.center.y - py
-    const = (r * r + cx * cx + cy * cy) * ds
-    cross_x = r * r * (math.sin(a1) - math.sin(a0))
-    cross_y = -r * r * (math.cos(a1) - math.cos(a0))
-    return const + 2.0 * (cx * cross_x + cy * cross_y)
-
-
-def _exact_state(measure: UniformCurveMeasure, sites_xy: np.ndarray):
-    """One Voronoi-split pass: (distortion, masses, cell position moments)."""
-    m = len(sites_xy)
-    total = 0.0
-    lengths = np.zeros(m)
-    moments = np.zeros((m, 2))
-    for c in measure.curves:
-        for s0, s1, owner in _pieces(c, sites_xy):
-            total += _piece_sqdist_exact(c, s0, s1, sites_xy[owner, 0], sites_xy[owner, 1])
-            lengths[owner] += s1 - s0
-            ds = s1 - s0
-            if isinstance(c, Segment):
-                mid = _eval_array(c, np.array([0.5 * (s0 + s1)]))[0]
-                moments[owner, 0] += mid[0] * ds
-                moments[owner, 1] += mid[1] * ds
-            else:
-                r = c.radius
-                a0 = c.theta0 + s0 / r
-                a1 = c.theta0 + s1 / r
-                moments[owner, 0] += c.center.x * ds + r * r * (math.sin(a1) - math.sin(a0))
-                moments[owner, 1] += c.center.y * ds - r * r * (math.cos(a1) - math.cos(a0))
-    return total * measure.density, lengths * measure.density, moments
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +598,8 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     Runs options.restarts stratified random seeds plus one run seeded from
     the matching closed-form configuration when the problem is recognized.
     The winner (lowest distortion, earliest run on ties) gets a golden
-    polish over constraint parameters, then is re-measured with the
-    reference quadrature so the reported value matches evaluate().
+    polish over constraint parameters, then is re-measured with one exact
+    cell-state pass, the integrals evaluate() reports.
     """
     options = options or SolverOptions()
     rng = np.random.default_rng(options.rng_seed)
@@ -675,11 +623,11 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
         d2, masses2, _ = _exact_state(problem.measure, _points_xy(polished))
         if d2 <= d:
             tagged, d, masses = polished, d2, masses2
-    sites = [tp.point for tp in tagged]
-    final_d = distortion(problem.measure, sites)
-    final_masses = voronoi_masses(problem.measure, sites)
+    # polishing moved the points after descent measured them
+    final_d, final_masses, _ = _exact_state(problem.measure, _points_xy(tagged))
     degenerate = tuple(i for i, m in enumerate(final_masses) if m <= MASS_TOL)
-    return Quantizer(tuple(tagged), final_d, tuple(final_masses), conv, degenerate)
+    return Quantizer(tuple(tagged), final_d, tuple(float(m) for m in final_masses),
+                     conv, degenerate)
 
 
 def existence_check(problem: Problem, options: SolverOptions | None = None) -> ExistenceReport:

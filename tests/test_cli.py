@@ -316,6 +316,19 @@ class TestExitCodes:
         assert main(["closed-form", "interval-interior", "-n", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("change, field", [
+        ({"measure": [{"type": "arc", "center": [0.0, 0.0], "radius": [1],
+                       "theta0": 0.0, "theta1": 3.0}]}, "measure[0].radius"),
+        ({"solver": {"restarts": "many"}}, "solver.restarts"),
+        ({"n": True}, "json.n:"),
+    ])
+    def test_malformed_number_is_one(self, tmp_path, capsys, change, field):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(INTERVAL_LEFT_DOC, **change)))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
 
 class TestDeterminism:
     def test_solve_output_identical_across_runs(self, tmp_path, capsys):

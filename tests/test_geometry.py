@@ -112,6 +112,14 @@ def test_masses_basic():
     assert ms == pytest.approx([0.5, 0.5], abs=1e-11)
 
 
+def test_masses_narrow_cell():
+    # site 0 owns [0.50040, 0.50059], narrower than 1/1024 of the support
+    xs = [0.5005, 0.5 + 0.3 / 1024, 0.5 + 0.7 / 1024]
+    left, right = 0.5 * (xs[1] + xs[0]), 0.5 * (xs[0] + xs[2])
+    want = [right - left, left, 1.0 - right]
+    assert voronoi_masses(M01, [Point2(x, 0) for x in xs]) == pytest.approx(want, abs=1e-12)
+
+
 def test_masses_dominated_line():
     # support [0,1] with one site at the origin and the rest far away on
     # y = x + 4: all mass lands on the origin
@@ -207,14 +215,21 @@ def test_distortion_vs_riemann_oracle():
 
 def test_breakpoints_partition_constant_owner():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        measure = _random_measure(rng)
-        sites = [Point2(*rng.uniform(-2.5, 2.5, 2)) for _ in range(rng.integers(2, 7))]
+    # angular windows starting below 0, crossing 2*pi, and a full turn
+    wrapped = (Arc(Point2(0.3, -0.2), 1.3, -2.5, 0.5),
+               Arc(Point2(-0.4, 0.1), 0.8, 5.0, 8.5),
+               Arc(Point2(0.0, 0.0), 1.0, -1.0, -1.0 + 2 * math.pi))
+    for k in range(30):
+        curves = _random_measure(rng).curves if k < 20 else wrapped
+        count = rng.integers(2, 7) if k < 20 else rng.integers(6, 13)
+        sites = [Point2(*rng.uniform(-2.5, 2.5, 2)) for _ in range(count)]
         sites_xy = np.array([(p.x, p.y) for p in sites])
-        for c in measure.curves:
+        for c in curves:
             cuts = [0.0] + voronoi_breakpoints(c, sites) + [curve_length(c)]
+            owners = []
             for s0, s1 in zip(cuts[:-1], cuts[1:]):
                 if s1 - s0 < 1e-9:
+                    owners.append(None)
                     continue
                 s = np.linspace(s0 + 1e-9, s1 - 1e-9, 1000)
                 seen = set()
@@ -223,6 +238,10 @@ def test_breakpoints_partition_constant_owner():
                     d2 = ((sites_xy - (p.x, p.y)) ** 2).sum(axis=1)
                     seen.add(int(np.argmin(d2)))
                 assert len(seen) == 1
+                owners.append(seen.pop())
+            # every breakpoint is a change of owner, none spurious
+            for a, b in zip(owners, owners[1:]):
+                assert a is None or b is None or a != b
 
 
 def test_distortion_monotone_under_insertion():
