@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 
 import curvequant.closed_form as cf
 from curvequant import scenarios
-from curvequant.allocation import semicircle_allocate
+from curvequant.allocation import Allocation, semicircle_allocate, triangle_allocate
 from curvequant.asymptotics import ErrorSequence, build_report
 from curvequant.geometry import Arc, Point2, Segment, UniformCurveMeasure, distortion
 from curvequant.render import render_svg
@@ -267,25 +267,28 @@ def cmd_closed_form(args) -> int:
     return EXIT_OK
 
 
+def _allocation_row(alloc: Allocation) -> tuple[float, str]:
+    return alloc.objective, "+".join(str(p) for p in alloc.parts)
+
+
+_EXAM2 = cf.LineConstraintScenario(0.0, 1.0, 1.0, 4.0)
+_UNIT_INTERVAL = cf.IntervalScenario(0.0, 1.0, 0.0, 1.0)
+
+# sweep scenario -> n -> (error, alloc column); the order is the one `sweep
+# --help` lists. Rows use error-only functions, so a sweep builds no points.
+_SWEEP_ROWS = {
+    "triangle": lambda n: _allocation_row(triangle_allocate(n)),
+    "semicircle": lambda n: _allocation_row(semicircle_allocate(n)),
+    "exam1": lambda n: (cf.exam1_published_error(n), ""),
+    "exam2": lambda n: (cf.line_constraint_published_error(n, _EXAM2), ""),
+    "interval-left": lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ""),
+    "interval-right": lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ""),
+    "interval-interior": lambda n: (cf.interval_interior_error(n, _UNIT_INTERVAL), ""),
+}
+
+
 def _sweep_row(scenario: str, n: int) -> tuple[float, str]:
-    if scenario == "triangle":
-        parts = cf.triangle_split(n)
-        return cf.triangle_error(*parts), "+".join(str(p) for p in parts)
-    if scenario == "semicircle":
-        n1 = semicircle_allocate(n).parts[0]
-        return cf.semicircle_error(n1, n - n1 + 2), f"{n1}+{n - n1 + 2}"
-    if scenario == "exam1":
-        return cf.exam1_conditional(n).error, ""
-    if scenario == "exam2":
-        return cf.line_constraint_optimal(
-            n, cf.LineConstraintScenario(0.0, 1.0, 1.0, 4.0)).error, ""
-    if scenario == "interval-left":
-        return cf.interval_left_endpoint(n, 0.0, 1.0).error, ""
-    if scenario == "interval-right":
-        return cf.interval_right_endpoint(n, 0.0, 1.0).error, ""
-    if scenario == "interval-interior":
-        return cf.interval_interior(n, cf.IntervalScenario(0.0, 1.0, 0.0, 1.0)).error, ""
-    raise CliError(f"unknown sweep scenario {scenario!r}")
+    return _SWEEP_ROWS[scenario](n)
 
 
 def cmd_sweep(args) -> int:
@@ -427,9 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser("sweep", help="closed-form error sequence as CSV")
-    p.add_argument("scenario", choices=["triangle", "semicircle", "exam1", "exam2",
-                                        "interval-left", "interval-right",
-                                        "interval-interior"])
+    p.add_argument("scenario", choices=list(_SWEEP_ROWS))
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
     p.add_argument("--output", required=True, help="CSV path, or - for stdout")

@@ -1,12 +1,17 @@
 """Closed-form optimal quantizers: intervals, a constraining line, the
 half-circle boundary, and the equilateral triangle.
 
-Every operation returns the explicit point configuration together with the
-published distortion expression for it. Each docstring says whether its
-points are an optimum or only the published configuration: the published
-equal-spacing triangle sets are critical points but not optima at n = 4, 5
-(triangle_sliver gives the optimum there), and some error fields are
-extrapolated polynomials (see the per-scenario notes).
+Each configuration function returns the explicit points together with the
+published distortion expression for them. Each family that covers every n
+also has an error-only function that evaluates that expression in O(1)
+without building points (interval_interior_error, interval_endpoint_error,
+line_constraint_published_error, semicircle_error, triangle_error,
+exam1_published_error); the configuration function calls it, so every
+formula exists once. Each docstring says whether its points are an optimum
+or only the published configuration: the published equal-spacing triangle
+sets are critical points but not optima at n = 4, 5 (triangle_sliver gives
+the optimum there), and some error fields are extrapolated polynomials (see
+the per-scenario notes).
 """
 
 from __future__ import annotations
@@ -71,25 +76,36 @@ class ClosedFormResult:
     allocation: tuple[int, ...] | None = None
 
 
-def interval_interior(m: int, scen: IntervalScenario) -> ClosedFormResult:
-    """m points on [c, d] including both ends, error against uniform [a, b]."""
+def interval_interior_error(m: int, scen: IntervalScenario) -> float:
+    """Distortion of interval_interior(m, scen)."""
     if m < 2:
         raise ValueError("interior placement needs m >= 2")
+    return (scen.d - scen.c) ** 3 / (12.0 * (scen.b - scen.a) * (m - 1) ** 2)
+
+
+def interval_interior(m: int, scen: IntervalScenario) -> ClosedFormResult:
+    """m points on [c, d] including both ends, error against uniform [a, b]."""
+    error = interval_interior_error(m, scen)
     step = (scen.d - scen.c) / (m - 1)
     points = tuple(Point2(scen.c + (j - 1) * step, 0.0) for j in range(1, m + 1))
-    error = (scen.d - scen.c) ** 3 / (12.0 * (scen.b - scen.a) * (m - 1) ** 2)
     return ClosedFormResult(points, error)
 
 
-def interval_left_endpoint(n: int, a: float, b: float) -> ClosedFormResult:
-    """Optimal n points on [a, b] when a itself must be one of them."""
+def interval_endpoint_error(n: int, a: float, b: float) -> float:
+    """Distortion of interval_left_endpoint(n, a, b) and of its translate
+    interval_right_endpoint(n, a, b)."""
     if a >= b:
         raise ValueError("need a < b")
     if n < 1:
         raise ValueError("need n >= 1")
+    return (b - a) ** 2 / (3.0 * (2 * n - 1) ** 2)
+
+
+def interval_left_endpoint(n: int, a: float, b: float) -> ClosedFormResult:
+    """Optimal n points on [a, b] when a itself must be one of them."""
+    error = interval_endpoint_error(n, a, b)
     step = 2.0 * (b - a) / (2 * n - 1)
     points = tuple(Point2(a + (j - 1) * step, 0.0) for j in range(1, n + 1))
-    error = (b - a) ** 2 / (3.0 * (2 * n - 1) ** 2)
     return ClosedFormResult(points, error)
 
 
@@ -98,12 +114,8 @@ def interval_right_endpoint(n: int, a: float, b: float) -> ClosedFormResult:
 
     Equals the left-endpoint configuration translated by (b-a)/(2n-1).
     """
-    if a >= b:
-        raise ValueError("need a < b")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    shift = (b - a) / (2 * n - 1)
     base = interval_left_endpoint(n, a, b)
+    shift = (b - a) / (2 * n - 1)
     points = tuple(Point2(p.x + shift, 0.0) for p in base.points)
     return ClosedFormResult(points, base.error)
 
@@ -118,31 +130,41 @@ def _line_floor(scen: LineConstraintScenario) -> float:
     return num / (3.0 * m * (b - a) * mm1)
 
 
-def line_constraint_optimal(n: int, scen: LineConstraintScenario) -> ClosedFormResult:
-    """Optimal n points on the line y = m*x + c for uniform [a, b] x {0}.
+def line_constraint_published_error(n: int, scen: LineConstraintScenario) -> float:
+    """Published error of line_constraint_optimal(n, scen).
 
-    The point abscissas are exact optima for every n. The error field carries
-    the published closed-form value: the two- and three-point expressions are
-    exact, and the general-n polynomial is the published extrapolation of
-    them (exact whenever m = 0; for n = 1 the orthogonal-decomposition value
-    is used since no published expression covers it).
+    The two- and three-point expressions are exact, and the general-n
+    polynomial is the published extrapolation of them (exact whenever
+    m = 0; for n = 1 the orthogonal-decomposition value is used since no
+    published expression covers it). line_constraint_exact_error gives the
+    true distortion.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     a, b, m, c = scen.a, scen.b, scen.m, scen.c
     mm1 = 1.0 + m * m
+    if n == 1:
+        return _line_floor(scen) + (b - a) ** 2 / (12.0 * mm1)
+    if n == 2:
+        return (a * a * (16 * m * m + 1) + 2 * a * b * (8 * m * m - 1) + 48 * a * c * m
+                + b * b * (16 * m * m + 1) + 48 * b * c * m + 48 * c * c) / (48.0 * mm1)
+    return (-48 * (a - b) ** 2 * m * m
+            + (a - b) * (a - b + 72 * c * m + 8 * (11 * a - 2 * b) * m * m) * n
+            - 12 * (a - b) * m * (5 * c + (4 * a + b) * m) * n * n
+            + 12 * (c + a * m) ** 2 * n ** 3) / (12.0 * mm1 * n ** 3)
+
+
+def line_constraint_optimal(n: int, scen: LineConstraintScenario) -> ClosedFormResult:
+    """Optimal n points on the line y = m*x + c for uniform [a, b] x {0}.
+
+    The point abscissas are exact optima for every n. The error field carries
+    the published closed-form value, line_constraint_published_error.
+    """
+    error = line_constraint_published_error(n, scen)
+    a, b, m, c = scen.a, scen.b, scen.m, scen.c
+    mm1 = 1.0 + m * m
     xs = [(2 * i - 1) * (b - a) / (2 * n * mm1) + (a - c * m) / mm1 for i in range(1, n + 1)]
     points = tuple(Point2(x, m * x + c) for x in xs)
-    if n == 1:
-        error = _line_floor(scen) + (b - a) ** 2 / (12.0 * mm1)
-    elif n == 2:
-        error = (a * a * (16 * m * m + 1) + 2 * a * b * (8 * m * m - 1) + 48 * a * c * m
-                 + b * b * (16 * m * m + 1) + 48 * b * c * m + 48 * c * c) / (48.0 * mm1)
-    else:
-        error = (-48 * (a - b) ** 2 * m * m
-                 + (a - b) * (a - b + 72 * c * m + 8 * (11 * a - 2 * b) * m * m) * n
-                 - 12 * (a - b) * m * (5 * c + (4 * a + b) * m) * n * n
-                 + 12 * (c + a * m) ** 2 * n ** 3) / (12.0 * mm1 * n ** 3)
     return ClosedFormResult(points, error)
 
 
@@ -158,16 +180,33 @@ def line_constraint_exact_error(n: int, scen: LineConstraintScenario) -> float:
     return _line_floor(scen) + (scen.b - scen.a) ** 2 / (12.0 * (1.0 + scen.m ** 2) * n * n)
 
 
+def _x_minus_sin(x: float) -> float:
+    """x - sin(x) for x >= 0; a Taylor series below 1, where the difference cancels.
+
+    Scalar twin of geometry._h_minus_sin: the allocation scans call this per
+    candidate split, where a numpy call would cost about 15 times as much.
+    """
+    if x >= 1.0:
+        return x - math.sin(x)
+    x2 = x * x
+    tail = 1.0
+    for k in (272, 210, 156, 110, 72, 42, 20):  # (2j)(2j + 1), j = 8 .. 2
+        tail = 1.0 - x2 / k * tail
+    return x * x2 / 6.0 * tail
+
+
 def semicircle_error(n1: int, n2: int) -> float:
     """Distortion on the closed half-disk boundary with n1 diameter points
-    and n2 arc points, endpoints shared, all equally spaced."""
+    and n2 arc points, endpoints shared, all equally spaced.
+
+    The published arc term 3 pi - 6k sin(pi/(2k)), k = n2 - 1, is evaluated
+    as 6k (x - sin x) with x = pi/(2k), which does not cancel as k grows.
+    """
     if n1 < 2 or n2 < 2:
         raise ValueError("need n1 >= 2 and n2 >= 2")
+    k = n2 - 1
     return (2.0 / (3.0 * (2.0 + math.pi))) * (
-        1.0 / (n1 - 1) ** 2
-        - 6.0 * (n2 - 1) * math.sin(math.pi / (2.0 * (n2 - 1)))
-        + 3.0 * math.pi
-    )
+        1.0 / (n1 - 1) ** 2 + 6.0 * k * _x_minus_sin(math.pi / (2.0 * k)))
 
 
 def semicircle_conditional(n: int, n1: int) -> ClosedFormResult:
@@ -272,23 +311,30 @@ def exam1_conditional(n: int) -> ClosedFormResult:
     and n further points confined to the line y = x/4 + 1/4.
 
     Returns n + 1 points total, indexed the way the published formulas are:
-    the error field carries the published V_{n+1} expression, which is an
-    extrapolated polynomial; exam1_exact_error gives the true distortion of
+    the error field carries the published V_{n+1} expression,
+    exam1_published_error; exam1_exact_error gives the true distortion of
     the same configuration.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    d = (n * n + n * math.sqrt(17.0 * n * n + 52.0) - 4.0) / (16.0 * n * n - 4.0)
+    error = exam1_published_error(n)
+    d = exam1_breakpoint(n)
     points = [Point2(0.0, 0.0)]
     for i in range(1, n + 1):
         x = -(8.0 * d * (2 * i - 2 * n - 1) - 16.0 * i + n + 8.0) / (17.0 * n)
         points.append(Point2(x, x / 4.0 + 0.25))
-    error = d ** 3 / 3.0 + (
+    return ClosedFormResult(tuple(points), error)
+
+
+def exam1_published_error(n: int) -> float:
+    """Published V_{n+1} of exam1_conditional(n), an extrapolated polynomial
+    in n and the breakpoint d; exam1_exact_error gives the true distortion."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    d = exam1_breakpoint(n)
+    return d ** 3 / 3.0 + (
         d * d * (3 * n ** 3 - 12 * n ** 2 + 26 * n - 12)
         + 2 * d * (3 * n ** 3 - 3 * n ** 2 - 8 * n + 12)
         + 3 * n ** 3 + 18 * n ** 2 - 10 * n - 12
     ) / (51.0 * n ** 3)
-    return ClosedFormResult(tuple(points), error)
 
 
 def exam1_breakpoint(n: int) -> float:

@@ -7,6 +7,7 @@ import pytest
 
 from curvequant import cli
 from curvequant import closed_form as cf
+from curvequant.allocation import semicircle_allocate
 from curvequant.cli import main
 from curvequant.scenarios import exam2_problem, semicircle_problem
 
@@ -210,6 +211,40 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n,error,alloc,wall_time_ms"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("scenario, lo, configuration", [
+        ("triangle", 3, cf.triangle_conditional),
+        ("semicircle", 3,
+         lambda n: cf.semicircle_conditional(n, semicircle_allocate(n).parts[0])),
+        ("exam1", 3, cf.exam1_conditional),
+        ("exam2", 2,
+         lambda n: cf.line_constraint_optimal(n, cf.LineConstraintScenario(0.0, 1.0, 1.0, 4.0))),
+        ("interval-left", 3, lambda n: cf.interval_left_endpoint(n, 0.0, 1.0)),
+        ("interval-right", 3, lambda n: cf.interval_right_endpoint(n, 0.0, 1.0)),
+        ("interval-interior", 3,
+         lambda n: cf.interval_interior(n, cf.IntervalScenario(0.0, 1.0, 0.0, 1.0))),
+    ])
+    def test_row_equals_configuration_error(self, scenario, lo, configuration):
+        for n in range(lo, 301):
+            assert cli._sweep_row(scenario, n)[0] == configuration(n).error
+
+    def test_sweeps_build_no_points(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep built a point configuration")
+
+        for name in ("exam1_conditional", "line_constraint_optimal",
+                     "interval_left_endpoint", "interval_right_endpoint",
+                     "interval_interior", "semicircle_conditional",
+                     "triangle_conditional"):
+            monkeypatch.setattr(cf, name, refuse)
+        for scenario in cli._SWEEP_ROWS:
+            assert main(["sweep", scenario, "--from", "3", "--to", "40",
+                         "--output", "-"]) == 0
+        capsys.readouterr()
+
+    def test_too_small_n_rejected(self, capsys):
+        assert main(["sweep", "exam1", "--from", "2", "--to", "5", "--output", "-"]) == 1
+        assert capsys.readouterr().err == "error: need n >= 3\n"
 
     def test_reversed_range_rejected(self, tmp_path, capsys):
         assert main(["sweep", "triangle", "--from", "9", "--to", "3",

@@ -188,6 +188,17 @@ class TestSemicircle:
         with pytest.raises(ValueError):
             cf.semicircle_error(3, 1)
 
+    @pytest.mark.parametrize("n1, n2, want", [
+        # 40-digit mpmath values of the published expression
+        # (2 / (3 (2 + pi))) (1/(n1-1)^2 + 3 pi - 6k sin(pi/(2k))), k = n2 - 1,
+        # at the splits semicircle_allocate picks for n = 162, 653, 3271
+        (64, 100, 8.3942281441205731689e-5),
+        (255, 400, 5.1663939503691739535e-6),
+        (1273, 2000, 2.0589844171986395025e-7),
+    ])
+    def test_error_keeps_full_precision_for_long_arcs(self, n1, n2, want):
+        assert cf.semicircle_error(n1, n2) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_conditional_three_points(self):
         r = cf.semicircle_conditional(3, 2)
         assert set((round(p.x, 12), round(p.y, 12)) for p in r.points) == {
@@ -383,6 +394,33 @@ def test_oracle_equivalence_where_published_forms_are_exact():
         n1 = min(range(2, n + 1), key=lambda k: cf.semicircle_error(k, n - k + 2))
         r = cf.semicircle_conditional(n, n1)
         assert distortion(SEMI, r.points) == pytest.approx(r.error, rel=1e-8)
+
+
+@pytest.mark.parametrize("error_only, configuration, bad", [
+    (lambda n: cf.interval_interior_error(n, cf.IntervalScenario(0, 1, 0, 1)),
+     lambda n: cf.interval_interior(n, cf.IntervalScenario(0, 1, 0, 1)), (-1, 0, 1)),
+    (lambda n: cf.interval_endpoint_error(n, 0.0, 1.0),
+     lambda n: cf.interval_left_endpoint(n, 0.0, 1.0), (-1, 0)),
+    (lambda n: cf.interval_endpoint_error(n, 0.0, 1.0),
+     lambda n: cf.interval_right_endpoint(n, 0.0, 1.0), (-1, 0)),
+    (lambda b: cf.interval_endpoint_error(3, 1.0, b),
+     lambda b: cf.interval_left_endpoint(3, 1.0, b), (0.0, 1.0)),
+    (lambda b: cf.interval_endpoint_error(3, 1.0, b),
+     lambda b: cf.interval_right_endpoint(3, 1.0, b), (0.0, 1.0)),
+    (lambda n: cf.line_constraint_published_error(n, cf.LineConstraintScenario(0, 1, 1, 4)),
+     lambda n: cf.line_constraint_optimal(n, cf.LineConstraintScenario(0, 1, 1, 4)),
+     (-1, 0)),
+    (cf.exam1_published_error, cf.exam1_conditional, (-1, 0, 1, 2)),
+], ids=["interval-interior", "interval-left", "interval-right", "interval-left-b",
+        "interval-right-b", "line-constraint", "exam1"])
+def test_error_only_functions_reject_what_configurations_reject(error_only, configuration,
+                                                                bad):
+    for arg in bad:
+        with pytest.raises(ValueError) as want:
+            configuration(arg)
+        with pytest.raises(ValueError) as got:
+            error_only(arg)
+        assert str(got.value) == str(want.value)
 
 
 def test_error_monotone_in_n():
