@@ -129,6 +129,8 @@ def parse_problem_doc(doc, where: str = "problem") -> tuple[Problem, dict]:
         raise CliError(f"{where}.constraints: expected a nonempty list")
     constraints = tuple(_parse_constraint(c, f"{where}.constraints[{i}]")
                         for i, c in enumerate(doc["constraints"]))
+    if not isinstance(doc.get("beta", []), list):
+        raise CliError(f"{where}.beta: expected a list of [x, y] points")
     beta = tuple(_parse_xy(b, f"{where}.beta[{i}]")
                  for i, b in enumerate(doc.get("beta", [])))
     n = _integer(doc["n"], f"{where}.n")
@@ -352,15 +354,22 @@ def cmd_render(args) -> int:
         raise CliError(f"{args.result}: {exc.strerror}") from exc
     if not isinstance(doc, dict) or "problem" not in doc or "points" not in doc:
         raise CliError(f"{args.result}: not a result document")
-    measure_doc = doc["problem"].get("measure")
+    _check_fields(doc["problem"], f"{args.result}: problem", {"measure"},
+                  {"constraints", "beta", "n"})
+    measure_doc = doc["problem"]["measure"]
     if not isinstance(measure_doc, list) or not measure_doc:
         raise CliError(f"{args.result}: result document lacks a measure")
     curves = tuple(_parse_curve(c, f"measure[{i}]") for i, c in enumerate(measure_doc))
+    if not isinstance(doc["points"], list):
+        raise CliError(f"{args.result}: points: expected a list")
     points = []
     for i, entry in enumerate(doc["points"]):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise CliError(f"{args.result}: points[{i}] malformed")
-        points.append((entry["kind"], Point2(float(entry["x"]), float(entry["y"]))))
+        where = f"{args.result}: points[{i}]"
+        _check_fields(entry, where, {"kind", "x", "y"}, {"constraint", "s"})
+        if entry["kind"] not in ("beta", "constrained", "free"):
+            raise CliError(f"{where}: unknown point kind {entry['kind']!r}")
+        points.append((entry["kind"], Point2(_number(entry["x"], f"{where}.x"),
+                                             _number(entry["y"], f"{where}.y"))))
     svg = render_svg(UniformCurveMeasure(curves), points)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)

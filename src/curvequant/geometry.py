@@ -84,6 +84,8 @@ class UniformCurveMeasure:
             raise ValueError("measure needs at least one curve")
         object.__setattr__(self, "curves", curves)
         total = sum(curve_length(c) for c in curves)
+        if not 0.0 < total < math.inf:
+            raise ValueError("measure needs a positive, finite total length")
         object.__setattr__(self, "total_length", total)
         object.__setattr__(self, "density", 1.0 / total)
 
@@ -313,3 +315,21 @@ def project_to_curve(c: Curve, p: Point2) -> float:
     e0 = curve_eval(c, 0.0)
     e1 = curve_eval(c, length)
     return 0.0 if sq_dist(p, e0) <= sq_dist(p, e1) else length
+
+
+def _project_array(c: Curve, xy: np.ndarray) -> np.ndarray:
+    """Vectorized project_to_curve over the rows of an (k, 2) array."""
+    length = curve_length(c)
+    if isinstance(c, Segment):
+        v = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y])
+        t = (xy - (c.p0.x, c.p0.y)) @ v / (v @ v)
+        return np.clip(t, 0.0, 1.0) * length
+    d = xy - (c.center.x, c.center.y)
+    rel = np.mod(np.arctan2(d[:, 1], d[:, 0]) - c.theta0, TWO_PI)
+    # outside the angular window: nearer endpoint wins
+    ends = _eval_array(c, np.array([0.0, length]))
+    to_end = ((xy[:, None, :] - ends[None, :, :]) ** 2).sum(axis=2)
+    s = np.where(rel <= c.theta1 - c.theta0, rel * c.radius,
+                 np.where(to_end[:, 0] <= to_end[:, 1], 0.0, length))
+    s[(d == 0.0).all(axis=1)] = 0.5 * length
+    return s

@@ -2,30 +2,32 @@
 measures.
 
 Candidate quantizers carry a fixed conditional part (beta), points confined
-to constraint sets, and free points. Each multi-start run alternates exact
-Voronoi-cell statistics with centroid (free) or projected-centroid
-(constrained) updates, then the best run gets a golden-section polish over
-its constraint parameters. Degenerate (zero-mass) points are reported, not
-dropped: several scenarios hinge on detecting them.
+to constraint sets, and free points. Every multi-start run is seeded from
+the support alone: k-means++ picks among stratified support samples, each
+snapped onto the constraints. A run alternates exact Voronoi-cell
+statistics with centroid (free) or projected-centroid (constrained)
+updates, and the best run gets a fixed-point root polish. No closed form
+is consulted, so the solver checks them independently. Degenerate
+(zero-mass) points are reported, not dropped: several scenarios hinge on
+detecting them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
 
-from curvequant import closed_form as cf
-from curvequant.allocation import semicircle_allocate
 from curvequant.geometry import (
-    Arc,
     Curve,
     Point2,
     Segment,
     UniformCurveMeasure,
     _cell_state as _exact_state,
+    _eval_array,
+    _project_array,
     curve_eval,
     curve_length,
     distortion,
@@ -34,8 +36,8 @@ from curvequant.geometry import (
 )
 
 MASS_TOL = 1e-5
-_MATCH_TOL = 1e-9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# support samples per seeded point: the pool each k-means++ seed draws from
+SEED_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -197,195 +199,81 @@ def lloyd_step(problem: Problem, candidate) -> list[TaggedPoint]:
 # seeding
 
 
-def _curve_constraints(problem):
-    return [(i, c.curve) for i, c in enumerate(problem.constraints)
-            if isinstance(c, CurveConstraint)]
-
-
-def _free_problem(problem) -> bool:
-    return any(isinstance(c, FreePlane) for c in problem.constraints)
-
-
-def _spread_over_curves(curves, count, rng):
-    """Stratified arc-length placement over a concatenated curve list."""
-    lengths = [curve_length(c) for _, c in curves]
-    total = sum(lengths)
+def _support_samples(measure: UniformCurveMeasure, size: int, rng) -> np.ndarray:
+    """size stratified arc-length samples of the support, an (size, 2) array."""
+    lengths = np.array([curve_length(c) for c in measure.curves])
     bounds = np.concatenate([[0.0], np.cumsum(lengths)])
-    u = (np.arange(count) + rng.uniform(0.0, 1.0, count)) * (total / count)
-    out = []
-    for v in u:
-        k = min(int(np.searchsorted(bounds, v, side="right")) - 1, len(curves) - 1)
-        out.append((curves[k][0], curves[k][1], float(v - bounds[k])))
+    u = (np.arange(size) + rng.uniform(0.0, 1.0, size)) * (bounds[-1] / size)
+    owner = np.minimum(np.searchsorted(bounds, u, side="right") - 1, len(lengths) - 1)
+    out = np.empty((size, 2))
+    for k, c in enumerate(measure.curves):
+        here = owner == k
+        out[here] = _eval_array(c, np.minimum(u[here] - bounds[k], lengths[k]))
     return out
 
 
+def _snap(problem: Problem, xy: np.ndarray):
+    """Nearest admissible point to each row of xy over the union of the
+    constraint sets: arrays (points, constraint index, arc length or member
+    index), with index -1 for a free point."""
+    points = xy.copy()
+    index = np.full(len(xy), -1)
+    param = np.zeros(len(xy))
+    best = np.full(len(xy), np.inf)
+    for i, cons in enumerate(problem.constraints):
+        if isinstance(cons, FreePlane):
+            return xy, np.full(len(xy), -1), param
+        if isinstance(cons, CurveConstraint):
+            s = _project_array(cons.curve, xy)
+            cand = _eval_array(cons.curve, s)
+        else:
+            members = np.array([(p.x, p.y) for p in cons.points])
+            member = ((xy[:, None, :] - members[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+            s, cand = member.astype(float), members[member]
+        d2 = ((xy - cand) ** 2).sum(axis=1)
+        nearer = d2 < best
+        best[nearer], points[nearer], index[nearer], param[nearer] = (
+            d2[nearer], cand[nearer], i, s[nearer])
+    return points, index, param
+
+
 def _seed_run(problem: Problem, rng) -> list[TaggedPoint]:
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) from the data.
+
+    Draws SEED_SAMPLES * (n - l) stratified support samples and snaps each
+    onto the constraints. Then n - l of the snapped samples are picked, each
+    with probability proportional to how much it would lower its own
+    sample's squared distance to beta and the picks so far. On a free plane
+    that gain is the usual D^2 weight. A pick with positive gain is nearer
+    its own sample than beta and the earlier picks, and as the nearest
+    admissible point no later pick beats it there, so its cell is never
+    empty. A pick is uniform only when every gain is infinite (the first
+    pick without beta) or zero (exam2, where beta is nearer the whole
+    support than the constraint line is).
+    """
     count = problem.n - len(problem.beta)
     tagged = [TaggedPoint("beta", b) for b in problem.beta]
     if count == 0:
         return tagged
-    if _free_problem(problem):
-        support = [(-1, c) for c in problem.measure.curves]
-        for _, c, s in _spread_over_curves(support, count, rng):
-            tagged.append(TaggedPoint("free", curve_eval(c, s)))
-        return tagged
-    curves = _curve_constraints(problem)
-    if curves:
-        for idx, c, s in _spread_over_curves(curves, count, rng):
-            tagged.append(TaggedPoint("constrained", curve_eval(c, s), idx, s))
-        return tagged
-    # only point-set constraints remain
-    sets = [(i, c) for i, c in enumerate(problem.constraints)
-            if isinstance(c, PointSetConstraint)]
-    for j in range(count):
-        idx, cons = sets[j % len(sets)]
-        member = int(rng.integers(0, len(cons.points)))
-        tagged.append(TaggedPoint("constrained", cons.points[member], idx, float(member)))
-    return tagged
-
-
-def _attach_positions(problem: Problem, positions) -> list[TaggedPoint] | None:
-    """Tag raw seed positions against the problem's constraint structure."""
-    remaining = list(positions)
-    tagged = [TaggedPoint("beta", b) for b in problem.beta]
+    pool = _support_samples(problem.measure, SEED_SAMPLES * count, rng)
+    snapped, index, param = _snap(problem, pool)
+    own = ((pool - snapped) ** 2).sum(axis=1)
+    d2 = np.full(len(pool), np.inf)
     for b in problem.beta:
-        for i, p in enumerate(remaining):
-            if abs(p.x - b.x) < _MATCH_TOL and abs(p.y - b.y) < _MATCH_TOL:
-                remaining.pop(i)
-                break
-    if len(remaining) != problem.n - len(problem.beta):
-        return None
-    if _free_problem(problem):
-        tagged.extend(TaggedPoint("free", p) for p in remaining)
-        return tagged
-    curves = _curve_constraints(problem)
-    for p in remaining:
-        best = None
-        for idx, c in curves:
-            s = project_to_curve(c, p)
-            q = curve_eval(c, s)
-            d2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
-            if best is None or d2 < best[0]:
-                best = (d2, idx, c, s)
-        if best is None or best[0] > _MATCH_TOL:
-            return None
-        tagged.append(TaggedPoint("constrained", curve_eval(best[2], best[3]),
-                                  best[1], best[3]))
+        d2 = np.minimum(d2, ((pool - (b.x, b.y)) ** 2).sum(axis=1))
+    for _ in range(count):
+        cum = np.cumsum(np.maximum(d2 - own, 0.0))
+        if 0.0 < cum[-1] < np.inf:
+            k = int(np.searchsorted(cum, rng.uniform(0.0, cum[-1]), side="right"))
+        else:
+            k = int(rng.integers(len(pool)))
+        point = Point2(float(snapped[k, 0]), float(snapped[k, 1]))
+        if index[k] < 0:
+            tagged.append(TaggedPoint("free", point))
+        else:
+            tagged.append(TaggedPoint("constrained", point, int(index[k]), float(param[k])))
+        d2 = np.minimum(d2, ((pool - snapped[k]) ** 2).sum(axis=1))
     return tagged
-
-
-def _axis_segment(measure: UniformCurveMeasure):
-    if len(measure.curves) != 1 or not isinstance(measure.curves[0], Segment):
-        return None
-    seg = measure.curves[0]
-    if abs(seg.p0.y) > _MATCH_TOL or abs(seg.p1.y) > _MATCH_TOL:
-        return None
-    a, b = sorted((seg.p0.x, seg.p1.x))
-    return a, b
-
-
-def _beta_matches(beta, wanted) -> bool:
-    if len(beta) != len(wanted):
-        return False
-    used = [False] * len(wanted)
-    for b in beta:
-        hit = False
-        for i, w in enumerate(wanted):
-            if not used[i] and abs(b.x - w[0]) < _MATCH_TOL and abs(b.y - w[1]) < _MATCH_TOL:
-                used[i] = hit = True
-                break
-        if not hit:
-            return False
-    return True
-
-
-def _is_semicircle_pair(curves) -> bool:
-    if len(curves) != 2:
-        return False
-    segs = [c for c in curves if isinstance(c, Segment)]
-    arcs = [c for c in curves if isinstance(c, Arc)]
-    if len(segs) != 1 or len(arcs) != 1:
-        return False
-    seg, arc = segs[0], arcs[0]
-    xs = sorted((seg.p0.x, seg.p1.x))
-    seg_ok = (abs(seg.p0.y) < _MATCH_TOL and abs(seg.p1.y) < _MATCH_TOL
-              and abs(xs[0] + 1) < _MATCH_TOL and abs(xs[1] - 1) < _MATCH_TOL)
-    arc_ok = (abs(arc.center.x) < _MATCH_TOL and abs(arc.center.y) < _MATCH_TOL
-              and abs(arc.radius - 1) < _MATCH_TOL and abs(arc.theta0) < _MATCH_TOL
-              and abs(arc.theta1 - math.pi) < _MATCH_TOL)
-    return seg_ok and arc_ok
-
-
-def _is_triangle_sides(curves) -> bool:
-    if len(curves) != 3 or not all(isinstance(c, Segment) for c in curves):
-        return False
-    verts = {(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)}
-
-    def near(p):
-        for v in verts:
-            if abs(p.x - v[0]) < _MATCH_TOL and abs(p.y - v[1]) < _MATCH_TOL:
-                return v
-        return None
-
-    edges = set()
-    for c in curves:
-        a, b = near(c.p0), near(c.p1)
-        if a is None or b is None or a == b:
-            return False
-        edges.add(frozenset((a, b)))
-    return len(edges) == 3
-
-
-def _closed_form_positions(problem: Problem):
-    """Closed-form configuration for recognizable scenarios, else None.
-
-    For the triangle this is the published equal-spacing set, which is only
-    a critical point at n = 4, 5 (see closed_form.triangle_sliver).
-    """
-    n, beta = problem.n, problem.beta
-    axis = _axis_segment(problem.measure)
-    free = _free_problem(problem)
-    curves = _curve_constraints(problem)
-    if axis is not None and free:
-        a, b = axis
-        if not beta:
-            return [Point2(a + (2 * j - 1) * (b - a) / (2 * n), 0.0) for j in range(1, n + 1)]
-        if _beta_matches(beta, [(a, 0.0)]):
-            return list(cf.interval_left_endpoint(n, a, b).points)
-        if _beta_matches(beta, [(b, 0.0)]):
-            return list(cf.interval_right_endpoint(n, a, b).points)
-        if n >= 2 and _beta_matches(beta, [(a, 0.0), (b, 0.0)]):
-            return list(cf.interval_interior(n, cf.IntervalScenario(a, b, a, b)).points)
-        return None
-    if axis is not None and not free and len(curves) == 1 and isinstance(curves[0][1], Segment):
-        a, b = axis
-        seg = curves[0][1]
-        dx = seg.p1.x - seg.p0.x
-        if abs(dx) < _MATCH_TOL:
-            return None
-        m = (seg.p1.y - seg.p0.y) / dx
-        c0 = seg.p0.y - m * seg.p0.x
-        if not beta:
-            try:
-                return list(cf.line_constraint_optimal(
-                    n, cf.LineConstraintScenario(a, b, m, c0)).points)
-            except ValueError:
-                return None
-        if (n >= 4 and _beta_matches(beta, [(0.0, 0.0)]) and abs(a) < _MATCH_TOL
-                and abs(b - 1) < _MATCH_TOL and abs(m - 0.25) < _MATCH_TOL
-                and abs(c0 - 0.25) < _MATCH_TOL):
-            return list(cf.exam1_conditional(n - 1).points)
-        return None
-    if (_is_semicircle_pair(problem.measure.curves) and not free
-            and _is_semicircle_pair([c for _, c in curves])
-            and _beta_matches(beta, [(-1.0, 0.0), (1.0, 0.0)]) and n >= 3):
-        n1 = semicircle_allocate(n).parts[0]
-        return list(cf.semicircle_conditional(n, n1).points)
-    if (_is_triangle_sides(problem.measure.curves) and not free and n >= 3
-            and _is_triangle_sides([c for _, c in curves])
-            and _beta_matches(beta, [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])):
-        return list(cf.triangle_conditional(n).points)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -545,84 +433,25 @@ def _root_polish(problem: Problem, tagged, d_current: float):
     return best_tagged, best_d
 
 
-def _golden_coordinate(f, lo, hi, tol):
-    a, b = lo, hi
-    c1 = b - _INVPHI * (b - a)
-    c2 = a + _INVPHI * (b - a)
-    f1, f2 = f(c1), f(c2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _INVPHI * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _INVPHI * (b - a)
-            f2 = f(c2)
-    return 0.5 * (a + b)
-
-
-def _polish(problem: Problem, tagged, options: SolverOptions):
-    """Cyclic golden-section refinement of every curve-constraint parameter."""
-    idxs = [i for i, tp in enumerate(tagged)
-            if tp.kind == "constrained"
-            and isinstance(problem.constraints[tp.constraint_index], CurveConstraint)]
-    if not idxs:
-        return tagged
-    tagged = list(tagged)
-    for _ in range(2):
-        for i in idxs:
-            tp = tagged[i]
-            curve = problem.constraints[tp.constraint_index].curve
-            length = curve_length(curve)
-            span = max(length / (2.0 * max(problem.n, 1)), 1e-6 * length)
-            lo = max(0.0, tp.s - span)
-            hi = min(length, tp.s + span)
-
-            def objective(s, i=i, curve=curve, tp=tp):
-                trial = tagged[:i] + [TaggedPoint("constrained", curve_eval(curve, s),
-                                                  tp.constraint_index, s)] + tagged[i + 1:]
-                return _exact_state(problem.measure, _points_xy(trial))[0]
-
-            s_best = _golden_coordinate(objective, lo, hi,
-                                        max(options.param_tol, 1e-12) * max(1.0, length))
-            if objective(s_best) < objective(tp.s):
-                tagged[i] = TaggedPoint("constrained", curve_eval(curve, s_best),
-                                        tp.constraint_index, s_best)
-    return tagged
-
-
 def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
-    """Best quantizer over stratified multi-start runs.
+    """Best quantizer over options.restarts k-means++ seeded runs.
 
-    Runs options.restarts stratified random seeds plus one run seeded from
-    the matching closed-form configuration when the problem is recognized.
-    The winner (lowest distortion, earliest run on ties) gets a golden
-    polish over constraint parameters, then is re-measured with one exact
-    cell-state pass, the integrals evaluate() reports.
+    Each run draws its seeds from stratified samples of the support (see
+    _seed_run) and descends. The winner (lowest distortion, earliest run on
+    ties) gets a root polish of its fixed point, then is re-measured with
+    one exact cell-state pass, the integrals evaluate() reports.
     """
     options = options or SolverOptions()
     rng = np.random.default_rng(options.rng_seed)
-    seeds = [_seed_run(problem, rng) for _ in range(options.restarts)]
-    known = _closed_form_positions(problem)
-    if known is not None:
-        attached = _attach_positions(problem, known)
-        if attached is not None:
-            seeds.append(attached)
     best = None
     best_d = None
-    for run in seeds:
-        tagged, d, masses, conv = _descend(problem, run, options, best_d)
+    for _ in range(options.restarts):
+        tagged, d, masses, conv = _descend(problem, _seed_run(problem, rng), options, best_d)
         if best_d is None or d < best_d - 1e-15:
             best = (tagged, d, masses, conv)
             best_d = d
     tagged, d, masses, conv = best
     tagged, d = _root_polish(problem, tagged, d)
-    polished = _polish(problem, tagged, options)
-    if polished is not tagged:
-        d2, masses2, _ = _exact_state(problem.measure, _points_xy(polished))
-        if d2 <= d:
-            tagged, d, masses = polished, d2, masses2
     # polishing moved the points after descent measured them
     final_d, final_masses, _ = _exact_state(problem.measure, _points_xy(tagged))
     degenerate = tuple(i for i, m in enumerate(final_masses) if m <= MASS_TOL)

@@ -1,15 +1,18 @@
 """Command line contract tests: parsing, exit codes, output documents."""
 
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvequant import cli
 from curvequant import closed_form as cf
 from curvequant.allocation import semicircle_allocate
 from curvequant.cli import main
 from curvequant.scenarios import exam2_problem, semicircle_problem
+from curvequant.solver import Problem
 
 
 def write_problem(tmp_path, problem, name="problem.json", solver=None):
@@ -104,6 +107,88 @@ class TestProblemParsing:
         path.write_text(json.dumps(doc))
         with pytest.raises(cli.CliError, match=r"n.*integer"):
             cli.load_problem_file(str(path))
+
+
+# any JSON value: null, booleans, numbers (NaN and infinities included, as
+# json.load accepts them), strings, and lists and objects of these
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+
+VALID_DOCS = {
+    "interval-left": INTERVAL_LEFT_DOC,
+    "semicircle-points": {
+        "schema_version": 1,
+        "measure": [
+            {"type": "segment", "p0": [-1.0, 0.0], "p1": [1.0, 0.0]},
+            {"type": "arc", "center": [0.0, 0.0], "radius": 1.0,
+             "theta0": 0.0, "theta1": 3.0},
+        ],
+        "constraints": [
+            {"type": "curve", "curve": {"type": "segment", "p0": [-1.0, 0.0],
+                                        "p1": [1.0, 0.0]}},
+            {"type": "points", "points": [[0.0, 1.0], [0.5, 0.5]]},
+        ],
+        "beta": [[-1.0, 0.0], [1.0, 0.0]],
+        "n": 4,
+        "solver": {"restarts": 2, "rng_seed": 3, "param_tol": 1e-9, "max_iters": 50},
+    },
+}
+
+
+def field_paths(doc, prefix=()):
+    """Key/index path of every value inside doc, the document itself included."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield from field_paths(value, prefix + (key,))
+
+
+FIELDS = [(name, path) for name, doc in VALID_DOCS.items() for path in field_paths(doc)]
+
+
+def parses_or_rejects(doc):
+    try:
+        problem, overrides = cli.parse_problem_doc(doc)
+    except cli.CliError:
+        return
+    assert isinstance(problem, Problem) and isinstance(overrides, dict)
+
+
+class TestProblemDocProperty:
+    def test_valid_documents_parse(self):
+        for doc in VALID_DOCS.values():
+            problem, _ = cli.parse_problem_doc(doc)
+            assert problem.n == doc["n"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_any_json_value(self, doc):
+        parses_or_rejects(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FIELDS), JSON_VALUES)
+    @example(("interval-left", ("measure",)),
+             [{"type": "arc", "center": [0.0, 0.0], "radius": 5e-324,
+               "theta0": 0.0, "theta1": 5e-324}])
+    def test_one_field_replaced(self, field, value):
+        name, path = field
+        doc = copy.deepcopy(VALID_DOCS[name])
+        if not path:
+            doc = value
+        else:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        parses_or_rejects(doc)
 
 
 class TestSolveCommand:
@@ -319,6 +404,18 @@ class TestRenderCommand:
         assert main(["render", str(path), "--output", str(tmp_path / "x.svg")]) == 1
         assert "result document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"problem": 5, "points": []},
+        {"problem": {"measure": INTERVAL_LEFT_DOC["measure"]}, "points": 5},
+        {"problem": {"measure": INTERVAL_LEFT_DOC["measure"]},
+         "points": [{"kind": "free", "x": [1], "y": 0.0}]},
+    ])
+    def test_malformed_result_is_one(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["render", str(path), "--output", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestVerifyCommand:
     def test_small_gallery_slice_passes(self, capsys):
@@ -356,6 +453,7 @@ class TestExitCodes:
                        "theta0": 0.0, "theta1": 3.0}]}, "measure[0].radius"),
         ({"solver": {"restarts": "many"}}, "solver.restarts"),
         ({"n": True}, "json.n:"),
+        ({"beta": 5}, "json.beta:"),
     ])
     def test_malformed_number_is_one(self, tmp_path, capsys, change, field):
         path = tmp_path / "p.json"

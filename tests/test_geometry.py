@@ -10,6 +10,7 @@ from curvequant.geometry import (
     Point2,
     Segment,
     UniformCurveMeasure,
+    _project_array,
     conditional_mean,
     curve_eval,
     curve_length,
@@ -164,6 +165,23 @@ def test_project_to_curve():
     assert project_to_curve(HALF_ARC, Point2(0.5, 0.5)) == pytest.approx(math.pi / 4, rel=1e-12)
     # below the diameter: angular window misses, nearest endpoint wins
     assert project_to_curve(HALF_ARC, Point2(0.2, -1.0)) == 0.0
+
+
+def test_project_array_matches_scalar():
+    rng = np.random.default_rng(5)
+    xy = rng.uniform(-2.0, 2.0, (400, 2))
+    xy[:2] = [(0.0, 0.0), (0.3, -0.2)]  # the two arc centers
+    for c in (SEG01, Segment(Point2(-1, 2), Point2(3, -1)), HALF_ARC,
+              Arc(Point2(0.3, -0.2), 1.5, -2.0, 1.0), Arc(Point2(0, 0), 1.0, 0.0, 2 * math.pi)):
+        want = [project_to_curve(c, Point2(x, y)) for x, y in xy]
+        assert _project_array(c, xy) == pytest.approx(want, abs=1e-12)
+
+
+def test_measure_needs_positive_finite_length():
+    with pytest.raises(ValueError):
+        UniformCurveMeasure((Arc(Point2(0, 0), 5e-324, 0.0, 5e-324),))
+    with pytest.raises(ValueError):
+        UniformCurveMeasure((Arc(Point2(0, 0), 1e308, 0.0, 6.0),))
 
 
 def _random_measure(rng):

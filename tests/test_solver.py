@@ -1,11 +1,14 @@
 """Solver tests: evaluation, Lloyd dynamics, multi-start solve, existence
 detection, the sandwich chain, and density gaps."""
 
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import curvequant.allocation as allocation
 import curvequant.closed_form as cf
 from curvequant import scenarios as sc
 from curvequant.geometry import Point2, Segment, UniformCurveMeasure, distortion
@@ -246,6 +249,60 @@ class TestSolve:
         best = min(distortion(prob.measure, [members[i], members[j]])
                    for i in range(3) for j in range(i + 1, 3))
         assert q.distortion == pytest.approx(best, rel=1e-12)
+
+
+# one instance per gallery family; triangle 4 is the sliver optimum, which
+# the published equal-spacing set does not reach
+INDEPENDENCE_CASES = {"interval-left": 4, "interval-right": 4, "interval-interior": 5,
+                      "line-shallow": 4, "line-steep": 4, "semicircle": 6,
+                      "triangle": 4, "exam1": 5}
+
+
+def gallery_reference(name, n):
+    entry = sc.GALLERY[name]
+    problem = entry.build(n)
+    return problem, distortion(problem.measure, list(entry.config(n)))
+
+
+def refuse_closed_forms(monkeypatch):
+    """Make every public function of closed_form and allocation raise, at
+    every name any curvequant module binds it to."""
+    public = set()
+    for module in (cf, allocation):
+        public.update(obj for name, obj in vars(module).items()
+                      if not name.startswith("_") and inspect.isfunction(obj)
+                      and obj.__module__ == module.__name__)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver consulted a closed form")
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != "curvequant":
+            continue
+        for attr, obj in list(vars(module).items()):
+            if any(obj is fn for fn in public):
+                monkeypatch.setattr(module, attr, refuse)
+
+
+class TestSeedsFromData:
+    def test_solver_never_uses_closed_forms(self, monkeypatch):
+        cases = [(name, *gallery_reference(name, n)) for name, n in INDEPENDENCE_CASES.items()]
+        refuse_closed_forms(monkeypatch)
+        with pytest.raises(AssertionError):
+            cf.exam1_conditional(5)
+        for name, problem, ref in cases:
+            q = solve(problem)
+            assert q.distortion == pytest.approx(ref, rel=1e-6), name
+
+    @pytest.mark.parametrize("rng_seed", [1, 7, 101])
+    @pytest.mark.parametrize("name", ["line-shallow", "line-steep", "exam1"])
+    def test_line_families_from_other_seeds(self, name, rng_seed):
+        # exam1's closed form starts at n = 3
+        for n in range(max(2, sc.GALLERY[name].n_range[0]), 7):
+            problem, ref = gallery_reference(name, n)
+            q = solve(problem, SolverOptions(rng_seed=rng_seed))
+            assert q.distortion == pytest.approx(ref, rel=1e-6), f"{name} n={n}"
+            assert q.degenerate_points == ()
 
 
 class TestExistence:
