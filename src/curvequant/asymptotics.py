@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,46 @@ class ScenarioLimits:
     exists: bool = True
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in [xa, xb], where f changes sign, by Brent's method.
+
+    Follows scipy.optimize.brentq (its C routine) iterate for iterate, so
+    equal tolerances give the same float.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, f(xa), f(xb)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations")
+
+
 def _power_fit3(ns, vs):
     """Fit v = V + C * n**(-s) through three points, or None if singular."""
     n1, n2, n3 = ns
@@ -79,7 +118,7 @@ def _power_fit3(ns, vs):
             s_star = float(grid[i])
             break
         if vals[i] * vals[i + 1] < 0.0:
-            s_star = brentq(g, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+            s_star = _brentq(g, float(grid[i]), float(grid[i + 1]), xtol=1e-15, rtol=8.9e-16)
             break
     if s_star is None:
         return None

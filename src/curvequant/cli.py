@@ -119,7 +119,7 @@ def _parse_constraint(obj, where: str):
 def parse_problem_doc(doc, where: str = "problem") -> tuple[Problem, dict]:
     _check_fields(doc, where, {"schema_version", "measure", "constraints", "n"},
                   {"beta", "solver"})
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if _integer(doc["schema_version"], f"{where}.schema_version") != SCHEMA_VERSION:
         raise CliError(f"{where}: unsupported schema_version {doc['schema_version']!r}")
     if not isinstance(doc["measure"], list) or not doc["measure"]:
         raise CliError(f"{where}.measure: expected a nonempty list of curves")
@@ -148,15 +148,18 @@ def parse_problem_doc(doc, where: str = "problem") -> tuple[Problem, dict]:
     return problem, overrides
 
 
-def load_problem_file(path: str) -> tuple[Problem, dict]:
+def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from exc
-    return parse_problem_doc(doc, where=path)
+
+
+def load_problem_file(path: str) -> tuple[Problem, dict]:
+    return parse_problem_doc(_load_json(path), where=path)
 
 
 def _curve_doc(curve) -> dict:
@@ -345,13 +348,7 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        with open(args.result, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.result}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise CliError(f"{args.result}: {exc.strerror}") from exc
+    doc = _load_json(args.result)
     if not isinstance(doc, dict) or "problem" not in doc or "points" not in doc:
         raise CliError(f"{args.result}: not a result document")
     _check_fields(doc["problem"], f"{args.result}: problem", {"measure"},

@@ -63,14 +63,6 @@ Curve = Segment | Arc
 
 
 @dataclass(frozen=True)
-class ParamPoint:
-    """Arc-length position s on the curve at curve_index in some curve list."""
-
-    curve_index: int
-    s: float
-
-
-@dataclass(frozen=True)
 class UniformCurveMeasure:
     """Uniform probability measure on a finite union of curves."""
 
@@ -125,17 +117,43 @@ def _eval_array(c: Curve, s: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=-1)
 
 
+def _tangent_array(c: Curve, s: np.ndarray) -> np.ndarray:
+    """Unit tangent of c at each arc length in s, an (k, 2) array."""
+    if isinstance(c, Segment):
+        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / curve_length(c)
+        return np.broadcast_to(u, (len(s), 2))
+    ang = c.theta0 + s / c.radius
+    return np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
+
+
 def _sites_array(sites) -> np.ndarray:
+    """Sites as an (m, 2) float array; an array passes through unchanged."""
     if len(sites) == 0:
         raise ValueError("site list must be nonempty")
+    if isinstance(sites, np.ndarray):
+        return sites
     return np.array([(p.x, p.y) for p in sites], dtype=float)
 
 
-def _owners(c: Curve, s: np.ndarray, sites_xy: np.ndarray) -> np.ndarray:
-    """Index of the nearest site at each parameter; ties to the lower index."""
-    pts = _eval_array(c, s)
-    d2 = ((pts[:, None, :] - sites_xy[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+def _envelope(c: Curve, sites_xy: np.ndarray):
+    """(t0, scale, K, P, Q): |curve(t) - q_i|^2 = shared(t) + K_i + P_i x + Q_i y
+    with (x, y) = (t, 0) for arc length t on a segment and (cos t, sin t) for
+    angle t on an arc; arc length is (t - t0) * scale."""
+    if isinstance(c, Segment):
+        a = np.array([c.p0.x, c.p0.y]) - sites_xy
+        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / curve_length(c)
+        t0, scale, P, Q = 0.0, 1.0, 2.0 * (a @ u), np.zeros(len(a))
+    else:
+        a = np.array([c.center.x, c.center.y]) - sites_xy
+        t0, scale, P, Q = c.theta0, c.radius, 2.0 * c.radius * a[:, 0], 2.0 * c.radius * a[:, 1]
+    return t0, scale, (a * a).sum(axis=1), P, Q
+
+
+def _nearest(c: Curve, t: np.ndarray, K, P, Q) -> np.ndarray:
+    """Index of the nearest site at each envelope parameter t; ties to the
+    lower index."""
+    x, y = (t, np.zeros_like(t)) if isinstance(c, Segment) else (np.cos(t), np.sin(t))
+    return np.argmin(K + x[:, None] * P + y[:, None] * Q, axis=1)
 
 
 def _downward_crossings(c: Curve, t: float, dK, dP, dQ):
@@ -168,20 +186,11 @@ def voronoi_breakpoints(c: Curve, sites) -> list[float]:
     earliest parameter where another site's term crosses below its own; of
     the sites crossing there the steepest wins, ties to the lower index.
     Curve endpoints are excluded and breakpoints within 1e-12 are merged.
+    sites is a sequence of Point2 or an (m, 2) array.
     """
-    sites_xy = _sites_array(sites)
     length = curve_length(c)
-    # |curve(t) - q_i|^2 = shared(t) + K_i + P_i x + Q_i y, with (x, y) = (t, 0)
-    # for arc length t on a segment and (cos t, sin t) for angle t on an arc
-    if isinstance(c, Segment):
-        a = np.array([c.p0.x, c.p0.y]) - sites_xy
-        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / length
-        t0, scale, P, Q = 0.0, 1.0, 2.0 * (a @ u), np.zeros(len(a))
-    else:
-        a = np.array([c.center.x, c.center.y]) - sites_xy
-        t0, scale, P, Q = c.theta0, c.radius, 2.0 * c.radius * a[:, 0], 2.0 * c.radius * a[:, 1]
-    K = (a * a).sum(axis=1)
-    owner = int(_owners(c, np.zeros(1), sites_xy)[0])
+    t0, scale, K, P, Q = _envelope(c, _sites_array(sites))
+    owner = int(_nearest(c, np.array([t0]), K, P, Q)[0])
     t = t0
     out: list[float] = []
     while True:
@@ -197,10 +206,10 @@ def voronoi_breakpoints(c: Curve, sites) -> list[float]:
 
 def _pieces(c: Curve, sites_xy: np.ndarray):
     """Split c at its breakpoints: arrays (s0, s1, owner), one entry per piece."""
-    cuts = np.array([0.0, *voronoi_breakpoints(c, [Point2(x, y) for x, y in sites_xy]),
-                     curve_length(c)])
+    cuts = np.array([0.0, *voronoi_breakpoints(c, sites_xy), curve_length(c)])
     s0, s1 = cuts[:-1], cuts[1:]
-    return s0, s1, _owners(c, 0.5 * (s0 + s1), sites_xy)
+    t0, scale, K, P, Q = _envelope(c, sites_xy)
+    return s0, s1, _nearest(c, t0 + 0.5 * (s0 + s1) / scale, K, P, Q)
 
 
 def _h_minus_sin(h: np.ndarray) -> np.ndarray:

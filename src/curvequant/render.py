@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from curvequant.geometry import (
     Arc,
     Point2,
     Segment,
     UniformCurveMeasure,
+    _eval_array,
     curve_eval,
     curve_length,
     voronoi_breakpoints,
@@ -34,17 +37,11 @@ def _fmt(v: float) -> str:
 
 
 def _bounds(measure: UniformCurveMeasure, pts: list[Point2]):
-    xs, ys = [], []
-    for c in measure.curves:
-        length = curve_length(c)
-        for k in range(257):
-            p = curve_eval(c, length * k / 256)
-            xs.append(p.x)
-            ys.append(p.y)
-    for p in pts:
-        xs.append(p.x)
-        ys.append(p.y)
-    return min(xs), max(xs), min(ys), max(ys)
+    xy = np.concatenate([_eval_array(c, curve_length(c) * np.arange(257) / 256)
+                         for c in measure.curves]
+                        + [np.array([(p.x, p.y) for p in pts]).reshape(-1, 2)])
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
 
 class _Mapper:
@@ -68,7 +65,6 @@ def _segment_path(seg: Segment, to) -> str:
 
 def _arc_path(arc: Arc, to) -> str:
     # split spans over pi so endpoints never coincide (full circles included)
-    spans = []
     span = arc.theta1 - arc.theta0
     if span > math.pi:
         mid = arc.theta0 + span / 2.0

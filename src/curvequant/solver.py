@@ -4,21 +4,19 @@ measures.
 Candidate quantizers carry a fixed conditional part (beta), points confined
 to constraint sets, and free points. Every multi-start run is seeded from
 the support alone: k-means++ picks among stratified support samples, each
-snapped onto the constraints. A run alternates exact Voronoi-cell
-statistics with centroid (free) or projected-centroid (constrained)
-updates, and the best run gets a fixed-point root polish. No closed form
-is consulted, so the solver checks them independently. Degenerate
-(zero-mass) points are reported, not dropped: several scenarios hinge on
-detecting them.
+snapped onto the constraints. A run is a bounded BFGS descent on the
+exact distortion, whose gradient comes with every Voronoi-cell pass, over
+free coordinates and arc lengths on constraint curves; point-set members
+move to the member nearest their cell mean. No closed form is consulted,
+so the solver checks them independently. Degenerate (zero-mass) points
+are reported, not dropped: several scenarios hinge on detecting them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from curvequant.geometry import (
     Curve,
@@ -28,16 +26,22 @@ from curvequant.geometry import (
     _cell_state as _exact_state,
     _eval_array,
     _project_array,
-    curve_eval,
+    _sites_array,
+    _tangent_array,
     curve_length,
     distortion,
-    project_to_curve,
     voronoi_masses,
 )
 
 MASS_TOL = 1e-5
 # support samples per seeded point: the pool each k-means++ seed draws from
 SEED_SAMPLES = 8
+# line search of the descent: sufficient-decrease constant, most halvings
+_ARMIJO = 1e-4
+_HALVINGS = 30
+# a descent stops once an iteration, or the step it would take, lowers the
+# distortion by no more than this share of it
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -148,10 +152,6 @@ class SandwichReport:
 # candidates
 
 
-def _points_xy(tagged) -> np.ndarray:
-    return np.array([(tp.point.x, tp.point.y) for tp in tagged], dtype=float)
-
-
 def _check_candidate(problem: Problem, candidate) -> None:
     if len(candidate) > problem.n:
         raise ValueError("candidate has more points than the target count")
@@ -182,7 +182,7 @@ def lloyd_step(problem: Problem, candidate) -> list[TaggedPoint]:
     """Move every positive-mass free point to its cell mean; zero-mass free
     points are left in place (they are the degeneracy signal)."""
     _check_candidate(problem, candidate)
-    sites_xy = _points_xy(candidate)
+    sites_xy = _sites_array([tp.point for tp in candidate])
     _, masses, moments = _exact_state(problem.measure, sites_xy)
     out = []
     for i, tp in enumerate(candidate):
@@ -280,191 +280,159 @@ def _seed_run(problem: Problem, rng) -> list[TaggedPoint]:
 # descent
 
 
-def _update_positions(problem: Problem, tagged, masses, moments):
-    total_len = problem.measure.total_length
-    out = []
-    for i, tp in enumerate(tagged):
-        if tp.kind == "beta" or masses[i] <= 1e-12:
-            out.append(tp)
-            continue
-        cell_len = masses[i] * total_len
-        cx = moments[i, 0] / cell_len
-        cy = moments[i, 1] / cell_len
-        if tp.kind == "free":
-            out.append(TaggedPoint("free", Point2(cx, cy)))
-            continue
-        cons = problem.constraints[tp.constraint_index]
-        if isinstance(cons, CurveConstraint):
-            s = project_to_curve(cons.curve, Point2(cx, cy))
-            out.append(TaggedPoint("constrained", curve_eval(cons.curve, s),
-                                   tp.constraint_index, s))
-        else:
-            members = cons.points
-            best = min(range(len(members)),
-                       key=lambda k: (members[k].x - cx) ** 2 + (members[k].y - cy) ** 2)
-            out.append(TaggedPoint("constrained", members[best],
-                                   tp.constraint_index, float(best)))
-    return out
-
-
-def _param_vector(problem: Problem, tagged):
-    vec = []
-    for tp in tagged:
-        if tp.kind == "free":
-            vec.extend((tp.point.x, tp.point.y))
-        elif (tp.kind == "constrained"
-              and isinstance(problem.constraints[tp.constraint_index], CurveConstraint)):
-            vec.append(tp.s)
-    return np.array(vec)
-
-
-def _from_param_vector(problem: Problem, tagged, vec):
-    out = []
-    k = 0
-    for tp in tagged:
-        if tp.kind == "free":
-            out.append(TaggedPoint("free", Point2(vec[k], vec[k + 1])))
-            k += 2
-        elif (tp.kind == "constrained"
-              and isinstance(problem.constraints[tp.constraint_index], CurveConstraint)):
-            curve = problem.constraints[tp.constraint_index].curve
-            s = min(max(vec[k], 0.0), curve_length(curve))
-            out.append(TaggedPoint("constrained", curve_eval(curve, s),
-                                   tp.constraint_index, s))
-            k += 1
-        else:
-            out.append(tp)
-    return out
-
-
-def _aitken_vector(x0, x1, x2):
-    d1 = x1 - x0
-    d2 = x2 - x1
-    denom = d2 - d1
-    scale = np.maximum(np.abs(x2), 1.0)
-    safe = np.abs(denom) > 1e-14 * scale
-    out = x2.copy()
-    out[safe] = x2[safe] - d2[safe] ** 2 / denom[safe]
-    return out
-
-
-def _descend(problem: Problem, tagged, options: SolverOptions, abort_above: float | None):
-    """Iterate centroid/projection updates until the distortion improvement
-    drops below param_tol. Two accelerations bolted on: runs whose Aitken-
-    projected limit cannot beat the best value already found are cut short,
-    and every few steps a guarded vector extrapolation of the parameter
-    trajectory is tried and kept only when it strictly lowers distortion
-    (plain Lloyd closes in on degenerate cells too slowly otherwise)."""
-    prev_d = math.inf
-    prev_imp = math.inf
-    converged = False
-    d = 0.0
-    masses = None
-    history: list[np.ndarray] = []
-    for it in range(options.max_iters):
-        sites_xy = _points_xy(tagged)
-        d, masses, moments = _exact_state(problem.measure, sites_xy)
-        imp = prev_d - d
-        if imp < options.param_tol:
-            converged = True
-            break
-        if (abort_above is not None and it >= 10 and prev_imp > 0.0
-                and 0.0 < imp < prev_imp):
-            ratio = imp / prev_imp
-            projected = d - imp * ratio / (1.0 - ratio)
-            if projected > abort_above - 1e-13:
-                break
-        tagged = _update_positions(problem, tagged, masses, moments)
-        prev_d, prev_imp = d, imp
-        history.append(_param_vector(problem, tagged))
-        if history[-1].size and len(history) >= 3 and it % 8 == 7:
-            trial_vec = _aitken_vector(*history[-3:])
-            trial = _from_param_vector(problem, tagged, trial_vec)
-            d_t, _, _ = _exact_state(problem.measure, _points_xy(trial))
-            if d_t < d:
-                tagged = trial
-                prev_d = math.inf
-                history.clear()
-        if len(history) > 3:
-            history.pop(0)
-    if masses is None:
-        d, masses, _ = _exact_state(problem.measure, _points_xy(tagged))
-    return tagged, d, masses, converged
-
-
-def _root_polish(problem: Problem, tagged, d_current: float):
-    """Quasi-Newton polish of the update-map fixed point.
-
-    Lloyd closes the last stretch linearly, which is too slow when a cell
-    mass is collapsing toward zero; solving the fixed-point residual with
-    df-sane lands on the limit directly. The result is kept only when it
-    does not increase distortion.
+class _Descent:
+    """Bounded BFGS on the distortion of one candidate. x holds x, y of each
+    free point, then the arc length of each curve-constrained point, boxed to
+    [0, length]; beta and point-set members stay put. A step is projected
+    onto the box and halved until it meets the Armijo condition. The inverse
+    Hessian starts, and restarts after a failed line search, at 1 / (2 mass)
+    of each coordinate's site: a full step from it is the Lloyd step (for a
+    curve point, its tangential part). `state` is the cell-state pass at x.
     """
-    vec0 = _param_vector(problem, tagged)
-    if not vec0.size:
-        return tagged, d_current
 
-    def residual(vec):
-        cand = _from_param_vector(problem, tagged, vec)
-        _, masses, moments = _exact_state(problem.measure, _points_xy(cand))
-        updated = _update_positions(problem, cand, masses, moments)
-        return _param_vector(problem, updated) - _param_vector(problem, cand)
+    def __init__(self, problem: Problem, tagged):
+        self.measure, self.tagged = problem.measure, list(tagged)
+        self.sites = _sites_array([tp.point for tp in tagged])
+        self.free = np.array([i for i, tp in enumerate(tagged) if tp.kind == "free"], dtype=int)
+        self.curves = []  # (curve, site indices), one per curve constraint in use
+        for ci, cons in enumerate(problem.constraints):
+            idx = [i for i, tp in enumerate(tagged)
+                   if tp.kind == "constrained" and tp.constraint_index == ci]
+            if idx and isinstance(cons, CurveConstraint):
+                self.curves.append((cons.curve, np.array(idx)))
+        self.cuts = np.cumsum([2 * len(self.free)] + [len(idx) for _, idx in self.curves[:-1]])
+        self.owner = np.concatenate([np.repeat(self.free, 2)] + [idx for _, idx in self.curves])
+        self.hi = np.concatenate([np.full(2 * len(self.free), np.inf)] + [
+            np.full(len(idx), curve_length(c)) for c, idx in self.curves])
+        self.lo = np.where(self.hi < np.inf, 0.0, -np.inf)
+        self.x = np.clip(np.concatenate([self.sites[self.free].ravel()] + [
+            [tagged[i].s for i in idx] for _, idx in self.curves]), self.lo, self.hi)
+        self.state = self.evaluate(self.x)
+        self.H, self.fresh = self.inverse_hessian(), True
 
-    candidates = []
-    try:
-        sol = optimize.root(residual, vec0, method="df-sane",
-                            options={"maxfev": 400, "fatol": 1e-14, "ftol": 0.0})
-        candidates.append(sol.x)
-        if np.linalg.norm(sol.fun) > 1e-10:
-            # df-sane stalls when the fixed point sits on a cell-existence
-            # kink; Powell's method with a finite-difference Jacobian gets
-            # through it
-            sol2 = optimize.root(residual, sol.x, method="hybr",
-                                 options={"xtol": 1e-14, "maxfev": 4000})
-            candidates.append(sol2.x)
-    except Exception:
-        pass
-    best_tagged, best_d = tagged, d_current
-    for vec in candidates:
-        trial = _from_param_vector(problem, tagged, vec)
-        d_t, _, _ = _exact_state(problem.measure, _points_xy(trial))
-        if d_t <= best_d + 1e-15:
-            best_tagged, best_d = trial, d_t
-    return best_tagged, best_d
+    def evaluate(self, x):
+        """One cell-state pass at x: (sites, distortion, masses, moments,
+        gradient of the distortion in x)."""
+        free, *params = np.split(x, self.cuts)
+        xy = self.sites.copy()
+        xy[self.free] = free.reshape(-1, 2)
+        for (curve, idx), s in zip(self.curves, params):
+            xy[idx] = _eval_array(curve, s)
+        d, masses, moments = _exact_state(self.measure, xy)
+        # dD/dp_i = 2 (mass_i p_i - moment_i / L); for an arc length, chained
+        # through the unit tangent
+        grad = 2.0 * (masses[:, None] * xy - moments * self.measure.density)
+        return xy, d, masses, moments, np.concatenate([grad[self.free].ravel()] + [
+            (grad[idx] * _tangent_array(curve, s)).sum(axis=1)
+            for (curve, idx), s in zip(self.curves, params)])
+
+    def inverse_hessian(self):
+        return np.diag(0.5 / np.maximum(self.state[2][self.owner], MASS_TOL))
+
+    def run(self, tol: float, max_iters: int) -> bool:
+        """Iterate until an iteration improves the distortion by less than
+        tol, or no step improves it beyond rounding (True), or for max_iters
+        iterations (False)."""
+        lo, hi = self.lo, self.hi
+        for _ in range(max_iters if self.x.size else 0):
+            x, (_, f, _, _, g) = self.x, self.state
+            # hold coordinates at a bound that the gradient pushes outward
+            held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+            d = -(self.H @ np.where(held, 0.0, g))
+            d[held | ((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
+            if -(g @ d) <= _ROUNDING * f:
+                return True
+            step = 1.0
+            for _ in range(_HALVINGS):
+                x_new = np.clip(x + step * d, lo, hi)
+                new = self.evaluate(x_new)
+                if new[1] <= f + _ARMIJO * (g @ (x_new - x)):
+                    break
+                step *= 0.5
+            else:
+                if self.fresh:
+                    return True
+                self.H, self.fresh = self.inverse_hessian(), True
+                continue
+            s, y = x_new - x, new[4] - g
+            sy = s @ y
+            if sy > 0.0:
+                Hy = self.H @ y
+                self.H = self.H + ((sy + y @ Hy) / sy ** 2) * np.outer(s, s) - (
+                    np.outer(Hy, s) + np.outer(s, Hy)) / sy
+                self.fresh = False
+            self.x, self.state = x_new, new
+            if f - new[1] < max(tol, _ROUNDING * f):
+                return True
+        return not self.x.size
+
+    def result(self):
+        """The tagged points at x."""
+        nf, xy = 2 * len(self.free), self.state[0]
+        params = dict(zip(self.owner[nf:].tolist(), self.x[nf:].tolist()))
+        return [replace(tp, point=Point2(*xy[i].tolist()), s=params.get(i))
+                if tp.kind == "free" or i in params else tp for i, tp in enumerate(self.tagged)]
+
+
+def _nearest_members(problem: Problem, run: _Descent):
+    """run's points with each positive-mass point-set member moved to the
+    member nearest its cell mean; None when no member moves."""
+    _, _, masses, moments, _ = run.state
+    moved = {}
+    for i, tp in enumerate(run.tagged):
+        cons = problem.constraints[tp.constraint_index] if tp.kind == "constrained" else None
+        if isinstance(cons, PointSetConstraint) and masses[i] > 1e-12:
+            mx, my = moments[i] / (masses[i] * problem.measure.total_length)
+            k = int(np.argmin([(p.x - mx) ** 2 + (p.y - my) ** 2 for p in cons.points]))
+            if k != int(tp.s):
+                moved[i] = TaggedPoint("constrained", cons.points[k], tp.constraint_index, float(k))
+    return [moved.get(i, tp) for i, tp in enumerate(run.result())] if moved else None
+
+
+def _descend(problem: Problem, tagged, options: SolverOptions):
+    """BFGS to param_tol, then nearest-member moves of point-set members,
+    repeated while the moves lower the distortion by at least param_tol.
+    Returns the best descent; its `converged` says whether BFGS reached
+    param_tol."""
+    best = None
+    while tagged is not None:
+        run = _Descent(problem, tagged)
+        run.converged = run.run(options.param_tol, options.max_iters)
+        if best is not None and run.state[1] > best.state[1] - options.param_tol:
+            break
+        best = run
+        tagged = _nearest_members(problem, run)
+    return best
 
 
 def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     """Best quantizer over options.restarts k-means++ seeded runs.
 
     Each run draws its seeds from stratified samples of the support (see
-    _seed_run) and descends. The winner (lowest distortion, earliest run on
-    ties) gets a root polish of its fixed point, then is re-measured with
-    one exact cell-state pass, the integrals evaluate() reports.
+    _seed_run) and descends by bounded BFGS on the exact distortion gradient
+    to param_tol. The winner (lowest distortion, earliest run on ties) then
+    descends on until an iteration no longer improves it beyond rounding.
     """
     options = options or SolverOptions()
     rng = np.random.default_rng(options.rng_seed)
     best = None
-    best_d = None
     for _ in range(options.restarts):
-        tagged, d, masses, conv = _descend(problem, _seed_run(problem, rng), options, best_d)
-        if best_d is None or d < best_d - 1e-15:
-            best = (tagged, d, masses, conv)
-            best_d = d
-    tagged, d, masses, conv = best
-    tagged, d = _root_polish(problem, tagged, d)
-    # polishing moved the points after descent measured them
-    final_d, final_masses, _ = _exact_state(problem.measure, _points_xy(tagged))
-    degenerate = tuple(i for i, m in enumerate(final_masses) if m <= MASS_TOL)
-    return Quantizer(tuple(tagged), final_d, tuple(float(m) for m in final_masses),
-                     conv, degenerate)
+        run = _descend(problem, _seed_run(problem, rng), options)
+        if best is None or run.state[1] < best.state[1] - 1e-15:
+            best = run
+    best.run(0.0, options.max_iters)
+    _, d, masses, _, _ = best.state
+    degenerate = tuple(i for i, m in enumerate(masses) if m <= MASS_TOL)
+    return Quantizer(tuple(best.result()), d, tuple(float(m) for m in masses),
+                     best.converged, degenerate)
 
 
 def existence_check(problem: Problem, options: SolverOptions | None = None) -> ExistenceReport:
     """Whether an optimal set of exactly n positive-mass points exists.
 
     Runs the solver at a tightened improvement tolerance (the degeneracy
-    signal is a cell mass sliding to zero, which needs late-stage Lloyd
-    convergence) and checks every reported point for positive mass.
+    signal is a cell mass sliding to zero, which the descent must follow
+    well below MASS_TOL) and checks every reported point for positive mass.
     """
     base = options or SolverOptions(restarts=4)
     opts = replace(base, param_tol=1e-14)
@@ -497,19 +465,8 @@ def sandwich_check(problem: Problem, options: SolverOptions | None = None) -> Sa
 
 
 def _beta_inside_constraints(problem: Problem, b: Point2) -> bool:
-    for cons in problem.constraints:
-        if isinstance(cons, FreePlane):
-            return True
-        if isinstance(cons, CurveConstraint):
-            s = project_to_curve(cons.curve, b)
-            q = curve_eval(cons.curve, s)
-            if (q.x - b.x) ** 2 + (q.y - b.y) ** 2 < 1e-18:
-                return True
-        else:
-            for p in cons.points:
-                if p.x == b.x and p.y == b.y:
-                    return True
-    return False
+    snapped, _, _ = _snap(problem, np.array([[b.x, b.y]]))
+    return float(((snapped[0] - (b.x, b.y)) ** 2).sum()) < 1e-18
 
 
 def density_gap(measure: UniformCurveMeasure, n_max: int) -> list[tuple[int, float]]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curvequant import asymptotics
 from curvequant import closed_form as cf
 from curvequant.asymptotics import (
     ErrorSequence,
@@ -114,6 +115,36 @@ class TestSyntheticRecovery:
             got = estimate_dimension(scaled, 0.0, tail_window=100)
             assert abs(got[0] - ref[0]) <= 0.01
             assert abs(got[1] - ref[1]) <= 0.01
+
+
+class TestBrent:
+    def test_port_matches_scipy_bit_for_bit(self, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(3)
+        sequences = [triangle_seq(), exam1_cond_seq(), exam1_constr_seq(), exam2_constr_seq(),
+                     seq_from(lambda n: cf.semicircle_error(n // 2 + 1, n - n // 2 + 1), 3, 300)]
+        for _ in range(20):
+            v, c, p = rng.uniform(0.0, 2.0), rng.uniform(0.2, 4.0), rng.uniform(0.2, 3.0)
+            sequences.append(seq_from(lambda n: v + c * n ** (-p) * (1 + 1e-3 * math.sin(n)),
+                                      3, 200))
+        triples = [seq.entries[k:k + 3] for seq in sequences
+                   for k in range(0, len(seq) - 2, 3)]
+        scipy_calls = []
+
+        def scipy_brentq(f, xa, xb, xtol, rtol):
+            scipy_calls.append(1)
+            return optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+        fit = asymptotics._power_fit3
+        ports = [fit([n for n, _ in t], [v for _, v in t]) for t in triples]
+        monkeypatch.setattr(asymptotics, "_brentq", scipy_brentq)
+        for t, port in zip(triples, ports):
+            assert fit([n for n, _ in t], [v for _, v in t]) == port
+        assert len(scipy_calls) > 100
+
+    def test_wrong_bracket_rejected(self):
+        with pytest.raises(ValueError):
+            asymptotics._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16)
 
 
 class TestDimension:

@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -454,6 +457,8 @@ class TestExitCodes:
         ({"solver": {"restarts": "many"}}, "solver.restarts"),
         ({"n": True}, "json.n:"),
         ({"beta": 5}, "json.beta:"),
+        ({"schema_version": True}, "json.schema_version:"),
+        ({"schema_version": 1.0}, "json.schema_version:"),
     ])
     def test_malformed_number_is_one(self, tmp_path, capsys, change, field):
         path = tmp_path / "p.json"
@@ -461,6 +466,16 @@ class TestExitCodes:
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the command line runs on numpy alone
+    code = ("import sys, curvequant.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -10,6 +10,8 @@ from curvequant.geometry import (
     Point2,
     Segment,
     UniformCurveMeasure,
+    _eval_array,
+    _pieces,
     _project_array,
     conditional_mean,
     curve_eval,
@@ -231,16 +233,21 @@ def test_distortion_vs_riemann_oracle():
         assert got == pytest.approx(want, rel=1e-5)
 
 
-def test_breakpoints_partition_constant_owner():
+def _partition_cases():
+    """(curves, sites): random supports, then arcs whose angular window starts
+    below 0, crosses 2*pi, or is a full turn."""
     rng = np.random.default_rng(11)
-    # angular windows starting below 0, crossing 2*pi, and a full turn
     wrapped = (Arc(Point2(0.3, -0.2), 1.3, -2.5, 0.5),
                Arc(Point2(-0.4, 0.1), 0.8, 5.0, 8.5),
                Arc(Point2(0.0, 0.0), 1.0, -1.0, -1.0 + 2 * math.pi))
     for k in range(30):
         curves = _random_measure(rng).curves if k < 20 else wrapped
         count = rng.integers(2, 7) if k < 20 else rng.integers(6, 13)
-        sites = [Point2(*rng.uniform(-2.5, 2.5, 2)) for _ in range(count)]
+        yield curves, [Point2(*rng.uniform(-2.5, 2.5, 2)) for _ in range(count)]
+
+
+def test_breakpoints_partition_constant_owner():
+    for curves, sites in _partition_cases():
         sites_xy = np.array([(p.x, p.y) for p in sites])
         for c in curves:
             cuts = [0.0] + voronoi_breakpoints(c, sites) + [curve_length(c)]
@@ -260,6 +267,23 @@ def test_breakpoints_partition_constant_owner():
             # every breakpoint is a change of owner, none spurious
             for a, b in zip(owners, owners[1:]):
                 assert a is None or b is None or a != b
+
+
+def _midpoint_owners(c, s, sites_xy):
+    """Nearest site at each parameter from the curve points themselves;
+    ties to the lower index."""
+    pts = _eval_array(c, s)
+    d2 = ((pts[:, None, :] - sites_xy[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
+
+
+def test_piece_owners_match_midpoint_oracle():
+    for curves, sites in _partition_cases():
+        sites_xy = np.array([(p.x, p.y) for p in sites])
+        for c in curves:
+            s0, s1, owner = _pieces(c, sites_xy)
+            assert s0[0] == 0.0 and s1[-1] == curve_length(c)
+            np.testing.assert_array_equal(owner, _midpoint_owners(c, 0.5 * (s0 + s1), sites_xy))
 
 
 def test_distortion_monotone_under_insertion():

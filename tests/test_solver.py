@@ -1,5 +1,5 @@
-"""Solver tests: evaluation, Lloyd dynamics, multi-start solve, existence
-detection, the sandwich chain, and density gaps."""
+"""Solver tests: evaluation, Lloyd dynamics, the descent gradient, multi-start
+solve, existence detection, the sandwich chain, and density gaps."""
 
 import inspect
 import math
@@ -13,6 +13,7 @@ import curvequant.closed_form as cf
 from curvequant import scenarios as sc
 from curvequant.geometry import Point2, Segment, UniformCurveMeasure, distortion
 from curvequant.solver import (
+    MASS_TOL,
     CurveConstraint,
     FreePlane,
     PointSetConstraint,
@@ -25,6 +26,8 @@ from curvequant.solver import (
     lloyd_step,
     sandwich_check,
     solve,
+    _seed_run,
+    _Descent,
 )
 
 V3_SEMI = (2.0 / (2.0 + math.pi)) * (-2.0 * math.sqrt(2.0) + 1.0 / 3.0 + math.pi)
@@ -156,6 +159,41 @@ class TestLloydStep:
         cand = [TaggedPoint("beta", Point2(0, 0))] + tag_free((0.4, 0.1), (0.8, -0.1))
         nxt = lloyd_step(prob, cand)
         assert (nxt[0].point.x, nxt[0].point.y) == (0.0, 0.0)
+
+
+def central_differences(descent, x, h=1e-6):
+    out = np.empty_like(x)
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        out[k] = (descent.evaluate(x + e)[1] - descent.evaluate(x - e)[1]) / (2.0 * h)
+    return out
+
+
+class TestGradient:
+    """The descent's gradient, 2 (mass_i p_i - moment_i / L) chained through
+    the unit tangent for curve points, against central differences of the
+    cell-state distortion."""
+
+    @pytest.mark.parametrize("problem", [
+        Problem(sc.semicircle_measure(), (FreePlane(),), 6, beta=(Point2(-1.0, 0.0),)),
+        sc.semicircle_problem(7),
+        sc.triangle_problem(8),
+    ], ids=["free", "semicircle", "triangle"])
+    def test_matches_central_differences(self, problem):
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            descent = _Descent(problem, _seed_run(problem, rng))
+            x = descent.x
+            if isinstance(problem.constraints[0], FreePlane):
+                x = x + rng.normal(0.0, 0.05, x.size)
+            _, _, masses, _, grad = descent.evaluate(x)
+            assert (masses > 1e-6).all()
+            if not isinstance(problem.constraints[0], FreePlane):
+                # every curve point sits strictly inside its curve
+                assert ((x > 1e-3) & (x < descent.hi - 1e-3)).all()
+            want = central_differences(descent, x)
+            assert grad == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 class TestSolve:
@@ -316,6 +354,15 @@ class TestExistence:
         rep = existence_check(sc.interval_free_problem(3))
         assert rep.exists_with_n_points
         assert min(rep.witness.masses) > 0.2
+
+    @pytest.mark.parametrize("rng_seed", [42, 7])
+    def test_offset_beta_witness_cell_collapses(self, rng_seed):
+        # beyond the existence boundary the descent drives one cell mass
+        # well below the degeneracy threshold, not just under it
+        rep = existence_check(sc.offset_beta_problem(50),
+                              SolverOptions(restarts=4, rng_seed=rng_seed))
+        assert not rep.exists_with_n_points
+        assert min(rep.witness.masses) <= MASS_TOL / 5
 
     def test_offset_beta_small_n_exists(self):
         rep = existence_check(sc.offset_beta_problem(5))
