@@ -39,6 +39,10 @@ EXIT_DEGENERATE = 2
 
 SCHEMA_VERSION = 1
 
+# Largest accepted point count and solver settings (problem file and
+# --restarts): beyond them a solve would not end in any useful time.
+LIMITS = {"n": 10_000, "restarts": 1_000, "max_iters": 1_000_000}
+
 
 class CliError(Exception):
     pass
@@ -71,6 +75,13 @@ def _integer(value, where: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise CliError(f"{where}: expected an integer")
+
+
+def _limited(value: int, key: str, where: str) -> int:
+    limit = LIMITS.get(key)
+    if limit is not None and value > limit:
+        raise CliError(f"{where}: {value} exceeds the limit of {limit}")
+    return value
 
 
 def _parse_xy(obj, where: str) -> Point2:
@@ -133,14 +144,17 @@ def parse_problem_doc(doc, where: str = "problem") -> tuple[Problem, dict]:
         raise CliError(f"{where}.beta: expected a list of [x, y] points")
     beta = tuple(_parse_xy(b, f"{where}.beta[{i}]")
                  for i, b in enumerate(doc.get("beta", [])))
-    n = _integer(doc["n"], f"{where}.n")
+    n = _limited(_integer(doc["n"], f"{where}.n"), "n", f"{where}.n")
     solver_over = doc.get("solver", {})
     _check_fields(solver_over, f"{where}.solver", set(),
                   {"restarts", "rng_seed", "param_tol", "max_iters"})
     overrides = {}
     for key, value in solver_over.items():
-        parse = _number if key == "param_tol" else _integer
-        overrides[key] = parse(value, f"{where}.solver.{key}")
+        field = f"{where}.solver.{key}"
+        if key == "param_tol":
+            overrides[key] = _number(value, field)
+        else:
+            overrides[key] = _limited(_integer(value, field), key, field)
     try:
         problem = Problem(UniformCurveMeasure(curves), constraints, n, beta=beta)
     except ValueError as exc:
@@ -218,7 +232,7 @@ def _solver_options(args, file_overrides: dict | None = None) -> SolverOptions:
     if getattr(args, "seed", None) is not None:
         opts = replace(opts, rng_seed=args.seed)
     if getattr(args, "restarts", None) is not None:
-        opts = replace(opts, restarts=args.restarts)
+        opts = replace(opts, restarts=_limited(args.restarts, "restarts", "--restarts"))
     return opts
 
 

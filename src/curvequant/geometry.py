@@ -3,7 +3,11 @@
 Supports are finite unions of segments and circular arcs, parametrized by
 arc length. Distortion integrals against a finite site set are computed by
 splitting every curve at its exact Voronoi breakpoints and integrating the
-squared distance to each piece's site in closed form.
+squared distance to each piece's site in closed form. The breakpoints are
+those of the lower envelope of the per-site squared distances: on a segment
+a family of lines, whose envelope comes from one sort by slope in
+O(m log m); on an arc a family of sinusoids, whose envelope is marched from
+piece to piece with O(m) work per piece.
 """
 
 from __future__ import annotations
@@ -156,15 +160,12 @@ def _nearest(c: Curve, t: np.ndarray, K, P, Q) -> np.ndarray:
     return np.argmin(K + x[:, None] * P + y[:, None] * Q, axis=1)
 
 
-def _downward_crossings(c: Curve, t: float, dK, dP, dQ):
-    """First parameter >= t where each site's term falls below the owner's
-    (inf if never), and the slope of the difference there. dK, dP, dQ are
-    coefficients minus the owner's, so the owner itself never crosses."""
+def _downward_crossings(t: float, dK, dP, dQ):
+    """First angle >= t on an arc where each site's term falls below the
+    owner's (inf if never), and the slope of the difference there. dK, dP,
+    dQ are coefficients minus the owner's, so the owner itself never
+    crosses."""
     root = np.full(len(dK), np.inf)
-    if isinstance(c, Segment):
-        down = dP < 0.0
-        root[down] = np.maximum(-dK[down] / dP[down], t)
-        return root, dP
     # dK + r cos(t - phi) is negative on (phi + alpha, phi + 2 pi - alpha)
     r = np.hypot(dP, dQ)
     h2 = (r - dK) * (r + dK)
@@ -178,23 +179,55 @@ def _downward_crossings(c: Curve, t: float, dK, dP, dQ):
     return root, -sin_part
 
 
+def _line_envelope_cuts(K, P, length: float) -> list[float]:
+    """Breakpoints in (0, length) of the lower envelope of the lines
+    K_i + P_i t: one sort by slope, then a stack (point-line duality)."""
+    # steepest ascent first; of parallel lines only the lowest can be on the
+    # envelope, ties to the lower index
+    order = np.lexsort((K, -P))
+    hull = []  # (K, P, start) of each envelope line so far, start ascending
+    for k, p in zip(K[order].tolist(), P[order].tolist()):
+        if hull and p == hull[-1][1]:
+            continue
+        while hull:
+            top_k, top_p, top_start = hull[-1]
+            start = (k - top_k) / (top_p - p)
+            if start > top_start:
+                break
+            # the new line is below the top one from before the top's own
+            # start on, so the top is nowhere lowest
+            hull.pop()
+        else:
+            start = -math.inf
+        hull.append((k, p, start))
+    out: list[float] = []
+    for _, _, s in hull[1:]:
+        if PARAM_TOL < s < length - PARAM_TOL and not (out and s - out[-1] <= PARAM_TOL):
+            out.append(s)
+    return out
+
+
 def voronoi_breakpoints(c: Curve, sites) -> list[float]:
     """Arc-length values where the nearest-site index changes along c.
 
-    Exact: marches along the lower envelope of the per-site distance terms
-    (lines on a segment, sinusoids on an arc), from each owner to the
-    earliest parameter where another site's term crosses below its own; of
-    the sites crossing there the steepest wins, ties to the lower index.
-    Curve endpoints are excluded and breakpoints within 1e-12 are merged.
-    sites is a sequence of Point2 or an (m, 2) array.
+    Exact, from the lower envelope of the per-site distance terms. On a
+    segment they are lines, and the envelope comes from one sort by slope
+    plus a stack, O(m log m). On an arc they are sinusoids, and the envelope
+    is marched from each owner to the earliest angle where another site's
+    term crosses below its own; of the sites crossing there the steepest
+    wins, ties to the lower index. Curve endpoints are excluded and
+    breakpoints within 1e-12 are merged. sites is a sequence of Point2 or
+    an (m, 2) array.
     """
     length = curve_length(c)
     t0, scale, K, P, Q = _envelope(c, _sites_array(sites))
+    if isinstance(c, Segment):
+        return _line_envelope_cuts(K, P, length)
     owner = int(_nearest(c, np.array([t0]), K, P, Q)[0])
     t = t0
     out: list[float] = []
     while True:
-        root, slope = _downward_crossings(c, t, K - K[owner], P - P[owner], Q - Q[owner])
+        root, slope = _downward_crossings(t, K - K[owner], P - P[owner], Q - Q[owner])
         t = float(root.min())
         s = (t - t0) * scale
         if s >= length - PARAM_TOL:

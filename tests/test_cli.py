@@ -467,6 +467,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("change, field", [
+        ({"n": 10**30}, "json.n:"),
+        ({"n": cli.LIMITS["n"] + 1}, "json.n:"),
+        ({"solver": {"restarts": 10**30}}, "solver.restarts:"),
+        ({"solver": {"restarts": cli.LIMITS["restarts"] + 1}}, "solver.restarts:"),
+        ({"solver": {"max_iters": 10**30}}, "solver.max_iters:"),
+        ({"solver": {"max_iters": cli.LIMITS["max_iters"] + 1}}, "solver.max_iters:"),
+    ])
+    def test_over_limit_is_one(self, tmp_path, capsys, change, field):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(INTERVAL_LEFT_DOC, **change)))
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "exceeds the limit" in err
+
+    def test_restarts_flag_over_limit_is_one(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(INTERVAL_LEFT_DOC))
+        assert main(["--restarts", str(cli.LIMITS["restarts"] + 1), "solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --restarts:") and "exceeds the limit" in err
+
+    def test_limits_themselves_are_accepted(self, tmp_path):
+        doc = dict(INTERVAL_LEFT_DOC, n=cli.LIMITS["n"],
+                   solver={"restarts": cli.LIMITS["restarts"],
+                           "max_iters": cli.LIMITS["max_iters"]})
+        problem, overrides = cli.parse_problem_doc(doc)
+        assert problem.n == cli.LIMITS["n"]
+        assert overrides == {"restarts": cli.LIMITS["restarts"],
+                             "max_iters": cli.LIMITS["max_iters"]}
+
 
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency: the command line runs on numpy alone

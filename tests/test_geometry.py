@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvequant.geometry import (
+    PARAM_TOL,
     Arc,
     DegenerateCellError,
     Point2,
     Segment,
     UniformCurveMeasure,
+    _envelope,
     _eval_array,
     _pieces,
     _project_array,
@@ -218,7 +220,10 @@ def _riemann_distortion(measure, sites, samples=10**6):
             ang = c.theta0 + s / c.radius
             pts = np.stack([c.center.x + c.radius * np.cos(ang),
                             c.center.y + c.radius * np.sin(ang)], axis=1)
-        d2 = ((pts[:, None, :] - sites_xy[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        # running minimum over the sites: no (k, m, 2) temporary
+        d2 = np.full(k, np.inf)
+        for sx, sy in sites_xy:
+            d2 = np.minimum(d2, (pts[:, 0] - sx) ** 2 + (pts[:, 1] - sy) ** 2)
         total += d2.mean() * length
     return total * measure.density
 
@@ -284,6 +289,122 @@ def test_piece_owners_match_midpoint_oracle():
             s0, s1, owner = _pieces(c, sites_xy)
             assert s0[0] == 0.0 and s1[-1] == curve_length(c)
             np.testing.assert_array_equal(owner, _midpoint_owners(c, 0.5 * (s0 + s1), sites_xy))
+
+
+def _segment_march(c, sites_xy):
+    """The segment march that the slope-sorted envelope replaced, kept as
+    the test oracle. It marches the lower envelope of the lines K_i + P_i t
+    from owner to owner with one O(m) vector step per piece: the next cut
+    is the earliest crossing below the owner, and of the lines crossing
+    within 1e-12 of it the steepest takes over, ties to the lower index.
+    """
+    length = curve_length(c)
+    _, _, K, P, _ = _envelope(c, sites_xy)
+    owner = int(np.argmin(K))
+    t = 0.0
+    out = []
+    while True:
+        dK, dP = K - K[owner], P - P[owner]
+        root = np.full(len(K), np.inf)
+        down = dP < 0.0
+        root[down] = np.maximum(-dK[down] / dP[down], t)
+        t = float(root.min())
+        if t >= length - PARAM_TOL:
+            return out
+        owner = int(np.argmin(np.where(root <= t + PARAM_TOL, dP, np.inf)))
+        if t > PARAM_TOL and not (out and t - out[-1] <= PARAM_TOL):
+            out.append(t)
+
+
+def _random_segment_cases():
+    """(segment, sites) with m = 1..40 sites: in a third of the inputs all
+    sites lie on one line, in a fifth some sites repeat."""
+    rng = np.random.default_rng(17)
+    for k in range(600):
+        p0, p1 = rng.uniform(-2, 2, (2, 2))
+        seg = SEG01 if k % 4 == 0 else Segment(Point2(*p0), Point2(*p1))
+        m = k % 40 + 1
+        if k % 3 == 0:
+            xy = rng.uniform(-2, 2, 2) + np.outer(rng.uniform(-2, 2, m), rng.uniform(-1, 1, 2))
+        else:
+            xy = rng.uniform(-2.5, 2.5, (m, 2))
+        if k % 5 == 0:
+            xy = xy[rng.integers(0, m, m)]
+        yield seg, xy
+
+
+def _on_line(seg, feet, offsets=None):
+    """Sites at arc lengths feet along seg's line, offset along its normal."""
+    length = curve_length(seg)
+    u = np.array([seg.p1.x - seg.p0.x, seg.p1.y - seg.p0.y]) / length
+    offsets = np.zeros(len(feet)) if offsets is None else np.asarray(offsets)
+    return ((seg.p0.x, seg.p0.y) + np.outer(feet, u)
+            + np.outer(offsets, (-u[1], u[0])))
+
+
+OBLIQUE = Segment(Point2(-1.5, 0.25), Point2(1.0, 2.0))
+SEG02 = Segment(Point2(0, 0), Point2(2, 0))
+_EXPLICIT_SEGMENT_CASES = {
+    "duplicate sites": [
+        (SEG01, [(0.3, 0.1), (0.3, 0.1), (0.7, -0.2), (0.7, -0.2), (0.3, 0.1)]),
+        (OBLIQUE, [(0.0, 1.0)] * 4 + [(-1.0, 0.5), (0.0, 1.0), (-1.0, 0.5)]),
+    ],
+    "sites on the segment": [
+        (SEG01, [(x, 0.0) for x in (0.0, 0.2, 0.45, 1.0, 1.3, -0.1)]),
+        (OBLIQUE, _on_line(OBLIQUE, [0.0, 0.4, 1.7, 2.2, curve_length(OBLIQUE), 3.5])),
+    ],
+    "equal feet, different offsets": [
+        (SEG01, [(0.25, 0.1), (0.25, -0.1), (0.25, 0.3), (0.6, 0.05), (0.6, -0.4), (0.6, 0.05)]),
+        (OBLIQUE, _on_line(OBLIQUE, [0.5, 0.5, 0.5, 2.0, 2.0], [0.1, -0.1, 0.7, 0.3, -0.2])),
+    ],
+    # every site at distance 1 or 5 from (1, 0): exact crossings at t = 1
+    "three lines through one crossing": [
+        (SEG02, [(0, 0), (1, 1), (2, 0)]),
+        (SEG02, [(2, 0), (1, -1), (0, 0), (1, 1)]),
+        (SEG02, [(4, 4), (-2, 4), (1, 5), (6, 0), (-3, -3), (5, -3)]),
+    ],
+    # cuts 1e-13 after the start and 4e-13 before the end; site 2 is 1e-13
+    # nearer to (1, 0) than sites 1 and 3, so its cell there is 2e-13 wide
+    "cuts within 1e-12 of each other and of both endpoints": [
+        (SEG02, [(-0.5 + 2e-13, 0.0), (0.5, 0.0), (1.0, 0.5 - 1e-13), (1.5, 0.0),
+                 (2.5 - 8e-13, 0.0)]),
+        (SEG02, [(1.0, 0.5 - 1e-13), (-0.5 + 2e-13, 0.0), (1.5, 0.0), (0.5, 0.0),
+                 (2.5 - 8e-13, 0.0)]),
+        (OBLIQUE, _on_line(OBLIQUE, [-0.5 + 2e-13, 0.5, 1.0, 1.5,
+                                     2.0 * curve_length(OBLIQUE) - 1.5 - 8e-13],
+                           [0.0, 0.0, 0.5 - 1e-13, 0.0, 0.0])),
+    ],
+    "narrow cells": [
+        (SEG01, [(0.5005, 0.0), (0.5 + 0.3 / 1024, 0.0), (0.5 + 0.7 / 1024, 0.0)]),
+        (SEG01, [(0.5 + w, 0.0) for w in (0.0, 3e-9, 7e-9, 2.5e-11, 0.25)]),
+    ],
+}
+
+
+def test_segment_breakpoints_equal_march_oracle():
+    for seg, xy in _random_segment_cases():
+        assert voronoi_breakpoints(seg, xy) == _segment_march(seg, xy)
+
+
+@pytest.mark.parametrize("kind", list(_EXPLICIT_SEGMENT_CASES))
+def test_segment_breakpoints_equal_march_oracle_on(kind):
+    for seg, sites in _EXPLICIT_SEGMENT_CASES[kind]:
+        xy = np.array(sites, dtype=float)
+        assert voronoi_breakpoints(seg, xy) == _segment_march(seg, xy)
+
+
+def test_masses_near_twin_sites():
+    # sites 1 and 2 are 1.5e-12 apart, so their lines cross site 0's within
+    # 1e-12 of each other at 0.4, yet site 1 owns [0.4, 0.6 + 7.5e-13]. The
+    # march oracle takes the steeper line at 0.4 and so drops that cell. The
+    # cut between the twins comes from K_2 - K_1 over a slope gap of 3e-12,
+    # so rounding moves it by up to about 1e-5.
+    xs = [0.2, 0.6, 0.6 + 1.5e-12]
+    left, right = 0.5 * (xs[0] + xs[1]), 0.5 * (xs[1] + xs[2])
+    cuts = voronoi_breakpoints(SEG01, [Point2(x, 0) for x in xs])
+    assert cuts == pytest.approx([left, right], abs=1e-4)
+    want = [left, right - left, 1.0 - right]
+    assert voronoi_masses(M01, [Point2(x, 0) for x in xs]) == pytest.approx(want, abs=1e-4)
 
 
 def test_distortion_monotone_under_insertion():

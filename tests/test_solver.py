@@ -11,7 +11,8 @@ import pytest
 import curvequant.allocation as allocation
 import curvequant.closed_form as cf
 from curvequant import scenarios as sc
-from curvequant.geometry import Point2, Segment, UniformCurveMeasure, distortion
+import curvequant.solver as solver_module
+from curvequant.geometry import Point2, Segment, UniformCurveMeasure, distortion, voronoi_masses
 from curvequant.solver import (
     MASS_TOL,
     CurveConstraint,
@@ -108,6 +109,23 @@ class TestEvaluate:
         prob = sc.interval_free_problem(1)
         with pytest.raises(ValueError):
             evaluate(prob, tag_free((0.2, 0.0), (0.8, 0.0)))
+
+    def test_one_state_pass_same_values(self, monkeypatch):
+        prob = sc.semicircle_problem(5)
+        cand = [TaggedPoint("beta", p) for p in prob.beta] + [
+            TaggedPoint("constrained", Point2(0.3, 0.0), 0, 1.3),
+            TaggedPoint("constrained", Point2(0.0, 1.0), 1, math.pi / 2),
+            TaggedPoint("constrained", Point2(-0.6, 0.8), 1, 2.2142974355881813)]
+        sites = [tp.point for tp in cand]
+        calls = []
+        state = solver_module._cell_state
+        monkeypatch.setattr(solver_module, "_cell_state",
+                            lambda *args: calls.append(1) or state(*args))
+        d, masses = evaluate(prob, cand)
+        assert len(calls) == 1
+        assert d == distortion(prob.measure, sites)
+        assert masses == voronoi_masses(prob.measure, sites)
+        assert all(type(v) is float for v in masses)
 
 
 class TestLloydStep:
