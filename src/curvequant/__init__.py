@@ -3,8 +3,8 @@
 The public surface: geometry primitives and exact distortion integrals,
 closed-form optimal configurations for intervals, constraint lines, the
 half-disk boundary and the equilateral triangle, integer allocation of
-points across support components, a multistart quasi-Newton solver on
-the exact distortion gradient with existence and sandwich checks, limit
+points across support components, a multistart solver by bounded Newton
+descent on the exact Hessian, with existence and sandwich checks, limit
 estimation from error sequences, and an SVG renderer. The ``curvequant``
 command line wraps all of it.
 """

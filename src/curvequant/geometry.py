@@ -121,13 +121,18 @@ def _eval_array(c: Curve, s: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=-1)
 
 
-def _tangent_array(c: Curve, s: np.ndarray) -> np.ndarray:
-    """Unit tangent of c at each arc length in s, an (k, 2) array."""
+def _frame_array(c: Curve, s: np.ndarray):
+    """Points (as _eval_array gives them) and unit tangents of c at the arc
+    lengths in s: two (k, 2) arrays."""
     if isinstance(c, Segment):
-        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / curve_length(c)
-        return np.broadcast_to(u, (len(s), 2))
+        length = curve_length(c)
+        d = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y])
+        return ((c.p0.x, c.p0.y) + (s / length)[:, None] * d,
+                np.repeat((d / length)[None], len(s), axis=0))
     ang = c.theta0 + s / c.radius
-    return np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
+    cos, sin = np.cos(ang), np.sin(ang)
+    return (np.stack([c.center.x + c.radius * cos, c.center.y + c.radius * sin], axis=-1),
+            np.stack([-sin, cos], axis=-1))
 
 
 def _sites_array(sites) -> np.ndarray:
@@ -214,8 +219,9 @@ def voronoi_breakpoints(c: Curve, sites) -> list[float]:
     segment they are lines, and the envelope comes from one sort by slope
     plus a stack, O(m log m). On an arc they are sinusoids, and the envelope
     is marched from each owner to the earliest angle where another site's
-    term crosses below its own; of the sites crossing there the steepest
-    wins, ties to the lower index. Curve endpoints are excluded and
+    term crosses below its own, and that site takes over; of sites crossing
+    at the same angle the steepest wins, ties to the lower index. Curve
+    endpoints are excluded and
     breakpoints within 1e-12 are merged. sites is a sequence of Point2 or
     an (m, 2) array.
     """
@@ -232,7 +238,11 @@ def voronoi_breakpoints(c: Curve, sites) -> list[float]:
         s = (t - t0) * scale
         if s >= length - PARAM_TOL:
             return out
-        owner = int(np.argmin(np.where(root <= t + PARAM_TOL, slope, np.inf)))
+        # the earliest crossing, not the steepest within PARAM_TOL of it: a
+        # site crossing a hair later but steeper takes over at its own root,
+        # while one crossing a hair later and shallower may own a real cell
+        # from here on (near-twin sites)
+        owner = int(np.argmin(np.where(root == t, slope, np.inf)))
         if s > PARAM_TOL and not (out and s - out[-1] <= PARAM_TOL):
             out.append(s)
 
@@ -283,22 +293,27 @@ def _piece_integrals(c: Curve, s0: np.ndarray, s1: np.ndarray, q: np.ndarray):
 
 
 def _cell_state(measure: UniformCurveMeasure, sites_xy: np.ndarray):
-    """One Voronoi-split pass: (distortion, masses, cell position moments).
+    """One Voronoi-split pass: (distortion, masses, cell position moments,
+    pieces).
 
     masses is an (m,) probability vector and moments an (m, 2) array of
-    arc-length integrals of the position over each cell.
+    arc-length integrals of the position over each cell. pieces holds, per
+    curve of the measure, the (s1, owner) arrays of its pieces: s1[k] for
+    k < last is the cut between owner[k] and owner[k + 1].
     """
     m = len(sites_xy)
     total = 0.0
     lengths = np.zeros(m)
     moments = np.zeros((m, 2))
+    pieces = []
     for c in measure.curves:
         s0, s1, owner = _pieces(c, sites_xy)
         sq, mom = _piece_integrals(c, s0, s1, sites_xy[owner])
         total += float(sq.sum())
         lengths += np.bincount(owner, s1 - s0, minlength=m)
         np.add.at(moments, owner, mom)
-    return total * measure.density, lengths * measure.density, moments
+        pieces.append((s1, owner))
+    return total * measure.density, lengths * measure.density, moments, pieces
 
 
 def distortion(measure: UniformCurveMeasure, sites) -> float:
@@ -318,7 +333,7 @@ def voronoi_cell_stats(measure: UniformCurveMeasure, sites):
     cell, so moments[i] / (cell arc length) is the conditional mean. Both use
     exact piece lengths and closed-form moments, no quadrature.
     """
-    _, masses, moments = _cell_state(measure, _sites_array(sites))
+    _, masses, moments, _ = _cell_state(measure, _sites_array(sites))
     return masses, moments
 
 

@@ -4,21 +4,25 @@ measures.
 Candidate quantizers carry a fixed conditional part (beta), points confined
 to constraint sets, and free points. Every multi-start run is seeded from
 the support alone: k-means++ picks among stratified support samples, each
-snapped onto the constraints. A run is a bounded BFGS descent on the
-exact distortion, whose gradient comes with every Voronoi-cell pass, over
-free coordinates and arc lengths on constraint curves; point-set members
-move to the member nearest their cell mean. No closed form is consulted,
-so the solver checks them independently. Degenerate (zero-mass) points
-are reported, not dropped: several scenarios hinge on detecting them.
+snapped onto the constraints. A run is a bounded Newton descent on the
+exact Hessian of the distortion, over free coordinates and arc lengths on
+constraint curves: every Voronoi-cell pass yields the gradient and the
+pieces from which the Hessian (2 mass per site, one rank-one term per cut)
+is assembled. Point-set members move to the member nearest their cell
+mean. No closed form is consulted, so the solver checks them
+independently. Degenerate (zero-mass) points are reported, not dropped:
+several scenarios hinge on detecting them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from curvequant.geometry import (
+    Arc,
     Curve,
     Point2,
     Segment,
@@ -26,9 +30,9 @@ from curvequant.geometry import (
     _cell_state,
     _cell_state as _exact_state,  # the solver's own passes; evaluate's is apart
     _eval_array,
+    _frame_array,
     _project_array,
     _sites_array,
-    _tangent_array,
     curve_length,
     distortion,  # noqa: F401 -- bound by name; perfbench's tracer test relies on it
 )
@@ -175,7 +179,7 @@ def evaluate(problem: Problem, candidate) -> tuple[float, list[float]]:
     """Distortion and Voronoi masses of a tagged candidate (beta included),
     from one cell-state pass."""
     _check_candidate(problem, candidate)
-    d, masses, _ = _cell_state(problem.measure, _sites_array([tp.point for tp in candidate]))
+    d, masses, _, _ = _cell_state(problem.measure, _sites_array([tp.point for tp in candidate]))
     return d, [float(v) for v in masses]
 
 
@@ -184,7 +188,7 @@ def lloyd_step(problem: Problem, candidate) -> list[TaggedPoint]:
     points are left in place (they are the degeneracy signal)."""
     _check_candidate(problem, candidate)
     sites_xy = _sites_array([tp.point for tp in candidate])
-    _, masses, moments = _exact_state(problem.measure, sites_xy)
+    _, masses, moments, _ = _exact_state(problem.measure, sites_xy)
     out = []
     for i, tp in enumerate(candidate):
         if tp.kind != "free" or masses[i] <= 1e-12:
@@ -281,54 +285,137 @@ def _seed_run(problem: Problem, rng) -> list[TaggedPoint]:
 # descent
 
 
+class _State(NamedTuple):
+    """One cell-state pass at a descent's x."""
+
+    xy: np.ndarray  # the sites
+    distortion: float
+    masses: np.ndarray
+    moments: np.ndarray
+    grad: np.ndarray  # of the distortion in x
+    pieces: list  # per support curve, (s1, owner) of its pieces
+    chain: np.ndarray  # d(site coordinates)/dx, (2 m, x.size)
+
+
 class _Descent:
-    """Bounded BFGS on the distortion of one candidate. x holds x, y of each
-    free point, then the arc length of each curve-constrained point, boxed to
-    [0, length]; beta and point-set members stay put. A step is projected
-    onto the box and halved until it meets the Armijo condition. The inverse
-    Hessian starts, and restarts after a failed line search, at 1 / (2 mass)
-    of each coordinate's site: a full step from it is the Lloyd step (for a
-    curve point, its tangential part). `state` is the cell-state pass at x.
+    """Bounded Newton descent on the distortion of one candidate. x holds x,
+    y of each free point, then the arc length of each curve-constrained
+    point, boxed to [0, length]; beta and point-set members stay put. The
+    step solves H d = -g on the coordinates not held at a bound, with the
+    exact Hessian of the state at x (`hessian`), shifted toward the Lloyd
+    diagonal where it is not positive definite (`newton`). It is projected
+    onto the box and halved until it meets the Armijo condition; `finish`
+    takes one last full step. `state` is the cell-state pass at x, and H is
+    assembled only there, never at a rejected trial point.
     """
 
     def __init__(self, problem: Problem, tagged):
         self.measure, self.tagged = problem.measure, list(tagged)
         self.sites = _sites_array([tp.point for tp in tagged])
         self.free = np.array([i for i, tp in enumerate(tagged) if tp.kind == "free"], dtype=int)
-        self.curves = []  # (curve, site indices), one per curve constraint in use
+        nf = 2 * len(self.free)
+        self.curves = []  # (curve, site indices, their x indices), per curve constraint in use
         for ci, cons in enumerate(problem.constraints):
             idx = [i for i, tp in enumerate(tagged)
                    if tp.kind == "constrained" and tp.constraint_index == ci]
             if idx and isinstance(cons, CurveConstraint):
-                self.curves.append((cons.curve, np.array(idx)))
-        self.cuts = np.cumsum([2 * len(self.free)] + [len(idx) for _, idx in self.curves[:-1]])
-        self.owner = np.concatenate([np.repeat(self.free, 2)] + [idx for _, idx in self.curves])
-        self.hi = np.concatenate([np.full(2 * len(self.free), np.inf)] + [
-            np.full(len(idx), curve_length(c)) for c, idx in self.curves])
+                k = nf + sum(len(i) for _, i, _ in self.curves)
+                self.curves.append((cons.curve, np.array(idx), np.arange(k, k + len(idx))))
+        self.owner = np.concatenate([np.repeat(self.free, 2)] + [idx for _, idx, _ in self.curves])
+        self.hi = np.concatenate([np.full(nf, np.inf)] + [
+            np.full(len(idx), curve_length(c)) for c, idx, _ in self.curves])
         self.lo = np.where(self.hi < np.inf, 0.0, -np.inf)
         self.x = np.clip(np.concatenate([self.sites[self.free].ravel()] + [
-            [tagged[i].s for i in idx] for _, idx in self.curves]), self.lo, self.hi)
+            [tagged[i].s for i in idx] for _, idx, _ in self.curves]), self.lo, self.hi)
+        # the chain's constant part: a free point's coordinates are its own
+        self.chain = np.zeros((2 * len(tagged), self.x.size))
+        self.chain[(2 * self.free[:, None] + (0, 1)).ravel(), np.arange(nf)] = 1.0
         self.state = self.evaluate(self.x)
-        self.H, self.fresh = self.inverse_hessian(), True
 
-    def evaluate(self, x):
-        """One cell-state pass at x: (sites, distortion, masses, moments,
-        gradient of the distortion in x)."""
-        free, *params = np.split(x, self.cuts)
+    def evaluate(self, x) -> _State:
+        """One cell-state pass at x."""
         xy = self.sites.copy()
-        xy[self.free] = free.reshape(-1, 2)
-        for (curve, idx), s in zip(self.curves, params):
-            xy[idx] = _eval_array(curve, s)
-        d, masses, moments = _exact_state(self.measure, xy)
-        # dD/dp_i = 2 (mass_i p_i - moment_i / L); for an arc length, chained
-        # through the unit tangent
+        xy[self.free] = x[:2 * len(self.free)].reshape(-1, 2)
+        chain = self.chain.copy()
+        for curve, idx, cols in self.curves:
+            # an arc length moves its point along the unit tangent
+            xy[idx], tangent = _frame_array(curve, x[cols])
+            chain[2 * idx, cols], chain[2 * idx + 1, cols] = tangent.T
+        d, masses, moments, pieces = _exact_state(self.measure, xy)
+        # dD/dp_i = 2 (mass_i p_i - moment_i / L), chained to x
         grad = 2.0 * (masses[:, None] * xy - moments * self.measure.density)
-        return xy, d, masses, moments, np.concatenate([grad[self.free].ravel()] + [
-            (grad[idx] * _tangent_array(curve, s)).sum(axis=1)
-            for (curve, idx), s in zip(self.curves, params)])
+        return _State(xy, d, masses, moments, grad.ravel() @ chain, pieces, chain)
 
-    def inverse_hessian(self):
-        return np.diag(0.5 / np.maximum(self.state[2][self.owner], MASS_TOL))
+    def hessian(self) -> np.ndarray:
+        """The exact Hessian of the distortion in x at the current state.
+
+        In the sites it is 2 mass_i I on each diagonal block, minus
+        4 / (L phi') w w^T for each cut x = c(t) between a left owner i and
+        a right owner j: phi' = 2 c'(t).(p_j - p_i) is the rate at which the
+        two squared distances part there, and w holds p_i - x in block i and
+        x - p_j in block j, so the cut moves by -2 w.dp / phi'. It reaches x
+        through the chain, whose columns are unit vectors, so the mass term
+        stays 2 mass_i on the diagonal; a point on an arc also gets
+        g_i . c''(s_i) = -g_i . (p_i - center) / r^2 there.
+        """
+        xy, _, masses, moments, _, pieces, chain = self.state
+        left, right, at, tangent = [], [], [], []
+        for c, (s1, owner) in zip(self.measure.curves, pieces):
+            k = np.flatnonzero(owner[:-1] != owner[1:])
+            left.append(owner[k])
+            right.append(owner[k + 1])
+            point, tau = _frame_array(c, s1[k])
+            at.append(point)
+            tangent.append(tau)
+        i, j, at = np.concatenate(left), np.concatenate(right), np.concatenate(at)
+        rate = 2.0 * ((xy[j] - xy[i]) * np.concatenate(tangent)).sum(axis=1)
+        # a rate that is not positive (sites equal up to rounding) adds nothing
+        weight = np.sqrt(4.0 * self.measure.density / np.where(rate > 0.0, rate, np.inf))[:, None]
+        # one row per cut, sqrt(4 / (L phi')) w in the site coordinates,
+        # then chained to x
+        w = np.zeros((len(i), len(xy), 2))
+        cut = np.arange(len(i))
+        w[cut, i] = weight * (xy[i] - at)
+        w[cut, j] = weight * (at - xy[j])
+        rows = w.reshape(len(i), len(chain)) @ chain
+        diag = 2.0 * masses[self.owner]
+        for curve, idx, cols in self.curves:
+            if isinstance(curve, Arc):
+                g = 2.0 * (masses[idx, None] * xy[idx] - moments[idx] * self.measure.density)
+                diag[cols] -= ((xy[idx] - (curve.center.x, curve.center.y)) * g).sum(
+                    axis=1) / curve.radius ** 2
+        return np.diag(diag) - rows.T @ rows
+
+    def newton(self, live) -> np.ndarray:
+        """The Newton step -H^-1 g on the live coordinates. Where H is not
+        positive definite there, it is shifted toward the Lloyd diagonal:
+        H + lam diag(2 max(mass, MASS_TOL)), with lam the least that lifts the
+        Gershgorin bound of the shifted matrix, in the Lloyd scale, to 1/10."""
+        H, g = self.hessian()[live][:, live], self.state.grad[live]
+        try:
+            factor = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            lloyd = 2.0 * np.maximum(self.state.masses[self.owner[live]], MASS_TOL)
+            S = H / np.sqrt(np.outer(lloyd, lloyd))
+            low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
+            factor = np.linalg.cholesky(H + (0.1 - float(low.min())) * np.diag(lloyd))
+        inverse = np.linalg.inv(factor)
+        return -(inverse.T @ (inverse @ g))
+
+    def direction(self):
+        """The Newton step at x, zero where a coordinate is held at a bound;
+        None when no coordinate it may move has a gradient."""
+        x, g, lo, hi = self.x, self.state.grad, self.lo, self.hi
+        # hold coordinates at a bound that the gradient pushes outward; a
+        # point without a cell has no gradient and no curvature
+        live = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        live &= self.state.masses[self.owner] > 0.0
+        if not g[live].any():
+            return None
+        d = np.zeros_like(x)
+        d[live] = self.newton(live)
+        d[((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
+        return d
 
     def run(self, tol: float, max_iters: int) -> bool:
         """Iterate until an iteration improves the distortion by less than
@@ -336,40 +423,40 @@ class _Descent:
         iterations (False)."""
         lo, hi = self.lo, self.hi
         for _ in range(max_iters if self.x.size else 0):
-            x, (_, f, _, _, g) = self.x, self.state
-            # hold coordinates at a bound that the gradient pushes outward
-            held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
-            d = -(self.H @ np.where(held, 0.0, g))
-            d[held | ((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
-            if -(g @ d) <= _ROUNDING * f:
+            x, f, g = self.x, self.state.distortion, self.state.grad
+            d = self.direction()
+            if d is None or -(g @ d) <= _ROUNDING * f:
                 return True
             step = 1.0
             for _ in range(_HALVINGS):
                 x_new = np.clip(x + step * d, lo, hi)
                 new = self.evaluate(x_new)
-                if new[1] <= f + _ARMIJO * (g @ (x_new - x)):
+                if new.distortion <= f + _ARMIJO * (g @ (x_new - x)):
                     break
                 step *= 0.5
             else:
-                if self.fresh:
-                    return True
-                self.H, self.fresh = self.inverse_hessian(), True
-                continue
-            s, y = x_new - x, new[4] - g
-            sy = s @ y
-            if sy > 0.0:
-                Hy = self.H @ y
-                self.H = self.H + ((sy + y @ Hy) / sy ** 2) * np.outer(s, s) - (
-                    np.outer(Hy, s) + np.outer(s, Hy)) / sy
-                self.fresh = False
+                return True
             self.x, self.state = x_new, new
-            if f - new[1] < max(tol, _ROUNDING * f):
+            if f - new.distortion < max(tol, _ROUNDING * f):
                 return True
         return not self.x.size
 
+    def finish(self) -> None:
+        """One more full Newton step, kept unless it raises the distortion
+        beyond rounding. The stop rules judge by the distortion, which a
+        coordinate error moves only by its square, so they leave the
+        coordinates about sqrt(eps D / mass) off; one Newton step from there
+        squares that error."""
+        d = self.direction()
+        if d is not None:
+            x_new = np.clip(self.x + d, self.lo, self.hi)
+            new = self.evaluate(x_new)
+            if new.distortion <= self.state.distortion * (1.0 + _ROUNDING):
+                self.x, self.state = x_new, new
+
     def result(self):
         """The tagged points at x."""
-        nf, xy = 2 * len(self.free), self.state[0]
+        nf, xy = 2 * len(self.free), self.state.xy
         params = dict(zip(self.owner[nf:].tolist(), self.x[nf:].tolist()))
         return [replace(tp, point=Point2(*xy[i].tolist()), s=params.get(i))
                 if tp.kind == "free" or i in params else tp for i, tp in enumerate(self.tagged)]
@@ -378,7 +465,7 @@ class _Descent:
 def _nearest_members(problem: Problem, run: _Descent):
     """run's points with each positive-mass point-set member moved to the
     member nearest its cell mean; None when no member moves."""
-    _, _, masses, moments, _ = run.state
+    masses, moments = run.state.masses, run.state.moments
     moved = {}
     for i, tp in enumerate(run.tagged):
         cons = problem.constraints[tp.constraint_index] if tp.kind == "constrained" else None
@@ -391,15 +478,16 @@ def _nearest_members(problem: Problem, run: _Descent):
 
 
 def _descend(problem: Problem, tagged, options: SolverOptions):
-    """BFGS to param_tol, then nearest-member moves of point-set members,
-    repeated while the moves lower the distortion by at least param_tol.
-    Returns the best descent; its `converged` says whether BFGS reached
-    param_tol."""
+    """Bounded Newton descent on the exact Hessian to param_tol, then
+    nearest-member moves of point-set members, repeated while the moves
+    lower the distortion by at least param_tol. Returns the best descent;
+    its `converged` says whether the Newton descent reached param_tol."""
     best = None
     while tagged is not None:
         run = _Descent(problem, tagged)
         run.converged = run.run(options.param_tol, options.max_iters)
-        if best is not None and run.state[1] > best.state[1] - options.param_tol:
+        if best is not None and (run.state.distortion
+                                 > best.state.distortion - options.param_tol):
             break
         best = run
         tagged = _nearest_members(problem, run)
@@ -410,19 +498,22 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     """Best quantizer over options.restarts k-means++ seeded runs.
 
     Each run draws its seeds from stratified samples of the support (see
-    _seed_run) and descends by bounded BFGS on the exact distortion gradient
-    to param_tol. The winner (lowest distortion, earliest run on ties) then
-    descends on until an iteration no longer improves it beyond rounding.
+    _seed_run) and descends by bounded Newton on the exact Hessian of the
+    distortion to param_tol. The winner (lowest distortion, earliest run on
+    ties) then descends on until an iteration no longer improves it beyond
+    rounding, and takes one last full Newton step, which fixes its points to
+    rounding and not only its distortion.
     """
     options = options or SolverOptions()
     rng = np.random.default_rng(options.rng_seed)
     best = None
     for _ in range(options.restarts):
         run = _descend(problem, _seed_run(problem, rng), options)
-        if best is None or run.state[1] < best.state[1] - 1e-15:
+        if best is None or run.state.distortion < best.state.distortion - 1e-15:
             best = run
     best.run(0.0, options.max_iters)
-    _, d, masses, _, _ = best.state
+    best.finish()
+    d, masses = best.state.distortion, best.state.masses
     degenerate = tuple(i for i, m in enumerate(masses) if m <= MASS_TOL)
     return Quantizer(tuple(best.result()), d, tuple(float(m) for m in masses),
                      best.converged, degenerate)

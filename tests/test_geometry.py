@@ -13,6 +13,7 @@ from curvequant.geometry import (
     UniformCurveMeasure,
     _envelope,
     _eval_array,
+    _frame_array,
     _pieces,
     _project_array,
     conditional_mean,
@@ -161,6 +162,20 @@ def test_conditional_mean_arc_vs_riemann():
 def test_conditional_mean_degenerate_cell():
     with pytest.raises(DegenerateCellError):
         conditional_mean(M01, [Point2(0.5, 0), Point2(0.5, 9)], 1)
+
+
+def test_frame_points_equal_eval_array():
+    # the solver takes a curve point's site from _frame_array and its seed
+    # from _eval_array, so the two must agree bit for bit
+    s_segment = np.linspace(0.0, curve_length(SEG11), 7)
+    s_arc = np.linspace(0.0, curve_length(HALF_ARC), 7)
+    for c, s in ((SEG11, s_segment), (Segment(Point2(0.3, -40), Point2(1.7, 40.2)), s_segment),
+                 (HALF_ARC, s_arc), (Arc(Point2(0.1, 0.2), 1.3, -0.5, 2.0), s_arc)):
+        points, tangents = _frame_array(c, s)
+        np.testing.assert_array_equal(points, _eval_array(c, s))
+        assert (tangents * tangents).sum(axis=1) == pytest.approx(1.0, abs=1e-15)
+        ahead = _eval_array(c, s + 1e-7) - _eval_array(c, s - 1e-7)
+        assert tangents == pytest.approx(ahead / 2e-7, abs=1e-6)
 
 
 def test_project_to_curve():
@@ -405,6 +420,19 @@ def test_masses_near_twin_sites():
     assert cuts == pytest.approx([left, right], abs=1e-4)
     want = [left, right - left, 1.0 - right]
     assert voronoi_masses(M01, [Point2(x, 0) for x in xs]) == pytest.approx(want, abs=1e-4)
+
+
+def test_arc_masses_near_twin_sites():
+    # on the upper half-circle, sites 1 and 2 are 1.5e-12 rad apart, so both
+    # terms cross site 0's within 1e-12 of each other at angle 0.85, yet
+    # site 1 owns [0.85, 1.2 + 7.5e-13]. Taking the steeper of the two there
+    # dropped that cell. The cut between the twins comes from a difference
+    # of nearly equal terms, so rounding moves it by up to about 1e-4.
+    sites = [Point2(math.cos(a), math.sin(a)) for a in (0.5, 1.2, 1.2 + 1.5e-12)]
+    assert voronoi_breakpoints(HALF_ARC, sites) == pytest.approx([0.85, 1.2], abs=1e-4)
+    want = [0.85 / math.pi, 0.35 / math.pi, (math.pi - 1.2) / math.pi]
+    masses = voronoi_masses(UniformCurveMeasure((HALF_ARC,)), sites)
+    assert masses == pytest.approx(want, abs=1e-4)
 
 
 def test_distortion_monotone_under_insertion():

@@ -205,13 +205,50 @@ class TestGradient:
             x = descent.x
             if isinstance(problem.constraints[0], FreePlane):
                 x = x + rng.normal(0.0, 0.05, x.size)
-            _, _, masses, _, grad = descent.evaluate(x)
+            state = descent.evaluate(x)
+            masses, grad = state.masses, state.grad
             assert (masses > 1e-6).all()
             if not isinstance(problem.constraints[0], FreePlane):
                 # every curve point sits strictly inside its curve
                 assert ((x > 1e-3) & (x < descent.hi - 1e-3)).all()
             want = central_differences(descent, x)
             assert grad == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+
+def central_hessian(descent, x, h=1e-6):
+    out = np.empty((x.size, x.size))
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        out[:, k] = (descent.evaluate(x + e).grad - descent.evaluate(x - e).grad) / (2.0 * h)
+    return out
+
+
+class TestHessian:
+    """The descent's exact Hessian (2 mass on the diagonal, one rank-one term
+    per Voronoi cut, chained through the unit tangent plus the arc curvature
+    term) against central differences of its exact gradient."""
+
+    @pytest.mark.parametrize("problem", [
+        Problem(sc.semicircle_measure(), (FreePlane(),), 6, beta=(Point2(-1.0, 0.0),)),
+        sc.semicircle_problem(7),
+        sc.triangle_problem(8),
+        sc.interval_left_problem(6),
+    ], ids=["free", "semicircle", "triangle", "interval-left"])
+    def test_matches_central_differences(self, problem):
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            descent = _Descent(problem, _seed_run(problem, rng))
+            x = descent.x
+            if isinstance(problem.constraints[0], FreePlane):
+                # small enough that no cell of the six points on [0, 1] empties
+                x = x + rng.normal(0.0, 0.01, x.size)
+            descent.x, descent.state = x, descent.evaluate(x)
+            assert (descent.state.masses > 1e-6).all()
+            if not isinstance(problem.constraints[0], FreePlane):
+                assert ((x > 1e-3) & (x < descent.hi - 1e-3)).all()
+            want = central_hessian(descent, x)
+            assert descent.hessian() == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 class TestSolve:
@@ -279,6 +316,17 @@ class TestSolve:
                 continue
             cell_len = masses[i] * 1.0
             assert tp.point.x == pytest.approx(moments[i][0] / cell_len, abs=1e-6)
+
+    @pytest.mark.parametrize("name, tol", [("line-steep", 1e-9), ("interval-left", 1e-11)])
+    def test_points_reach_closed_form_to_rounding(self, name, tol):
+        # a stop on distortion leaves coordinates about sqrt(eps D / mass)
+        # off (2.3e-7 on line-steep 10); the winner's last full Newton step
+        # squares that error
+        entry = sc.GALLERY[name]
+        q = solve(entry.build(10))
+        got = np.array(sorted((tp.point.x, tp.point.y) for tp in q.points))
+        want = np.array(sorted((p.x, p.y) for p in entry.config(10)))
+        assert np.abs(got - want).max() <= tol
 
     def test_deterministic_across_runs(self):
         opts = SolverOptions(restarts=6, rng_seed=42)
@@ -385,6 +433,33 @@ class TestExistence:
     def test_offset_beta_small_n_exists(self):
         rep = existence_check(sc.offset_beta_problem(5))
         assert rep.exists_with_n_points
+
+
+def count_passes(monkeypatch):
+    """The solver's cell-state passes from here on, one entry each."""
+    calls = []
+    state = solver_module._exact_state
+    monkeypatch.setattr(solver_module, "_exact_state",
+                        lambda *args: calls.append(1) or state(*args))
+    return calls
+
+
+class TestPassBudget:
+    """State passes per call, well above what the Newton descent needs and
+    well below what a descent that learns its curvature takes."""
+
+    @pytest.mark.parametrize("rng_seed", [42, 7])
+    @pytest.mark.parametrize("n_free", [49, 50])
+    def test_offset_beta_existence_check(self, monkeypatch, n_free, rng_seed):
+        calls = count_passes(monkeypatch)
+        existence_check(sc.offset_beta_problem(n_free),
+                        SolverOptions(restarts=4, rng_seed=rng_seed))
+        assert 0 < len(calls) <= 150
+
+    def test_interval_left_solve(self, monkeypatch):
+        calls = count_passes(monkeypatch)
+        solve(sc.interval_left_problem(10))
+        assert 0 < len(calls) <= 160
 
 
 class TestSandwich:
