@@ -199,8 +199,10 @@ def estimate_coefficient(seq: ErrorSequence, v_infinity: float, kappa: float,
     entries half a window apart and eliminating the 1/n term gives the
     reported range (constant sequences are reproduced exactly).
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
+    if math.isinf(kappa):
+        raise ValueError("kappa must be finite")
     window = _tail_entries(seq.entries, tail_window)
     scaled = [(n, n ** (r / kappa) * (v - v_infinity)) for n, v in window]
     lag = max(len(scaled) // 2, 1)

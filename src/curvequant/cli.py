@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
 
-import curvequant.closed_form as cf
 from curvequant import scenarios
-from curvequant.allocation import Allocation, semicircle_allocate, triangle_allocate
 from curvequant.asymptotics import ErrorSequence, build_report
 from curvequant.geometry import Arc, Point2, Segment, UniformCurveMeasure, distortion
 from curvequant.render import render_svg
@@ -247,76 +246,37 @@ def cmd_solve(args) -> int:
     return EXIT_DEGENERATE if quantizer.degenerate_points else EXIT_OK
 
 
-def _closed_form_result(args):
-    name, n = args.scenario, args.n
-    if name == "interval-left":
-        return cf.interval_left_endpoint(n, args.a, args.b), None
-    if name == "interval-right":
-        return cf.interval_right_endpoint(n, args.a, args.b), None
-    if name == "interval-interior":
-        c = args.a if args.c is None else args.c
-        d = args.b if args.d is None else args.d
-        return cf.interval_interior(n, cf.IntervalScenario(args.a, args.b, c, d)), None
-    if name == "line-constraint":
-        if args.m is None or args.intercept is None:
-            raise CliError("line-constraint needs --m and --intercept")
-        scen = cf.LineConstraintScenario(args.a, args.b, args.m, args.intercept)
-        return cf.line_constraint_optimal(n, scen), None
-    if name == "semicircle":
-        n1 = args.n1 if args.n1 is not None else semicircle_allocate(n).parts[0]
-        return cf.semicircle_conditional(n, n1), (n1, n - n1 + 2)
-    if name == "triangle":
-        return cf.triangle_conditional(n), cf.triangle_split(n)
-    if name == "exam1":
-        return cf.exam1_conditional(n), None
-    raise CliError(f"unknown scenario {args.scenario!r}")
+def _names(field: str) -> list[str]:
+    """Registry names, in registry order, whose entries have `field`."""
+    return [name for name, entry in scenarios.SCENARIOS.items()
+            if getattr(entry, field) is not None]
 
 
 def cmd_closed_form(args) -> int:
-    result, alloc = _closed_form_result(args)
+    n = _limited(args.n, "n", "-n")
+    result = scenarios.SCENARIOS[args.scenario].closed_form(
+        n, a=args.a, b=args.b, c=args.c, d=args.d, m=args.m,
+        intercept=args.intercept, n1=args.n1)
     doc = {
         "scenario": args.scenario,
-        "n": args.n,
+        "n": n,
         "points": [[p.x, p.y] for p in result.points],
         "error": result.error,
     }
-    if alloc is not None:
-        doc["allocation"] = list(alloc)
+    if result.allocation is not None:
+        doc["allocation"] = list(result.allocation)
     _emit(doc, sys.stdout)
     return EXIT_OK
-
-
-def _allocation_row(alloc: Allocation) -> tuple[float, str]:
-    return alloc.objective, "+".join(str(p) for p in alloc.parts)
-
-
-_EXAM2 = cf.LineConstraintScenario(0.0, 1.0, 1.0, 4.0)
-_UNIT_INTERVAL = cf.IntervalScenario(0.0, 1.0, 0.0, 1.0)
-
-# sweep scenario -> n -> (error, alloc column); the order is the one `sweep
-# --help` lists. Rows use error-only functions, so a sweep builds no points.
-_SWEEP_ROWS = {
-    "triangle": lambda n: _allocation_row(triangle_allocate(n)),
-    "semicircle": lambda n: _allocation_row(semicircle_allocate(n)),
-    "exam1": lambda n: (cf.exam1_published_error(n), ""),
-    "exam2": lambda n: (cf.line_constraint_published_error(n, _EXAM2), ""),
-    "interval-left": lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ""),
-    "interval-right": lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ""),
-    "interval-interior": lambda n: (cf.interval_interior_error(n, _UNIT_INTERVAL), ""),
-}
-
-
-def _sweep_row(scenario: str, n: int) -> tuple[float, str]:
-    return _SWEEP_ROWS[scenario](n)
 
 
 def cmd_sweep(args) -> int:
     if args.n_from > args.n_to:
         raise CliError("--from must not exceed --to")
+    row = scenarios.SCENARIOS[args.scenario].sweep
     rows = []
-    for n in range(args.n_from, args.n_to + 1):
+    for n in range(args.n_from, _limited(args.n_to, "n", "--to") + 1):
         t0 = time.perf_counter()
-        error, alloc = _sweep_row(args.scenario, n)
+        error, alloc = row(n)
         wall = int(round((time.perf_counter() - t0) * 1000.0)) if args.timings else 0
         rows.append(f"{n},{error!r},{alloc},{wall}")
     text = "n,error,alloc,wall_time_ms\n" + "\n".join(rows) + "\n"
@@ -389,12 +349,15 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = args.tolerance
-    names = [args.scenario] if args.scenario else sorted(scenarios.GALLERY)
+    if not 0.0 <= tol < math.inf:
+        raise CliError(f"--tolerance: expected a finite number >= 0, got {tol!r}")
+    gallery = _names("build")
+    names = [args.scenario] if args.scenario else sorted(gallery)
     failures = 0
     for name in names:
-        if name not in scenarios.GALLERY:
+        if name not in gallery:
             raise CliError(f"unknown scenario {name!r}")
-        entry = scenarios.GALLERY[name]
+        entry = scenarios.SCENARIOS[name]
         lo, hi = entry.n_range
         hi = min(hi, args.max_n) if args.max_n is not None else hi
         for n in range(lo, hi + 1):
@@ -436,9 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("closed-form", help="closed-form configuration for a scenario")
-    p.add_argument("scenario", choices=["interval-left", "interval-right",
-                                        "interval-interior", "line-constraint",
-                                        "semicircle", "triangle", "exam1"])
+    p.add_argument("scenario", choices=_names("closed_form"))
     p.add_argument("-n", type=int, required=True, help="point count")
     p.add_argument("--a", type=float, default=0.0, help="support left endpoint")
     p.add_argument("--b", type=float, default=1.0, help="support right endpoint")
@@ -450,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser("sweep", help="closed-form error sequence as CSV")
-    p.add_argument("scenario", choices=list(_SWEEP_ROWS))
+    p.add_argument("scenario", choices=_names("sweep"))
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
     p.add_argument("--output", required=True, help="CSV path, or - for stdout")
@@ -484,13 +445,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -202,8 +202,9 @@ class TestCoefficient:
             assert hi == pytest.approx(1 / 12, abs=1e-4)
 
     def test_kappa_validation(self):
-        with pytest.raises(ValueError):
-            estimate_coefficient(triangle_seq(50), 0.0, kappa=0)
+        for kappa in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                estimate_coefficient(triangle_seq(50), 0.0, kappa=kappa)
 
 
 class TestReportAndReferences:

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvequant import cli
+from curvequant import cli, scenarios
 from curvequant import closed_form as cf
 from curvequant.allocation import semicircle_allocate
 from curvequant.cli import main
@@ -314,7 +314,7 @@ class TestSweepCommand:
     ])
     def test_row_equals_configuration_error(self, scenario, lo, configuration):
         for n in range(lo, 301):
-            assert cli._sweep_row(scenario, n)[0] == configuration(n).error
+            assert scenarios.SCENARIOS[scenario].sweep(n)[0] == configuration(n).error
 
     def test_sweeps_build_no_points(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -325,7 +325,7 @@ class TestSweepCommand:
                      "interval_interior", "semicircle_conditional",
                      "triangle_conditional"):
             monkeypatch.setattr(cf, name, refuse)
-        for scenario in cli._SWEEP_ROWS:
+        for scenario in (name for name, entry in scenarios.SCENARIOS.items() if entry.sweep):
             assert main(["sweep", scenario, "--from", "3", "--to", "40",
                          "--output", "-"]) == 0
         capsys.readouterr()
@@ -338,6 +338,35 @@ class TestSweepCommand:
         assert main(["sweep", "triangle", "--from", "9", "--to", "3",
                      "--output", str(tmp_path / "x.csv")]) == 1
         assert "must not exceed" in capsys.readouterr().err
+
+
+class TestRegistry:
+    def test_closed_form_and_sweep_agree(self, capsys):
+        names = [name for name, entry in scenarios.SCENARIOS.items()
+                 if entry.closed_form and entry.sweep]
+        assert len(names) == 6
+        for name in names:
+            assert main(["sweep", name, "--from", "3", "--to", "60", "--output", "-"]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert len(rows) == 58
+            for n, row in zip(range(3, 61), rows):
+                assert main(["closed-form", name, "-n", str(n)]) == 0
+                doc = json.loads(capsys.readouterr().out)
+                _, error, alloc, _ = row.split(",")
+                assert repr(doc["error"]) == error, f"{name} n={n}"
+                assert "+".join(str(p) for p in doc.get("allocation", ())) == alloc
+
+    def test_every_command_reads_the_registry(self, monkeypatch, capsys):
+        monkeypatch.setitem(scenarios.SCENARIOS, "interval-left-copy",
+                            scenarios.SCENARIOS["interval-left"])
+        assert main(["closed-form", "interval-left-copy", "-n", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["scenario"] == "interval-left-copy"
+        assert main(["sweep", "interval-left-copy", "--from", "3", "--to", "5",
+                     "--output", "-"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert main(["--restarts", "4", "verify", "--scenario", "interval-left-copy",
+                     "--max-n", "2"]) == 0
+        assert "interval-left-copy n=2" in capsys.readouterr().out
 
 
 class TestAsymptoticsCommand:
@@ -374,6 +403,15 @@ class TestAsymptoticsCommand:
         csv_path.write_text("hello\nworld\n")
         assert main(["asymptotics", str(csv_path), "--kappa", "2"]) == 1
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf"])
+    def test_non_finite_kappa_is_one(self, tmp_path, capsys, kappa):
+        csv_path = tmp_path / "e1.csv"
+        assert main(["sweep", "exam1", "--from", "3", "--to", "60",
+                     "--output", str(csv_path)]) == 0
+        assert main(["asymptotics", str(csv_path), "--kappa", kappa]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: kappa")
 
 
 class TestRenderCommand:
@@ -433,6 +471,12 @@ class TestVerifyCommand:
         assert main(["verify", "--scenario", "dodecahedron"]) == 1
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_one(self, capsys, tolerance):
+        assert main(["verify", "--scenario", "interval-left", "--max-n", "2",
+                     f"--tolerance={tolerance}"]) == 1
+        assert capsys.readouterr().err.startswith("error: --tolerance:")
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -488,6 +532,17 @@ class TestExitCodes:
         assert main(["--restarts", str(cli.LIMITS["restarts"] + 1), "solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --restarts:") and "exceeds the limit" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["closed-form", "interval-left", "-n", str(cli.LIMITS["n"] + 1)], "-n"),
+        (["sweep", "interval-left", "--from", "3", "--to", str(cli.LIMITS["n"] + 1),
+          "--output", "-"], "--to"),
+    ])
+    def test_point_count_option_over_limit_is_one(self, capsys, argv, option):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option}:") and "exceeds the limit" in captured.err
 
     def test_limits_themselves_are_accepted(self, tmp_path):
         doc = dict(INTERVAL_LEFT_DOC, n=cli.LIMITS["n"],

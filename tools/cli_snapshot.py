@@ -1,0 +1,118 @@
+"""Write the command line's output for a fixed list of invocations.
+
+    python3 tools/cli_snapshot.py OUTDIR
+
+Runs `curvequant.cli.main` in-process (from the `src` next to this script)
+over every argv that `_cases` lists and writes one file per argv to OUTDIR: the argv,
+the exit code, stdout and stderr. Run the same script in two checkouts and
+compare with `diff -r` to see exactly which outputs a change moves. Inputs
+and outputs are relative to a temporary working directory, so no path of
+the machine shows in the snapshot. A run takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from curvequant.cli import main  # noqa: E402
+
+CLOSED_FORM_NAMES = ("interval-left", "interval-right", "interval-interior",
+                     "line-constraint", "semicircle", "triangle", "exam1")
+SWEEP_NAMES = ("triangle", "semicircle", "exam1", "exam2",
+               "interval-left", "interval-right", "interval-interior")
+SUBCOMMANDS = ("solve", "closed-form", "sweep", "asymptotics", "render", "verify")
+
+
+def _cases() -> list[list[str]]:
+    cases = [["closed-form", name, "-n", str(n)]
+             for name in CLOSED_FORM_NAMES for n in (1, 2, 3, 4, 5, 6, 12, 40)]
+    cases += [
+        ["closed-form", "semicircle", "-n", "5", "--n1", "3"],
+        ["closed-form", "semicircle", "-n", "7", "--n1", "2"],
+        ["closed-form", "semicircle", "-n", "5", "--n1", "1"],
+        ["closed-form", "interval-left", "-n", "4", "--a", "-1", "--b", "2"],
+        ["closed-form", "interval-right", "-n", "4", "--a", "-1", "--b", "2"],
+        ["closed-form", "interval-interior", "-n", "4", "--a", "0", "--b", "2",
+         "--c", "0.5", "--d", "1.5"],
+        ["closed-form", "interval-interior", "-n", "5", "--c", "0.25"],
+        ["closed-form", "interval-interior", "-n", "5", "--a", "1", "--b", "0"],
+        ["closed-form", "line-constraint", "-n", "4", "--m", "0.25", "--intercept", "0.25"],
+        ["closed-form", "line-constraint", "-n", "6", "--m", "1", "--intercept", "4"],
+        ["closed-form", "line-constraint", "-n", "3", "--a", "-1", "--b", "1",
+         "--m", "-2", "--intercept", "0.5"],
+        ["closed-form", "line-constraint", "-n", "4", "--m", "0.25"],
+    ]
+    cases += [["sweep", name, "--from", "3", "--to", "1500", "--output", "-"]
+              for name in SWEEP_NAMES]
+    cases.append(["sweep", "exam2", "--from", "2", "--to", "1500", "--output", "-"])
+    cases.append(["--seed", "42", "verify"])
+    cases.append(["--help"])
+    cases += [[command, "--help"] for command in SUBCOMMANDS]
+    # errors: unknown names, domain and range errors, limits, bad floats
+    cases += [
+        ["closed-form", "exam2", "-n", "4"],
+        ["closed-form", "interval-left", "-n", "0"],
+        ["closed-form", "interval-left", "-n", "10000"],
+        ["closed-form", "interval-left", "-n", "10001"],
+        ["sweep", "line-steep", "--from", "3", "--to", "5", "--output", "-"],
+        ["sweep", "exam1", "--from", "2", "--to", "5", "--output", "-"],
+        ["sweep", "exam1", "--from", "9", "--to", "3", "--output", "-"],
+        ["sweep", "exam1", "--from", "9990", "--to", "10000", "--output", "-"],
+        ["sweep", "interval-left", "--from", "3", "--to", "10001", "--output", "-"],
+        ["sweep", "triangle", "--from", "20000", "--to", "10001", "--output", "-"],
+        ["asymptotics", "exam1.csv", "--kappa", "2"],
+        ["asymptotics", "exam1.csv", "--kappa", "0"],
+        ["asymptotics", "exam1.csv", "--kappa", "-1"],
+        ["asymptotics", "exam1.csv", "--kappa", "nan"],
+        ["asymptotics", "exam1.csv", "--kappa", "inf"],
+        ["asymptotics", "missing.csv", "--kappa", "2"],
+        ["verify", "--scenario", "exam2"],
+        ["--seed", "7", "verify", "--scenario", "interval-left", "--max-n", "3"],
+        ["verify", "--scenario", "interval-left", "--max-n", "3", "--tolerance", "0"],
+        ["verify", "--scenario", "interval-left", "--max-n", "3", "--tolerance", "nan"],
+        ["verify", "--scenario", "interval-left", "--max-n", "3", "--tolerance", "inf"],
+        ["verify", "--scenario", "interval-left", "--max-n", "3", "--tolerance=-1e-6"],
+    ]
+    return cases
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main_snapshot(outdir: str) -> int:
+    outdir = os.path.abspath(outdir)
+    os.makedirs(outdir, exist_ok=True)
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        code, _, err = _run(["sweep", "exam1", "--from", "3", "--to", "200",
+                             "--output", "exam1.csv"])
+        if code != 0:
+            raise RuntimeError(f"could not write exam1.csv: {err}")
+        for i, argv in enumerate(_cases()):
+            code, out, err = _run(argv)
+            name = f"{i:03d}_" + "_".join(a.removeprefix("--") for a in argv)[:80]
+            with open(os.path.join(outdir, name + ".txt"), "w", encoding="utf-8") as fh:
+                fh.write(f"argv: {' '.join(argv)}\nexit: {code}\n"
+                         f"--- stdout\n{out}--- stderr\n{err}")
+        os.chdir(outdir)
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main_snapshot(sys.argv[1]))
