@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, replace
@@ -353,7 +354,7 @@ def cmd_verify(args) -> int:
         raise CliError(f"--tolerance: expected a finite number >= 0, got {tol!r}")
     gallery = _names("build")
     names = [args.scenario] if args.scenario else sorted(gallery)
-    failures = 0
+    failures = checked = 0
     for name in names:
         if name not in gallery:
             raise CliError(f"unknown scenario {name!r}")
@@ -367,9 +368,14 @@ def cmd_verify(args) -> int:
             rel = abs(quantizer.distortion - reference) / abs(reference)
             ok = rel <= tol
             failures += 0 if ok else 1
+            checked += 1
             status = "ok" if ok else "MISMATCH"
             print(f"{name} n={n}: solver={quantizer.distortion!r} "
                   f"closed_form={reference!r} rel={rel:.3e} {status}")
+    if not checked:
+        first = min(scenarios.SCENARIOS[name].n_range[0] for name in names)
+        raise CliError(f"--max-n: {args.max_n} leaves no instance to check "
+                       f"(the smallest n is {first})")
     print(f"verify: {failures} mismatch(es) above rel {tol!r}")
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
@@ -378,7 +384,18 @@ def cmd_verify(args) -> int:
 # parser
 
 
+# argparse takes "-1e-3" for an option, as its own negative-number pattern
+# (the private ArgumentParser._negative_number_matcher) has no exponent;
+# this one reads a negative decimal literal, exponent form included, as a
+# value. Words such as -inf stay options: pass them as --tolerance=-inf.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise CliError(message)
 

@@ -6,13 +6,20 @@ splitting every curve at its exact Voronoi breakpoints and integrating the
 squared distance to each piece's site in closed form. The breakpoints are
 those of the lower envelope of the per-site squared distances: on a segment
 a family of lines, whose envelope comes from one sort by slope in
-O(m log m); on an arc a family of sinusoids, whose envelope is marched from
-piece to piece with O(m) work per piece.
+O(m log m); on an arc a family of sinusoids of one frequency, any two of
+which cross at most twice, whose envelope comes from divide and conquer in
+O(m log^2 m): site pairs in closed form, then groups merged pairwise level
+by level, every merge of a level in the same numpy calls, each level one
+sort of its O(m) piece starts. Both envelopes know the site that owns
+each of their pieces, and voronoi_breakpoints(..., owners=True) hands those
+owners to the cell-state pass along with the cuts, so no nearest-site
+search follows.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,44 +165,107 @@ def _envelope(c: Curve, sites_xy: np.ndarray):
     return t0, scale, (a * a).sum(axis=1), P, Q
 
 
-def _nearest(c: Curve, t: np.ndarray, K, P, Q) -> np.ndarray:
-    """Index of the nearest site at each envelope parameter t; ties to the
-    lower index."""
-    x, y = (t, np.zeros_like(t)) if isinstance(c, Segment) else (np.cos(t), np.sin(t))
-    return np.argmin(K + x[:, None] * P + y[:, None] * Q, axis=1)
-
-
-def _downward_crossings(t: float, dK, dP, dQ):
-    """First angle >= t on an arc where each site's term falls below the
-    owner's (inf if never), and the slope of the difference there. dK, dP,
-    dQ are coefficients minus the owner's, so the owner itself never
-    crosses."""
-    root = np.full(len(dK), np.inf)
-    # dK + r cos(t - phi) is negative on (phi + alpha, phi + 2 pi - alpha)
+def _split_pairs(a, e, A, B, KPQ):
+    """Lower envelope of two sites' terms K + P cos t + Q sin t on each
+    interval [a, e): (start, owner) arrays of its pieces in order, repeated
+    owners merged. KPQ holds the sites' (K, P, Q, -K, -P, -Q) as rows, and
+    A the lower index of each pair, so ties go to A."""
+    # rows 0-2: B's terms minus A's; rows 3-5: A's minus B's
+    d = KPQ[:, B] - KPQ[:, A]
+    dK, dP, dQ = d[0], d[1], d[2]
+    # dK + r cos(t - phi) is negative on (phi + alpha, phi + 2 pi - alpha).
+    # Row 0 is B taking over from A, row 1 A from B, each from the taker's
+    # terms minus the owner's, as the march oracle in the tests writes it.
     r = np.hypot(dP, dQ)
-    h2 = (r - dK) * (r + dK)
-    sin_part = np.sqrt(np.maximum(h2, 0.0))
-    alpha = np.arctan2(sin_part, -dK)
-    # a negative stretch narrower than 2 * PARAM_TOL is no cell; a root a
-    # hair behind t (roundoff at a crossing just taken) still counts as t
-    down = (h2 > 0.0) & (alpha < math.pi - PARAM_TOL)
-    ahead = np.mod(np.arctan2(dQ, dP) + alpha - t + PARAM_TOL, TWO_PI) - PARAM_TOL
-    root[down] = t + np.maximum(ahead[down], 0.0)
-    return root, -sin_part
+    sin_part = np.sqrt(np.maximum((r - dK) * (r + dK), 0.0))
+    alpha = np.arctan2(sin_part, -d[::3])
+    to = np.mod(np.arctan2(d[2::3], d[1::3]) + alpha - a, TWO_PI)
+    # a stretch narrower than 2 * PARAM_TOL where one term dips below the
+    # other is no cell. The two stretches make up a full turn, so only
+    # equal terms leave neither site a cell, and then A takes it all.
+    b_none, a_none = alpha >= math.pi - PARAM_TOL
+    np.copyto(to, np.inf, where=b_none | a_none)
+    # pieces [a, c1), [c1, c2), [c2, e) owned by first, second, first
+    first = np.where((to[1] < to[0]) | (a_none > b_none), B, A)
+    n = len(a)
+    start = np.empty((n, 3))
+    start[:, 0] = a
+    np.add(a, np.minimum(to[0], to[1]), out=start[:, 1])
+    np.add(a, np.maximum(to[0], to[1]), out=start[:, 2])
+    owner = np.empty((n, 3), dtype=A.dtype)
+    owner[:, 0] = owner[:, 2] = first
+    np.subtract(A + B, first, out=owner[:, 1])
+    end = np.empty((n, 3))
+    np.minimum(start[:, 1:], e[:, None], out=end[:, :2])
+    end[:, 2] = e
+    keep = start < end
+    start, owner = start[keep], owner[keep]
+    new = np.empty(len(owner), dtype=bool)
+    new[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=new[1:])
+    return start[new], owner[new]
 
 
-def _line_envelope_cuts(K, P, length: float) -> list[float]:
-    """Breakpoints in (0, length) of the lower envelope of the lines
-    K_i + P_i t: one sort by slope, then a stack (point-line duality)."""
+def _sinusoid_envelope(K, P, Q, lo: float, hi: float):
+    """Lower envelope of the sinusoids K_i + P_i cos t + Q_i sin t on
+    [lo, hi], hi - lo <= 2 pi: (starts, owners) of its pieces, starts[0] = lo,
+    ties to the lower index.
+
+    Divide and conquer (Sharir & Agarwal, Davenport-Schinzel Sequences and
+    Their Geometric Applications, 1995): two sinusoids of one frequency cross
+    at most twice, so the envelope of k of them has at most 2k - 1 pieces.
+    Group g of level j holds sites g * 2^j to (g + 1) * 2^j - 1, so a piece's
+    group is its owner shifted right by j. Level 1 is each pair in closed
+    form; each further level merges groups 2g and 2g + 1 of the last, all
+    pairs in the same numpy calls: the piece starts of both are sorted
+    together, each side's owner is carried forward over them, and each
+    interval between two starts is split at the crossings of its two
+    owners. Each of the ceil(log2 m) - 1 merge levels sorts O(m) starts
+    (the groups' starts interleave, so they are no presorted runs), which
+    makes O(m log^2 m) in all.
+    """
+    m = len(K)
+    KPQ = np.array([K, P, Q, -K, -P, -Q])
+    A = np.arange(0, m, 2)
+    start, owner = _split_pairs(np.full(len(A), lo), np.full(len(A), hi),
+                                A, np.minimum(A + 1, m - 1), KPQ)
+    level = 1
+    while m > 1 << level:
+        grp = owner >> (level + 1)
+        order = np.lexsort((start, grp))
+        grp, start, owner = grp[order], start[order], owner[order]
+        # the owners in force at each start; a merged group opens with both
+        # sides' pieces at lo, so whatever is carried over from the group
+        # before lands on the empty interval [lo, lo)
+        at = np.arange(len(owner))
+        on_right = at * ((owner >> level) & 1)
+        own_a = owner[np.maximum.accumulate(at - on_right)]
+        own_b = owner[np.maximum.accumulate(on_right)]
+        if not ((m - 1) >> level) & 1:  # the last group has no partner
+            alone = grp == (m - 1) >> (level + 1)
+            own_b[alone] = own_a[alone]
+        end = np.empty(len(start))
+        end[:-1] = start[1:]
+        end[:-1][grp[1:] != grp[:-1]] = hi
+        end[-1] = hi
+        start, owner = _split_pairs(start, end, own_a, own_b, KPQ)
+        level += 1
+    return start, owner
+
+
+def _line_envelope(K, P):
+    """Lower envelope of the lines K_i + P_i t over all t: (starts, owners)
+    of its pieces, starts[0] = -inf; one sort by slope, then a stack
+    (point-line duality)."""
     # steepest ascent first; of parallel lines only the lowest can be on the
     # envelope, ties to the lower index
     order = np.lexsort((K, -P))
-    hull = []  # (K, P, start) of each envelope line so far, start ascending
-    for k, p in zip(K[order].tolist(), P[order].tolist()):
+    hull = []  # (K, P, start, site) of each envelope line so far, start ascending
+    for k, p, i in zip(K[order].tolist(), P[order].tolist(), order.tolist()):
         if hull and p == hull[-1][1]:
             continue
         while hull:
-            top_k, top_p, top_start = hull[-1]
+            top_k, top_p, top_start, _ = hull[-1]
             start = (k - top_k) / (top_p - p)
             if start > top_start:
                 break
@@ -204,55 +274,63 @@ def _line_envelope_cuts(K, P, length: float) -> list[float]:
             hull.pop()
         else:
             start = -math.inf
-        hull.append((k, p, start))
-    out: list[float] = []
-    for _, _, s in hull[1:]:
-        if PARAM_TOL < s < length - PARAM_TOL and not (out and s - out[-1] <= PARAM_TOL):
-            out.append(s)
-    return out
+        hull.append((k, p, start, i))
+    _, _, starts, owners = zip(*hull)
+    return list(starts), list(owners)
 
 
-def voronoi_breakpoints(c: Curve, sites) -> list[float]:
+def _cuts(starts: list, length: float) -> list:
+    """Cuts in (0, length) from an envelope's ascending piece starts in arc
+    length, dropping cuts within 1e-12 of an endpoint or of the cut before."""
+    kept = []
+    for s in starts[bisect_right(starts, PARAM_TOL):bisect_left(starts, length - PARAM_TOL)]:
+        if not kept or s - kept[-1] > PARAM_TOL:
+            kept.append(s)
+    return kept
+
+
+def voronoi_breakpoints(c: Curve, sites, *, owners: bool = False):
     """Arc-length values where the nearest-site index changes along c.
 
     Exact, from the lower envelope of the per-site distance terms. On a
     segment they are lines, and the envelope comes from one sort by slope
-    plus a stack, O(m log m). On an arc they are sinusoids, and the envelope
-    is marched from each owner to the earliest angle where another site's
-    term crosses below its own, and that site takes over; of sites crossing
-    at the same angle the steepest wins, ties to the lower index. Curve
-    endpoints are excluded and
-    breakpoints within 1e-12 are merged. sites is a sequence of Point2 or
-    an (m, 2) array.
+    plus a stack. On an arc they are sinusoids of one frequency, any two of
+    which cross at most twice, and the envelope comes from divide and
+    conquer: pairs of site groups are merged level by level, each interval
+    between two piece starts split at the crossings of its two owners. The
+    first is O(m log m), the second O(m log^2 m). Of sites tied on a
+    stretch the lower index wins, and a stretch narrower than 2e-12 where
+    one term dips below another is no cell. Curve endpoints are excluded
+    and breakpoints within 1e-12 are merged. sites is a sequence of Point2
+    or an (m, 2) array.
+
+    Returns the breakpoints as a list. With owners=True it returns
+    (cuts, owners): the same list, and a list of the index of the nearest
+    site on each of the len(cuts) + 1 pieces between 0, the cuts and the
+    curve length, read off the envelope, so that a Voronoi split needs no
+    second nearest-site search.
     """
     length = curve_length(c)
     t0, scale, K, P, Q = _envelope(c, _sites_array(sites))
     if isinstance(c, Segment):
-        return _line_envelope_cuts(K, P, length)
-    owner = int(_nearest(c, np.array([t0]), K, P, Q)[0])
-    t = t0
-    out: list[float] = []
-    while True:
-        root, slope = _downward_crossings(t, K - K[owner], P - P[owner], Q - Q[owner])
-        t = float(root.min())
-        s = (t - t0) * scale
-        if s >= length - PARAM_TOL:
-            return out
-        # the earliest crossing, not the steepest within PARAM_TOL of it: a
-        # site crossing a hair later but steeper takes over at its own root,
-        # while one crossing a hair later and shallower may own a real cell
-        # from here on (near-twin sites)
-        owner = int(np.argmin(np.where(root == t, slope, np.inf)))
-        if s > PARAM_TOL and not (out and s - out[-1] <= PARAM_TOL):
-            out.append(s)
+        starts, who = _line_envelope(K, P)
+    else:
+        starts, who = _sinusoid_envelope(K, P, Q, t0, c.theta1)
+        starts, who = ((starts - t0) * scale).tolist(), who.tolist()
+    cuts = _cuts(starts, length)
+    if not owners:
+        return cuts
+    # the envelope's owner at the midpoint of each piece between the cuts
+    bounds = [0.0, *cuts, length]
+    return cuts, [who[bisect_right(starts, 0.5 * (s0 + s1)) - 1]
+                  for s0, s1 in zip(bounds, bounds[1:])]
 
 
 def _pieces(c: Curve, sites_xy: np.ndarray):
     """Split c at its breakpoints: arrays (s0, s1, owner), one entry per piece."""
-    cuts = np.array([0.0, *voronoi_breakpoints(c, sites_xy), curve_length(c)])
-    s0, s1 = cuts[:-1], cuts[1:]
-    t0, scale, K, P, Q = _envelope(c, sites_xy)
-    return s0, s1, _nearest(c, t0 + 0.5 * (s0 + s1) / scale, K, P, Q)
+    cuts, owner = voronoi_breakpoints(c, sites_xy, owners=True)
+    bounds = np.array([0.0, *cuts, curve_length(c)])
+    return bounds[:-1], bounds[1:], np.array(owner)
 
 
 def _h_minus_sin(h: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command line contract tests: parsing, exit codes, output documents."""
 
+import argparse
 import copy
 import json
 import math
@@ -256,6 +257,22 @@ class TestClosedFormCommand:
         assert main(["closed-form", "line-constraint", "-n", "3"]) == 1
         assert "intercept" in capsys.readouterr().err
 
+    def test_negative_option_value_in_exponent_form(self, capsys):
+        # the pattern rides on a private argparse attribute; if a Python
+        # drops it, the parser stops consulting it and this shows
+        assert "_negative_number_matcher" in vars(argparse.ArgumentParser())
+        assert main(["closed-form", "interval-left", "-n", "3", "--a", "-1e-3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["points"][0] == [-1e-3, 0.0]
+        # words stay options, as in plain argparse ("-nan" is -n with "an");
+        # the = form passes them
+        parser = cli.build_parser()
+        for word in ("-inf", "-nan"):
+            with pytest.raises(cli.CliError):
+                parser.parse_args(["closed-form", "interval-left", "-n", "3", "--a", word])
+        assert parser.parse_args(["closed-form", "interval-left", "-n", "3",
+                                  "--a=-inf"]).a == -math.inf
+
     def test_interval_interior_defaults_to_support(self, capsys):
         assert main(["closed-form", "interval-interior", "-n", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -404,6 +421,13 @@ class TestAsymptoticsCommand:
         assert main(["asymptotics", str(csv_path), "--kappa", "2"]) == 1
         assert "header" in capsys.readouterr().err
 
+    def test_negative_kappa_in_exponent_form_is_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "e.csv"
+        assert main(["sweep", "exam1", "--from", "3", "--to", "60", "--output", str(csv_path)]) == 0
+        assert main(["asymptotics", str(csv_path), "--kappa", "-1e-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: kappa must be positive")
+
     @pytest.mark.parametrize("kappa", ["nan", "inf"])
     def test_non_finite_kappa_is_one(self, tmp_path, capsys, kappa):
         csv_path = tmp_path / "e1.csv"
@@ -476,6 +500,24 @@ class TestVerifyCommand:
         assert main(["verify", "--scenario", "interval-left", "--max-n", "2",
                      f"--tolerance={tolerance}"]) == 1
         assert capsys.readouterr().err.startswith("error: --tolerance:")
+
+    @pytest.mark.parametrize("tolerance", ["-1e-6", "-1E+2", "-.5e-3"])
+    def test_negative_tolerance_in_exponent_form_is_one(self, capsys, tolerance):
+        # a separate value, not --tolerance=...: argparse must not take it
+        # for an option
+        assert main(["verify", "--scenario", "interval-left", "--max-n", "2",
+                     "--tolerance", tolerance]) == 1
+        assert capsys.readouterr().err.startswith("error: --tolerance: expected")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--scenario", "triangle", "--max-n", "2"],
+        ["verify", "--max-n", "0"],
+    ])
+    def test_empty_selection_is_one(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --max-n:")
 
 
 class TestExitCodes:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvequant import closed_form, scenarios
+from curvequant.allocation import semicircle_allocate
 from curvequant.geometry import (
     PARAM_TOL,
+    TWO_PI,
     Arc,
     DegenerateCellError,
     Point2,
@@ -253,15 +256,17 @@ def test_distortion_vs_riemann_oracle():
         assert got == pytest.approx(want, rel=1e-5)
 
 
+# arcs whose angular window starts below 0, crosses 2*pi, or is a full turn
+WRAPPED_ARCS = (Arc(Point2(0.3, -0.2), 1.3, -2.5, 0.5),
+                Arc(Point2(-0.4, 0.1), 0.8, 5.0, 8.5),
+                Arc(Point2(0.0, 0.0), 1.0, -1.0, -1.0 + 2 * math.pi))
+
+
 def _partition_cases():
-    """(curves, sites): random supports, then arcs whose angular window starts
-    below 0, crosses 2*pi, or is a full turn."""
+    """(curves, sites): random supports, then the WRAPPED_ARCS."""
     rng = np.random.default_rng(11)
-    wrapped = (Arc(Point2(0.3, -0.2), 1.3, -2.5, 0.5),
-               Arc(Point2(-0.4, 0.1), 0.8, 5.0, 8.5),
-               Arc(Point2(0.0, 0.0), 1.0, -1.0, -1.0 + 2 * math.pi))
     for k in range(30):
-        curves = _random_measure(rng).curves if k < 20 else wrapped
+        curves = _random_measure(rng).curves if k < 20 else WRAPPED_ARCS
         count = rng.integers(2, 7) if k < 20 else rng.integers(6, 13)
         yield curves, [Point2(*rng.uniform(-2.5, 2.5, 2)) for _ in range(count)]
 
@@ -297,13 +302,44 @@ def _midpoint_owners(c, s, sites_xy):
     return np.argmin(d2, axis=1)
 
 
+def _closed_form_sets(n):
+    """(measure, sites) of the closed-form semicircle and triangle sets."""
+    n1 = semicircle_allocate(n).parts[0]
+    yield scenarios.semicircle_measure(), closed_form.semicircle_conditional(n, n1).points
+    yield scenarios.triangle_measure(), closed_form.triangle_conditional(n).points
+
+
+def _owner_cases():
+    """(curves, sites): the partition cases, arcs with 100 to 300 random
+    sites, and the closed-form semicircle and triangle sets at n = 400."""
+    yield from _partition_cases()
+    rng = np.random.default_rng(19)
+    for _ in range(6):
+        t0 = rng.uniform(-4.0, 4.0)
+        arc = Arc(Point2(*rng.uniform(-1, 1, 2)), float(rng.uniform(0.5, 2.0)),
+                  t0, t0 + float(rng.uniform(1.0, 2 * math.pi)))
+        yield (arc,), [Point2(*rng.uniform(-2.5, 2.5, 2)) for _ in range(rng.integers(100, 301))]
+    for measure, sites in _closed_form_sets(400):
+        yield measure.curves, sites
+
+
 def test_piece_owners_match_midpoint_oracle():
-    for curves, sites in _partition_cases():
+    for curves, sites in _owner_cases():
         sites_xy = np.array([(p.x, p.y) for p in sites])
         for c in curves:
             s0, s1, owner = _pieces(c, sites_xy)
             assert s0[0] == 0.0 and s1[-1] == curve_length(c)
+            assert np.all(s0 < s1)
             np.testing.assert_array_equal(owner, _midpoint_owners(c, 0.5 * (s0 + s1), sites_xy))
+
+
+def test_breakpoints_owners_keyword():
+    for curves, sites in _partition_cases():
+        for c in curves:
+            cuts, owners = voronoi_breakpoints(c, sites, owners=True)
+            assert cuts == voronoi_breakpoints(c, sites)
+            assert len(owners) == len(cuts) + 1
+            assert all(a != b for a, b in zip(owners, owners[1:]))
 
 
 def _segment_march(c, sites_xy):
@@ -408,6 +444,110 @@ def test_segment_breakpoints_equal_march_oracle_on(kind):
         assert voronoi_breakpoints(seg, xy) == _segment_march(seg, xy)
 
 
+def _arc_march(c, sites_xy):
+    """The arc march that the divide-and-conquer envelope replaced, kept as
+    the test oracle: (cuts, owners). It marches the lower envelope of the
+    terms K_i + P_i cos t + Q_i sin t from owner to owner with one O(m)
+    vector step per piece: the next cut is the earliest angle where another
+    site's term crosses below the owner's, and of the sites crossing there
+    the steepest takes over, ties to the lower index. The owners are the
+    nearest sites at the piece midpoints, from the same terms.
+    """
+    length = curve_length(c)
+    t0, scale, K, P, Q = _envelope(c, sites_xy)
+
+    def nearest(t):
+        return np.argmin(K + np.cos(t)[:, None] * P + np.sin(t)[:, None] * Q, axis=1)
+
+    owner = int(nearest(np.array([t0]))[0])
+    t = t0
+    out = []
+    while True:
+        dK, dP, dQ = K - K[owner], P - P[owner], Q - Q[owner]
+        # dK + r cos(t - phi) is negative on (phi + alpha, phi + 2 pi - alpha)
+        r = np.hypot(dP, dQ)
+        h2 = (r - dK) * (r + dK)
+        sin_part = np.sqrt(np.maximum(h2, 0.0))
+        alpha = np.arctan2(sin_part, -dK)
+        down = (h2 > 0.0) & (alpha < math.pi - PARAM_TOL)
+        ahead = np.mod(np.arctan2(dQ, dP) + alpha - t + PARAM_TOL, TWO_PI) - PARAM_TOL
+        root = np.full(len(K), np.inf)
+        root[down] = t + np.maximum(ahead[down], 0.0)
+        t = float(root.min())
+        s = (t - t0) * scale
+        if s >= length - PARAM_TOL:
+            break
+        owner = int(np.argmin(np.where(root == t, -sin_part, np.inf)))
+        if s > PARAM_TOL and not (out and s - out[-1] <= PARAM_TOL):
+            out.append(s)
+    bounds = np.array([0.0, *out, length])
+    return out, nearest(t0 + 0.5 * (bounds[:-1] + bounds[1:]) / scale)
+
+
+def _on_circle(center, radius, angles):
+    return np.array([(center.x + radius * math.cos(a), center.y + radius * math.sin(a))
+                     for a in angles])
+
+
+def _random_arc_cases():
+    """(arc, sites) with m = 1..60 random sites on random arcs, a seventh of
+    them full turns, and on the wrapped windows of _partition_cases."""
+    rng = np.random.default_rng(23)
+    for k in range(240):
+        t0 = rng.uniform(-7.0, 7.0)
+        span = 2 * math.pi if k % 7 == 0 else float(rng.uniform(0.1, 2 * math.pi))
+        arc = Arc(Point2(*rng.uniform(-2, 2, 2)), float(rng.uniform(0.2, 2.0)), t0, t0 + span)
+        yield arc, rng.uniform(-2.5, 2.5, (k % 60 + 1, 2))
+    for arc in WRAPPED_ARCS:
+        for m in (1, 2, 5, 13, 40):
+            yield arc, rng.uniform(-2.5, 2.5, (m, 2))
+
+
+_EXPLICIT_ARC_CASES = {
+    "duplicate sites": [
+        (WRAPPED_ARCS[0], [(0.3, 0.1), (0.3, 0.1), (-1.0, 0.5), (1.0, -1.0), (-1.0, 0.5), (0.3, 0.1)]),
+        (HALF_ARC, [(0.0, 2.0)] * 3 + [(0.5, 0.5), (0.0, 2.0), (0.5, 0.5)]),
+    ],
+    "sites on the arc": [
+        (HALF_ARC, _on_circle(Point2(0, 0), 1.0, (0.0, 0.3, 1.0, 2.0, math.pi, 3.5, -0.4))),
+        (WRAPPED_ARCS[1], _on_circle(Point2(-0.4, 0.1), 0.8, np.linspace(5.0, 8.5, 11))),
+    ],
+    # equal amplitudes: every pair of terms differs by a pure sinusoid
+    "sites on one concentric circle": [
+        (WRAPPED_ARCS[2], _on_circle(Point2(0, 0), 0.5, np.linspace(0, 2 * math.pi, 9)[:-1])),
+        (HALF_ARC, _on_circle(Point2(0, 0), 1.7, (0.2, 0.9, 1.4, 2.8, 4.0))),
+        (Arc(Point2(0, 0), 1.0, 0.0, 2 * math.pi),
+         _on_circle(Point2(0, 0), 1.0, np.linspace(0, 2 * math.pi, 13)[:-1])),
+    ],
+    "near-twin sites": [
+        (HALF_ARC, _on_circle(Point2(0, 0), 1.0, (0.5, 1.2, 1.2 + 1.5e-12))),
+    ],
+}
+
+
+def _assert_equals_arc_march(arc, sites_xy):
+    cuts, owners = voronoi_breakpoints(arc, sites_xy, owners=True)
+    want_cuts, want_owners = _arc_march(arc, sites_xy)
+    np.testing.assert_array_equal(owners, want_owners)
+    # both take each cut angle from the same expression in the two sites'
+    # coefficient differences, placed from different start angles, so they
+    # differ by a few rounding steps of the angle
+    ulp = np.spacing(max(abs(arc.theta0), abs(arc.theta1))) * arc.radius
+    assert len(cuts) == len(want_cuts)
+    assert np.all(np.abs(np.subtract(cuts, want_cuts)) <= 4 * ulp)
+
+
+def test_arc_breakpoints_equal_march_oracle():
+    for arc, xy in _random_arc_cases():
+        _assert_equals_arc_march(arc, xy)
+
+
+@pytest.mark.parametrize("kind", list(_EXPLICIT_ARC_CASES))
+def test_arc_breakpoints_equal_march_oracle_on(kind):
+    for arc, sites in _EXPLICIT_ARC_CASES[kind]:
+        _assert_equals_arc_march(arc, np.array(sites, dtype=float))
+
+
 def test_masses_near_twin_sites():
     # sites 1 and 2 are 1.5e-12 apart, so their lines cross site 0's within
     # 1e-12 of each other at 0.4, yet site 1 owns [0.4, 0.6 + 7.5e-13]. The
@@ -449,3 +589,17 @@ def test_distortion_monotone_under_insertion():
 def test_masses_sum_to_one(raw_sites):
     sites = [Point2(x, y) for x, y in raw_sites]
     assert sum(voronoi_masses(SEMI, sites)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_closed_form_sets_at_large_n(n):
+    # the state pass at ROADMAP item 3's sizes: the exact split reproduces
+    # the closed-form errors, and every cell keeps its mass
+    n1 = semicircle_allocate(n).parts[0]
+    errors = (closed_form.semicircle_error(n1, n - n1 + 2),
+              closed_form.triangle_error(*closed_form.triangle_split(n)))
+    for (measure, sites), want in zip(_closed_form_sets(n), errors):
+        assert distortion(measure, sites) == pytest.approx(want, rel=1e-9)
+        masses = voronoi_masses(measure, sites)
+        assert len(masses) == n and min(masses) > 0.0
+        assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)

@@ -78,6 +78,10 @@ def _cases() -> list[list[str]]:
         ["verify", "--scenario", "interval-left", "--max-n", "3", "--tolerance", "nan"],
         ["verify", "--scenario", "interval-left", "--max-n", "3", "--tolerance", "inf"],
         ["verify", "--scenario", "interval-left", "--max-n", "3", "--tolerance=-1e-6"],
+        ["verify", "--scenario", "interval-left", "--max-n", "3", "--tolerance", "-1e-6"],
+        ["verify", "--scenario", "triangle", "--max-n", "2"],
+        ["asymptotics", "exam1.csv", "--kappa", "-1e-3"],
+        ["closed-form", "interval-left", "-n", "3", "--a", "-1e-3"],
     ]
     return cases
 
