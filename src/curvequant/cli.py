@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 any error, 2 solve detected a degenerate
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
+import shutil
 import sys
 import time
 from dataclasses import asdict, replace
@@ -253,6 +255,21 @@ def _names(field: str) -> list[str]:
             if getattr(entry, field) is not None]
 
 
+class _Names:
+    """The `choices` of a scenario argument: `_names(field)`, read from the
+    registry whenever the parser checks a value or writes help, so that a
+    parser built once sees the registry as it is at each call."""
+
+    def __init__(self, field: str):
+        self.field = field
+
+    def __iter__(self):
+        return iter(_names(self.field))
+
+    def __contains__(self, name) -> bool:
+        return name in _names(self.field)
+
+
 def cmd_closed_form(args) -> int:
     n = _limited(args.n, "n", "-n")
     result = scenarios.SCENARIOS[args.scenario].closed_form(
@@ -416,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("closed-form", help="closed-form configuration for a scenario")
-    p.add_argument("scenario", choices=_names("closed_form"))
+    p.add_argument("scenario", choices=_Names("closed_form"))
     p.add_argument("-n", type=int, required=True, help="point count")
     p.add_argument("--a", type=float, default=0.0, help="support left endpoint")
     p.add_argument("--b", type=float, default=1.0, help="support right endpoint")
@@ -428,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser("sweep", help="closed-form error sequence as CSV")
-    p.add_argument("scenario", choices=_names("sweep"))
+    p.add_argument("scenario", choices=_Names("sweep"))
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
     p.add_argument("--output", required=True, help="CSV path, or - for stdout")
@@ -457,10 +474,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(columns: int) -> argparse.ArgumentParser:
+    """The parser, built once per process, and again only when the terminal
+    width changes. Parsing leaves it as it was; help is formatted at the
+    width of its own time, but each subcommand's usage prefix is fixed when
+    the parser is built."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser(shutil.get_terminal_size().columns).parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,10 @@ by level, every merge of a level in the same numpy calls, each level one
 sort of its O(m) piece starts. Both envelopes know the site that owns
 each of their pieces, and voronoi_breakpoints(..., owners=True) hands those
 owners to the cell-state pass along with the cuts, so no nearest-site
-search follows.
+search follows. Both also take a stack of site sets at once: the lines
+are sorted by set before slope, and the sinusoid groups of every set are
+merged in the same numpy calls, so that one cell-state pass serves a whole
+batch of the solver's candidates.
 """
 
 from __future__ import annotations
@@ -143,12 +146,18 @@ def _frame_array(c: Curve, s: np.ndarray):
 
 
 def _sites_array(sites) -> np.ndarray:
-    """Sites as an (m, 2) float array; an array passes through unchanged."""
+    """Sites as an (m, 2) float array; an array (an (R, m, 2) stack too)
+    passes through unchanged."""
     if len(sites) == 0:
         raise ValueError("site list must be nonempty")
     if isinstance(sites, np.ndarray):
         return sites
-    return np.array([(p.x, p.y) for p in sites], dtype=float)
+    # a column from a list of floats converts in a third of the time that
+    # rows from a list of pairs take
+    xy = np.empty((len(sites), 2))
+    xy[:, 0] = [p.x for p in sites]
+    xy[:, 1] = [p.y for p in sites]
+    return xy
 
 
 def _envelope(c: Curve, sites_xy: np.ndarray):
@@ -206,29 +215,36 @@ def _split_pairs(a, e, A, B, KPQ):
     return start[new], owner[new]
 
 
-def _sinusoid_envelope(K, P, Q, lo: float, hi: float):
-    """Lower envelope of the sinusoids K_i + P_i cos t + Q_i sin t on
-    [lo, hi], hi - lo <= 2 pi: (starts, owners) of its pieces, starts[0] = lo,
-    ties to the lower index.
+def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m: int):
+    """Lower envelopes of the sinusoids K_i + P_i cos t + Q_i sin t on
+    [lo, hi], hi - lo <= 2 pi, of each set of m consecutive sites in K, P,
+    Q: (starts, owners) of the pieces, set after set, with owners indexing
+    K; starts[0] of each set is lo, ties go to the lower index.
 
     Divide and conquer (Sharir & Agarwal, Davenport-Schinzel Sequences and
     Their Geometric Applications, 1995): two sinusoids of one frequency cross
     at most twice, so the envelope of k of them has at most 2k - 1 pieces.
-    Group g of level j holds sites g * 2^j to (g + 1) * 2^j - 1, so a piece's
-    group is its owner shifted right by j. Level 1 is each pair in closed
-    form; each further level merges groups 2g and 2g + 1 of the last, all
-    pairs in the same numpy calls: the piece starts of both are sorted
-    together, each side's owner is carried forward over them, and each
-    interval between two starts is split at the crossings of its two
-    owners. Each of the ceil(log2 m) - 1 merge levels sorts O(m) starts
-    (the groups' starts interleave, so they are no presorted runs), which
-    makes O(m log^2 m) in all.
+    Site i of set r is numbered r * 2^w + i, with 2^w >= m, and group g of
+    level j holds numbers g * 2^j to (g + 1) * 2^j - 1, so a piece's group
+    is its owner's number shifted right by j and no group spans two sets.
+    Level 1 is each pair in closed form; each further level merges groups
+    2g and 2g + 1 of the last, all pairs of all sets in the same numpy
+    calls: the piece starts of both are sorted together, each side's owner
+    is carried forward over them, and each interval between two starts is
+    split at the crossings of its two owners. Each of the ceil(log2 m) - 1
+    merge levels sorts O(m) starts per set (the groups' starts interleave,
+    so they are no presorted runs), which makes O(m log^2 m) in all.
     """
-    m = len(K)
+    sets, width = len(K) // m, (m - 1).bit_length()
     KPQ = np.array([K, P, Q, -K, -P, -Q])
     A = np.arange(0, m, 2)
-    start, owner = _split_pairs(np.full(len(A), lo), np.full(len(A), hi),
-                                A, np.minimum(A + 1, m - 1), KPQ)
+    B = np.minimum(A + 1, m - 1)
+    if sets > 1:  # a single set is numbered as it comes
+        KPQ = np.pad(KPQ.reshape(6, sets, m), ((0, 0), (0, 0), (0, (1 << width) - m)))
+        KPQ = KPQ.reshape(6, -1)
+        first = (np.arange(sets) << width)[:, None]
+        A, B = (first + A).ravel(), (first + B).ravel()
+    start, owner = _split_pairs(np.full(len(A), lo), np.full(len(A), hi), A, B, KPQ)
     level = 1
     while m > 1 << level:
         grp = owner >> (level + 1)
@@ -241,8 +257,8 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float):
         on_right = at * ((owner >> level) & 1)
         own_a = owner[np.maximum.accumulate(at - on_right)]
         own_b = owner[np.maximum.accumulate(on_right)]
-        if not ((m - 1) >> level) & 1:  # the last group has no partner
-            alone = grp == (m - 1) >> (level + 1)
+        if not ((m - 1) >> level) & 1:  # the last group of a set has no partner
+            alone = grp & ((1 << (width - level - 1)) - 1) == (m - 1) >> (level + 1)
             own_b[alone] = own_a[alone]
         end = np.empty(len(start))
         end[:-1] = start[1:]
@@ -250,43 +266,73 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float):
         end[-1] = hi
         start, owner = _split_pairs(start, end, own_a, own_b, KPQ)
         level += 1
+    if sets > 1:
+        owner = (owner >> width) * m + (owner & ((1 << width) - 1))
     return start, owner
 
 
-def _line_envelope(K, P):
-    """Lower envelope of the lines K_i + P_i t over all t: (starts, owners)
-    of its pieces, starts[0] = -inf; one sort by slope, then a stack
-    (point-line duality)."""
+def _line_envelope(K, P, m: int):
+    """Lower envelopes of the lines K_i + P_i t over all t, of each set of m
+    consecutive lines in K, P: flat lists (starts, owners) of their pieces,
+    set after set, each set's first start -inf and owners counted within
+    the set, and the index in them where each set's pieces end; one sort by
+    set and slope, then a stack per set (point-line duality)."""
     # steepest ascent first; of parallel lines only the lowest can be on the
     # envelope, ties to the lower index
-    order = np.lexsort((K, -P))
-    hull = []  # (K, P, start, site) of each envelope line so far, start ascending
-    for k, p, i in zip(K[order].tolist(), P[order].tolist(), order.tolist()):
-        if hull and p == hull[-1][1]:
-            continue
-        while hull:
-            top_k, top_p, top_start, _ = hull[-1]
-            start = (k - top_k) / (top_p - p)
-            if start > top_start:
-                break
-            # the new line is below the top one from before the top's own
-            # start on, so the top is nowhere lowest
-            hull.pop()
-        else:
-            start = -math.inf
-        hull.append((k, p, start, i))
-    _, _, starts, owners = zip(*hull)
-    return list(starts), list(owners)
+    order = np.lexsort((K, -P) if len(K) == m else (K, -P, np.arange(len(K)) // m))
+    ks, ps = K[order].tolist(), P[order].tolist()
+    sites = (order % m if len(K) > m else order).tolist()
+    starts, owners, ends = [], [], []
+    for lo in range(0, len(K), m):
+        hull = []  # (K, P, start, site) of each envelope line so far, start ascending
+        top_k = top_p = top_start = None  # those of hull[-1]
+        for k, p, i in zip(ks[lo:lo + m], ps[lo:lo + m], sites[lo:lo + m]):
+            if p == top_p:
+                continue
+            while hull:
+                start = (k - top_k) / (top_p - p)
+                if start > top_start:
+                    break
+                # the new line is below the top one from before the top's own
+                # start on, so the top is nowhere lowest
+                hull.pop()
+                if hull:
+                    top_k, top_p, top_start, _ = hull[-1]
+            else:
+                start = -math.inf
+            hull.append((k, p, start, i))
+            top_k, top_p, top_start = k, p, start
+        _, _, set_starts, set_owners = zip(*hull)
+        starts += set_starts
+        owners += set_owners
+        ends.append(len(starts))
+    return starts, owners, ends
 
 
-def _cuts(starts: list, length: float) -> list:
+def _cuts(starts: list, lo: int, hi: int, length: float) -> list:
     """Cuts in (0, length) from an envelope's ascending piece starts in arc
-    length, dropping cuts within 1e-12 of an endpoint or of the cut before."""
+    length, starts[lo:hi], dropping cuts within 1e-12 of an endpoint or of
+    the cut before."""
     kept = []
-    for s in starts[bisect_right(starts, PARAM_TOL):bisect_left(starts, length - PARAM_TOL)]:
+    for s in starts[bisect_right(starts, PARAM_TOL, lo, hi):
+                    bisect_left(starts, length - PARAM_TOL, lo, hi)]:
         if not kept or s - kept[-1] > PARAM_TOL:
             kept.append(s)
     return kept
+
+
+def _envelopes(c: Curve, stack: np.ndarray):
+    """The lower envelopes of the distance terms along c of every site set
+    of the (R, m, 2) stack: flat lists (starts, owners) of their pieces, set
+    after set, starts in arc length and ascending within a set and owners
+    counted within it, and the index in them where each set's pieces end."""
+    sets, m = stack.shape[:2]
+    t0, scale, K, P, Q = _envelope(c, stack.reshape(-1, 2))
+    if isinstance(c, Segment):
+        return _line_envelope(K, P, m)
+    start, owner = _sinusoid_envelope(K, P, Q, t0, c.theta1, m)
+    ends = np.cumsum(np.bincount(owner // m, minlength=sets)).tolist() if sets > 1 else [len(owner)]
+    return ((start - t0) * scale).tolist(), (owner % m if sets > 1 else owner).tolist(), ends
 
 
 def voronoi_breakpoints(c: Curve, sites, *, owners: bool = False):
@@ -309,28 +355,49 @@ def voronoi_breakpoints(c: Curve, sites, *, owners: bool = False):
     site on each of the len(cuts) + 1 pieces between 0, the cuts and the
     curve length, read off the envelope, so that a Voronoi split needs no
     second nearest-site search.
+
+    sites may also be an (R, m, 2) stack of R site sets. All their
+    envelopes are then built in the same calls (the lines sorted by set
+    before slope, the sinusoid groups of every set merged together), and
+    the result is a list of R entries, each what its set alone gives.
     """
     length = curve_length(c)
-    t0, scale, K, P, Q = _envelope(c, _sites_array(sites))
-    if isinstance(c, Segment):
-        starts, who = _line_envelope(K, P)
-    else:
-        starts, who = _sinusoid_envelope(K, P, Q, t0, c.theta1)
-        starts, who = ((starts - t0) * scale).tolist(), who.tolist()
-    cuts = _cuts(starts, length)
-    if not owners:
-        return cuts
-    # the envelope's owner at the midpoint of each piece between the cuts
-    bounds = [0.0, *cuts, length]
-    return cuts, [who[bisect_right(starts, 0.5 * (s0 + s1)) - 1]
-                  for s0, s1 in zip(bounds, bounds[1:])]
+    xy = _sites_array(sites)
+    starts, who, ends = _envelopes(c, xy if xy.ndim == 3 else xy[None])
+    out = []
+    for lo, hi in zip([0, *ends], ends):
+        cuts = _cuts(starts, lo, hi, length)
+        if not owners:
+            out.append(cuts)
+            continue
+        # the envelope's owner at the midpoint of each piece between the cuts
+        bounds = [0.0, *cuts, length]
+        out.append((cuts, [who[bisect_right(starts, 0.5 * (s0 + s1), lo, hi) - 1]
+                           for s0, s1 in zip(bounds, bounds[1:])]))
+    return out if xy.ndim == 3 else out[0]
 
 
 def _pieces(c: Curve, sites_xy: np.ndarray):
-    """Split c at its breakpoints: arrays (s0, s1, owner), one entry per piece."""
-    cuts, owner = voronoi_breakpoints(c, sites_xy, owners=True)
-    bounds = np.array([0.0, *cuts, curve_length(c)])
-    return bounds[:-1], bounds[1:], np.array(owner)
+    """Split c at its breakpoints: arrays (s0, s1, owner), one entry per
+    piece. For an (R, m, 2) stack the pieces of each site set follow one
+    another, and owner r * m + i is site i of set r."""
+    length = curve_length(c)
+    if sites_xy.ndim == 2:
+        cuts, owner = voronoi_breakpoints(c, sites_xy, owners=True)
+        bounds = np.array([0.0, *cuts, length])
+        return bounds[:-1], bounds[1:], np.array(owner)
+    bounds, owner, count = [], [], []
+    for cuts, who in voronoi_breakpoints(c, sites_xy, owners=True):
+        bounds += [0.0, *cuts, length]
+        owner += who
+        count.append(len(who))
+    bounds = np.array(bounds)
+    # bounds rise within a set, so the step from one set's end to the next
+    # set's start is the only one that is no piece
+    piece = bounds[1:] > bounds[:-1]
+    m = sites_xy.shape[1]
+    return (bounds[:-1][piece], bounds[1:][piece],
+            np.array(owner) + np.repeat(np.arange(0, m * len(count), m), count))
 
 
 def _h_minus_sin(h: np.ndarray) -> np.ndarray:
@@ -378,20 +445,32 @@ def _cell_state(measure: UniformCurveMeasure, sites_xy: np.ndarray):
     arc-length integrals of the position over each cell. pieces holds, per
     curve of the measure, the (s1, owner) arrays of its pieces: s1[k] for
     k < last is the cut between owner[k] and owner[k + 1].
+
+    For an (R, m, 2) stack of site sets the pass serves all R in one
+    voronoi_breakpoints call per curve: distortion is then an (R,) array,
+    masses (R, m) and moments (R, m, 2), and pieces lists the pieces of
+    each set in turn, owner r * m + i being site i of set r. Masses,
+    moments and pieces equal those of R single passes; a distortion may
+    differ from its single pass by the order of summation.
     """
-    m = len(sites_xy)
+    sets, m = (1, len(sites_xy)) if sites_xy.ndim == 2 else sites_xy.shape[:2]
+    flat = sites_xy.reshape(-1, 2)
     total = 0.0
-    lengths = np.zeros(m)
-    moments = np.zeros((m, 2))
+    lengths = np.zeros(sets * m)
+    moments = np.zeros((sets * m, 2))
     pieces = []
     for c in measure.curves:
         s0, s1, owner = _pieces(c, sites_xy)
-        sq, mom = _piece_integrals(c, s0, s1, sites_xy[owner])
-        total += float(sq.sum())
-        lengths += np.bincount(owner, s1 - s0, minlength=m)
+        sq, mom = _piece_integrals(c, s0, s1, flat[owner])
+        # one set sums as numpy does, so that a single pass keeps its bits
+        total += sq.sum() if sets == 1 else np.bincount(owner // m, sq, minlength=sets)
+        lengths += np.bincount(owner, s1 - s0, minlength=sets * m)
         np.add.at(moments, owner, mom)
         pieces.append((s1, owner))
-    return total * measure.density, lengths * measure.density, moments, pieces
+    d, masses = total * measure.density, lengths * measure.density
+    if sites_xy.ndim == 2:
+        return float(d), masses, moments, pieces
+    return np.reshape(d, sets), masses.reshape(sets, m), moments.reshape(sets, m, 2), pieces
 
 
 def distortion(measure: UniformCurveMeasure, sites) -> float:

@@ -7,8 +7,11 @@ the support alone: k-means++ picks among stratified support samples, each
 snapped onto the constraints. A run is a bounded Newton descent on the
 exact Hessian of the distortion, over free coordinates and arc lengths on
 constraint curves: every Voronoi-cell pass yields the gradient and the
-pieces from which the Hessian (2 mass per site, one rank-one term per cut)
-is assembled. Point-set members move to the member nearest their cell
+cuts from which the Hessian (2 mass per site, one rank-one term per cut)
+is summed. The runs descend in lockstep: one cell-state pass serves every
+run it evaluates, and one batched factorization and solve serves every
+run's Newton step, while each run keeps its own shift, line search and
+stopping rules. Point-set members move to the member nearest their cell
 mean. No closed form is consulted, so the solver checks them
 independently. Degenerate (zero-mass) points are reported, not dropped:
 several scenarios hinge on detecting them.
@@ -16,6 +19,7 @@ several scenarios hinge on detecting them.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -284,213 +288,357 @@ def _seed_run(problem: Problem, rng) -> list[TaggedPoint]:
 # ---------------------------------------------------------------------------
 # descent
 
+# restarts descend together in chunks whose stacked Hessians hold at most
+# this many floats
+_HESSIAN_FLOATS = 1 << 22
+# the kind of a descent coordinate that is no curve's arc length: a free
+# point's x or y, or padding beyond the end of a shorter candidate's row
+_FREE, _PAD = -1, -2
+
+
+def _coordinates(problem: Problem, tagged) -> list[tuple]:
+    """A candidate's descent coordinates, each (site, kind, axis, lo, hi,
+    value): x, y of each free point (kind _FREE, axis 0 and 1), then the
+    arc length of each curve-constrained point, boxed to [0, length]
+    (kind the constraint index), constraint by constraint."""
+    out = [(i, _FREE, axis, -np.inf, np.inf, (tp.point.x, tp.point.y)[axis])
+           for i, tp in enumerate(tagged) if tp.kind == "free" for axis in (0, 1)]
+    for ci, cons in enumerate(problem.constraints):
+        if isinstance(cons, CurveConstraint):
+            length = curve_length(cons.curve)
+            out += [(i, ci, 0, 0.0, length, tp.s) for i, tp in enumerate(tagged)
+                    if tp.kind == "constrained" and tp.constraint_index == ci]
+    return out
+
+
+class _Layout(NamedTuple):
+    """Where the descent coordinates of a batch of R candidates with m
+    sites each live: row r of x holds candidate r's coordinates (see
+    _coordinates), padded to the n of the longest row. Each coordinate moves
+    one site along one unit vector; these arrays are that chain, so no dense
+    d(sites)/dx matrix is ever formed."""
+
+    owner: np.ndarray  # (R, n) the site each coordinate moves
+    kind: np.ndarray  # (R, n) constraint index of an arc length, _FREE or _PAD
+    axis: np.ndarray  # (R, n) which coordinate of its site a free one is
+    lo: np.ndarray  # (R, n) box bounds (0 for padding)
+    hi: np.ndarray
+    slots: np.ndarray  # (R, m, 2) the coordinates of each site, n where none
+    tangent: np.ndarray  # (R, n, 2) a free coordinate's unit vector, 0 elsewhere
+    center: np.ndarray  # (R, n, 2) an arc length's circle center, 0 elsewhere
+    radius2: np.ndarray  # (R, n) its squared radius, inf elsewhere
+
+
+def _layout(problem: Problem, candidates) -> tuple[_Layout, np.ndarray]:
+    """The layout of a batch of candidates, and their x."""
+    rows = [_coordinates(problem, tagged) for tagged in candidates]
+    shape = (len(rows), max(map(len, rows)))
+    owner, axis = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
+    kind = np.full(shape, _PAD)
+    lo, hi, x = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    slots = np.full((shape[0], len(candidates[0]), 2), shape[1])
+    for r, coords in enumerate(rows):
+        if coords:
+            k = len(coords)
+            owner[r, :k], kind[r, :k], axis[r, :k], lo[r, :k], hi[r, :k], x[r, :k] = zip(*coords)
+            slots[r, owner[r, :k], axis[r, :k]] = np.arange(k)
+    tangent = np.eye(2)[axis] * (kind == _FREE)[..., None]
+    center, radius2 = np.zeros(shape + (2,)), np.full(shape, np.inf)
+    for ci, cons in enumerate(problem.constraints):
+        if isinstance(cons, CurveConstraint) and isinstance(cons.curve, Arc):
+            on = kind == ci
+            center[on] = (cons.curve.center.x, cons.curve.center.y)
+            radius2[on] = cons.curve.radius ** 2
+    return _Layout(owner, kind, axis, lo, hi, slots, tangent, center, radius2), np.clip(x, lo, hi)
+
 
 class _State(NamedTuple):
-    """One cell-state pass at a descent's x."""
+    """One cell-state pass at x over some rows of a batch, one entry per row."""
 
-    xy: np.ndarray  # the sites
-    distortion: float
-    masses: np.ndarray
-    moments: np.ndarray
-    grad: np.ndarray  # of the distortion in x
-    pieces: list  # per support curve, (s1, owner) of its pieces
-    chain: np.ndarray  # d(site coordinates)/dx, (2 m, x.size)
+    rows: np.ndarray  # the batch rows it covers
+    xy: np.ndarray  # (k, m, 2) the sites
+    distortion: np.ndarray  # (k,)
+    masses: np.ndarray  # (k, m)
+    moments: np.ndarray  # (k, m, 2)
+    grad: np.ndarray  # (k, n) of the distortion in x
+    tangent: np.ndarray  # (k, n, 2) the unit vector each coordinate moves its site along
+    pieces: list  # per support curve, (s1, site, batch row) of its pieces, row after row
 
 
 class _Descent:
-    """Bounded Newton descent on the distortion of one candidate. x holds x,
-    y of each free point, then the arc length of each curve-constrained
-    point, boxed to [0, length]; beta and point-set members stay put. The
-    step solves H d = -g on the coordinates not held at a bound, with the
-    exact Hessian of the state at x (`hessian`), shifted toward the Lloyd
-    diagonal where it is not positive definite (`newton`). It is projected
-    onto the box and halved until it meets the Armijo condition; `finish`
-    takes one last full step. `state` is the cell-state pass at x, and H is
-    assembled only there, never at a rejected trial point.
+    """Bounded Newton descent on the distortion of a batch of candidates of
+    one problem, all rows in lockstep. x holds one row per candidate (see
+    _Layout); beta and point-set members stay put. Every cell-state pass
+    serves all the rows it evaluates at once, and every Newton step solves
+    all rows' systems H d = -g in one call: H is the exact Hessian of the
+    row's state (`hessian`), on the coordinates not held at a bound,
+    shifted toward the Lloyd diagonal where it is not positive definite
+    (`newton`). Each row's step is projected onto the box and halved until
+    it meets the Armijo condition, the rows still searching re-evaluated
+    together; `finish` takes one last full step. `state` holds the
+    cell-state pass at each row's x, and H is assembled only there, never
+    at a rejected trial point.
     """
 
-    def __init__(self, problem: Problem, tagged):
-        self.measure, self.tagged = problem.measure, list(tagged)
-        self.sites = _sites_array([tp.point for tp in tagged])
-        self.free = np.array([i for i, tp in enumerate(tagged) if tp.kind == "free"], dtype=int)
-        nf = 2 * len(self.free)
-        self.curves = []  # (curve, site indices, their x indices), per curve constraint in use
-        for ci, cons in enumerate(problem.constraints):
-            idx = [i for i, tp in enumerate(tagged)
-                   if tp.kind == "constrained" and tp.constraint_index == ci]
-            if idx and isinstance(cons, CurveConstraint):
-                k = nf + sum(len(i) for _, i, _ in self.curves)
-                self.curves.append((cons.curve, np.array(idx), np.arange(k, k + len(idx))))
-        self.owner = np.concatenate([np.repeat(self.free, 2)] + [idx for _, idx, _ in self.curves])
-        self.hi = np.concatenate([np.full(nf, np.inf)] + [
-            np.full(len(idx), curve_length(c)) for c, idx, _ in self.curves])
-        self.lo = np.where(self.hi < np.inf, 0.0, -np.inf)
-        self.x = np.clip(np.concatenate([self.sites[self.free].ravel()] + [
-            [tagged[i].s for i in idx] for _, idx, _ in self.curves]), self.lo, self.hi)
-        # the chain's constant part: a free point's coordinates are its own
-        self.chain = np.zeros((2 * len(tagged), self.x.size))
-        self.chain[(2 * self.free[:, None] + (0, 1)).ravel(), np.arange(nf)] = 1.0
+    def __init__(self, problem: Problem, candidates):
+        self.measure, self.tagged = problem.measure, [list(t) for t in candidates]
+        self.sites = np.array([[(tp.point.x, tp.point.y) for tp in t] for t in candidates])
+        self.layout, self.x = _layout(problem, candidates)
+        self.curves = [(ci, cons.curve) for ci, cons in enumerate(problem.constraints)
+                       if isinstance(cons, CurveConstraint)]
         self.state = self.evaluate(self.x)
 
-    def evaluate(self, x) -> _State:
-        """One cell-state pass at x."""
-        xy = self.sites.copy()
-        xy[self.free] = x[:2 * len(self.free)].reshape(-1, 2)
-        chain = self.chain.copy()
-        for curve, idx, cols in self.curves:
-            # an arc length moves its point along the unit tangent
-            xy[idx], tangent = _frame_array(curve, x[cols])
-            chain[2 * idx, cols], chain[2 * idx + 1, cols] = tangent.T
+    def take(self, row: int) -> _Descent:
+        """One row as a batch of its own, its state included."""
+        one, keep = copy.copy(self), slice(row, row + 1)
+        one.tagged, one.sites, one.x = self.tagged[keep], self.sites[keep], self.x[keep].copy()
+        one.layout = _Layout(*(a[keep] for a in self.layout))
+        pieces = []
+        for s1, site, r in self.state.pieces:
+            mine = r == row
+            pieces.append((s1[mine], site[mine], np.zeros(mine.sum(), dtype=int)))
+        one.state = _State(np.zeros(1, dtype=int),
+                           *(a[keep].copy() for a in self.state[1:-1]), pieces)
+        return one
+
+    def evaluate(self, x, rows=None) -> _State:
+        """One cell-state pass at x, whose row k is x of the batch's row
+        rows[k] (every row by default)."""
+        rows = np.arange(len(self.x)) if rows is None else rows
+        lay = self.layout
+        owner, kind = lay.owner[rows], lay.kind[rows]
+        xy, tangent = self.sites[rows], lay.tangent[rows]
+        r, k = np.nonzero(kind == _FREE)
+        xy[r, owner[r, k], lay.axis[rows][r, k]] = x[r, k]
+        for ci, curve in self.curves:
+            r, k = np.nonzero(kind == ci)
+            if r.size:
+                # an arc length moves its point along the unit tangent
+                xy[r, owner[r, k]], tangent[r, k] = _frame_array(curve, x[r, k])
         d, masses, moments, pieces = _exact_state(self.measure, xy)
         # dD/dp_i = 2 (mass_i p_i - moment_i / L), chained to x
-        grad = 2.0 * (masses[:, None] * xy - moments * self.measure.density)
-        return _State(xy, d, masses, moments, grad.ravel() @ chain, pieces, chain)
+        g = 2.0 * (masses[..., None] * xy - moments * self.measure.density)
+        grad = (np.take_along_axis(g, owner[..., None], axis=1) * tangent).sum(axis=2)
+        m = xy.shape[1]
+        return _State(rows, xy, d, masses, moments, grad, tangent,
+                      [(s1, owner_ % m, rows[owner_ // m]) for s1, owner_ in pieces])
 
-    def hessian(self) -> np.ndarray:
-        """The exact Hessian of the distortion in x at the current state.
+    def _accept(self, new: _State, ok, x) -> None:
+        """Move the rows of new where ok to x and their state in new."""
+        rows = new.rows[ok]
+        self.x[rows] = x[ok]
+        for old, fresh in zip(self.state[1:-1], new[1:-1]):
+            old[rows] = fresh[ok]
+        taken = np.zeros(len(self.x), dtype=bool)
+        taken[rows] = True
+        pieces = []
+        for old, fresh in zip(self.state.pieces, new.pieces):
+            keep, add = ~taken[old[2]], taken[fresh[2]]
+            pieces.append(tuple(np.concatenate([a[keep], b[add]]) for a, b in zip(old, fresh)))
+        self.state = self.state._replace(pieces=pieces)
+
+    def hessian(self, rows) -> np.ndarray:
+        """The exact Hessians of the distortion in x at the states of the
+        given rows: a (len(rows), n, n) stack.
 
         In the sites it is 2 mass_i I on each diagonal block, minus
         4 / (L phi') w w^T for each cut x = c(t) between a left owner i and
         a right owner j: phi' = 2 c'(t).(p_j - p_i) is the rate at which the
         two squared distances part there, and w holds p_i - x in block i and
-        x - p_j in block j, so the cut moves by -2 w.dp / phi'. It reaches x
-        through the chain, whose columns are unit vectors, so the mass term
-        stays 2 mass_i on the diagonal; a point on an arc also gets
-        g_i . c''(s_i) = -g_i . (p_i - center) / r^2 there.
+        x - p_j in block j, so the cut moves by -2 w.dp / phi'. Each
+        coordinate moves one site along a unit vector, so the mass term
+        stays 2 mass_i on the diagonal, a cut's term touches at most the
+        four coordinates of its two sites, and a point on an arc also gets
+        g_i . c''(s_i) = -g_i . (p_i - center) / r^2 there. The terms of all
+        cuts of all rows are summed into the stack by one bincount.
         """
-        xy, _, masses, moments, _, pieces, chain = self.state
-        left, right, at, tangent = [], [], [], []
-        for c, (s1, owner) in zip(self.measure.curves, pieces):
-            k = np.flatnonzero(owner[:-1] != owner[1:])
-            left.append(owner[k])
-            right.append(owner[k + 1])
+        state, lay, n = self.state, self.layout, self.x.shape[1]
+        at_row = np.full(len(self.x), -1)
+        at_row[rows] = np.arange(len(rows))
+        row, left, right, at, tangent = [], [], [], [], []
+        for c, (s1, site, r) in zip(self.measure.curves, state.pieces):
+            k = np.flatnonzero((site[:-1] != site[1:]) & (r[:-1] == r[1:]))
+            k = k[at_row[r[k]] >= 0]
+            row.append(r[k])
+            left.append(site[k])
+            right.append(site[k + 1])
             point, tau = _frame_array(c, s1[k])
             at.append(point)
             tangent.append(tau)
-        i, j, at = np.concatenate(left), np.concatenate(right), np.concatenate(at)
-        rate = 2.0 * ((xy[j] - xy[i]) * np.concatenate(tangent)).sum(axis=1)
+        r, i, j, at, tau = map(np.concatenate, (row, left, right, at, tangent))
+        p_i, p_j = state.xy[r, i], state.xy[r, j]
+        rate = 2.0 * ((p_j - p_i) * tau).sum(axis=1)
         # a rate that is not positive (sites equal up to rounding) adds nothing
         weight = np.sqrt(4.0 * self.measure.density / np.where(rate > 0.0, rate, np.inf))[:, None]
-        # one row per cut, sqrt(4 / (L phi')) w in the site coordinates,
-        # then chained to x
-        w = np.zeros((len(i), len(xy), 2))
-        cut = np.arange(len(i))
-        w[cut, i] = weight * (xy[i] - at)
-        w[cut, j] = weight * (at - xy[j])
-        rows = w.reshape(len(i), len(chain)) @ chain
-        diag = 2.0 * masses[self.owner]
-        for curve, idx, cols in self.curves:
-            if isinstance(curve, Arc):
-                g = 2.0 * (masses[idx, None] * xy[idx] - moments[idx] * self.measure.density)
-                diag[cols] -= ((xy[idx] - (curve.center.x, curve.center.y)) * g).sum(
-                    axis=1) / curve.radius ** 2
-        return np.diag(diag) - rows.T @ rows
+        # per cut, the coordinates of i and then of j (n for none), and
+        # sqrt(4 / (L phi')) w chained to each
+        slot = np.concatenate([lay.slots[r, i], lay.slots[r, j]], axis=1)
+        w = np.stack([weight * (p_i - at)] * 2 + [weight * (at - p_j)] * 2, axis=1)
+        v = (w * state.tangent[r[:, None], np.minimum(slot, n - 1)]).sum(axis=2)
+        both = (slot[:, :, None] < n) & (slot[:, None, :] < n)
+        flat = (at_row[r][:, None, None] * n + slot[:, :, None]) * n + slot[:, None, :]
+        # (without cuts bincount counts in integers)
+        H = np.bincount(flat[both], (-v[:, :, None] * v[:, None, :])[both],
+                        minlength=len(rows) * n * n).astype(float, copy=False)
+        H = H.reshape(len(rows), n, n)
+        own = lay.owner[rows]
+        xy = np.take_along_axis(state.xy[rows], own[..., None], axis=1)
+        masses = np.take_along_axis(state.masses[rows], own, axis=1)
+        g = 2.0 * (masses[..., None] * xy - np.take_along_axis(
+            state.moments[rows], own[..., None], axis=1) * self.measure.density)
+        diag = 2.0 * masses - ((xy - lay.center[rows]) * g).sum(axis=2) / lay.radius2[rows]
+        H.reshape(len(rows), n * n)[:, ::n + 1] += np.where(lay.kind[rows] != _PAD, diag, 0.0)
+        return H
 
-    def newton(self, live) -> np.ndarray:
-        """The Newton step -H^-1 g on the live coordinates. Where H is not
-        positive definite there, it is shifted toward the Lloyd diagonal:
-        H + lam diag(2 max(mass, MASS_TOL)), with lam the least that lifts the
-        Gershgorin bound of the shifted matrix, in the Lloyd scale, to 1/10."""
-        H, g = self.hessian()[live][:, live], self.state.grad[live]
+    def newton(self, rows, live) -> np.ndarray:
+        """The Newton steps -H^-1 g of the given rows on their live
+        coordinates, zero elsewhere. Where a row's H is not positive
+        definite there, it is shifted toward the Lloyd diagonal:
+        H + lam diag(2 max(mass, MASS_TOL)), with lam the least that lifts
+        the Gershgorin bound of the shifted matrix, in the Lloyd scale, to
+        1/10. The other coordinates get the identity, so that every row is
+        factored, tested and solved in the same calls."""
+        H = self.hessian(rows)
+        H *= live[:, :, None]
+        H *= live[:, None, :]
+        r, k = np.nonzero(~live)
+        H[r, k, k] = 1.0
         try:
-            factor = np.linalg.cholesky(H)
+            np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
-            lloyd = 2.0 * np.maximum(self.state.masses[self.owner[live]], MASS_TOL)
-            S = H / np.sqrt(np.outer(lloyd, lloyd))
-            low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
-            factor = np.linalg.cholesky(H + (0.1 - float(low.min())) * np.diag(lloyd))
-        inverse = np.linalg.inv(factor)
-        return -(inverse.T @ (inverse @ g))
+            for p, row in enumerate(rows):
+                try:
+                    np.linalg.cholesky(H[p])
+                except np.linalg.LinAlgError:
+                    lloyd = 2.0 * np.maximum(self.state.masses[row, self.layout.owner[row]], MASS_TOL)
+                    S = H[p] / np.sqrt(np.outer(lloyd, lloyd))
+                    low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
+                    on = np.flatnonzero(live[p])
+                    H[p, on, on] += (0.1 - float(low[on].min())) * lloyd[on]
+        g = np.where(live, self.state.grad[rows], 0.0)
+        return -np.linalg.solve(H, g[..., None])[..., 0]
 
-    def direction(self):
-        """The Newton step at x, zero where a coordinate is held at a bound;
-        None when no coordinate it may move has a gradient."""
-        x, g, lo, hi = self.x, self.state.grad, self.lo, self.hi
+    def direction(self, rows):
+        """The Newton steps at x of the given rows, zero where a coordinate
+        is held at a bound, and which rows have one: a row none of whose
+        movable coordinates has a gradient has none."""
+        lay = self.layout
+        x, g, lo, hi = self.x[rows], self.state.grad[rows], lay.lo[rows], lay.hi[rows]
         # hold coordinates at a bound that the gradient pushes outward; a
         # point without a cell has no gradient and no curvature
         live = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        live &= self.state.masses[self.owner] > 0.0
-        if not g[live].any():
-            return None
+        live &= np.take_along_axis(self.state.masses[rows], lay.owner[rows], axis=1) > 0.0
+        live &= lay.kind[rows] != _PAD
+        moving = np.where(live, g, 0.0).any(axis=1)
         d = np.zeros_like(x)
-        d[live] = self.newton(live)
+        if moving.any():
+            d[moving] = self.newton(rows[moving], live[moving])
         d[((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
-        return d
+        return d, moving
 
-    def run(self, tol: float, max_iters: int) -> bool:
-        """Iterate until an iteration improves the distortion by less than
-        tol, or no step improves it beyond rounding (True), or for max_iters
-        iterations (False)."""
-        lo, hi = self.lo, self.hi
-        for _ in range(max_iters if self.x.size else 0):
-            x, f, g = self.x, self.state.distortion, self.state.grad
-            d = self.direction()
-            if d is None or -(g @ d) <= _ROUNDING * f:
-                return True
-            step = 1.0
+    def run(self, tol: float, max_iters: int) -> np.ndarray:
+        """Iterate every row until an iteration improves its distortion by
+        less than tol, or no step improves it beyond rounding (True), or for
+        max_iters iterations (False); a row without coordinates stops at
+        once (True). Returns the rows' flags."""
+        lay = self.layout
+        active = np.flatnonzero((lay.kind != _PAD).any(axis=1))
+        for _ in range(max_iters):
+            if not active.size:
+                break
+            f, g = self.state.distortion[active], self.state.grad[active]
+            d, moving = self.direction(active)
+            go = moving & (-(g * d).sum(axis=1) > _ROUNDING * f)
+            active, f, g, d = active[go], f[go], g[go], d[go]
+            x, lo, hi = self.x[active], lay.lo[active], lay.hi[active]
+            step, search = np.ones(len(active)), np.arange(len(active))
+            reached = np.full(len(active), np.nan)
             for _ in range(_HALVINGS):
-                x_new = np.clip(x + step * d, lo, hi)
-                new = self.evaluate(x_new)
-                if new.distortion <= f + _ARMIJO * (g @ (x_new - x)):
+                if not search.size:
                     break
-                step *= 0.5
-            else:
-                return True
-            self.x, self.state = x_new, new
-            if f - new.distortion < max(tol, _ROUNDING * f):
-                return True
-        return not self.x.size
+                x_new = np.clip(x[search] + step[search, None] * d[search], lo[search], hi[search])
+                new = self.evaluate(x_new, active[search])
+                ok = new.distortion <= f[search] + _ARMIJO * (
+                    g[search] * (x_new - x[search])).sum(axis=1)
+                self._accept(new, ok, x_new)
+                reached[search[ok]] = new.distortion[ok]
+                search = search[~ok]
+                step[search] *= 0.5
+            # a row stops when its line search fails or its iteration
+            # improved too little (the comparison with nan is False)
+            active = active[f - reached >= np.maximum(tol, _ROUNDING * f)]
+        converged = np.ones(len(self.x), dtype=bool)
+        converged[active] = False
+        return converged
 
     def finish(self) -> None:
-        """One more full Newton step, kept unless it raises the distortion
-        beyond rounding. The stop rules judge by the distortion, which a
-        coordinate error moves only by its square, so they leave the
+        """One more full Newton step on every row, kept unless it raises the
+        distortion beyond rounding. The stop rules judge by the distortion,
+        which a coordinate error moves only by its square, so they leave the
         coordinates about sqrt(eps D / mass) off; one Newton step from there
         squares that error."""
-        d = self.direction()
-        if d is not None:
-            x_new = np.clip(self.x + d, self.lo, self.hi)
-            new = self.evaluate(x_new)
-            if new.distortion <= self.state.distortion * (1.0 + _ROUNDING):
-                self.x, self.state = x_new, new
+        rows = np.arange(len(self.x))
+        d, moving = self.direction(rows)
+        rows = rows[moving]
+        if rows.size:
+            x_new = np.clip(self.x[rows] + d[moving], self.layout.lo[rows], self.layout.hi[rows])
+            new = self.evaluate(x_new, rows)
+            self._accept(new, new.distortion <= self.state.distortion[rows] * (1.0 + _ROUNDING),
+                         x_new)
 
-    def result(self):
-        """The tagged points at x."""
-        nf, xy = 2 * len(self.free), self.state.xy
-        params = dict(zip(self.owner[nf:].tolist(), self.x[nf:].tolist()))
+    def result(self, row: int) -> list[TaggedPoint]:
+        """The tagged points of a row at its x."""
+        lay, xy = self.layout, self.state.xy[row]
+        curve = lay.kind[row] >= 0
+        params = dict(zip(lay.owner[row, curve].tolist(), self.x[row, curve].tolist()))
         return [replace(tp, point=Point2(*xy[i].tolist()), s=params.get(i))
-                if tp.kind == "free" or i in params else tp for i, tp in enumerate(self.tagged)]
+                if tp.kind == "free" or i in params else tp
+                for i, tp in enumerate(self.tagged[row])]
 
 
-def _nearest_members(problem: Problem, run: _Descent):
-    """run's points with each positive-mass point-set member moved to the
+def _nearest_members(problem: Problem, run: _Descent, row: int):
+    """A row's points with each positive-mass point-set member moved to the
     member nearest its cell mean; None when no member moves."""
-    masses, moments = run.state.masses, run.state.moments
+    masses, moments = run.state.masses[row], run.state.moments[row]
     moved = {}
-    for i, tp in enumerate(run.tagged):
+    for i, tp in enumerate(run.tagged[row]):
         cons = problem.constraints[tp.constraint_index] if tp.kind == "constrained" else None
         if isinstance(cons, PointSetConstraint) and masses[i] > 1e-12:
             mx, my = moments[i] / (masses[i] * problem.measure.total_length)
             k = int(np.argmin([(p.x - mx) ** 2 + (p.y - my) ** 2 for p in cons.points]))
             if k != int(tp.s):
                 moved[i] = TaggedPoint("constrained", cons.points[k], tp.constraint_index, float(k))
-    return [moved.get(i, tp) for i, tp in enumerate(run.result())] if moved else None
+    return [moved.get(i, tp) for i, tp in enumerate(run.result(row))] if moved else None
 
 
-def _descend(problem: Problem, tagged, options: SolverOptions):
-    """Bounded Newton descent on the exact Hessian to param_tol, then
-    nearest-member moves of point-set members, repeated while the moves
-    lower the distortion by at least param_tol. Returns the best descent;
-    its `converged` says whether the Newton descent reached param_tol."""
-    best = None
-    while tagged is not None:
-        run = _Descent(problem, tagged)
-        run.converged = run.run(options.param_tol, options.max_iters)
-        if best is not None and (run.state.distortion
-                                 > best.state.distortion - options.param_tol):
-            break
-        best = run
-        tagged = _nearest_members(problem, run)
+def _distortion(descent) -> float:
+    """The distortion of a (batch, row, converged) descent."""
+    run, row, _ = descent
+    return run.state.distortion[row]
+
+
+def _descend(problem: Problem, candidates, options: SolverOptions) -> list[tuple]:
+    """Bounded Newton descent of every candidate to param_tol, in lockstep,
+    then nearest-member moves of point-set members, repeated while the
+    moves lower a candidate's distortion by at least param_tol; the
+    candidates that moved descend again together. Returns each candidate's
+    best descent as (batch, row, converged), converged saying whether its
+    Newton descent reached param_tol."""
+    best = [None] * len(candidates)
+    todo = dict(enumerate(candidates))
+    while todo:
+        run = _Descent(problem, list(todo.values()))
+        converged = run.run(options.param_tol, options.max_iters)
+        moved = {}
+        for row, k in enumerate(todo):
+            if best[k] is not None and (run.state.distortion[row]
+                                        > _distortion(best[k]) - options.param_tol):
+                continue
+            best[k] = (run, row, bool(converged[row]))
+            tagged = _nearest_members(problem, run, row)
+            if tagged is not None:
+                moved[k] = tagged
+        todo = moved
     return best
 
 
@@ -498,25 +646,32 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     """Best quantizer over options.restarts k-means++ seeded runs.
 
     Each run draws its seeds from stratified samples of the support (see
-    _seed_run) and descends by bounded Newton on the exact Hessian of the
-    distortion to param_tol. The winner (lowest distortion, earliest run on
+    _seed_run), all runs' seeds first, in run order. The runs then descend
+    together by bounded Newton on the exact Hessian of the distortion to
+    param_tol, in chunks whose stacked Hessians hold at most
+    _HESSIAN_FLOATS floats. The winner (lowest distortion, earliest run on
     ties) then descends on until an iteration no longer improves it beyond
-    rounding, and takes one last full Newton step, which fixes its points to
-    rounding and not only its distortion.
+    rounding, and takes one last full Newton step, which fixes its points
+    to rounding and not only its distortion.
     """
     options = options or SolverOptions()
     rng = np.random.default_rng(options.rng_seed)
+    seeds = [_seed_run(problem, rng) for _ in range(options.restarts)]
+    size = max(len(_coordinates(problem, tagged)) for tagged in seeds)
+    chunk = max(1, _HESSIAN_FLOATS // max(size, 1) ** 2)
     best = None
-    for _ in range(options.restarts):
-        run = _descend(problem, _seed_run(problem, rng), options)
-        if best is None or run.state.distortion < best.state.distortion - 1e-15:
-            best = run
-    best.run(0.0, options.max_iters)
-    best.finish()
-    d, masses = best.state.distortion, best.state.masses
+    for start in range(0, len(seeds), chunk):
+        for run in _descend(problem, seeds[start:start + chunk], options):
+            if best is None or _distortion(run) < _distortion(best) - 1e-15:
+                best = run
+    batch, row, converged = best
+    winner = batch.take(row)
+    winner.run(0.0, options.max_iters)
+    winner.finish()
+    d, masses = float(winner.state.distortion[0]), winner.state.masses[0]
     degenerate = tuple(i for i, m in enumerate(masses) if m <= MASS_TOL)
-    return Quantizer(tuple(best.result()), d, tuple(float(m) for m in masses),
-                     best.converged, degenerate)
+    return Quantizer(tuple(winner.result(0)), d, tuple(float(m) for m in masses),
+                     converged, degenerate)
 
 
 def existence_check(problem: Problem, options: SolverOptions | None = None) -> ExistenceReport:
@@ -542,7 +697,7 @@ def sandwich_check(problem: Problem, options: SolverOptions | None = None) -> Sa
     reports whether v_n <= v_cond_n <= v_(n-l) holds to solver tolerance.
     """
     ell = len(problem.beta)
-    if problem.n <= ell and ell == 0:
+    if ell == 0 or problem.n <= ell:
         raise ValueError("need n > l with a nonempty conditional set")
     for b in problem.beta:
         if not _beta_inside_constraints(problem, b):

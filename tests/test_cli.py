@@ -622,3 +622,23 @@ class TestDeterminism:
             assert main(["--seed", "42", "sweep", "semicircle", "--from", "3",
                          "--to", "40", "--output", str(target)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestKeptParser:
+    def test_built_once_and_reads_the_registry_live(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["closed-form", "interval-left", "-n", "2"]) == 0
+        assert main(["closed-form", "no-such-family", "-n", "2"]) == 1
+        assert "invalid choice: 'no-such-family'" in capsys.readouterr().err
+        # a name registered after the parser was built is a valid choice
+        monkeypatch.setitem(scenarios.SCENARIOS, "no-such-family",
+                            scenarios.SCENARIOS["interval-left"])
+        assert main(["closed-form", "no-such-family", "-n", "2"]) == 0
+        with pytest.raises(SystemExit):
+            main(["closed-form", "--help"])
+        assert "no-such-family" in capsys.readouterr().out
+        assert len(built) == 1

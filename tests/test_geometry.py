@@ -603,3 +603,24 @@ def test_closed_form_sets_at_large_n(n):
         masses = voronoi_masses(measure, sites)
         assert len(masses) == n and min(masses) > 0.0
         assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stacked_breakpoints_equal_one_set_at_a_time():
+    # R site sets in one call: the lines are sorted by set before slope and
+    # the sinusoid groups of every set merge together, without changing a bit
+    rng = np.random.default_rng(29)
+    curves = [c for curves, _ in _partition_cases() for c in curves]
+    for k, c in enumerate(curves):
+        m = k % 13 + 1  # powers of two and the sizes between
+        stack = rng.uniform(-2.5, 2.5, (k % 5 + 1, m, 2))
+        stack[0, m // 2:] = stack[0, :m - m // 2]  # duplicate sites
+        together = voronoi_breakpoints(c, stack, owners=True)
+        assert voronoi_breakpoints(c, stack) == [cuts for cuts, _ in together]
+        assert together == [voronoi_breakpoints(c, xy, owners=True) for xy in stack]
+        s0, s1, owner = _pieces(c, stack)
+        for r, xy in enumerate(stack):
+            mine = owner // m == r
+            one = _pieces(c, xy)
+            np.testing.assert_array_equal(s0[mine], one[0])
+            np.testing.assert_array_equal(s1[mine], one[1])
+            np.testing.assert_array_equal(owner[mine] - r * m, one[2])

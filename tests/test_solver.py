@@ -12,7 +12,17 @@ import curvequant.allocation as allocation
 import curvequant.closed_form as cf
 from curvequant import scenarios as sc
 import curvequant.solver as solver_module
-from curvequant.geometry import Point2, Segment, UniformCurveMeasure, distortion, voronoi_masses
+from curvequant.geometry import (
+    Arc,
+    Point2,
+    Segment,
+    UniformCurveMeasure,
+    _cell_state,
+    _frame_array,
+    distortion,
+    voronoi_breakpoints,
+    voronoi_masses,
+)
 from curvequant.solver import (
     MASS_TOL,
     CurveConstraint,
@@ -179,12 +189,18 @@ class TestLloydStep:
         assert (nxt[0].point.x, nxt[0].point.y) == (0.0, 0.0)
 
 
+def one_descent(problem, rng):
+    """A batch of one candidate, seeded from the data."""
+    return _Descent(problem, [_seed_run(problem, rng)])
+
+
 def central_differences(descent, x, h=1e-6):
     out = np.empty_like(x)
     for k in range(x.size):
         e = np.zeros_like(x)
         e[k] = h
-        out[k] = (descent.evaluate(x + e)[1] - descent.evaluate(x - e)[1]) / (2.0 * h)
+        out[k] = (descent.evaluate((x + e)[None]).distortion[0]
+                  - descent.evaluate((x - e)[None]).distortion[0]) / (2.0 * h)
     return out
 
 
@@ -201,16 +217,16 @@ class TestGradient:
     def test_matches_central_differences(self, problem):
         rng = np.random.default_rng(5)
         for _ in range(3):
-            descent = _Descent(problem, _seed_run(problem, rng))
-            x = descent.x
+            descent = one_descent(problem, rng)
+            x = descent.x[0]
             if isinstance(problem.constraints[0], FreePlane):
                 x = x + rng.normal(0.0, 0.05, x.size)
-            state = descent.evaluate(x)
-            masses, grad = state.masses, state.grad
+            state = descent.evaluate(x[None])
+            masses, grad = state.masses[0], state.grad[0]
             assert (masses > 1e-6).all()
             if not isinstance(problem.constraints[0], FreePlane):
                 # every curve point sits strictly inside its curve
-                assert ((x > 1e-3) & (x < descent.hi - 1e-3)).all()
+                assert ((x > 1e-3) & (x < descent.layout.hi[0] - 1e-3)).all()
             want = central_differences(descent, x)
             assert grad == pytest.approx(want, rel=1e-6, abs=1e-9)
 
@@ -220,7 +236,8 @@ def central_hessian(descent, x, h=1e-6):
     for k in range(x.size):
         e = np.zeros_like(x)
         e[k] = h
-        out[:, k] = (descent.evaluate(x + e).grad - descent.evaluate(x - e).grad) / (2.0 * h)
+        out[:, k] = (descent.evaluate((x + e)[None]).grad[0]
+                     - descent.evaluate((x - e)[None]).grad[0]) / (2.0 * h)
     return out
 
 
@@ -238,17 +255,157 @@ class TestHessian:
     def test_matches_central_differences(self, problem):
         rng = np.random.default_rng(5)
         for _ in range(3):
-            descent = _Descent(problem, _seed_run(problem, rng))
-            x = descent.x
+            descent = one_descent(problem, rng)
+            x = descent.x[0]
             if isinstance(problem.constraints[0], FreePlane):
                 # small enough that no cell of the six points on [0, 1] empties
                 x = x + rng.normal(0.0, 0.01, x.size)
-            descent.x, descent.state = x, descent.evaluate(x)
+            descent.x, descent.state = x[None], descent.evaluate(x[None])
             assert (descent.state.masses > 1e-6).all()
             if not isinstance(problem.constraints[0], FreePlane):
-                assert ((x > 1e-3) & (x < descent.hi - 1e-3)).all()
+                assert ((x > 1e-3) & (x < descent.layout.hi[0] - 1e-3)).all()
             want = central_hessian(descent, x)
-            assert descent.hessian() == pytest.approx(want, rel=1e-6, abs=1e-9)
+            assert descent.hessian(np.arange(1))[0] == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+
+def seed_batch(problem, count, rng_seed=3):
+    """count data-driven seeds of a problem, as solve draws them."""
+    rng = np.random.default_rng(rng_seed)
+    return [_seed_run(problem, rng) for _ in range(count)]
+
+
+def dense_hessian(problem, descent, row):
+    """One batch row's Hessian assembled densely, as the per-restart descent
+    did: per cut a row w over all site coordinates, from the row's own
+    breakpoints, chained to x by the dense d(sites)/dx matrix."""
+    state, layout = descent.state, descent.layout
+    xy, masses, moments = state.xy[row], state.masses[row], state.moments[row]
+    real = layout.kind[row] != solver_module._PAD
+    owner = layout.owner[row]
+    chain = np.zeros((2 * len(xy), descent.x.shape[1]))
+    for k in np.flatnonzero(real):
+        chain[2 * owner[k]:2 * owner[k] + 2, k] = state.tangent[row, k]
+    left, right, at, tangent = [], [], [], []
+    for c in problem.measure.curves:
+        cuts, who = voronoi_breakpoints(c, xy, owners=True)
+        left += who[:-1]
+        right += who[1:]
+        point, tau = _frame_array(c, np.array(cuts))
+        at.append(point)
+        tangent.append(tau)
+    i, j, at, tangent = np.array(left), np.array(right), np.concatenate(at), np.concatenate(tangent)
+    rate = 2.0 * ((xy[j] - xy[i]) * tangent).sum(axis=1)
+    weight = np.sqrt(4.0 * problem.measure.density / np.where(rate > 0.0, rate, np.inf))[:, None]
+    w = np.zeros((len(i), len(xy), 2))
+    cut = np.arange(len(i))
+    w[cut, i] = weight * (xy[i] - at)
+    w[cut, j] = weight * (at - xy[j])
+    rows = w.reshape(len(i), -1) @ chain
+    diag = np.where(real, 2.0 * masses[owner], 0.0)
+    g = 2.0 * (masses[:, None] * xy - moments * problem.measure.density)
+    for ci, cons in enumerate(problem.constraints):
+        if isinstance(cons, CurveConstraint) and isinstance(cons.curve, Arc):
+            k = np.flatnonzero(layout.kind[row] == ci)
+            center = (cons.curve.center.x, cons.curve.center.y)
+            diag[k] -= ((xy[owner[k]] - center) * g[owner[k]]).sum(axis=1) / cons.curve.radius ** 2
+    return np.diag(diag) - rows.T @ rows
+
+
+def assert_hessians_match_dense(problem, descent):
+    stack = descent.hessian(np.arange(len(descent.x)))
+    for row, H in enumerate(stack):
+        want = dense_hessian(problem, descent, row)
+        assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max(), row
+
+
+class TestBatch:
+    """The lockstep descent's batched passes against one candidate at a time."""
+
+    @pytest.mark.parametrize("name", list(sc.GALLERY))
+    def test_stacked_state_equals_single_passes(self, name):
+        problem = sc.GALLERY[name].build(sc.GALLERY[name].n_range[1])
+        sites = np.array([[(tp.point.x, tp.point.y) for tp in seed]
+                          for seed in seed_batch(problem, 16)])
+        d, masses, moments, pieces = _cell_state(problem.measure, sites)
+        m = sites.shape[1]
+        for r, xy in enumerate(sites):
+            d1, masses1, moments1, pieces1 = _cell_state(problem.measure, xy)
+            np.testing.assert_array_equal(masses[r], masses1)
+            np.testing.assert_array_equal(moments[r], moments1)
+            assert d[r] == pytest.approx(d1, rel=1e-15, abs=0.0)
+            for (s1, owner), (s1_one, owner_one) in zip(pieces, pieces1):
+                mine = owner // m == r
+                np.testing.assert_array_equal(s1[mine], s1_one)
+                np.testing.assert_array_equal(owner[mine] - r * m, owner_one)
+
+    @pytest.mark.parametrize("name", list(sc.GALLERY))
+    def test_hessians_equal_dense_oracle_on_gallery(self, name):
+        entry = sc.GALLERY[name]
+        # from one above the first n, where every family has a coordinate
+        for n in range(entry.n_range[0] + 1, entry.n_range[1] + 1, 3):
+            problem = entry.build(n)
+            descent = _Descent(problem, seed_batch(problem, 6, rng_seed=n))
+            assert_hessians_match_dense(problem, descent)
+            # the rows stop at different iterations, their states merged
+            # from different passes
+            descent.run(1e-10, 5)
+            assert_hessians_match_dense(problem, descent)
+
+    def test_hessians_equal_dense_oracle_anywhere_in_the_plane(self):
+        # free points off the support, as a descent may pass them: a site
+        # far ahead of another along a curve's tangent, yet farther from it,
+        # still must not couple to it across the end of the curve
+        problem = Problem(sc.semicircle_measure(), (FreePlane(),), 7, beta=(Point2(-1.0, 0.0),))
+        rng = np.random.default_rng(17)
+        candidates = [[TaggedPoint("beta", Point2(-1.0, 0.0))]
+                      + tag_free(*rng.uniform(-3.0, 3.0, (6, 2))) for _ in range(8)]
+        assert_hessians_match_dense(problem, _Descent(problem, candidates))
+
+    def test_accepting_some_rows_equals_a_fresh_pass(self):
+        problem = sc.triangle_problem(7)
+        descent = _Descent(problem, seed_batch(problem, 5))
+        rows = np.array([0, 2, 3])
+        rng = np.random.default_rng(2)
+        x = np.clip(descent.x[rows] + rng.normal(0.0, 0.05, descent.x[rows].shape),
+                    descent.layout.lo[rows], descent.layout.hi[rows])
+        descent._accept(descent.evaluate(x, rows), np.array([True, False, True]), x)
+        fresh = descent.evaluate(descent.x)
+        for merged, want in zip(descent.state[:-1], fresh[:-1]):
+            np.testing.assert_array_equal(merged, want)
+        for merged, want in zip(descent.state.pieces, fresh.pieces):
+            # the same pieces, rows in another order
+            key = np.lexsort((merged[0], merged[2]))
+            for a, b in zip(merged, want):
+                np.testing.assert_array_equal(a[key], b)
+        assert_hessians_match_dense(problem, descent)
+
+    @pytest.mark.parametrize("build", [sc.semicircle_problem, sc.triangle_problem],
+                             ids=["semicircle", "triangle"])
+    def test_hessians_equal_dense_oracle_at_n400(self, build):
+        problem = build(400)
+        descent = _Descent(problem, seed_batch(problem, 2))
+        assert_hessians_match_dense(problem, descent)
+
+    def test_rows_of_different_lengths(self):
+        # point-set members take no coordinate, so a candidate with more of
+        # them has a shorter row, padded
+        members = (Point2(0.2, 0.0), Point2(0.5, 0.0), Point2(0.9, 0.0))
+        measure = sc.interval_measure()
+        problem = Problem(measure, (PointSetConstraint(members),
+                                    CurveConstraint(measure.curves[0])), 3)
+        line = [TaggedPoint("constrained", Point2(s, 0.0), 1, s) for s in (0.1, 0.45, 0.7)]
+        mixed = [TaggedPoint("constrained", members[0], 0, 0.0)] + line[1:]
+        descent = _Descent(problem, [line, mixed])
+        assert descent.x.shape == (2, 3)
+        assert list(descent.layout.kind[1]) == [1, 1, solver_module._PAD]
+        assert_hessians_match_dense(problem, descent)
+        converged = descent.run(1e-12, 100)
+        assert converged.all()
+        for row, tagged in enumerate((line, mixed)):
+            alone = _Descent(problem, [tagged])
+            alone.run(1e-12, 100)
+            assert descent.state.distortion[row] == pytest.approx(
+                alone.state.distortion[0], rel=1e-12)
 
 
 class TestSolve:
@@ -436,11 +593,16 @@ class TestExistence:
 
 
 def count_passes(monkeypatch):
-    """The solver's cell-state passes from here on, one entry each."""
+    """The solver's candidate states from here on, one entry each: a
+    batched cell-state pass over R candidates counts R."""
     calls = []
     state = solver_module._exact_state
-    monkeypatch.setattr(solver_module, "_exact_state",
-                        lambda *args: calls.append(1) or state(*args))
+
+    def counting(measure, sites_xy):
+        calls.extend([1] * (len(sites_xy) if sites_xy.ndim == 3 else 1))
+        return state(measure, sites_xy)
+
+    monkeypatch.setattr(solver_module, "_exact_state", counting)
     return calls
 
 
@@ -480,6 +642,18 @@ class TestSandwich:
     def test_single_extra_point_holds(self):
         rep = sandwich_check(sc.interval_support_problem(2, beta=(Point2(0.25, 0),)))
         assert rep.holds
+
+    def test_no_beta_rejected_before_solving(self, monkeypatch):
+        calls = count_passes(monkeypatch)
+        with pytest.raises(ValueError, match="nonempty conditional set"):
+            sandwich_check(sc.interval_support_problem(3))
+        assert not calls
+
+    def test_n_equal_to_beta_count_rejected_before_solving(self, monkeypatch):
+        calls = count_passes(monkeypatch)
+        with pytest.raises(ValueError, match="need n > l"):
+            sandwich_check(sc.interval_support_problem(1, beta=(Point2(0, 0),)))
+        assert not calls
 
     def test_beta_off_constraint_rejected(self):
         prob = Problem(sc.interval_measure(),

@@ -1,20 +1,32 @@
-"""Time the geometry layer on the closed-form semicircle and triangle sets.
+"""Time the layers of curvequant: geometry, the solver's phases, the CLI parse.
 
     python3 tools/layer_timing.py
 
 Imports `curvequant` from the `src` next to this script. Prints the machine
-(cores, Python, numpy), then one row per family and site count m in SIZES:
-the median of REPEATS timed runs of the breakpoint work of a pass (one
-`voronoi_breakpoints` call per curve of the support) and of one full
-cell-state pass (`geometry._cell_state`: breakpoints, piece owners,
-closed-form integrals, masses and moments). The sets are `closed_form.semicircle_conditional` with
-the optimal diameter/arc split and `closed_form.triangle_conditional`.
+(cores, Python, numpy), then four tables, each entry the median of REPEATS
+timed runs:
+
+* large m: per family and site count m in SIZES, the breakpoint work of a
+  pass (one `voronoi_breakpoints` call per curve of the support) and one
+  full cell-state pass (`geometry._cell_state`: breakpoints, piece owners,
+  closed-form integrals, masses and moments), on the closed-form sets
+  (`closed_form.semicircle_conditional` with the optimal diameter/arc split
+  and `closed_form.triangle_conditional`);
+* small m: per gallery family at each n in SMALL_NS, SEEDS site sets drawn
+  as `solve` seeds them, passed one at a time and as one stacked pass;
+* solve phases: per gallery family at each n in SMALL_NS, one default
+  `solve` split into its seeding (`_seed_run`), its descent (`_descend`,
+  every restart to the tolerance) and the rest, the polish (the winner's
+  descent to rounding and last Newton step);
+* CLI parse: one argv parsed by a freshly built parser, as every
+  `cli.main` call paid before the parser was kept, and by the kept one.
 """
 
 from __future__ import annotations
 
 import os
 import platform
+import shutil
 import statistics
 import sys
 import time
@@ -23,10 +35,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import numpy as np  # noqa: E402
 
-from curvequant import allocation, closed_form, geometry, scenarios  # noqa: E402
+from curvequant import allocation, cli, closed_form, geometry, scenarios, solver  # noqa: E402
 
 SIZES = (200, 400, 1000, 2000)
+SMALL_NS = (4, 12)
+SEEDS = 16
 REPEATS = 21
+PARSE_ARGV = ["--seed", "42", "solve", "problem.json"]
 
 
 def _sites(family: str, m: int):
@@ -46,11 +61,8 @@ def _median_s(fn) -> float:
     return statistics.median(times)
 
 
-def main() -> int:
-    print(f"machine: {os.cpu_count()} cores, Python {platform.python_version()}, "
-          f"numpy {np.__version__}")
-    print(f"median of {REPEATS} runs, ms")
-    print(f"{'family':<12}{'m':>6}{'breakpoints':>14}{'state pass':>14}")
+def _large_m() -> None:
+    print(f"{'family':<18}{'m':>6}{'breakpoints':>14}{'state pass':>14}")
     for family in ("semicircle", "triangle"):
         for m in SIZES:
             measure, points = _sites(family, m)
@@ -62,7 +74,80 @@ def main() -> int:
 
             cuts = _median_s(breakpoints)
             state = _median_s(lambda: geometry._cell_state(measure, xy))
-            print(f"{family:<12}{len(xy):>6}{cuts * 1e3:>14.2f}{state * 1e3:>14.2f}")
+            print(f"{family:<18}{len(xy):>6}{cuts * 1e3:>14.2f}{state * 1e3:>14.2f}")
+
+
+def _small_m() -> None:
+    print(f"{'family':<18}{'n':>6}{f'{SEEDS} single':>14}{'one stacked':>14}")
+    for family, entry in scenarios.GALLERY.items():
+        for n in SMALL_NS:
+            problem = entry.build(n)
+            rng = np.random.default_rng(42)
+            stack = np.array([[(tp.point.x, tp.point.y) for tp in solver._seed_run(problem, rng)]
+                              for _ in range(SEEDS)])
+
+            def single():
+                for xy in stack:
+                    geometry._cell_state(problem.measure, xy)
+
+            one = _median_s(single)
+            stacked = _median_s(lambda: geometry._cell_state(problem.measure, stack))
+            print(f"{family:<18}{n:>6}{one * 1e3:>14.3f}{stacked * 1e3:>14.3f}")
+
+
+def _phases(problem) -> tuple[float, float, float]:
+    """Seeding, descent and polish seconds of one default solve."""
+    spent = {"seed": 0.0, "descend": 0.0}
+    seed_run, descend = solver._seed_run, solver._descend
+
+    def timed(key, fn):
+        def wrapper(*args):
+            t = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[key] += time.perf_counter() - t
+        return wrapper
+
+    solver._seed_run, solver._descend = timed("seed", seed_run), timed("descend", descend)
+    try:
+        t = time.perf_counter()
+        solver.solve(problem)
+        total = time.perf_counter() - t
+    finally:
+        solver._seed_run, solver._descend = seed_run, descend
+    return spent["seed"], spent["descend"], total - spent["seed"] - spent["descend"]
+
+
+def _solve_phases() -> None:
+    print(f"{'family':<18}{'n':>6}{'seeding':>14}{'descent':>14}{'polish':>14}")
+    for family, entry in scenarios.GALLERY.items():
+        for n in SMALL_NS:
+            problem = entry.build(n)
+            _phases(problem)  # warm up
+            runs = [_phases(problem) for _ in range(REPEATS)]
+            row = "".join(f"{statistics.median(r[k] for r in runs) * 1e3:>14.2f}"
+                          for k in range(3))
+            print(f"{family:<18}{n:>6}{row}")
+
+
+def _cli_parse() -> None:
+    fresh = _median_s(lambda: cli.build_parser().parse_args(PARSE_ARGV))
+    columns = shutil.get_terminal_size().columns
+    kept = _median_s(lambda: cli._parser(columns).parse_args(PARSE_ARGV))
+    print(f"{'argv':<40}{'fresh parser':>14}{'kept parser':>14}")
+    print(f"{' '.join(PARSE_ARGV):<40}{fresh * 1e3:>14.3f}{kept * 1e3:>14.3f}")
+
+
+def main() -> int:
+    print(f"machine: {os.cpu_count()} cores, Python {platform.python_version()}, "
+          f"numpy {np.__version__}")
+    print(f"median of {REPEATS} runs, ms")
+    for title, table in (("large m", _large_m), (f"small m, {SEEDS} seeds", _small_m),
+                         ("solve phases, default options", _solve_phases),
+                         ("CLI parse", _cli_parse)):
+        print(f"\n{title}")
+        table()
     return 0
 
 
