@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import re
-import shutil
 import sys
 import time
 from dataclasses import asdict, replace
@@ -474,18 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser(columns: int) -> argparse.ArgumentParser:
-    """The parser, built once per process, and again only when the terminal
-    width changes. Parsing leaves it as it was; help is formatted at the
-    width of its own time, but each subcommand's usage prefix is fixed when
-    the parser is built."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it as it was."""
     return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser(shutil.get_terminal_size().columns).parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -236,14 +236,12 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m: int):
     so they are no presorted runs), which makes O(m log^2 m) in all.
     """
     sets, width = len(K) // m, (m - 1).bit_length()
-    KPQ = np.array([K, P, Q, -K, -P, -Q])
-    A = np.arange(0, m, 2)
-    B = np.minimum(A + 1, m - 1)
-    if sets > 1:  # a single set is numbered as it comes
-        KPQ = np.pad(KPQ.reshape(6, sets, m), ((0, 0), (0, 0), (0, (1 << width) - m)))
-        KPQ = KPQ.reshape(6, -1)
-        first = (np.arange(sets) << width)[:, None]
-        A, B = (first + A).ravel(), (first + B).ravel()
+    KPQ = np.zeros((6, sets, 1 << width))  # np.pad would cost more than the whole setup
+    KPQ[:, :, :m] = np.array([K, P, Q, -K, -P, -Q]).reshape(6, sets, m)
+    KPQ = KPQ.reshape(6, -1)
+    first = (np.arange(sets) << width)[:, None]
+    pair = np.arange(0, m, 2)
+    A, B = (first + pair).ravel(), (first + np.minimum(pair + 1, m - 1)).ravel()
     start, owner = _split_pairs(np.full(len(A), lo), np.full(len(A), hi), A, B, KPQ)
     level = 1
     while m > 1 << level:
@@ -266,9 +264,7 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m: int):
         end[-1] = hi
         start, owner = _split_pairs(start, end, own_a, own_b, KPQ)
         level += 1
-    if sets > 1:
-        owner = (owner >> width) * m + (owner & ((1 << width) - 1))
-    return start, owner
+    return start, (owner >> width) * m + (owner & ((1 << width) - 1))
 
 
 def _line_envelope(K, P, m: int):
@@ -279,9 +275,8 @@ def _line_envelope(K, P, m: int):
     set and slope, then a stack per set (point-line duality)."""
     # steepest ascent first; of parallel lines only the lowest can be on the
     # envelope, ties to the lower index
-    order = np.lexsort((K, -P) if len(K) == m else (K, -P, np.arange(len(K)) // m))
-    ks, ps = K[order].tolist(), P[order].tolist()
-    sites = (order % m if len(K) > m else order).tolist()
+    order = np.lexsort((K, -P, np.arange(len(K)) // m))
+    ks, ps, sites = K[order].tolist(), P[order].tolist(), (order % m).tolist()
     starts, owners, ends = [], [], []
     for lo in range(0, len(K), m):
         hull = []  # (K, P, start, site) of each envelope line so far, start ascending
@@ -331,8 +326,8 @@ def _envelopes(c: Curve, stack: np.ndarray):
     if isinstance(c, Segment):
         return _line_envelope(K, P, m)
     start, owner = _sinusoid_envelope(K, P, Q, t0, c.theta1, m)
-    ends = np.cumsum(np.bincount(owner // m, minlength=sets)).tolist() if sets > 1 else [len(owner)]
-    return ((start - t0) * scale).tolist(), (owner % m if sets > 1 else owner).tolist(), ends
+    ends = np.cumsum(np.bincount(owner // m, minlength=sets)).tolist()
+    return ((start - t0) * scale).tolist(), (owner % m).tolist(), ends
 
 
 def voronoi_breakpoints(c: Curve, sites, *, owners: bool = False):
@@ -383,20 +378,15 @@ def _pieces(c: Curve, sites_xy: np.ndarray):
     another, and owner r * m + i is site i of set r."""
     length = curve_length(c)
     if sites_xy.ndim == 2:
-        cuts, owner = voronoi_breakpoints(c, sites_xy, owners=True)
-        bounds = np.array([0.0, *cuts, length])
-        return bounds[:-1], bounds[1:], np.array(owner)
-    bounds, owner, count = [], [], []
+        sites_xy = sites_xy[None]
+    s0, s1, owner, count = [], [], [], []
     for cuts, who in voronoi_breakpoints(c, sites_xy, owners=True):
-        bounds += [0.0, *cuts, length]
+        s0 += [0.0, *cuts]
+        s1 += [*cuts, length]
         owner += who
         count.append(len(who))
-    bounds = np.array(bounds)
-    # bounds rise within a set, so the step from one set's end to the next
-    # set's start is the only one that is no piece
-    piece = bounds[1:] > bounds[:-1]
     m = sites_xy.shape[1]
-    return (bounds[:-1][piece], bounds[1:][piece],
+    return (np.array(s0), np.array(s1),
             np.array(owner) + np.repeat(np.arange(0, m * len(count), m), count))
 
 

@@ -431,6 +431,26 @@ class TestSolve:
         assert q.points[0].point.x == pytest.approx(0.5, abs=1e-9)
         assert q.distortion == pytest.approx(1.0 / 12.0, rel=1e-10)
 
+    @pytest.mark.parametrize("build", [
+        lambda: sc.semicircle_problem(5), lambda: sc.triangle_problem(5),
+        lambda: sc.exam2_problem(3), lambda: sc.interval_free_problem(3)],
+        ids=["semicircle-5", "triangle-5", "exam2-3", "interval-free-3"])
+    def test_chunked_restarts_give_the_one_batch_result(self, build, monkeypatch):
+        problem = build()
+        options = SolverOptions()
+        rng = np.random.default_rng(options.rng_seed)
+        size = max(len(solver_module._coordinates(problem, solver_module._seed_run(problem, rng)))
+                   for _ in range(options.restarts))
+        whole = solve(problem, options)
+        real = solver_module._descend
+        for floats, chunks in ((1, [1] * 16), (6 * size * size, [6, 6, 4])):
+            sizes = []
+            monkeypatch.setattr(solver_module, "_descend",
+                                lambda p, seeds, o: sizes.append(len(seeds)) or real(p, seeds, o))
+            monkeypatch.setattr(solver_module, "_HESSIAN_FLOATS", floats)
+            assert solve(problem, options) == whole
+            assert sizes == chunks
+
     def test_line_constrained_matches_config(self):
         prob = sc.line_problem(3, 0.25, 0.25)
         pts = cf.line_constraint_optimal(

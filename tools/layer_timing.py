@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import platform
-import shutil
 import statistics
 import sys
 import time
@@ -133,8 +132,7 @@ def _solve_phases() -> None:
 
 def _cli_parse() -> None:
     fresh = _median_s(lambda: cli.build_parser().parse_args(PARSE_ARGV))
-    columns = shutil.get_terminal_size().columns
-    kept = _median_s(lambda: cli._parser(columns).parse_args(PARSE_ARGV))
+    kept = _median_s(lambda: cli._parser().parse_args(PARSE_ARGV))
     print(f"{'argv':<40}{'fresh parser':>14}{'kept parser':>14}")
     print(f"{' '.join(PARSE_ARGV):<40}{fresh * 1e3:>14.3f}{kept * 1e3:>14.3f}")
 
