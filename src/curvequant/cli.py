@@ -156,6 +156,7 @@ def parse_problem_doc(doc, where: str = "problem") -> tuple[Problem, dict]:
             overrides[key] = _number(value, field)
         else:
             overrides[key] = _limited(_integer(value, field), key, field)
+        _options(SolverOptions(), field, **{key: overrides[key]})
     try:
         problem = Problem(UniformCurveMeasure(curves), constraints, n, beta=beta)
     except ValueError as exc:
@@ -226,14 +227,22 @@ def _emit(doc: dict, out) -> None:
     out.write("\n")
 
 
+def _options(opts: SolverOptions, where: str, **change) -> SolverOptions:
+    try:
+        return replace(opts, **change)
+    except ValueError as exc:
+        raise CliError(f"{where}: {exc}") from exc
+
+
 def _solver_options(args, file_overrides: dict | None = None) -> SolverOptions:
     opts = SolverOptions()
     if file_overrides:
         opts = replace(opts, **file_overrides)
     if getattr(args, "seed", None) is not None:
-        opts = replace(opts, rng_seed=args.seed)
+        opts = _options(opts, "--seed", rng_seed=args.seed)
     if getattr(args, "restarts", None) is not None:
-        opts = replace(opts, restarts=_limited(args.restarts, "restarts", "--restarts"))
+        opts = _options(opts, "--restarts",
+                        restarts=_limited(args.restarts, "restarts", "--restarts"))
     return opts
 
 

@@ -531,9 +531,8 @@ def _project_array(c: Curve, xy: np.ndarray) -> np.ndarray:
     d = xy - (c.center.x, c.center.y)
     rel = np.mod(np.arctan2(d[:, 1], d[:, 0]) - c.theta0, TWO_PI)
     # outside the angular window: nearer endpoint wins
-    ends = _eval_array(c, np.array([0.0, length]))
-    to_end = ((xy[:, None, :] - ends[None, :, :]) ** 2).sum(axis=2)
-    s = np.where(rel <= c.theta1 - c.theta0, rel * c.radius,
-                 np.where(to_end[:, 0] <= to_end[:, 1], 0.0, length))
+    p0, p1 = _eval_array(c, np.array([0.0, length]))
+    nearer0 = ((xy - p0) ** 2).sum(axis=1) <= ((xy - p1) ** 2).sum(axis=1)
+    s = np.where(rel <= c.theta1 - c.theta0, rel * c.radius, np.where(nearer0, 0.0, length))
     s[(d == 0.0).all(axis=1)] = 0.5 * length
     return s

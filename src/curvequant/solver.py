@@ -4,11 +4,11 @@ measures.
 Candidate quantizers carry a fixed conditional part (beta), points confined
 to constraint sets, and free points. Every multi-start run is seeded from
 the support alone: k-means++ picks among stratified support samples, each
-snapped onto the constraints. A run is a bounded Newton descent on the
-exact Hessian of the distortion, over free coordinates and arc lengths on
-constraint curves: every Voronoi-cell pass yields the gradient and the
-cuts from which the Hessian (2 mass per site, one rank-one term per cut)
-is summed. The runs descend in lockstep: one cell-state pass serves every
+snapped onto the constraints, each step taken for all runs at once. A run
+is a bounded Newton descent on the exact Hessian of the distortion, over
+free coordinates and arc lengths on constraint curves: every Voronoi-cell
+pass yields the gradient and the cuts from which the Hessian (2 mass per
+site, one rank-one term per cut) is summed. The runs descend in lockstep: one cell-state pass serves every
 run it evaluates, and one batched factorization and solve serves every
 run's Newton step, while each run keeps its own shift, line search and
 stopping rules. Point-set members move to the member nearest their cell
@@ -44,6 +44,9 @@ from curvequant.geometry import (
 MASS_TOL = 1e-5
 # support samples per seeded point: the pool each k-means++ seed draws from
 SEED_SAMPLES = 8
+# restarts are seeded in blocks, and descend together in chunks, whose
+# working arrays and stacked Hessians hold at most this many floats
+_HESSIAN_FLOATS = 1 << 22
 # line search of the descent: sufficient-decrease constant, most halvings
 _ARMIJO = 1e-4
 _HALVINGS = 30
@@ -136,6 +139,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one restart")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.param_tol <= 0:
             raise ValueError("param_tol must be positive")
         if self.max_iters < 1:
@@ -208,19 +213,6 @@ def lloyd_step(problem: Problem, candidate) -> list[TaggedPoint]:
 # seeding
 
 
-def _support_samples(measure: UniformCurveMeasure, size: int, rng) -> np.ndarray:
-    """size stratified arc-length samples of the support, an (size, 2) array."""
-    lengths = np.array([curve_length(c) for c in measure.curves])
-    bounds = np.concatenate([[0.0], np.cumsum(lengths)])
-    u = (np.arange(size) + rng.uniform(0.0, 1.0, size)) * (bounds[-1] / size)
-    owner = np.minimum(np.searchsorted(bounds, u, side="right") - 1, len(lengths) - 1)
-    out = np.empty((size, 2))
-    for k, c in enumerate(measure.curves):
-        here = owner == k
-        out[here] = _eval_array(c, np.minimum(u[here] - bounds[k], lengths[k]))
-    return out
-
-
 def _snap(problem: Problem, xy: np.ndarray):
     """Nearest admissible point to each row of xy over the union of the
     constraint sets: arrays (points, constraint index, arc length or member
@@ -246,51 +238,77 @@ def _snap(problem: Problem, xy: np.ndarray):
     return points, index, param
 
 
-def _seed_run(problem: Problem, rng) -> list[TaggedPoint]:
-    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) from the data.
+def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
+    """k-means++ seeds (Arthur & Vassilvitskii, SODA 2007) of `runs` runs,
+    each step one call over all runs.
 
-    Draws SEED_SAMPLES * (n - l) stratified support samples and snaps each
-    onto the constraints. Then n - l of the snapped samples are picked, each
-    with probability proportional to how much it would lower its own
-    sample's squared distance to beta and the picks so far. On a free plane
-    that gain is the usual D^2 weight. A pick with positive gain is nearer
-    its own sample than beta and the earlier picks, and as the nearest
-    admissible point no later pick beats it there, so its cell is never
-    empty. A pick is uniform only when every gain is infinite (the first
-    pick without beta) or zero (exam2, where beta is nearer the whole
+    A run draws S = SEED_SAMPLES * c stratified support samples, c = n - l,
+    and snaps each onto the constraints. Then c of the snapped samples are
+    picked, each with probability proportional to how much it would lower
+    its own sample's squared distance to beta and the picks so far. On a
+    free plane that gain is the usual D^2 weight. A pick with positive gain
+    is nearer its own sample than beta and the earlier picks, and as the
+    nearest admissible point no later pick beats it there, so its cell is
+    never empty. A pick is uniform only when every gain is infinite (the
+    first pick without beta) or zero (exam2, where beta is nearer the whole
     support than the constraint line is).
+
+    Draw order: run r reads row r of rng.random((runs, S + c)). Its first S
+    columns stratify its samples; column S + j drives pick j, as v * (sum
+    of gains) if weighted and floor(v * S) if uniform. So the blocks of runs
+    seeded together, whose arrays hold at most _HESSIAN_FLOATS floats,
+    change no seed.
     """
     count = problem.n - len(problem.beta)
-    tagged = [TaggedPoint("beta", b) for b in problem.beta]
+    beta = [TaggedPoint("beta", b) for b in problem.beta]
     if count == 0:
-        return tagged
-    pool = _support_samples(problem.measure, SEED_SAMPLES * count, rng)
-    snapped, index, param = _snap(problem, pool)
-    own = ((pool - snapped) ** 2).sum(axis=1)
-    d2 = np.full(len(pool), np.inf)
-    for b in problem.beta:
-        d2 = np.minimum(d2, ((pool - (b.x, b.y)) ** 2).sum(axis=1))
-    for _ in range(count):
-        cum = np.cumsum(np.maximum(d2 - own, 0.0))
-        if 0.0 < cum[-1] < np.inf:
-            k = int(np.searchsorted(cum, rng.uniform(0.0, cum[-1]), side="right"))
-        else:
-            k = int(rng.integers(len(pool)))
-        point = Point2(float(snapped[k, 0]), float(snapped[k, 1]))
-        if index[k] < 0:
-            tagged.append(TaggedPoint("free", point))
-        else:
-            tagged.append(TaggedPoint("constrained", point, int(index[k]), float(param[k])))
-        d2 = np.minimum(d2, ((pool - snapped[k]) ** 2).sum(axis=1))
-    return tagged
+        return [list(beta) for _ in range(runs)]
+    size = SEED_SAMPLES * count
+    lengths = np.array([curve_length(c) for c in problem.measure.curves])
+    bounds = np.concatenate([[0.0], np.cumsum(lengths)])
+    # widest arrays: the pool, the snap's offsets to point-set members
+    members = [len(c.points) for c in problem.constraints if isinstance(c, PointSetConstraint)]
+    block = max(1, _HESSIAN_FLOATS // (2 * size * max([1] + members)))
+    seeds = []
+    for start in range(0, runs, block):
+        v = rng.random((min(block, runs - start), size + count))
+        u = (np.arange(size) + v[:, :size]) * (bounds[-1] / size)
+        owner = np.minimum(np.searchsorted(bounds, u, side="right") - 1, len(lengths) - 1)
+        pool = np.empty(u.shape + (2,))
+        for k, c in enumerate(problem.measure.curves):
+            here = owner == k
+            pool[here] = _eval_array(c, np.minimum(u[here] - bounds[k], lengths[k]))
+        snapped, index, param = _snap(problem, pool.reshape(-1, 2))
+        snapped = snapped.reshape(pool.shape)
+        # (a sum over a last axis of length 2 is slow)
+        x, y = pool[..., 0], pool[..., 1]
+        own = (x - snapped[..., 0]) ** 2 + (y - snapped[..., 1]) ** 2
+        d2 = np.full(u.shape, np.inf)
+        for b in problem.beta:
+            d2 = np.minimum(d2, (x - b.x) ** 2 + (y - b.y) ** 2)
+        rows = np.arange(len(v))
+        picks = np.empty((len(v), count), dtype=int)
+        for j in range(count):
+            cum = np.cumsum(np.maximum(d2 - own, 0.0), axis=1)
+            total, pick = cum[:, -1], v[:, size + j]
+            weighted = (0.0 < total) & (total < np.inf)
+            # the row-wise searchsorted(cum, pick * total, side="right")
+            k = (cum <= (pick * np.where(weighted, total, 0.0))[:, None]).sum(axis=1)
+            picks[:, j] = k = np.where(weighted, k, (pick * size).astype(int))
+            p = snapped[rows, k]
+            d2 = np.minimum(d2, (x - p[:, :1]) ** 2 + (y - p[:, 1:]) ** 2)
+        flat = picks + rows[:, None] * size
+        for xy, ci, s in zip(snapped.reshape(-1, 2)[flat].tolist(), index[flat].tolist(),
+                             param[flat].tolist()):
+            seeds.append(beta + [TaggedPoint("free", Point2(*p)) if i < 0
+                                 else TaggedPoint("constrained", Point2(*p), i, t)
+                                 for p, i, t in zip(xy, ci, s)])
+    return seeds
 
 
 # ---------------------------------------------------------------------------
 # descent
 
-# restarts descend together in chunks whose stacked Hessians hold at most
-# this many floats
-_HESSIAN_FLOATS = 1 << 22
 # the kind of a descent coordinate that is no curve's arc length: a free
 # point's x or y, or padding beyond the end of a shorter candidate's row
 _FREE, _PAD = -1, -2
@@ -350,6 +368,22 @@ def _layout(problem: Problem, candidates) -> tuple[_Layout, np.ndarray]:
             center[on] = (cons.curve.center.x, cons.curve.center.y)
             radius2[on] = cons.curve.radius ** 2
     return _Layout(owner, kind, axis, lo, hi, slots, tangent, center, radius2), np.clip(x, lo, hi)
+
+
+def _indefinite(H: np.ndarray, known: bool = False) -> list[int]:
+    """Which matrices of the stack H are not positive definite, by halving:
+    f of R take O(f log R) Cholesky calls. known: H holds one."""
+    if not known:
+        try:
+            np.linalg.cholesky(H)
+            return []
+        except np.linalg.LinAlgError:
+            pass
+    if len(H) == 1:
+        return [0]
+    half = len(H) // 2
+    first = _indefinite(H[:half])
+    return first + [half + p for p in _indefinite(H[half:], known=not first)]
 
 
 class _State(NamedTuple):
@@ -503,18 +537,13 @@ class _Descent:
         H *= live[:, None, :]
         r, k = np.nonzero(~live)
         H[r, k, k] = 1.0
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            for p, row in enumerate(rows):
-                try:
-                    np.linalg.cholesky(H[p])
-                except np.linalg.LinAlgError:
-                    lloyd = 2.0 * np.maximum(self.state.masses[row, self.layout.owner[row]], MASS_TOL)
-                    S = H[p] / np.sqrt(np.outer(lloyd, lloyd))
-                    low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
-                    on = np.flatnonzero(live[p])
-                    H[p, on, on] += (0.1 - float(low[on].min())) * lloyd[on]
+        for p in _indefinite(H):
+            row = rows[p]
+            lloyd = 2.0 * np.maximum(self.state.masses[row, self.layout.owner[row]], MASS_TOL)
+            S = H[p] / np.sqrt(np.outer(lloyd, lloyd))
+            low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
+            on = np.flatnonzero(live[p])
+            H[p, on, on] += (0.1 - float(low[on].min())) * lloyd[on]
         g = np.where(live, self.state.grad[rows], 0.0)
         return -np.linalg.solve(H, g[..., None])[..., 0]
 
@@ -645,8 +674,8 @@ def _descend(problem: Problem, candidates, options: SolverOptions) -> list[tuple
 def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     """Best quantizer over options.restarts k-means++ seeded runs.
 
-    Each run draws its seeds from stratified samples of the support (see
-    _seed_run), all runs' seeds first, in run order. The runs then descend
+    Each run draws its seeds from stratified samples of the support, all
+    runs' seeds first, in run order (see _seed_runs). The runs then descend
     together by bounded Newton on the exact Hessian of the distortion to
     param_tol, in chunks whose stacked Hessians hold at most
     _HESSIAN_FLOATS floats. The winner (lowest distortion, earliest run on
@@ -655,8 +684,7 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     to rounding and not only its distortion.
     """
     options = options or SolverOptions()
-    rng = np.random.default_rng(options.rng_seed)
-    seeds = [_seed_run(problem, rng) for _ in range(options.restarts)]
+    seeds = _seed_runs(problem, np.random.default_rng(options.rng_seed), options.restarts)
     size = max(len(_coordinates(problem, tagged)) for tagged in seeds)
     chunk = max(1, _HESSIAN_FLOATS // max(size, 1) ** 2)
     best = None

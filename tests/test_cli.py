@@ -575,6 +575,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: --restarts:") and "exceeds the limit" in err
 
+    @pytest.mark.parametrize("command", [["solve", "p.json"], ["verify"]])
+    def test_negative_seed_flag_is_one(self, tmp_path, capsys, command):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(INTERVAL_LEFT_DOC))
+        argv = ["--seed", "-3"] + [str(path) if a == "p.json" else a for a in command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed: rng_seed must be non-negative\n"
+
+    @pytest.mark.parametrize("solver, message", [
+        ({"rng_seed": -3}, "solver.rng_seed: rng_seed must be non-negative"),
+        ({"restarts": 0}, "solver.restarts: need at least one restart"),
+        ({"param_tol": 0}, "solver.param_tol: param_tol must be positive"),
+    ])
+    def test_invalid_solver_field_is_one(self, tmp_path, capsys, solver, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(INTERVAL_LEFT_DOC, solver=solver)))
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}.{message}\n"
+
     @pytest.mark.parametrize("argv, option", [
         (["closed-form", "interval-left", "-n", str(cli.LIMITS["n"] + 1)], "-n"),
         (["sweep", "interval-left", "--from", "3", "--to", str(cli.LIMITS["n"] + 1),

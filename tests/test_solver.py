@@ -18,7 +18,9 @@ from curvequant.geometry import (
     Segment,
     UniformCurveMeasure,
     _cell_state,
+    _eval_array,
     _frame_array,
+    curve_length,
     distortion,
     voronoi_breakpoints,
     voronoi_masses,
@@ -37,8 +39,10 @@ from curvequant.solver import (
     lloyd_step,
     sandwich_check,
     solve,
-    _seed_run,
+    SEED_SAMPLES,
     _Descent,
+    _indefinite,
+    _seed_runs,
 )
 
 V3_SEMI = (2.0 / (2.0 + math.pi)) * (-2.0 * math.sqrt(2.0) + 1.0 / 3.0 + math.pi)
@@ -77,6 +81,11 @@ class TestTypes:
             SolverOptions(restarts=0)
         with pytest.raises(ValueError):
             SolverOptions(param_tol=0.0)
+
+    def test_negative_rng_seed_rejected(self):
+        with pytest.raises(ValueError, match="rng_seed must be non-negative"):
+            SolverOptions(rng_seed=-3)
+        assert SolverOptions(rng_seed=0).rng_seed == 0
 
 
 class TestEvaluate:
@@ -191,7 +200,7 @@ class TestLloydStep:
 
 def one_descent(problem, rng):
     """A batch of one candidate, seeded from the data."""
-    return _Descent(problem, [_seed_run(problem, rng)])
+    return _Descent(problem, _seed_runs(problem, rng, 1))
 
 
 def central_differences(descent, x, h=1e-6):
@@ -270,8 +279,191 @@ class TestHessian:
 
 def seed_batch(problem, count, rng_seed=3):
     """count data-driven seeds of a problem, as solve draws them."""
-    rng = np.random.default_rng(rng_seed)
-    return [_seed_run(problem, rng) for _ in range(count)]
+    return _seed_runs(problem, np.random.default_rng(rng_seed), count)
+
+
+def kmeans_pp_oracle(problem, samples, pick, uniform):
+    """One run's k-means++ seed, one pick at a time, as the per-restart
+    seeder made it. Its variates come from three callables: samples(size)
+    gives the stratifying uniforms, pick(total) a weighted pick's point in
+    [0, total) and uniform(pool) a uniform pick's index."""
+    count = problem.n - len(problem.beta)
+    tagged = [TaggedPoint("beta", b) for b in problem.beta]
+    if count == 0:
+        return tagged
+    size = SEED_SAMPLES * count
+    measure = problem.measure
+    lengths = np.array([curve_length(c) for c in measure.curves])
+    bounds = np.concatenate([[0.0], np.cumsum(lengths)])
+    u = (np.arange(size) + samples(size)) * (bounds[-1] / size)
+    owner = np.minimum(np.searchsorted(bounds, u, side="right") - 1, len(lengths) - 1)
+    pool = np.empty((size, 2))
+    for k, c in enumerate(measure.curves):
+        here = owner == k
+        pool[here] = _eval_array(c, np.minimum(u[here] - bounds[k], lengths[k]))
+    snapped, index, param = solver_module._snap(problem, pool)
+    own = ((pool - snapped) ** 2).sum(axis=1)
+    d2 = np.full(size, np.inf)
+    for b in problem.beta:
+        d2 = np.minimum(d2, ((pool - (b.x, b.y)) ** 2).sum(axis=1))
+    for _ in range(count):
+        cum = np.cumsum(np.maximum(d2 - own, 0.0))
+        if 0.0 < cum[-1] < np.inf:
+            k = int(np.searchsorted(cum, pick(cum[-1]), side="right"))
+        else:
+            k = int(uniform(size))
+        point = Point2(float(snapped[k, 0]), float(snapped[k, 1]))
+        if index[k] < 0:
+            tagged.append(TaggedPoint("free", point))
+        else:
+            tagged.append(TaggedPoint("constrained", point, int(index[k]), float(param[k])))
+        d2 = np.minimum(d2, ((pool - snapped[k]) ** 2).sum(axis=1))
+    return tagged
+
+
+def oracle_from_row(problem, row, branches=None):
+    """The oracle reading one row of pre-drawn uniforms in _seed_runs' draw
+    order; branches, if given, collects "weighted" or "uniform" per pick."""
+    size = SEED_SAMPLES * (problem.n - len(problem.beta))
+    picks = iter(row[size:])
+
+    def pick(total):
+        if branches is not None:
+            branches.append("weighted")
+        return next(picks) * total
+
+    def uniform(pool):
+        if branches is not None:
+            branches.append("uniform")
+        return math.floor(next(picks) * pool)
+
+    return kmeans_pp_oracle(problem, lambda k: row[:k], pick, uniform)
+
+
+def oracle_from_rng(problem, rng):
+    """The oracle drawing its variates by the per-restart seeder's rng calls."""
+    return kmeans_pp_oracle(problem, lambda k: rng.uniform(0.0, 1.0, k),
+                            lambda total: rng.uniform(0.0, total), rng.integers)
+
+
+class RecordingRng:
+    """A numpy Generator's random(), recording the shape of each call."""
+
+    def __init__(self, seed):
+        self.rng, self.shapes = np.random.default_rng(seed), []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+class FixedRng:
+    """Hands out the rows of a fixed array, block after block, as random()."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def random(self, shape):
+        block, self.rows = self.rows[:shape[0]], self.rows[shape[0]:]
+        assert block.shape == shape
+        return block
+
+
+def seed_width(problem):
+    return (SEED_SAMPLES + 1) * (problem.n - len(problem.beta))
+
+
+def _run_out_problem():
+    # two members for four points: once both are picked every gain is zero
+    members = (Point2(0.25, 0.0), Point2(0.75, 0.0))
+    return Problem(sc.interval_measure(), (PointSetConstraint(members),), 4)
+
+
+SEEDING_PROBLEMS = {
+    **{f"{name}-{n}": (lambda e=entry, n=n: e.build(n))
+       for name, entry in sc.GALLERY.items() for n in entry.n_range},
+    "exam2-4": lambda: sc.exam2_problem(4),
+    "free-no-beta-5": lambda: sc.interval_free_problem(5),
+    "points-run-out": _run_out_problem,
+}
+
+
+class TestSeeding:
+    """The lockstep k-means++ seeder against one run at a time."""
+
+    @pytest.mark.parametrize("name", list(SEEDING_PROBLEMS))
+    def test_rows_equal_the_oracle(self, name):
+        problem = SEEDING_PROBLEMS[name]()
+        runs = 7
+        rows = np.random.default_rng(11).random((runs, seed_width(problem)))
+        seeds = _seed_runs(problem, np.random.default_rng(11), runs)
+        assert len(seeds) == runs
+        branches = []
+        for r in range(runs):
+            assert seeds[r] == oracle_from_row(problem, rows[r], branches), r
+        if name == "exam2-4":
+            # beta is nearer the whole support than the line: no gain anywhere
+            assert set(branches) == {"uniform"}
+        if name == "free-no-beta-5":
+            # every gain is infinite before the first pick
+            assert branches == (["uniform"] + ["weighted"] * 4) * runs
+        if name == "points-run-out":
+            assert branches[:4] == ["uniform", "weighted", "uniform", "uniform"]
+
+    @pytest.mark.parametrize("name", ["interval-left-10", "triangle-12"])
+    def test_zero_variates_pick_the_first_positive_gain(self, name):
+        # v = 0 makes pick * total equal the zero-gain head of cum: the
+        # row-wise search must step past it, as searchsorted's right side does
+        problem = SEEDING_PROBLEMS[name]()
+        rows = np.random.default_rng(2).random((3, seed_width(problem)))
+        rows[:, SEED_SAMPLES * (problem.n - len(problem.beta)):] = 0.0
+        seeds = _seed_runs(problem, FixedRng(rows), 3)
+        for r in range(3):
+            assert seeds[r] == oracle_from_row(problem, rows[r]), r
+
+    def test_blocks_of_one_stream(self):
+        problem = sc.triangle_problem(9)
+        rng = np.random.default_rng(4)
+        split = _seed_runs(problem, rng, 5) + _seed_runs(problem, rng, 11)
+        assert split == _seed_runs(problem, np.random.default_rng(4), 16)
+
+    @pytest.mark.parametrize("name", ["semicircle-12", "points-run-out", "free-no-beta-5"])
+    def test_smallest_blocks_change_no_seed(self, name, monkeypatch):
+        problem = SEEDING_PROBLEMS[name]()
+        whole = _seed_runs(problem, np.random.default_rng(6), 9)
+        monkeypatch.setattr(solver_module, "_HESSIAN_FLOATS", 1)
+        rng = RecordingRng(6)
+        assert _seed_runs(problem, rng, 9) == whole
+        assert rng.shapes == [(1, seed_width(problem))] * 9
+
+    def test_blocks_fit_the_float_budget(self, monkeypatch):
+        # 1000 runs of a 1000-point seed: the first block's pool, an
+        # (samples, 2) array, stays within the budget and uses at least half
+        # of it
+        problem = sc.semicircle_problem(1000)
+        pools = []
+
+        def snap(problem, xy):
+            pools.append(xy.shape)
+            raise StopIteration
+
+        monkeypatch.setattr(solver_module, "_snap", snap)
+        with pytest.raises(StopIteration):
+            _seed_runs(problem, np.random.default_rng(0), 1000)
+        floats = 2 * pools[0][0]
+        assert solver_module._HESSIAN_FLOATS // 2 < floats <= solver_module._HESSIAN_FLOATS
+        assert pools[0][0] % (SEED_SAMPLES * 998) == 0
+
+    @pytest.mark.parametrize("name", [name for name, entry in sc.GALLERY.items()
+                                      if entry.build(entry.n_range[0]).beta])
+    def test_parent_stream_on_beta_families(self, name):
+        # with beta no pick is uniform, and v * total is rng.uniform(0, total)
+        entry = sc.GALLERY[name]
+        for n in entry.n_range:
+            problem = entry.build(n)
+            rng = np.random.default_rng(42)
+            want = [oracle_from_rng(problem, rng) for _ in range(16)]
+            assert _seed_runs(problem, np.random.default_rng(42), 16) == want
 
 
 def dense_hessian(problem, descent, row):
@@ -408,6 +600,53 @@ class TestBatch:
                 alone.state.distortion[0], rel=1e-12)
 
 
+class TestIndefinite:
+    """Finding the rows of a stacked Newton step that need the shift."""
+
+    @pytest.mark.parametrize("bad", [(), (0,), (15,), (6, 7), (3, 4, 11), tuple(range(16))])
+    def test_halving_finds_the_rows_in_few_calls(self, bad, monkeypatch):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(16, 5, 5))
+        H = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(5)
+        H[list(bad), 2, 2] = -1.0
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(len(m)) or real(m))
+        assert _indefinite(H) == list(bad)
+        # at most two calls per level below the first for each such row
+        assert len(calls) <= 1 + 2 * len(bad) * math.log2(len(H))
+        if bad == (15,):
+            # every first half factors, so every second half is known to fail
+            assert calls == [16, 8, 4, 2, 1]
+
+    def test_newton_shifts_as_row_by_row(self, monkeypatch):
+        problem = sc.semicircle_problem(9)
+        descent = _Descent(problem, seed_batch(problem, 8))
+        rows, live = np.arange(8), descent.layout.kind != solver_module._PAD
+        H = descent.hessian(rows)
+        H[[1, 2, 6]] -= 2.0 * np.abs(H).max() * np.eye(H.shape[1])
+        want = H.copy()
+        shifted = []
+        for p in rows:
+            try:
+                np.linalg.cholesky(want[p])
+            except np.linalg.LinAlgError:
+                shifted.append(p)
+                lloyd = 2.0 * np.maximum(descent.state.masses[p, descent.layout.owner[p]],
+                                         MASS_TOL)
+                S = want[p] / np.sqrt(np.outer(lloyd, lloyd))
+                low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
+                want[p] += np.diag((0.1 - float(low.min())) * lloyd)
+        assert {1, 2, 6} <= set(shifted)
+        solved = []
+        real = np.linalg.solve
+        monkeypatch.setattr(descent, "hessian", lambda r: H[r].copy())
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a.copy()) or real(a, b))
+        step = descent.newton(rows, live)
+        np.testing.assert_array_equal(solved[0], want)
+        np.testing.assert_array_equal(step, -real(want, descent.state.grad[..., None])[..., 0])
+
+
 class TestSolve:
     def test_semicircle_three_points(self):
         q = solve(sc.semicircle_problem(3))
@@ -438,9 +677,8 @@ class TestSolve:
     def test_chunked_restarts_give_the_one_batch_result(self, build, monkeypatch):
         problem = build()
         options = SolverOptions()
-        rng = np.random.default_rng(options.rng_seed)
-        size = max(len(solver_module._coordinates(problem, solver_module._seed_run(problem, rng)))
-                   for _ in range(options.restarts))
+        seeds = _seed_runs(problem, np.random.default_rng(options.rng_seed), options.restarts)
+        size = max(len(solver_module._coordinates(problem, tagged)) for tagged in seeds)
         whole = solve(problem, options)
         real = solver_module._descend
         for floats, chunks in ((1, [1] * 16), (6 * size * size, [6, 6, 4])):

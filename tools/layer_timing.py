@@ -13,11 +13,13 @@ timed runs:
   (`closed_form.semicircle_conditional` with the optimal diameter/arc split
   and `closed_form.triangle_conditional`);
 * small m: per gallery family at each n in SMALL_NS, SEEDS site sets drawn
-  as `solve` seeds them, passed one at a time and as one stacked pass;
+  as `solve` seeds them (one `_seed_runs` call), passed one at a time and as
+  one stacked pass;
 * solve phases: per gallery family at each n in SMALL_NS, one default
-  `solve` split into its seeding (`_seed_run`), its descent (`_descend`,
-  every restart to the tolerance) and the rest, the polish (the winner's
-  descent to rounding and last Newton step);
+  `solve` split into its seeding (`_seed_runs`, every restart's k-means++
+  seed in one batched pass), its descent (`_descend`, every restart to the
+  tolerance) and the rest, the polish (the winner's descent to rounding and
+  last Newton step);
 * CLI parse: one argv parsed by a freshly built parser, as every
   `cli.main` call paid before the parser was kept, and by the kept one.
 """
@@ -81,9 +83,8 @@ def _small_m() -> None:
     for family, entry in scenarios.GALLERY.items():
         for n in SMALL_NS:
             problem = entry.build(n)
-            rng = np.random.default_rng(42)
-            stack = np.array([[(tp.point.x, tp.point.y) for tp in solver._seed_run(problem, rng)]
-                              for _ in range(SEEDS)])
+            seeds = solver._seed_runs(problem, np.random.default_rng(42), SEEDS)
+            stack = np.array([[(tp.point.x, tp.point.y) for tp in tagged] for tagged in seeds])
 
             def single():
                 for xy in stack:
@@ -97,7 +98,7 @@ def _small_m() -> None:
 def _phases(problem) -> tuple[float, float, float]:
     """Seeding, descent and polish seconds of one default solve."""
     spent = {"seed": 0.0, "descend": 0.0}
-    seed_run, descend = solver._seed_run, solver._descend
+    seed_runs, descend = solver._seed_runs, solver._descend
 
     def timed(key, fn):
         def wrapper(*args):
@@ -108,13 +109,13 @@ def _phases(problem) -> tuple[float, float, float]:
                 spent[key] += time.perf_counter() - t
         return wrapper
 
-    solver._seed_run, solver._descend = timed("seed", seed_run), timed("descend", descend)
+    solver._seed_runs, solver._descend = timed("seed", seed_runs), timed("descend", descend)
     try:
         t = time.perf_counter()
         solver.solve(problem)
         total = time.perf_counter() - t
     finally:
-        solver._seed_run, solver._descend = seed_run, descend
+        solver._seed_runs, solver._descend = seed_runs, descend
     return spent["seed"], spent["descend"], total - spent["seed"] - spent["descend"]
 
 
