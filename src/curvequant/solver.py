@@ -8,13 +8,13 @@ snapped onto the constraints, each step taken for all runs at once. A run
 is a bounded Newton descent on the exact Hessian of the distortion, over
 free coordinates and arc lengths on constraint curves: every Voronoi-cell
 pass yields the gradient and the cuts from which the Hessian (2 mass per
-site, one rank-one term per cut) is summed. The runs descend in lockstep: one cell-state pass serves every
-run it evaluates, and one batched factorization and solve serves every
-run's Newton step, while each run keeps its own shift, line search and
-stopping rules. Point-set members move to the member nearest their cell
-mean. No closed form is consulted, so the solver checks them
-independently. Degenerate (zero-mass) points are reported, not dropped:
-several scenarios hinge on detecting them.
+site, one rank-one term per cut) is summed. The runs descend in lockstep:
+one cell-state pass serves every run it evaluates, and one batched
+factorization and solve serves every run's Newton step, while each run
+keeps its own shift, line search and stopping rules. Point-set members
+move to the member nearest their cell mean. No closed form is consulted,
+so the solver checks them independently. Degenerate (zero-mass) points are
+reported, not dropped: several scenarios hinge on detecting them.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from curvequant.geometry import (
 MASS_TOL = 1e-5
 # support samples per seeded point: the pool each k-means++ seed draws from
 SEED_SAMPLES = 8
-# restarts are seeded in blocks, and descend together in chunks, whose
-# working arrays and stacked Hessians hold at most this many floats
+# the most floats that a seeding block's arrays or a chunk's Hessians hold
 _HESSIAN_FLOATS = 1 << 22
 # line search of the descent: sufficient-decrease constant, most halvings
 _ARMIJO = 1e-4
@@ -280,7 +279,7 @@ def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
             pool[here] = _eval_array(c, np.minimum(u[here] - bounds[k], lengths[k]))
         snapped, index, param = _snap(problem, pool.reshape(-1, 2))
         snapped = snapped.reshape(pool.shape)
-        # (a sum over a last axis of length 2 is slow)
+        # by coordinate: numpy sums a last axis of length 2 slowly
         x, y = pool[..., 0], pool[..., 1]
         own = (x - snapped[..., 0]) ** 2 + (y - snapped[..., 1]) ** 2
         d2 = np.full(u.shape, np.inf)
@@ -295,8 +294,8 @@ def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
             # the row-wise searchsorted(cum, pick * total, side="right")
             k = (cum <= (pick * np.where(weighted, total, 0.0))[:, None]).sum(axis=1)
             picks[:, j] = k = np.where(weighted, k, (pick * size).astype(int))
-            p = snapped[rows, k]
-            d2 = np.minimum(d2, (x - p[:, :1]) ** 2 + (y - p[:, 1:]) ** 2)
+            at = snapped[rows, k]
+            d2 = np.minimum(d2, (x - at[:, :1]) ** 2 + (y - at[:, 1:]) ** 2)
         flat = picks + rows[:, None] * size
         for xy, ci, s in zip(snapped.reshape(-1, 2)[flat].tolist(), index[flat].tolist(),
                              param[flat].tolist()):
