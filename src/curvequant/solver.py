@@ -2,13 +2,14 @@
 measures.
 
 Candidate quantizers carry a fixed conditional part (beta), points confined
-to constraint sets, and free points. Every multi-start run is seeded from
-the support alone: k-means++ picks among stratified support samples, each
-snapped onto the constraints, each step taken for all runs at once. A run
-is a bounded Newton descent on the exact Hessian of the distortion, over
-free coordinates and arc lengths on constraint curves: every Voronoi-cell
-pass yields the gradient and the cuts from which the Hessian (2 mass per
-site, one rank-one term per cut) is summed. The runs descend in lockstep:
+to constraint sets, and free points. The multi-start runs go in chunks,
+each seeded from the support alone just before it descends: k-means++
+picks among stratified support samples, each snapped onto the
+constraints, each step taken for the whole chunk at once. A run is a
+bounded Newton descent on the exact Hessian of the distortion, over free
+coordinates and arc lengths on constraint curves: every Voronoi-cell pass
+yields the gradient and the cuts from which the Hessian (2 mass per site,
+one rank-one term per cut) is summed. A chunk's runs descend in lockstep:
 one cell-state pass serves every run it evaluates, and one batched
 factorization and solve serves every run's Newton step, while each run
 keeps its own shift, line search and stopping rules. Point-set members
@@ -19,7 +20,6 @@ reported, not dropped: several scenarios hinge on detecting them.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -44,7 +44,7 @@ from curvequant.geometry import (
 MASS_TOL = 1e-5
 # support samples per seeded point: the pool each k-means++ seed draws from
 SEED_SAMPLES = 8
-# the most floats that a seeding block's arrays or a chunk's Hessians hold
+# the most floats a chunk of runs holds in its seeding arrays or Hessians
 _HESSIAN_FLOATS = 1 << 22
 # line search of the descent: sufficient-decrease constant, most halvings
 _ARMIJO = 1e-4
@@ -52,6 +52,9 @@ _HALVINGS = 30
 # a descent stops once an iteration, or the step it would take, lowers the
 # distortion by no more than this share of it
 _ROUNDING = 4.0 * np.finfo(float).eps
+# a Cholesky pivot whose square is at most this share of the largest
+# diagonal entry counts as zero
+_PIVOT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -228,9 +231,11 @@ def _snap(problem: Problem, xy: np.ndarray):
             cand = _eval_array(cons.curve, s)
         else:
             members = np.array([(p.x, p.y) for p in cons.points])
-            member = ((xy[:, None, :] - members[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+            member = ((xy[:, :1] - members[:, 0]) ** 2
+                      + (xy[:, 1:] - members[:, 1]) ** 2).argmin(axis=1)
             s, cand = member.astype(float), members[member]
-        d2 = ((xy - cand) ** 2).sum(axis=1)
+        # by coordinate: numpy sums a last axis of length 2 slowly
+        d2 = (xy[:, 0] - cand[:, 0]) ** 2 + (xy[:, 1] - cand[:, 1]) ** 2
         nearer = d2 < best
         best[nearer], points[nearer], index[nearer], param[nearer] = (
             d2[nearer], cand[nearer], i, s[nearer])
@@ -254,9 +259,8 @@ def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
 
     Draw order: run r reads row r of rng.random((runs, S + c)). Its first S
     columns stratify its samples; column S + j drives pick j, as v * (sum
-    of gains) if weighted and floor(v * S) if uniform. So the blocks of runs
-    seeded together, whose arrays hold at most _HESSIAN_FLOATS floats,
-    change no seed.
+    of gains) if weighted and floor(v * S) if uniform. So seeding the runs
+    chunk by chunk from one rng, as solve does, changes no seed.
     """
     count = problem.n - len(problem.beta)
     beta = [TaggedPoint("beta", b) for b in problem.beta]
@@ -265,44 +269,38 @@ def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
     size = SEED_SAMPLES * count
     lengths = np.array([curve_length(c) for c in problem.measure.curves])
     bounds = np.concatenate([[0.0], np.cumsum(lengths)])
-    # widest arrays: the pool, the snap's offsets to point-set members
-    members = [len(c.points) for c in problem.constraints if isinstance(c, PointSetConstraint)]
-    block = max(1, _HESSIAN_FLOATS // (2 * size * max([1] + members)))
-    seeds = []
-    for start in range(0, runs, block):
-        v = rng.random((min(block, runs - start), size + count))
-        u = (np.arange(size) + v[:, :size]) * (bounds[-1] / size)
-        owner = np.minimum(np.searchsorted(bounds, u, side="right") - 1, len(lengths) - 1)
-        pool = np.empty(u.shape + (2,))
-        for k, c in enumerate(problem.measure.curves):
-            here = owner == k
-            pool[here] = _eval_array(c, np.minimum(u[here] - bounds[k], lengths[k]))
-        snapped, index, param = _snap(problem, pool.reshape(-1, 2))
-        snapped = snapped.reshape(pool.shape)
-        # by coordinate: numpy sums a last axis of length 2 slowly
-        x, y = pool[..., 0], pool[..., 1]
-        own = (x - snapped[..., 0]) ** 2 + (y - snapped[..., 1]) ** 2
-        d2 = np.full(u.shape, np.inf)
-        for b in problem.beta:
-            d2 = np.minimum(d2, (x - b.x) ** 2 + (y - b.y) ** 2)
-        rows = np.arange(len(v))
-        picks = np.empty((len(v), count), dtype=int)
-        for j in range(count):
-            cum = np.cumsum(np.maximum(d2 - own, 0.0), axis=1)
-            total, pick = cum[:, -1], v[:, size + j]
-            weighted = (0.0 < total) & (total < np.inf)
-            # the row-wise searchsorted(cum, pick * total, side="right")
-            k = (cum <= (pick * np.where(weighted, total, 0.0))[:, None]).sum(axis=1)
-            picks[:, j] = k = np.where(weighted, k, (pick * size).astype(int))
-            at = snapped[rows, k]
-            d2 = np.minimum(d2, (x - at[:, :1]) ** 2 + (y - at[:, 1:]) ** 2)
-        flat = picks + rows[:, None] * size
-        for xy, ci, s in zip(snapped.reshape(-1, 2)[flat].tolist(), index[flat].tolist(),
-                             param[flat].tolist()):
-            seeds.append(beta + [TaggedPoint("free", Point2(*p)) if i < 0
-                                 else TaggedPoint("constrained", Point2(*p), i, t)
-                                 for p, i, t in zip(xy, ci, s)])
-    return seeds
+    v = rng.random((runs, size + count))
+    u = (np.arange(size) + v[:, :size]) * (bounds[-1] / size)
+    owner = np.minimum(np.searchsorted(bounds, u, side="right") - 1, len(lengths) - 1)
+    pool = np.empty(u.shape + (2,))
+    for k, c in enumerate(problem.measure.curves):
+        here = owner == k
+        pool[here] = _eval_array(c, np.minimum(u[here] - bounds[k], lengths[k]))
+    snapped, index, param = _snap(problem, pool.reshape(-1, 2))
+    snapped = snapped.reshape(pool.shape)
+    # by coordinate: numpy sums a last axis of length 2 slowly
+    x, y = pool[..., 0], pool[..., 1]
+    own = (x - snapped[..., 0]) ** 2 + (y - snapped[..., 1]) ** 2
+    d2 = np.full(u.shape, np.inf)
+    for b in problem.beta:
+        d2 = np.minimum(d2, (x - b.x) ** 2 + (y - b.y) ** 2)
+    rows = np.arange(runs)
+    picks = np.empty((runs, count), dtype=int)
+    for j in range(count):
+        cum = np.cumsum(np.maximum(d2 - own, 0.0), axis=1)
+        total, pick = cum[:, -1], v[:, size + j]
+        weighted = (0.0 < total) & (total < np.inf)
+        # the row-wise searchsorted(cum, pick * total, side="right")
+        k = (cum <= (pick * np.where(weighted, total, 0.0))[:, None]).sum(axis=1)
+        picks[:, j] = k = np.where(weighted, k, (pick * size).astype(int))
+        at = snapped[rows, k]
+        d2 = np.minimum(d2, (x - at[:, :1]) ** 2 + (y - at[:, 1:]) ** 2)
+    flat = picks + rows[:, None] * size
+    return [beta + [TaggedPoint("free", Point2(*p)) if i < 0
+                    else TaggedPoint("constrained", Point2(*p), i, t)
+                    for p, i, t in zip(xy, ci, s)]
+            for xy, ci, s in zip(snapped.reshape(-1, 2)[flat].tolist(), index[flat].tolist(),
+                                 param[flat].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +368,15 @@ def _layout(problem: Problem, candidates) -> tuple[_Layout, np.ndarray]:
 
 
 def _indefinite(H: np.ndarray, known: bool = False) -> list[int]:
-    """Which matrices of the stack H are not positive definite, by halving:
-    f of R take O(f log R) Cholesky calls. known: H holds one."""
+    """Which matrices of the stack H are not safely positive definite: their
+    Cholesky factorization fails, found by halving (f of R take O(f log R)
+    calls), or has a pivot at rounding level (on a full circle, turning all
+    points is free). known: one of H fails."""
     if not known:
         try:
-            np.linalg.cholesky(H)
-            return []
+            pivots = np.linalg.cholesky(H).diagonal(axis1=1, axis2=2) ** 2
+            scale = H.diagonal(axis1=1, axis2=2).max(axis=1, keepdims=True)
+            return np.flatnonzero((pivots <= _PIVOT * scale).any(axis=1)).tolist()
         except np.linalg.LinAlgError:
             pass
     if len(H) == 1:
@@ -420,19 +421,6 @@ class _Descent:
         self.curves = [(ci, cons.curve) for ci, cons in enumerate(problem.constraints)
                        if isinstance(cons, CurveConstraint)]
         self.state = self.evaluate(self.x)
-
-    def take(self, row: int) -> _Descent:
-        """One row as a batch of its own, its state included."""
-        one, keep = copy.copy(self), slice(row, row + 1)
-        one.tagged, one.sites, one.x = self.tagged[keep], self.sites[keep], self.x[keep].copy()
-        one.layout = _Layout(*(a[keep] for a in self.layout))
-        pieces = []
-        for s1, site, r in self.state.pieces:
-            mine = r == row
-            pieces.append((s1[mine], site[mine], np.zeros(mine.sum(), dtype=int)))
-        one.state = _State(np.zeros(1, dtype=int),
-                           *(a[keep].copy() for a in self.state[1:-1]), pieces)
-        return one
 
     def evaluate(self, x, rows=None) -> _State:
         """One cell-state pass at x, whose row k is x of the batch's row
@@ -525,12 +513,12 @@ class _Descent:
 
     def newton(self, rows, live) -> np.ndarray:
         """The Newton steps -H^-1 g of the given rows on their live
-        coordinates, zero elsewhere. Where a row's H is not positive
-        definite there, it is shifted toward the Lloyd diagonal:
-        H + lam diag(2 max(mass, MASS_TOL)), with lam the least that lifts
-        the Gershgorin bound of the shifted matrix, in the Lloyd scale, to
-        1/10. The other coordinates get the identity, so that every row is
-        factored, tested and solved in the same calls."""
+        coordinates, zero elsewhere. Where a row's H is not safely positive
+        definite there (see _indefinite), it is shifted toward the Lloyd
+        diagonal: H + lam diag(2 max(mass, MASS_TOL)), with lam the least
+        that lifts the Gershgorin bound of the shifted matrix, in the Lloyd
+        scale, to 1/10. The other coordinates get the identity, so that
+        every row is factored, tested and solved in the same calls."""
         H = self.hessian(rows)
         H *= live[:, :, None]
         H *= live[:, None, :]
@@ -564,13 +552,15 @@ class _Descent:
         d[((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
         return d, moving
 
-    def run(self, tol: float, max_iters: int) -> np.ndarray:
-        """Iterate every row until an iteration improves its distortion by
-        less than tol, or no step improves it beyond rounding (True), or for
-        max_iters iterations (False); a row without coordinates stops at
-        once (True). Returns the rows' flags."""
+    def run(self, tol: float, max_iters: int, rows=None) -> np.ndarray:
+        """Iterate the given rows (every row by default) until an iteration
+        improves a row's distortion by less than tol, or no step improves it
+        beyond rounding (True), or for max_iters iterations (False); a row
+        without coordinates stops at once (True). Returns the flags of all
+        rows, True for a row not iterated."""
         lay = self.layout
-        active = np.flatnonzero((lay.kind != _PAD).any(axis=1))
+        active = np.arange(len(self.x)) if rows is None else rows
+        active = active[(lay.kind[active] != _PAD).any(axis=1)]
         for _ in range(max_iters):
             if not active.size:
                 break
@@ -599,13 +589,12 @@ class _Descent:
         converged[active] = False
         return converged
 
-    def finish(self) -> None:
-        """One more full Newton step on every row, kept unless it raises the
-        distortion beyond rounding. The stop rules judge by the distortion,
-        which a coordinate error moves only by its square, so they leave the
-        coordinates about sqrt(eps D / mass) off; one Newton step from there
-        squares that error."""
-        rows = np.arange(len(self.x))
+    def finish(self, rows) -> None:
+        """One more full Newton step on the given rows, kept unless it raises
+        the distortion beyond rounding. The stop rules judge by the
+        distortion, which a coordinate error moves only by its square, so
+        they leave the coordinates about sqrt(eps D / mass) off; one Newton
+        step from there squares that error."""
         d, moving = self.direction(rows)
         rows = rows[moving]
         if rows.size:
@@ -673,31 +662,34 @@ def _descend(problem: Problem, candidates, options: SolverOptions) -> list[tuple
 def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     """Best quantizer over options.restarts k-means++ seeded runs.
 
-    Each run draws its seeds from stratified samples of the support, all
-    runs' seeds first, in run order (see _seed_runs). The runs then descend
-    together by bounded Newton on the exact Hessian of the distortion to
-    param_tol, in chunks whose stacked Hessians hold at most
-    _HESSIAN_FLOATS floats. The winner (lowest distortion, earliest run on
-    ties) then descends on until an iteration no longer improves it beyond
-    rounding, and takes one last full Newton step, which fixes its points
-    to rounding and not only its distortion.
+    The runs go in chunks, in run order, as many as fit in _HESSIAN_FLOATS
+    floats of a run's widest arrays: its seeding arrays or its Hessian over
+    every coordinate. Each chunk is seeded from stratified samples of the
+    support (see _seed_runs: chunks change no seed) just before it descends
+    by bounded Newton on the exact Hessian of the distortion to param_tol.
+    The winner (lowest distortion, earliest run on ties) then descends on
+    in its batch until an iteration no longer improves it beyond rounding,
+    and takes one last full Newton step, which fixes its points to
+    rounding and not only its distortion.
     """
     options = options or SolverOptions()
-    seeds = _seed_runs(problem, np.random.default_rng(options.rng_seed), options.restarts)
-    size = max(len(_coordinates(problem, tagged)) for tagged in seeds)
-    chunk = max(1, _HESSIAN_FLOATS // max(size, 1) ** 2)
-    best = None
-    for start in range(0, len(seeds), chunk):
-        for run in _descend(problem, seeds[start:start + chunk], options):
+    count = problem.n - len(problem.beta)
+    members = [len(c.points) for c in problem.constraints if isinstance(c, PointSetConstraint)]
+    free = any(isinstance(c, FreePlane) for c in problem.constraints)
+    width = max(1, ((1 + free) * count) ** 2, 2 * SEED_SAMPLES * count * max([1] + members))
+    chunk = max(1, _HESSIAN_FLOATS // width)
+    rng, best = np.random.default_rng(options.rng_seed), None
+    for start in range(0, options.restarts, chunk):
+        seeds = _seed_runs(problem, rng, min(chunk, options.restarts - start))
+        for run in _descend(problem, seeds, options):
             if best is None or _distortion(run) < _distortion(best) - 1e-15:
                 best = run
     batch, row, converged = best
-    winner = batch.take(row)
-    winner.run(0.0, options.max_iters)
-    winner.finish()
-    d, masses = float(winner.state.distortion[0]), winner.state.masses[0]
+    batch.run(0.0, options.max_iters, np.array([row]))
+    batch.finish(np.array([row]))
+    d, masses = float(batch.state.distortion[row]), batch.state.masses[row]
     degenerate = tuple(i for i, m in enumerate(masses) if m <= MASS_TOL)
-    return Quantizer(tuple(winner.result(0)), d, tuple(float(m) for m in masses),
+    return Quantizer(tuple(batch.result(row)), d, tuple(float(m) for m in masses),
                      converged, degenerate)
 
 

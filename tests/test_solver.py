@@ -347,13 +347,14 @@ def oracle_from_rng(problem, rng):
 
 
 class RecordingRng:
-    """A numpy Generator's random(), recording the shape of each call."""
+    """A numpy Generator's random(), recording ("random", shape) of each call
+    in a given list."""
 
-    def __init__(self, seed):
-        self.rng, self.shapes = np.random.default_rng(seed), []
+    def __init__(self, rng, events):
+        self.rng, self.events = rng, events
 
     def random(self, shape):
-        self.shapes.append(shape)
+        self.events.append(("random", shape))
         return self.rng.random(shape)
 
 
@@ -371,6 +372,39 @@ class FixedRng:
 
 def seed_width(problem):
     return (SEED_SAMPLES + 1) * (problem.n - len(problem.beta))
+
+
+def run_floats(problem):
+    """The most floats one run of `solve` holds at once: its seeding arrays
+    (the pool and the offsets to point-set members, two floats each) or its
+    Hessian over every coordinate (two per point on a free plane)."""
+    count = problem.n - len(problem.beta)
+    members = [len(c.points) for c in problem.constraints if isinstance(c, PointSetConstraint)]
+    free = any(isinstance(c, FreePlane) for c in problem.constraints)
+    return max(2 * SEED_SAMPLES * count * max([1] + members), ((1 + free) * count) ** 2)
+
+
+def first_chunk(problem, monkeypatch):
+    """The runs, and the samples of their pool, of the first chunk of a
+    1000-run solve, seen in the pool its seeding snaps."""
+    pools = []
+
+    def snap(problem, xy):
+        pools.append(len(xy))
+        raise StopIteration
+
+    monkeypatch.setattr(solver_module, "_snap", snap)
+    with pytest.raises(StopIteration):
+        solve(problem, SolverOptions(restarts=1000))
+    samples = SEED_SAMPLES * (problem.n - len(problem.beta))
+    assert pools[0] % samples == 0
+    return pools[0] // samples, pools[0]
+
+
+def _member_heavy_problem():
+    # 2000 members: the offsets of the snap outgrow a 4-point Hessian
+    members = tuple(Point2(k / 1999, 0.0) for k in range(2000))
+    return Problem(sc.interval_measure(), (PointSetConstraint(members),), 4)
 
 
 def _run_out_problem():
@@ -429,30 +463,55 @@ class TestSeeding:
 
     @pytest.mark.parametrize("name", ["semicircle-12", "points-run-out", "free-no-beta-5"])
     def test_smallest_blocks_change_no_seed(self, name, monkeypatch):
+        # with a budget of one float every chunk of `solve` is one run,
+        # seeded by one draw of one row just before it descends
         problem = SEEDING_PROBLEMS[name]()
         whole = _seed_runs(problem, np.random.default_rng(6), 9)
         monkeypatch.setattr(solver_module, "_HESSIAN_FLOATS", 1)
-        rng = RecordingRng(6)
-        assert _seed_runs(problem, rng, 9) == whole
-        assert rng.shapes == [(1, seed_width(problem))] * 9
+        events, descended = [], []
+        seed_runs, descend = solver_module._seed_runs, solver_module._descend
+        monkeypatch.setattr(solver_module, "_seed_runs",
+                            lambda p, rng, runs: seed_runs(p, RecordingRng(rng, events), runs))
+
+        def recording_descend(p, seeds, o):
+            events.append(("descend", len(seeds)))
+            descended.extend(seeds)
+            return descend(p, seeds, o)
+
+        monkeypatch.setattr(solver_module, "_descend", recording_descend)
+        solve(problem, SolverOptions(restarts=9, rng_seed=6))
+        assert descended == whole
+        assert events == [("random", (1, seed_width(problem))), ("descend", 1)] * 9
 
     def test_blocks_fit_the_float_budget(self, monkeypatch):
-        # 1000 runs of a 1000-point seed: the first block's pool, an
-        # (samples, 2) array, stays within the budget and uses at least half
-        # of it
-        problem = sc.semicircle_problem(1000)
-        pools = []
+        # 1000 runs of a 1000-point seed: the first chunk's Hessians, of 998
+        # arc lengths per run, stay within the budget and use at least half
+        # of it; its pool stays within the budget too
+        runs, pool = first_chunk(sc.semicircle_problem(1000), monkeypatch)
+        assert solver_module._HESSIAN_FLOATS // 2 < runs * 998 ** 2 <= solver_module._HESSIAN_FLOATS
+        assert 2 * pool <= solver_module._HESSIAN_FLOATS
 
-        def snap(problem, xy):
-            pools.append(xy.shape)
+    def test_seeding_arrays_fit_the_float_budget(self, monkeypatch):
+        # 4 points and 2000 members: the snap's offsets of the first chunk's
+        # pool to the members outgrow its Hessians, and stay within the
+        # budget and use at least half of it
+        _, pool = first_chunk(_member_heavy_problem(), monkeypatch)
+        assert solver_module._HESSIAN_FLOATS // 2 < 2 * pool * 2000 <= solver_module._HESSIAN_FLOATS
+
+    def test_seeds_one_chunk_before_it_descends(self, monkeypatch):
+        # a 1000-point semicircle descends 4 runs per chunk, and no more
+        # runs than those are seeded before the first descent
+        asked = []
+
+        def seed_runs(problem, rng, runs):
+            asked.append(runs)
             raise StopIteration
 
-        monkeypatch.setattr(solver_module, "_snap", snap)
+        monkeypatch.setattr(solver_module, "_seed_runs", seed_runs)
+        monkeypatch.setattr(solver_module, "_descend", lambda *args: pytest.fail("no seeds"))
         with pytest.raises(StopIteration):
-            _seed_runs(problem, np.random.default_rng(0), 1000)
-        floats = 2 * pools[0][0]
-        assert solver_module._HESSIAN_FLOATS // 2 < floats <= solver_module._HESSIAN_FLOATS
-        assert pools[0][0] % (SEED_SAMPLES * 998) == 0
+            solve(sc.semicircle_problem(1000), SolverOptions(restarts=1000))
+        assert asked == [4]
 
     @pytest.mark.parametrize("name", [name for name, entry in sc.GALLERY.items()
                                       if entry.build(entry.n_range[0]).beta])
@@ -619,6 +678,21 @@ class TestIndefinite:
             # every first half factors, so every second half is known to fail
             assert calls == [16, 8, 4, 2, 1]
 
+    def test_rounding_level_pivots_count(self, monkeypatch):
+        # the Laplacian of a 6-cycle is singular positive semidefinite, as H
+        # is on a full circle, and its factor ends in a pivot at rounding
+        # level: the stacked factorization passes, yet those rows need the
+        # shift too
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(8, 6, 6))
+        H = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(6)
+        H[[2, 5]] = 2.0 * np.eye(6) - np.roll(np.eye(6), 1, axis=0) - np.roll(np.eye(6), -1, axis=0)
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(len(m)) or real(m))
+        assert _indefinite(H) == [2, 5]
+        assert calls == [8]
+
     def test_newton_shifts_as_row_by_row(self, monkeypatch):
         problem = sc.semicircle_problem(9)
         descent = _Descent(problem, seed_batch(problem, 8))
@@ -677,17 +751,26 @@ class TestSolve:
     def test_chunked_restarts_give_the_one_batch_result(self, build, monkeypatch):
         problem = build()
         options = SolverOptions()
-        seeds = _seed_runs(problem, np.random.default_rng(options.rng_seed), options.restarts)
-        size = max(len(solver_module._coordinates(problem, tagged)) for tagged in seeds)
         whole = solve(problem, options)
         real = solver_module._descend
-        for floats, chunks in ((1, [1] * 16), (6 * size * size, [6, 6, 4])):
+        for floats, chunks in ((1, [1] * 16), (6 * run_floats(problem), [6, 6, 4])):
             sizes = []
             monkeypatch.setattr(solver_module, "_descend",
                                 lambda p, seeds, o: sizes.append(len(seeds)) or real(p, seeds, o))
             monkeypatch.setattr(solver_module, "_HESSIAN_FLOATS", floats)
             assert solve(problem, options) == whole
             assert sizes == chunks
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_full_circle_reaches_the_regular_polygon(self, n):
+        # turning every point at once leaves the distortion as it is, so H
+        # is singular at the optimum
+        circle = Arc(Point2(0.0, 0.0), 1.0, 0.0, 2.0 * math.pi)
+        problem = Problem(UniformCurveMeasure((circle,)), (CurveConstraint(circle),), n)
+        want = 2.0 - 2.0 * n * math.sin(math.pi / n) / math.pi
+        for rng_seed in (1, 2, 3, 5, 7, 11, 42):
+            q = solve(problem, SolverOptions(rng_seed=rng_seed))
+            assert q.distortion == pytest.approx(want, rel=1e-12), rng_seed
 
     def test_line_constrained_matches_config(self):
         prob = sc.line_problem(3, 0.25, 0.25)

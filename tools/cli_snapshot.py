@@ -6,14 +6,17 @@ Runs `curvequant.cli.main` in-process (from the `src` next to this script)
 over every argv that `_cases` lists and writes one file per argv to OUTDIR: the argv,
 the exit code, stdout and stderr. Run the same script in two checkouts and
 compare with `diff -r` to see exactly which outputs a change moves. Inputs
-and outputs are relative to a temporary working directory, so no path of
-the machine shows in the snapshot. A run takes a few seconds.
+(a sweep CSV and the problem files of PROBLEMS, written first) and outputs
+are relative to a temporary working directory, so no path of the machine
+shows in the snapshot. A run takes a few seconds.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import math
 import os
 import sys
 import tempfile
@@ -27,6 +30,29 @@ CLOSED_FORM_NAMES = ("interval-left", "interval-right", "interval-interior",
 SWEEP_NAMES = ("triangle", "semicircle", "exam1", "exam2",
                "interval-left", "interval-right", "interval-interior")
 SUBCOMMANDS = ("solve", "closed-form", "sweep", "asymptotics", "render", "verify")
+
+
+def _segment(p0, p1) -> dict:
+    return {"type": "segment", "p0": p0, "p1": p1}
+
+
+_CIRCLE = {"type": "arc", "center": [0, 0], "radius": 1, "theta0": 0, "theta1": 2 * math.pi}
+_TRIANGLE = [_segment([0, 0], [1, 0]), _segment([1, 0], [0.5, math.sqrt(3) / 2]),
+             _segment([0.5, math.sqrt(3) / 2], [0, 0])]
+# problem files that `solve` cases read: a full circle (a singular Hessian
+# at the optimum), point-set members (the nearest-member rounds) and the
+# triangle with its vertices as beta
+PROBLEMS = {
+    "circle.json": {"measure": [_CIRCLE], "constraints": [{"type": "curve", "curve": _CIRCLE}],
+                    "n": 5},
+    "members.json": {"measure": [_segment([0, 0], [1, 0])],
+                     "constraints": [{"type": "points",
+                                      "points": [[k / 8, 0.05 * (-1) ** k] for k in range(9)]}],
+                     "beta": [[0, 0]], "n": 4},
+    "triangle.json": {"measure": _TRIANGLE,
+                      "constraints": [{"type": "curve", "curve": c} for c in _TRIANGLE],
+                      "beta": [c["p0"] for c in _TRIANGLE], "n": 6},
+}
 
 
 def _cases() -> list[list[str]]:
@@ -83,6 +109,7 @@ def _cases() -> list[list[str]]:
         ["asymptotics", "exam1.csv", "--kappa", "-1e-3"],
         ["closed-form", "interval-left", "-n", "3", "--a", "-1e-3"],
     ]
+    cases += [["--restarts", "4", "solve", name] for name in PROBLEMS]
     return cases
 
 
@@ -106,6 +133,9 @@ def main_snapshot(outdir: str) -> int:
                              "--output", "exam1.csv"])
         if code != 0:
             raise RuntimeError(f"could not write exam1.csv: {err}")
+        for name, doc in PROBLEMS.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump({"schema_version": 1, **doc}, fh)
         for i, argv in enumerate(_cases()):
             code, out, err = _run(argv)
             name = f"{i:03d}_" + "_".join(a.removeprefix("--") for a in argv)[:80]

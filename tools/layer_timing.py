@@ -16,10 +16,10 @@ timed runs:
   as `solve` seeds them (one `_seed_runs` call), passed one at a time and as
   one stacked pass;
 * solve phases: per gallery family at each n in SMALL_NS, one default
-  `solve` split into its seeding (`_seed_runs`, every restart's k-means++
-  seed in one batched pass), its descent (`_descend`, every restart to the
-  tolerance) and the rest, the polish (the winner's descent to rounding and
-  last Newton step);
+  `solve` split into its seeding (`_seed_runs`, one batched call per chunk
+  of restarts, so one call for all 16 at these n), its descent
+  (`_descend`, every restart to the tolerance) and the rest, the polish
+  (the winner's descent to rounding and last Newton step, in its batch);
 * CLI parse: one argv parsed by a freshly built parser, as every
   `cli.main` call paid before the parser was kept, and by the kept one.
 """
