@@ -162,18 +162,23 @@ def estimate_v_infinity(seq: ErrorSequence) -> float:
 
 
 def _tail_entries(entries, tail_window):
-    w = max(len(entries) // 2, 10) if tail_window is None else int(tail_window)
-    w = max(3, min(w, len(entries)))
-    return entries[-w:]
+    """The last tail_window entries (all of them if there are fewer); by
+    default the last half, but at least 10."""
+    if tail_window is None:
+        return entries[-max(len(entries) // 2, 10):]
+    if tail_window < 3:
+        raise ValueError(f"tail window must be at least 3, got {tail_window}")
+    return entries[-int(tail_window):]
 
 
-def estimate_dimension(seq: ErrorSequence, v_infinity: float, r: float = 2.0,
+def estimate_dimension(seq: ErrorSequence, v_infinity: float,
                        tail_window: int | None = None) -> tuple[float, float]:
     """(lower, upper) quantization-dimension estimates over the tail window.
 
     Uses lagged log-log slopes of the deviation v - v_infinity against n
     (lag of half the window), which makes the estimate invariant under
-    positive scaling of the deviations; r is the quantization order.
+    positive scaling of the deviations. The quantization order is 2, the
+    only one the package treats: a slope s gives dimension 2 / s.
     """
     window = _tail_entries(seq.entries, tail_window)
     deltas = [(n, v - v_infinity) for n, v in window]
@@ -184,16 +189,15 @@ def estimate_dimension(seq: ErrorSequence, v_infinity: float, r: float = 2.0,
     for (n_a, d_a), (n_b, d_b) in zip(deltas, deltas[lag:]):
         slope = (math.log(d_a) - math.log(d_b)) / (math.log(n_b) - math.log(n_a))
         if slope > 0:
-            dims.append(r / slope)
+            dims.append(2.0 / slope)
     if not dims:
         raise ValueError("no decaying pairs in the tail window")
     return min(dims), max(dims)
 
 
 def estimate_coefficient(seq: ErrorSequence, v_infinity: float, kappa: float,
-                         r: float = 2.0,
                          tail_window: int | None = None) -> tuple[float, float]:
-    """(lower, upper) estimates of lim n**(r/kappa) * (v_n - v_infinity).
+    """(lower, upper) estimates of lim n**(2/kappa) * (v_n - v_infinity).
 
     The scaled sequence c_n typically still drifts like c + B/n; pairing
     entries half a window apart and eliminating the 1/n term gives the
@@ -204,7 +208,7 @@ def estimate_coefficient(seq: ErrorSequence, v_infinity: float, kappa: float,
     if math.isinf(kappa):
         raise ValueError("kappa must be finite")
     window = _tail_entries(seq.entries, tail_window)
-    scaled = [(n, n ** (r / kappa) * (v - v_infinity)) for n, v in window]
+    scaled = [(n, n ** (2.0 / kappa) * (v - v_infinity)) for n, v in window]
     lag = max(len(scaled) // 2, 1)
     coeffs = [(n_b * c_b - n_a * c_a) / (n_b - n_a)
               for (n_a, c_a), (n_b, c_b) in zip(scaled, scaled[lag:])]
@@ -212,13 +216,16 @@ def estimate_coefficient(seq: ErrorSequence, v_infinity: float, kappa: float,
 
 
 def build_report(seq: ErrorSequence, kappa: float,
-                 v_infinity: float | None = None, r: float = 2.0,
+                 v_infinity: float | None = None,
                  tail_window: int | None = None) -> AsymptoticsReport:
-    """Full report; v_infinity may be overridden by a known exact value."""
-    v_inf = estimate_v_infinity(seq) if v_infinity is None else v_infinity
-    dim_lo, dim_hi = estimate_dimension(seq, v_inf, r, tail_window)
-    co_lo, co_hi = estimate_coefficient(seq, v_inf, kappa, r, tail_window)
+    """Full report; v_infinity may be overridden by a known exact value,
+    which must be finite. A given tail_window must be at least 3."""
     used = len(_tail_entries(seq.entries, tail_window))
+    if v_infinity is not None and not math.isfinite(v_infinity):
+        raise ValueError(f"v_infinity must be finite, got {v_infinity!r}")
+    v_inf = estimate_v_infinity(seq) if v_infinity is None else v_infinity
+    dim_lo, dim_hi = estimate_dimension(seq, v_inf, tail_window)
+    co_lo, co_hi = estimate_coefficient(seq, v_inf, kappa, tail_window)
     return AsymptoticsReport(v_inf, dim_lo, dim_hi, kappa, co_lo, co_hi, used)
 
 

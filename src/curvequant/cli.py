@@ -238,9 +238,9 @@ def _solver_options(args, file_overrides: dict | None = None) -> SolverOptions:
     opts = SolverOptions()
     if file_overrides:
         opts = replace(opts, **file_overrides)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         opts = _options(opts, "--seed", rng_seed=args.seed)
-    if getattr(args, "restarts", None) is not None:
+    if args.restarts is not None:
         opts = _options(opts, "--restarts",
                         restarts=_limited(args.restarts, "restarts", "--restarts"))
     return opts

@@ -42,31 +42,18 @@ class IntervalScenario:
 
 @dataclass(frozen=True)
 class LineConstraintScenario:
-    """Uniform law on [a, b] x {0}, quantizer points confined to y = m*x + c.
-
-    The optional window (d, e) restricts where along the line points may go;
-    when present it must be wide enough that the unconstrained-on-the-line
-    optimum already fits, which is the inequality checked below.
-    """
+    """Uniform law on [a, b] x {0}, quantizer points confined to the line
+    y = m*x + c. The closed forms hold for any window along the line that
+    holds their points, so no window is modelled."""
 
     a: float
     b: float
     m: float
     c: float
-    d: float | None = None
-    e: float | None = None
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError("need a < b")
-        if (self.d is None) != (self.e is None):
-            raise ValueError("window needs both d and e")
-        if self.d is not None:
-            if not self.d < self.e:
-                raise ValueError("need d < e")
-            mm = self.m * self.m + 1.0
-            if mm * self.d + self.m * self.c > self.a or mm * self.e + self.m * self.c < self.b:
-                raise ValueError("window does not contain the optimal points")
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,9 @@ class UniformCurveMeasure:
         total = sum(curve_length(c) for c in curves)
         if not 0.0 < total < math.inf:
             raise ValueError("measure needs a positive, finite total length")
+        # a subnormal total length has no finite inverse
+        if not 1.0 / total < math.inf:
+            raise ValueError(f"measure's total length {total!r} is too small for a finite density")
         object.__setattr__(self, "total_length", total)
         object.__setattr__(self, "density", 1.0 / total)
 
@@ -109,31 +112,14 @@ def curve_eval(c: Curve, s: float) -> Point2:
     if s < -slack or s > length + slack:
         raise ValueError(f"arc-length parameter {s} outside [0, {length}]")
     s = min(max(s, 0.0), length)
-    x, y = _eval_array(c, np.array([s]))[0]
+    x, y = _frame_array(c, np.array([s]))[0][0]
     return Point2(float(x), float(y))
 
 
-def sq_dist(p: Point2, q: Point2) -> float:
-    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-
-
-def _eval_array(c: Curve, s: np.ndarray) -> np.ndarray:
-    """Vectorized curve_eval without range checks; returns an (k, 2) array."""
-    if isinstance(c, Segment):
-        length = curve_length(c)
-        t = s / length
-        x = c.p0.x + t * (c.p1.x - c.p0.x)
-        y = c.p0.y + t * (c.p1.y - c.p0.y)
-    else:
-        ang = c.theta0 + s / c.radius
-        x = c.center.x + c.radius * np.cos(ang)
-        y = c.center.y + c.radius * np.sin(ang)
-    return np.stack([x, y], axis=-1)
-
-
 def _frame_array(c: Curve, s: np.ndarray):
-    """Points (as _eval_array gives them) and unit tangents of c at the arc
-    lengths in s: two (k, 2) arrays."""
+    """Points and unit tangents of c at the arc lengths in the 1-D array s,
+    without range checks: two (k, 2) arrays. The one point evaluation of the
+    package: curve_eval, seeds, descent sites and moments all take it."""
     if isinstance(c, Segment):
         length = curve_length(c)
         d = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y])
@@ -410,7 +396,7 @@ def _piece_integrals(c: Curve, s0: np.ndarray, s1: np.ndarray, q: np.ndarray):
         foot = a @ u  # arc length of the site's projection onto the line
         off = a[:, 0] * u[1] - a[:, 1] * u[0]
         sq = off * off * ds + ((s1 - foot) ** 3 - (s0 - foot) ** 3) / 3.0
-        return sq, ds[:, None] * _eval_array(c, 0.5 * (s0 + s1))
+        return sq, ds[:, None] * _frame_array(c, 0.5 * (s0 + s1))[0]
     r = c.radius
     half = 0.5 * ds / r
     mid = c.theta0 + 0.5 * (s0 + s1) / r
@@ -503,26 +489,15 @@ def conditional_mean(measure: UniformCurveMeasure, sites, site_index: int) -> Po
 
 def project_to_curve(c: Curve, p: Point2) -> float:
     """Arc-length parameter of the point on c closest to p."""
-    length = curve_length(c)
-    if isinstance(c, Segment):
-        vx, vy = c.p1.x - c.p0.x, c.p1.y - c.p0.y
-        t = ((p.x - c.p0.x) * vx + (p.y - c.p0.y) * vy) / (vx * vx + vy * vy)
-        return min(max(t, 0.0), 1.0) * length
-    dx, dy = p.x - c.center.x, p.y - c.center.y
-    if dx == 0.0 and dy == 0.0:
-        return 0.5 * length
-    phi = math.atan2(dy, dx)
-    rel = (phi - c.theta0) % TWO_PI
-    if rel <= c.theta1 - c.theta0:
-        return rel * c.radius
-    # outside the angular window: nearer endpoint wins
-    e0 = curve_eval(c, 0.0)
-    e1 = curve_eval(c, length)
-    return 0.0 if sq_dist(p, e0) <= sq_dist(p, e1) else length
+    return float(_project_array(c, np.array([[p.x, p.y]]))[0])
 
 
 def _project_array(c: Curve, xy: np.ndarray) -> np.ndarray:
-    """Vectorized project_to_curve over the rows of an (k, 2) array."""
+    """Arc-length parameter of the point on c closest to each row of the
+    (k, 2) array xy. On a segment the foot of the perpendicular, clamped to
+    the ends; on an arc the angle of the row about the center when it falls
+    inside the arc's window, else the nearer end (the start on ties), and
+    half the length for the center itself."""
     length = curve_length(c)
     if isinstance(c, Segment):
         v = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y])
@@ -530,8 +505,7 @@ def _project_array(c: Curve, xy: np.ndarray) -> np.ndarray:
         return np.clip(t, 0.0, 1.0) * length
     d = xy - (c.center.x, c.center.y)
     rel = np.mod(np.arctan2(d[:, 1], d[:, 0]) - c.theta0, TWO_PI)
-    # outside the angular window: nearer endpoint wins
-    p0, p1 = _eval_array(c, np.array([0.0, length]))
+    p0, p1 = _frame_array(c, np.array([0.0, length]))[0]
     e0, e1 = (xy - p0) ** 2, (xy - p1) ** 2  # summed by column: a length-2 .sum is slow
     nearer0 = e0[:, 0] + e0[:, 1] <= e1[:, 0] + e1[:, 1]
     s = np.where(rel <= c.theta1 - c.theta0, rel * c.radius, np.where(nearer0, 0.0, length))

@@ -15,7 +15,7 @@ from curvequant.geometry import (
     Point2,
     Segment,
     UniformCurveMeasure,
-    _eval_array,
+    _frame_array,
     curve_eval,
     curve_length,
     voronoi_breakpoints,
@@ -37,7 +37,7 @@ def _fmt(v: float) -> str:
 
 
 def _bounds(measure: UniformCurveMeasure, pts: list[Point2]):
-    xy = np.concatenate([_eval_array(c, curve_length(c) * np.arange(257) / 256)
+    xy = np.concatenate([_frame_array(c, curve_length(c) * np.arange(257) / 256)[0]
                          for c in measure.curves]
                         + [np.array([(p.x, p.y) for p in pts]).reshape(-1, 2)])
     lo, hi = xy.min(axis=0), xy.max(axis=0)

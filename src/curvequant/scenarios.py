@@ -44,9 +44,10 @@ def triangle_measure() -> UniformCurveMeasure:
     return UniformCurveMeasure((Segment(o, a), Segment(a, b), Segment(b, o)))
 
 
-def line_segment(m: float, c: float, half_width: float = LINE_HALF_WIDTH) -> Segment:
-    return Segment(Point2(-half_width, m * -half_width + c),
-                   Point2(half_width, m * half_width + c))
+def line_segment(m: float, c: float) -> Segment:
+    """The stretch |x| <= LINE_HALF_WIDTH of the line y = m*x + c."""
+    return Segment(Point2(-LINE_HALF_WIDTH, m * -LINE_HALF_WIDTH + c),
+                   Point2(LINE_HALF_WIDTH, m * LINE_HALF_WIDTH + c))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from curvequant.geometry import (
     UniformCurveMeasure,
     _cell_state,
     _cell_state as _exact_state,  # the solver's own passes; evaluate's is apart
-    _eval_array,
     _frame_array,
     _project_array,
     _sites_array,
@@ -86,15 +85,12 @@ class Problem:
     constraints: tuple[ConstraintSet, ...]
     n: int
     beta: tuple[Point2, ...] = ()
-    order: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "beta", tuple(self.beta))
         if not self.constraints:
             raise ValueError("need at least one constraint set")
-        if self.order != 2:
-            raise ValueError("only order 2 is supported")
         if self.n < len(self.beta):
             raise ValueError("n must be at least the conditional count")
         if self.n < 1:
@@ -228,7 +224,7 @@ def _snap(problem: Problem, xy: np.ndarray):
             return xy, np.full(len(xy), -1), param
         if isinstance(cons, CurveConstraint):
             s = _project_array(cons.curve, xy)
-            cand = _eval_array(cons.curve, s)
+            cand = _frame_array(cons.curve, s)[0]
         else:
             members = np.array([(p.x, p.y) for p in cons.points])
             member = ((xy[:, :1] - members[:, 0]) ** 2
@@ -236,7 +232,8 @@ def _snap(problem: Problem, xy: np.ndarray):
             s, cand = member.astype(float), members[member]
         # by coordinate: numpy sums a last axis of length 2 slowly
         d2 = (xy[:, 0] - cand[:, 0]) ** 2 + (xy[:, 1] - cand[:, 1]) ** 2
-        nearer = d2 < best
+        # the first set claims every row, even one whose distance overflows
+        nearer = (d2 < best) | (index < 0)
         best[nearer], points[nearer], index[nearer], param[nearer] = (
             d2[nearer], cand[nearer], i, s[nearer])
     return points, index, param
@@ -275,7 +272,7 @@ def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
     pool = np.empty(u.shape + (2,))
     for k, c in enumerate(problem.measure.curves):
         here = owner == k
-        pool[here] = _eval_array(c, np.minimum(u[here] - bounds[k], lengths[k]))
+        pool[here] = _frame_array(c, np.minimum(u[here] - bounds[k], lengths[k]))[0]
     snapped, index, param = _snap(problem, pool.reshape(-1, 2))
     snapped = snapped.reshape(pool.shape)
     # by coordinate: numpy sums a last axis of length 2 slowly
@@ -363,7 +360,9 @@ def _layout(problem: Problem, candidates) -> tuple[_Layout, np.ndarray]:
         if isinstance(cons, CurveConstraint) and isinstance(cons.curve, Arc):
             on = kind == ci
             center[on] = (cons.curve.center.x, cons.curve.center.y)
-            radius2[on] = cons.curve.radius ** 2
+            # numpy's power has the bits of Python's, but overflows to inf
+            # where Python's raises
+            radius2[on] = np.float64(cons.curve.radius) ** 2
     return _Layout(owner, kind, axis, lo, hi, slots, tangent, center, radius2), np.clip(x, lo, hi)
 
 
@@ -670,7 +669,9 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     The winner (lowest distortion, earliest run on ties) then descends on
     in its batch until an iteration no longer improves it beyond rounding,
     and takes one last full Newton step, which fixes its points to
-    rounding and not only its distortion.
+    rounding and not only its distortion. Raises ValueError when the
+    winner's distortion or a cell mass is not finite, which happens when
+    the problem's numbers overflow double precision.
     """
     options = options or SolverOptions()
     count = problem.n - len(problem.beta)
@@ -688,6 +689,9 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     batch.run(0.0, options.max_iters, np.array([row]))
     batch.finish(np.array([row]))
     d, masses = float(batch.state.distortion[row]), batch.state.masses[row]
+    if not (np.isfinite(d) and np.isfinite(masses).all()):
+        raise ValueError("the distortion or a cell mass is not finite: "
+                         "the problem's coordinates overflow double precision")
     degenerate = tuple(i for i, m in enumerate(masses) if m <= MASS_TOL)
     return Quantizer(tuple(batch.result(row)), d, tuple(float(m) for m in masses),
                      converged, degenerate)

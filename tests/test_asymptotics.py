@@ -214,6 +214,16 @@ class TestReportAndReferences:
         assert rep.coeff_lower <= rep.coeff_upper
         assert rep.tail_window >= 10
 
+    def test_report_rejects_short_windows_and_non_finite_limits(self):
+        seq = exam2_constr_seq()
+        for window in (-5, 0, 2):
+            with pytest.raises(ValueError, match="tail window must be at least 3"):
+                build_report(seq, kappa=2, v_infinity=8.0, tail_window=window)
+        assert build_report(seq, kappa=2, v_infinity=8.0, tail_window=3).tail_window == 3
+        for v_inf in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="v_infinity must be finite"):
+                build_report(seq, kappa=2, v_infinity=v_inf)
+
     def test_report_with_estimated_limit(self):
         rep = build_report(exam1_cond_seq(), kappa=2)
         assert rep.v_infinity == pytest.approx(REFS["exam1_conditional"].v_infinity, abs=1e-4)

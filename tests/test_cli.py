@@ -223,6 +223,34 @@ class TestSolveCommand:
         constrained = [p for p in doc["points"] if p["kind"] == "constrained"]
         assert constrained and all("s" in p and "constraint" in p for p in constrained)
 
+    # each overflows double precision somewhere in the solve: a constraint
+    # set at 1e200 (no squared distance to it is finite), an arc whose
+    # squared radius overflows or whose cell integrals do, and a support
+    # too short for a finite density. numpy warns as it overflows; the
+    # command must still end in an error, with no NaN result.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("constraint, support", [
+        ({"type": "points", "points": [[1e200, 0.0]]}, 1.0),
+        ({"type": "curve", "curve": {"type": "segment", "p0": [1e200, 0.0],
+                                     "p1": [1e200, 1.0]}}, 1.0),
+        ({"type": "curve", "curve": {"type": "arc", "center": [0.0, 0.0], "radius": 1.4e154,
+                                     "theta0": 0.0, "theta1": 1e-150}}, 1.0),
+        ({"type": "curve", "curve": {"type": "arc", "center": [0.0, 0.0], "radius": 1.3e154,
+                                     "theta0": 0.0, "theta1": 1e-150}}, 1.0),
+        ({"type": "free"}, 5e-309),
+    ], ids=["far-member", "far-curve", "arc-radius-squared-overflows", "arc-integrals-overflow",
+            "subnormal-support"])
+    def test_overflowing_input_is_one(self, tmp_path, capsys, constraint, support):
+        doc = {"schema_version": 1,
+               "measure": [{"type": "segment", "p0": [0.0, 0.0], "p1": [support, 0.0]}],
+               "constraints": [constraint], "n": 1}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--restarts", "2", "solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "nan" not in captured.err.lower() and "Traceback" not in captured.err
+
 
 class TestClosedFormCommand:
     def test_interval_left_golden(self, capsys):
@@ -427,6 +455,21 @@ class TestAsymptoticsCommand:
         assert main(["asymptotics", str(csv_path), "--kappa", "-1e-3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: kappa must be positive")
+
+    @pytest.mark.parametrize("root, option, message", [
+        (["--tail-window", "-5"], [], "tail window must be at least 3, got -5"),
+        (["--tail-window", "0"], [], "tail window must be at least 3, got 0"),
+        (["--tail-window", "2"], [], "tail window must be at least 3, got 2"),
+        ([], ["--v-infinity", "nan"], "v_infinity must be finite, got nan"),
+    ], ids=["window-minus-5", "window-0", "window-2", "v-infinity-nan"])
+    def test_short_window_or_non_finite_limit_is_one(self, tmp_path, capsys, root, option,
+                                                     message):
+        csv_path = tmp_path / "e1.csv"
+        assert main(["sweep", "exam1", "--from", "3", "--to", "60",
+                     "--output", str(csv_path)]) == 0
+        assert main([*root, "asymptotics", str(csv_path), "--kappa", "2", *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("kappa", ["nan", "inf"])
     def test_non_finite_kappa_is_one(self, tmp_path, capsys, kappa):

@@ -128,13 +128,6 @@ class TestLineConstraint:
         assert [(p.x, p.y) for p in r.points] == [(0.25, 0.0), (0.75, 0.0)]
         assert r.error == pytest.approx(1 / 48, abs=1e-15)
 
-    def test_window_validation(self):
-        cf.LineConstraintScenario(0, 1, 1, 4, d=-10, e=10)
-        with pytest.raises(ValueError):
-            cf.LineConstraintScenario(0, 1, 1, 4, d=-1.9, e=10)
-        with pytest.raises(ValueError):
-            cf.LineConstraintScenario(0, 1, 1, 4, d=-10)
-
     def test_published_error_exact_for_small_n(self):
         # the printed two- and three-point expressions equal the true
         # distortion; so does the general polynomial whenever m = 0

@@ -15,7 +15,6 @@ from curvequant.geometry import (
     Segment,
     UniformCurveMeasure,
     _envelope,
-    _eval_array,
     _frame_array,
     _pieces,
     _project_array,
@@ -24,7 +23,6 @@ from curvequant.geometry import (
     curve_length,
     distortion,
     project_to_curve,
-    sq_dist,
     voronoi_breakpoints,
     voronoi_masses,
 )
@@ -69,12 +67,6 @@ def test_curve_validation():
         Arc(Point2(0, 0), 1.0, 0.0, 7.0)
     with pytest.raises(ValueError):
         Point2(float("nan"), 0.0)
-
-
-def test_sq_dist():
-    assert sq_dist(Point2(0, 0), Point2(1, 0)) == 1.0
-    assert sq_dist(Point2(1, 0), Point2(0, 1)) == 2.0
-    assert sq_dist(Point2(0, 0), Point2(0, 1 / 100)) == pytest.approx(1e-4, abs=0)
 
 
 def test_breakpoints_midpoint():
@@ -167,17 +159,14 @@ def test_conditional_mean_degenerate_cell():
         conditional_mean(M01, [Point2(0.5, 0), Point2(0.5, 9)], 1)
 
 
-def test_frame_points_equal_eval_array():
-    # the solver takes a curve point's site from _frame_array and its seed
-    # from _eval_array, so the two must agree bit for bit
+def test_frame_tangents_are_unit_derivatives():
     s_segment = np.linspace(0.0, curve_length(SEG11), 7)
     s_arc = np.linspace(0.0, curve_length(HALF_ARC), 7)
     for c, s in ((SEG11, s_segment), (Segment(Point2(0.3, -40), Point2(1.7, 40.2)), s_segment),
                  (HALF_ARC, s_arc), (Arc(Point2(0.1, 0.2), 1.3, -0.5, 2.0), s_arc)):
-        points, tangents = _frame_array(c, s)
-        np.testing.assert_array_equal(points, _eval_array(c, s))
+        _, tangents = _frame_array(c, s)
         assert (tangents * tangents).sum(axis=1) == pytest.approx(1.0, abs=1e-15)
-        ahead = _eval_array(c, s + 1e-7) - _eval_array(c, s - 1e-7)
+        ahead = _frame_array(c, s + 1e-7)[0] - _frame_array(c, s - 1e-7)[0]
         assert tangents == pytest.approx(ahead / 2e-7, abs=1e-6)
 
 
@@ -189,13 +178,34 @@ def test_project_to_curve():
     assert project_to_curve(HALF_ARC, Point2(0.2, -1.0)) == 0.0
 
 
+def _project_scalar(c, p: Point2) -> float:
+    """The scalar projection that the array one replaced, kept as the test
+    oracle: the foot of the perpendicular on a segment, clamped to its
+    ends; on an arc the angle about the center inside the window, else the
+    nearer end, and half the length at the center."""
+    length = curve_length(c)
+    if isinstance(c, Segment):
+        vx, vy = c.p1.x - c.p0.x, c.p1.y - c.p0.y
+        t = ((p.x - c.p0.x) * vx + (p.y - c.p0.y) * vy) / (vx * vx + vy * vy)
+        return min(max(t, 0.0), 1.0) * length
+    dx, dy = p.x - c.center.x, p.y - c.center.y
+    if dx == 0.0 and dy == 0.0:
+        return 0.5 * length
+    rel = (math.atan2(dy, dx) - c.theta0) % TWO_PI
+    if rel <= c.theta1 - c.theta0:
+        return rel * c.radius
+    e0, e1 = curve_eval(c, 0.0), curve_eval(c, length)
+    return 0.0 if ((p.x - e0.x) ** 2 + (p.y - e0.y) ** 2
+                   <= (p.x - e1.x) ** 2 + (p.y - e1.y) ** 2) else length
+
+
 def test_project_array_matches_scalar():
     rng = np.random.default_rng(5)
     xy = rng.uniform(-2.0, 2.0, (400, 2))
     xy[:2] = [(0.0, 0.0), (0.3, -0.2)]  # the two arc centers
     for c in (SEG01, Segment(Point2(-1, 2), Point2(3, -1)), HALF_ARC,
               Arc(Point2(0.3, -0.2), 1.5, -2.0, 1.0), Arc(Point2(0, 0), 1.0, 0.0, 2 * math.pi)):
-        want = [project_to_curve(c, Point2(x, y)) for x, y in xy]
+        want = [_project_scalar(c, Point2(x, y)) for x, y in xy]
         assert _project_array(c, xy) == pytest.approx(want, abs=1e-12)
 
 
@@ -204,6 +214,9 @@ def test_measure_needs_positive_finite_length():
         UniformCurveMeasure((Arc(Point2(0, 0), 5e-324, 0.0, 5e-324),))
     with pytest.raises(ValueError):
         UniformCurveMeasure((Arc(Point2(0, 0), 1e308, 0.0, 6.0),))
+    # positive, but 1 / length, the density, overflows
+    with pytest.raises(ValueError, match="finite density"):
+        UniformCurveMeasure((Segment(Point2(0, 0), Point2(5e-309, 0)),))
 
 
 def _random_measure(rng):
@@ -297,7 +310,7 @@ def test_breakpoints_partition_constant_owner():
 def _midpoint_owners(c, s, sites_xy):
     """Nearest site at each parameter from the curve points themselves;
     ties to the lower index."""
-    pts = _eval_array(c, s)
+    pts = _frame_array(c, s)[0]
     d2 = ((pts[:, None, :] - sites_xy[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=1)
 

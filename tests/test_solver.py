@@ -18,7 +18,6 @@ from curvequant.geometry import (
     Segment,
     UniformCurveMeasure,
     _cell_state,
-    _eval_array,
     _frame_array,
     curve_length,
     distortion,
@@ -57,10 +56,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             Problem(sc.interval_measure(), (FreePlane(),), 1,
                     beta=(Point2(0, 0), Point2(1, 0)))
-
-    def test_problem_rejects_other_orders(self):
-        with pytest.raises(ValueError):
-            Problem(sc.interval_measure(), (FreePlane(),), 2, order=3)
 
     def test_problem_needs_constraints(self):
         with pytest.raises(ValueError):
@@ -300,7 +295,7 @@ def kmeans_pp_oracle(problem, samples, pick, uniform):
     pool = np.empty((size, 2))
     for k, c in enumerate(measure.curves):
         here = owner == k
-        pool[here] = _eval_array(c, np.minimum(u[here] - bounds[k], lengths[k]))
+        pool[here] = _frame_array(c, np.minimum(u[here] - bounds[k], lengths[k]))[0]
     snapped, index, param = solver_module._snap(problem, pool)
     own = ((pool - snapped) ** 2).sum(axis=1)
     d2 = np.full(size, np.inf)

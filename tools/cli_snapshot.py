@@ -4,11 +4,14 @@
 
 Runs `curvequant.cli.main` in-process (from the `src` next to this script)
 over every argv that `_cases` lists and writes one file per argv to OUTDIR: the argv,
-the exit code, stdout and stderr. Run the same script in two checkouts and
-compare with `diff -r` to see exactly which outputs a change moves. Inputs
-(a sweep CSV and the problem files of PROBLEMS, written first) and outputs
-are relative to a temporary working directory, so no path of the machine
-shows in the snapshot. A run takes a few seconds.
+the exit code (or the exception that escaped `main`), stdout, stderr, the
+warnings raised (category and message, no source location) and, for a
+`solve` that returns a result, the SVG that `render` draws of it. Run the
+same script in two checkouts and compare with `diff -r` to see exactly
+which outputs a change moves. Inputs (the sweep CSVs of SWEEPS and the
+problem files of PROBLEMS, written first) and outputs are relative to a
+temporary working directory, so no path of the machine shows in the
+snapshot. A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -53,6 +57,28 @@ PROBLEMS = {
                       "constraints": [{"type": "curve", "curve": c} for c in _TRIANGLE],
                       "beta": [c["p0"] for c in _TRIANGLE], "n": 6},
 }
+_UNIT = [_segment([0, 0], [1, 0])]
+# problem files whose numbers overflow double precision in the solve: a
+# constraint set at 1e200, an arc whose squared radius overflows and one
+# whose cell integrals do, and a support too short for a finite density
+OVERFLOWS = {
+    "far_member.json": {"measure": _UNIT, "constraints": [{"type": "points",
+                                                           "points": [[1e200, 0]]}], "n": 1},
+    "far_curve.json": {"measure": _UNIT, "n": 1, "constraints": [
+        {"type": "curve", "curve": _segment([1e200, 0], [1e200, 1])}]},
+    "huge_arc.json": {"measure": _UNIT, "n": 1, "constraints": [
+        {"type": "curve", "curve": {"type": "arc", "center": [0, 0], "radius": 1.4e154,
+                                    "theta0": 0, "theta1": 1e-150}}]},
+    "big_arc.json": {"measure": _UNIT, "n": 1, "constraints": [
+        {"type": "curve", "curve": {"type": "arc", "center": [0, 0], "radius": 1.3e154,
+                                    "theta0": 0, "theta1": 1e-150}}]},
+    "tiny_support.json": {"measure": [_segment([0, 0], [5e-309, 0])],
+                          "constraints": [{"type": "free"}], "n": 1},
+}
+# sweep CSVs that `asymptotics` cases read, as (name, from, to): exam1 and
+# every other criterion-4 family, and the README's semicircle example
+SWEEPS = [("exam1", 3, 200), ("triangle", 3, 1500), ("exam2", 3, 1500),
+          ("interval-interior", 3, 1500), ("semicircle", 3, 300)]
 
 
 def _cases() -> list[list[str]]:
@@ -110,17 +136,45 @@ def _cases() -> list[list[str]]:
         ["closed-form", "interval-left", "-n", "3", "--a", "-1e-3"],
     ]
     cases += [["--restarts", "4", "solve", name] for name in PROBLEMS]
+    cases += [
+        ["asymptotics", "triangle.csv", "--kappa", "1"],
+        ["asymptotics", "exam2.csv", "--kappa", "2"],
+        ["asymptotics", "interval-interior.csv", "--kappa", "1"],
+        ["--tail-window", "40", "asymptotics", "semicircle.csv", "--kappa", "1"],
+        ["asymptotics", "triangle.csv", "--kappa", "1", "--v-infinity", "0"],
+    ]
+    # errors: tail windows below 3, a non-finite limit, overflowing problems
+    cases += [["--tail-window", w, "asymptotics", "exam1.csv", "--kappa", "2"]
+              for w in ("-5", "0", "2")]
+    cases.append(["asymptotics", "exam1.csv", "--kappa", "2", "--v-infinity", "nan"])
+    cases += [["--restarts", "2", "solve", name] for name in OVERFLOWS]
     return cases
 
 
-def _run(argv: list[str]) -> tuple[int, str, str]:
+def _run(argv: list[str]) -> tuple[int | str, str, str, list[str]]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:  # --help
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+        except Exception as exc:  # an escaped exception is the output to record
+            code = f"raised {type(exc).__name__}: {exc}"
+    return (code, out.getvalue(), err.getvalue(),
+            [f"{w.category.__name__}: {w.message}" for w in caught])
+
+
+def _render(result: str) -> str:
+    """The SVG that `render` draws of a result document's text."""
+    with open("result.json", "w", encoding="utf-8") as fh:
+        fh.write(result)
+    code, _, err, _ = _run(["render", "result.json", "--output", "result.svg"])
+    if code != 0:
+        return f"render exit {code}: {err}"
+    with open("result.svg", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def main_snapshot(outdir: str) -> int:
@@ -129,19 +183,25 @@ def main_snapshot(outdir: str) -> int:
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        code, _, err = _run(["sweep", "exam1", "--from", "3", "--to", "200",
-                             "--output", "exam1.csv"])
-        if code != 0:
-            raise RuntimeError(f"could not write exam1.csv: {err}")
-        for name, doc in PROBLEMS.items():
+        for scenario, lo, hi in SWEEPS:
+            code, _, err, _ = _run(["sweep", scenario, "--from", str(lo), "--to", str(hi),
+                                    "--output", f"{scenario}.csv"])
+            if code != 0:
+                raise RuntimeError(f"could not write {scenario}.csv: {err}")
+        for name, doc in {**PROBLEMS, **OVERFLOWS}.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump({"schema_version": 1, **doc}, fh)
         for i, argv in enumerate(_cases()):
-            code, out, err = _run(argv)
+            code, out, err, caught = _run(argv)
             name = f"{i:03d}_" + "_".join(a.removeprefix("--") for a in argv)[:80]
+            text = (f"argv: {' '.join(argv)}\nexit: {code}\n"
+                    f"--- stdout\n{out}--- stderr\n{err}")
+            if caught:
+                text += "--- warnings\n" + "".join(f"{w}\n" for w in caught)
+            if "solve" in argv and code in (0, 2):
+                text += "--- svg\n" + _render(out)
             with open(os.path.join(outdir, name + ".txt"), "w", encoding="utf-8") as fh:
-                fh.write(f"argv: {' '.join(argv)}\nexit: {code}\n"
-                         f"--- stdout\n{out}--- stderr\n{err}")
+                fh.write(text)
         os.chdir(outdir)
     return 0
 
