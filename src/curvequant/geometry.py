@@ -11,18 +11,17 @@ which cross at most twice, whose envelope comes from divide and conquer in
 O(m log^2 m): site pairs in closed form, then groups merged pairwise level
 by level, every merge of a level in the same numpy calls, each level one
 sort of its O(m) piece starts. Both envelopes know the site that owns
-each of their pieces, and voronoi_breakpoints(..., owners=True) hands those
-owners to the cell-state pass along with the cuts, so no nearest-site
-search follows. Both also take a stack of site sets at once: the lines
-are sorted by set before slope, and the sinusoid groups of every set are
-merged in the same numpy calls, so that one cell-state pass serves a whole
-batch of the solver's candidates.
+each of their pieces, and both take a stack of site sets at once: the
+lines are sorted by set before slope, and the sinusoid groups of every set
+are merged in the same numpy calls. For a stack, voronoi_breakpoints turns
+the envelopes' arrays into the pieces of every set, each with its owner,
+in numpy, so that one cell-state pass serves a whole batch of the solver's
+candidates and no nearest-site search follows.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,15 +254,14 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m: int):
 
 def _line_envelope(K, P, m: int):
     """Lower envelopes of the lines K_i + P_i t over all t, of each set of m
-    consecutive lines in K, P: flat lists (starts, owners) of their pieces,
-    set after set, each set's first start -inf and owners counted within
-    the set, and the index in them where each set's pieces end; one sort by
-    set and slope, then a stack per set (point-line duality)."""
+    consecutive lines in K, P: arrays (starts, owners) of their pieces, set
+    after set, each set's first start -inf and owners indexing K; one sort
+    by set and slope, then a stack per set (point-line duality)."""
     # steepest ascent first; of parallel lines only the lowest can be on the
     # envelope, ties to the lower index
     order = np.lexsort((K, -P, np.arange(len(K)) // m))
-    ks, ps, sites = K[order].tolist(), P[order].tolist(), (order % m).tolist()
-    starts, owners, ends = [], [], []
+    ks, ps, sites = K[order].tolist(), P[order].tolist(), order.tolist()
+    starts, owners = [], []
     for lo in range(0, len(K), m):
         hull = []  # (K, P, start, site) of each envelope line so far, start ascending
         top_k = top_p = top_start = None  # those of hull[-1]
@@ -286,37 +284,23 @@ def _line_envelope(K, P, m: int):
         _, _, set_starts, set_owners = zip(*hull)
         starts += set_starts
         owners += set_owners
-        ends.append(len(starts))
-    return starts, owners, ends
-
-
-def _cuts(starts: list, lo: int, hi: int, length: float) -> list:
-    """Cuts in (0, length) from an envelope's ascending piece starts in arc
-    length, starts[lo:hi], dropping cuts within 1e-12 of an endpoint or of
-    the cut before."""
-    kept = []
-    for s in starts[bisect_right(starts, PARAM_TOL, lo, hi):
-                    bisect_left(starts, length - PARAM_TOL, lo, hi)]:
-        if not kept or s - kept[-1] > PARAM_TOL:
-            kept.append(s)
-    return kept
+    return np.array(starts), np.array(owners)
 
 
 def _envelopes(c: Curve, stack: np.ndarray):
     """The lower envelopes of the distance terms along c of every site set
-    of the (R, m, 2) stack: flat lists (starts, owners) of their pieces, set
-    after set, starts in arc length and ascending within a set and owners
-    counted within it, and the index in them where each set's pieces end."""
-    sets, m = stack.shape[:2]
+    of the (R, m, 2) stack: arrays (starts, owners) of their pieces, set
+    after set, starts in arc length and ascending within a set, and owner
+    r * m + i site i of set r."""
+    m = stack.shape[1]
     t0, scale, K, P, Q = _envelope(c, stack.reshape(-1, 2))
     if isinstance(c, Segment):
         return _line_envelope(K, P, m)
     start, owner = _sinusoid_envelope(K, P, Q, t0, c.theta1, m)
-    ends = np.cumsum(np.bincount(owner // m, minlength=sets)).tolist()
-    return ((start - t0) * scale).tolist(), (owner % m).tolist(), ends
+    return (start - t0) * scale, owner
 
 
-def voronoi_breakpoints(c: Curve, sites, *, owners: bool = False):
+def voronoi_breakpoints(c: Curve, sites):
     """Arc-length values where the nearest-site index changes along c.
 
     Exact, from the lower envelope of the per-site distance terms. On a
@@ -327,53 +311,43 @@ def voronoi_breakpoints(c: Curve, sites, *, owners: bool = False):
     between two piece starts split at the crossings of its two owners. The
     first is O(m log m), the second O(m log^2 m). Of sites tied on a
     stretch the lower index wins, and a stretch narrower than 2e-12 where
-    one term dips below another is no cell. Curve endpoints are excluded
-    and breakpoints within 1e-12 are merged. sites is a sequence of Point2
-    or an (m, 2) array.
+    one term dips below another is no cell. An envelope piece's start is a
+    breakpoint when it lies more than 1e-12 inside the curve and more than
+    1e-12 past the piece start before it. sites is a sequence of Point2 or
+    an (m, 2) array, and the breakpoints come as a list.
 
-    Returns the breakpoints as a list. With owners=True it returns
-    (cuts, owners): the same list, and a list of the index of the nearest
-    site on each of the len(cuts) + 1 pieces between 0, the cuts and the
-    curve length, read off the envelope, so that a Voronoi split needs no
-    second nearest-site search.
-
-    sites may also be an (R, m, 2) stack of R site sets. All their
-    envelopes are then built in the same calls (the lines sorted by set
-    before slope, the sinusoid groups of every set merged together), and
-    the result is a list of R entries, each what its set alone gives.
+    sites may also be an (R, m, 2) stack of R site sets, as a cell-state
+    pass gives it. All their envelopes are then built in the same calls
+    (the lines sorted by set before slope, the sinusoid groups of every set
+    merged together), and the result is the pieces between 0, the
+    breakpoints and the curve length: arrays (s0, s1, owner), set after
+    set, owner r * m + i being site i of set r, the nearest site at the
+    piece's midpoint as the envelope has it, so that a Voronoi split needs
+    no second nearest-site search. Each set's pieces are what it gives
+    alone.
     """
     length = curve_length(c)
     xy = _sites_array(sites)
-    starts, who, ends = _envelopes(c, xy if xy.ndim == 3 else xy[None])
-    out = []
-    for lo, hi in zip([0, *ends], ends):
-        cuts = _cuts(starts, lo, hi, length)
-        if not owners:
-            out.append(cuts)
-            continue
-        # the envelope's owner at the midpoint of each piece between the cuts
-        bounds = [0.0, *cuts, length]
-        out.append((cuts, [who[bisect_right(starts, 0.5 * (s0 + s1), lo, hi) - 1]
-                           for s0, s1 in zip(bounds, bounds[1:])]))
-    return out if xy.ndim == 3 else out[0]
-
-
-def _pieces(c: Curve, sites_xy: np.ndarray):
-    """Split c at its breakpoints: arrays (s0, s1, owner), one entry per
-    piece. For an (R, m, 2) stack the pieces of each site set follow one
-    another, and owner r * m + i is site i of set r."""
-    length = curve_length(c)
-    if sites_xy.ndim == 2:
-        sites_xy = sites_xy[None]
-    s0, s1, owner, count = [], [], [], []
-    for cuts, who in voronoi_breakpoints(c, sites_xy, owners=True):
-        s0 += [0.0, *cuts]
-        s1 += [*cuts, length]
-        owner += who
-        count.append(len(who))
-    m = sites_xy.shape[1]
-    return (np.array(s0), np.array(s1),
-            np.array(owner) + np.repeat(np.arange(0, m * len(count), m), count))
+    m = xy.shape[-2]
+    start, who = _envelopes(c, xy if xy.ndim == 3 else xy[None])
+    # on the curve: clipping keeps the order, and which midpoints a start
+    # lies at or before
+    start = np.clip(start, 0.0, length)
+    first = np.empty(len(start), dtype=bool)  # each set's first piece
+    first[0] = True
+    np.not_equal(who[1:] // m, who[:-1] // m, out=first[1:])
+    begin = first.copy()
+    begin[1:] |= ((start[1:] > PARAM_TOL) & (start[1:] < length - PARAM_TOL)
+                  & (start[1:] - start[:-1] > PARAM_TOL))
+    at = np.flatnonzero(begin)
+    s0 = start[at]
+    s1 = np.append(s0[1:], length)
+    s1[:-1][first[at[1:]]] = length
+    # the last envelope start at or before each piece's midpoint
+    mid = 0.5 * (s0 + s1)
+    below = np.where(start <= mid[np.cumsum(begin) - 1], np.arange(len(start)), 0)
+    owner = who[np.maximum.reduceat(below, at)]
+    return (s0, s1, owner) if xy.ndim == 3 else s1[:-1].tolist()
 
 
 def _h_minus_sin(h: np.ndarray) -> np.ndarray:
@@ -430,13 +404,13 @@ def _cell_state(measure: UniformCurveMeasure, sites_xy: np.ndarray):
     differ from its single pass by the order of summation.
     """
     sets, m = (1, len(sites_xy)) if sites_xy.ndim == 2 else sites_xy.shape[:2]
-    flat = sites_xy.reshape(-1, 2)
+    stack, flat = sites_xy.reshape(sets, m, 2), sites_xy.reshape(-1, 2)
     total = 0.0
     lengths = np.zeros(sets * m)
     moments = np.zeros((sets * m, 2))
     pieces = []
     for c in measure.curves:
-        s0, s1, owner = _pieces(c, sites_xy)
+        s0, s1, owner = voronoi_breakpoints(c, stack)
         sq, mom = _piece_integrals(c, s0, s1, flat[owner])
         # one set sums as numpy does, so that a single pass keeps its bits
         total += sq.sum() if sets == 1 else np.bincount(owner // m, sq, minlength=sets)

@@ -10,7 +10,8 @@ bounded Newton descent on the exact Hessian of the distortion, over free
 coordinates and arc lengths on constraint curves: every Voronoi-cell pass
 yields the gradient and the cuts from which the Hessian (2 mass per site,
 one rank-one term per cut) is summed. A chunk's runs descend in lockstep:
-one cell-state pass serves every run it evaluates, and one batched
+each site after beta has the same fixed slots of x in every run, so one
+cell-state pass serves every run it evaluates, and one batched
 factorization and solve serves every run's Newton step, while each run
 keeps its own shift, line search and stopping rules. Point-set members
 move to the member nearest their cell mean. No closed form is consulted,
@@ -304,38 +305,26 @@ def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
 # descent
 
 # the kind of a descent coordinate that is no curve's arc length: a free
-# point's x or y, or padding beyond the end of a shorter candidate's row
+# point's x or y, or a slot that moves nothing (a point-set member's, a curve
+# point's second)
 _FREE, _PAD = -1, -2
-
-
-def _coordinates(problem: Problem, tagged) -> list[tuple]:
-    """A candidate's descent coordinates, each (site, kind, axis, lo, hi,
-    value): x, y of each free point (kind _FREE, axis 0 and 1), then the
-    arc length of each curve-constrained point, boxed to [0, length]
-    (kind the constraint index), constraint by constraint."""
-    out = [(i, _FREE, axis, -np.inf, np.inf, (tp.point.x, tp.point.y)[axis])
-           for i, tp in enumerate(tagged) if tp.kind == "free" for axis in (0, 1)]
-    for ci, cons in enumerate(problem.constraints):
-        if isinstance(cons, CurveConstraint):
-            length = curve_length(cons.curve)
-            out += [(i, ci, 0, 0.0, length, tp.s) for i, tp in enumerate(tagged)
-                    if tp.kind == "constrained" and tp.constraint_index == ci]
-    return out
 
 
 class _Layout(NamedTuple):
     """Where the descent coordinates of a batch of R candidates with m
-    sites each live: row r of x holds candidate r's coordinates (see
-    _coordinates), padded to the n of the longest row. Each coordinate moves
-    one site along one unit vector; these arrays are that chain, so no dense
-    d(sites)/dx matrix is ever formed."""
+    sites each live. Each site after beta has w fixed, consecutive slots of
+    x, w = 2 when the batch holds a free point and 1 otherwise: a free
+    point's x and y (kind _FREE, axis 0 and 1), a curve point's arc length,
+    boxed to [0, length] (kind the constraint index), and _PAD for the rest.
+    Each coordinate moves one site along one unit vector; these arrays are
+    that chain, so no dense d(sites)/dx matrix is ever formed."""
 
-    owner: np.ndarray  # (R, n) the site each coordinate moves
+    owner: np.ndarray  # (n,) the site each coordinate moves
     kind: np.ndarray  # (R, n) constraint index of an arc length, _FREE or _PAD
-    axis: np.ndarray  # (R, n) which coordinate of its site a free one is
+    axis: np.ndarray  # (n,) which coordinate of its site a free one is
     lo: np.ndarray  # (R, n) box bounds (0 for padding)
     hi: np.ndarray
-    slots: np.ndarray  # (R, m, 2) the coordinates of each site, n where none
+    slots: np.ndarray  # (m, 2) the coordinates of each site, n where none
     tangent: np.ndarray  # (R, n, 2) a free coordinate's unit vector, 0 elsewhere
     center: np.ndarray  # (R, n, 2) an arc length's circle center, 0 elsewhere
     radius2: np.ndarray  # (R, n) its squared radius, inf elsewhere
@@ -343,19 +332,27 @@ class _Layout(NamedTuple):
 
 def _layout(problem: Problem, candidates) -> tuple[_Layout, np.ndarray]:
     """The layout of a batch of candidates, and their x."""
-    rows = [_coordinates(problem, tagged) for tagged in candidates]
-    shape = (len(rows), max(map(len, rows)))
-    owner, axis = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
-    kind = np.full(shape, _PAD)
-    lo, hi, x = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    slots = np.full((shape[0], len(candidates[0]), 2), shape[1])
-    for r, coords in enumerate(rows):
-        if coords:
-            k = len(coords)
-            owner[r, :k], kind[r, :k], axis[r, :k], lo[r, :k], hi[r, :k], x[r, :k] = zip(*coords)
-            slots[r, owner[r, :k], axis[r, :k]] = np.arange(k)
+    ell, m = len(problem.beta), len(candidates[0])
+    curves = [isinstance(c, CurveConstraint) for c in problem.constraints]
+    kind = np.array([[_FREE if tp.kind == "free" else tp.constraint_index
+                      if curves[tp.constraint_index] else _PAD for tp in t[ell:]]
+                     for t in candidates], dtype=int).reshape(len(candidates), m - ell)
+    x = np.array([[(tp.point.x, tp.point.y) if tp.kind == "free" else (tp.s, 0.0)
+                   for tp in t[ell:]] for t in candidates]).reshape(kind.shape + (2,))
+    w = 1 + bool((kind == _FREE).any())
+    # a free point's second slot is its y; any other site's moves nothing
+    kind = np.stack([kind, np.where(kind == _FREE, _FREE, _PAD)], axis=2)
+    x, kind = x[..., :w].reshape(len(candidates), -1), kind[..., :w].reshape(len(candidates), -1)
+    n = x.shape[1]
+    owner, axis = ell + np.arange(n) // w, np.arange(n) % w
+    slots = np.full((m, 2), n)
+    slots[ell:, :w] = np.arange(n).reshape(-1, w)
+    lo = np.where(kind == _FREE, -np.inf, 0.0)
+    # indexed by kind: _PAD (-2) reads 0 and _FREE (-1) inf
+    hi = np.array([curve_length(c.curve) if on else 0.0
+                   for c, on in zip(problem.constraints, curves)] + [0.0, np.inf])[kind]
     tangent = np.eye(2)[axis] * (kind == _FREE)[..., None]
-    center, radius2 = np.zeros(shape + (2,)), np.full(shape, np.inf)
+    center, radius2 = np.zeros(x.shape + (2,)), np.full(x.shape, np.inf)
     for ci, cons in enumerate(problem.constraints):
         if isinstance(cons, CurveConstraint) and isinstance(cons.curve, Arc):
             on = kind == ci
@@ -426,19 +423,18 @@ class _Descent:
         rows[k] (every row by default)."""
         rows = np.arange(len(self.x)) if rows is None else rows
         lay = self.layout
-        owner, kind = lay.owner[rows], lay.kind[rows]
-        xy, tangent = self.sites[rows], lay.tangent[rows]
+        kind, xy, tangent = lay.kind[rows], self.sites[rows], lay.tangent[rows]
         r, k = np.nonzero(kind == _FREE)
-        xy[r, owner[r, k], lay.axis[rows][r, k]] = x[r, k]
+        xy[r, lay.owner[k], lay.axis[k]] = x[r, k]
         for ci, curve in self.curves:
             r, k = np.nonzero(kind == ci)
             if r.size:
                 # an arc length moves its point along the unit tangent
-                xy[r, owner[r, k]], tangent[r, k] = _frame_array(curve, x[r, k])
+                xy[r, lay.owner[k]], tangent[r, k] = _frame_array(curve, x[r, k])
         d, masses, moments, pieces = _exact_state(self.measure, xy)
         # dD/dp_i = 2 (mass_i p_i - moment_i / L), chained to x
         g = 2.0 * (masses[..., None] * xy - moments * self.measure.density)
-        grad = (np.take_along_axis(g, owner[..., None], axis=1) * tangent).sum(axis=2)
+        grad = (g[:, lay.owner] * tangent).sum(axis=2)
         m = xy.shape[1]
         return _State(rows, xy, d, masses, moments, grad, tangent,
                       [(s1, owner_ % m, rows[owner_ // m]) for s1, owner_ in pieces])
@@ -491,8 +487,9 @@ class _Descent:
         # a rate that is not positive (sites equal up to rounding) adds nothing
         weight = np.sqrt(4.0 * self.measure.density / np.where(rate > 0.0, rate, np.inf))[:, None]
         # per cut, the coordinates of i and then of j (n for none), and
-        # sqrt(4 / (L phi')) w chained to each
-        slot = np.concatenate([lay.slots[r, i], lay.slots[r, j]], axis=1)
+        # sqrt(4 / (L phi')) w chained to each (0 at a _PAD slot, whose
+        # tangent is 0)
+        slot = np.concatenate([lay.slots[i], lay.slots[j]], axis=1)
         w = np.stack([weight * (p_i - at)] * 2 + [weight * (at - p_j)] * 2, axis=1)
         v = (w * state.tangent[r[:, None], np.minimum(slot, n - 1)]).sum(axis=2)
         both = (slot[:, :, None] < n) & (slot[:, None, :] < n)
@@ -501,11 +498,8 @@ class _Descent:
         H = np.bincount(flat[both], (-v[:, :, None] * v[:, None, :])[both],
                         minlength=len(rows) * n * n).astype(float, copy=False)
         H = H.reshape(len(rows), n, n)
-        own = lay.owner[rows]
-        xy = np.take_along_axis(state.xy[rows], own[..., None], axis=1)
-        masses = np.take_along_axis(state.masses[rows], own, axis=1)
-        g = 2.0 * (masses[..., None] * xy - np.take_along_axis(
-            state.moments[rows], own[..., None], axis=1) * self.measure.density)
+        xy, masses = state.xy[rows][:, lay.owner], state.masses[rows][:, lay.owner]
+        g = 2.0 * (masses[..., None] * xy - state.moments[rows][:, lay.owner] * self.measure.density)
         diag = 2.0 * masses - ((xy - lay.center[rows]) * g).sum(axis=2) / lay.radius2[rows]
         H.reshape(len(rows), n * n)[:, ::n + 1] += np.where(lay.kind[rows] != _PAD, diag, 0.0)
         return H
@@ -525,7 +519,7 @@ class _Descent:
         H[r, k, k] = 1.0
         for p in _indefinite(H):
             row = rows[p]
-            lloyd = 2.0 * np.maximum(self.state.masses[row, self.layout.owner[row]], MASS_TOL)
+            lloyd = 2.0 * np.maximum(self.state.masses[row, self.layout.owner], MASS_TOL)
             S = H[p] / np.sqrt(np.outer(lloyd, lloyd))
             low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
             on = np.flatnonzero(live[p])
@@ -542,7 +536,7 @@ class _Descent:
         # hold coordinates at a bound that the gradient pushes outward; a
         # point without a cell has no gradient and no curvature
         live = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        live &= np.take_along_axis(self.state.masses[rows], lay.owner[rows], axis=1) > 0.0
+        live &= self.state.masses[rows][:, lay.owner] > 0.0
         live &= lay.kind[rows] != _PAD
         moving = np.where(live, g, 0.0).any(axis=1)
         d = np.zeros_like(x)
@@ -606,7 +600,7 @@ class _Descent:
         """The tagged points of a row at its x."""
         lay, xy = self.layout, self.state.xy[row]
         curve = lay.kind[row] >= 0
-        params = dict(zip(lay.owner[row, curve].tolist(), self.x[row, curve].tolist()))
+        params = dict(zip(lay.owner[curve].tolist(), self.x[row, curve].tolist()))
         return [replace(tp, point=Point2(*xy[i].tolist()), s=params.get(i))
                 if tp.kind == "free" or i in params else tp
                 for i, tp in enumerate(self.tagged[row])]

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from curvequant.geometry import (
     Segment,
     UniformCurveMeasure,
     _envelope,
+    _envelopes,
     _frame_array,
-    _pieces,
     _project_array,
     conditional_mean,
     curve_eval,
@@ -340,19 +341,84 @@ def test_piece_owners_match_midpoint_oracle():
     for curves, sites in _owner_cases():
         sites_xy = np.array([(p.x, p.y) for p in sites])
         for c in curves:
-            s0, s1, owner = _pieces(c, sites_xy)
+            s0, s1, owner = voronoi_breakpoints(c, sites_xy[None])
             assert s0[0] == 0.0 and s1[-1] == curve_length(c)
             assert np.all(s0 < s1)
             np.testing.assert_array_equal(owner, _midpoint_owners(c, 0.5 * (s0 + s1), sites_xy))
 
 
-def test_breakpoints_owners_keyword():
+def test_piece_owners_change_at_every_cut():
     for curves, sites in _partition_cases():
+        sites_xy = np.array([(p.x, p.y) for p in sites])
         for c in curves:
-            cuts, owners = voronoi_breakpoints(c, sites, owners=True)
-            assert cuts == voronoi_breakpoints(c, sites)
-            assert len(owners) == len(cuts) + 1
-            assert all(a != b for a, b in zip(owners, owners[1:]))
+            s0, s1, owner = voronoi_breakpoints(c, sites_xy[None])
+            assert s1[:-1].tolist() == s0[1:].tolist() == voronoi_breakpoints(c, sites)
+            assert np.all(owner[1:] != owner[:-1])
+
+
+def _kept_cut_pieces(c, stack):
+    """The pieces as a per-set loop made them before they came from arrays,
+    kept as the test oracle: of each set's envelope starts strictly inside
+    (PARAM_TOL, length - PARAM_TOL), each is a cut when it lies more than
+    PARAM_TOL past the cut kept before it, and each piece's owner is the
+    envelope's at its midpoint, found by bisection."""
+    length, m = curve_length(c), stack.shape[1]
+    start, who = _envelopes(c, stack)
+    s0, s1, owner = [], [], []
+    for r in range(len(stack)):
+        starts, owners = start[who // m == r].tolist(), who[who // m == r].tolist()
+        cuts = []
+        for s in starts:
+            if PARAM_TOL < s < length - PARAM_TOL and (not cuts or s - cuts[-1] > PARAM_TOL):
+                cuts.append(s)
+        bounds = [0.0, *cuts, length]
+        s0 += bounds[:-1]
+        s1 += bounds[1:]
+        owner += [owners[bisect.bisect_right(starts, 0.5 * (a + b)) - 1]
+                  for a, b in zip(bounds, bounds[1:])]
+    return np.array(s0), np.array(s1), np.array(owner)
+
+
+def _crowded_stacks(c, rng):
+    """(R, m, 2) stacks of sites crowded within 2e-12 of one another along
+    c or near its ends: near twins, clusters and sites at the curve ends,
+    on the curve and off it."""
+    length = curve_length(c)
+    for k in range(60):
+        sets, m = k % 4 + 1, k % 9 + 2
+        if k % 3 == 0:  # near twins: pairs 1e-12 to 2e-12 apart
+            half = rng.uniform(-2.0, 2.0, (sets, (m + 1) // 2, 2))
+            twins = half + rng.choice([-1, 1], half.shape) * rng.uniform(1e-12, 2e-12, half.shape)
+            yield np.concatenate([half, twins], axis=1)[:, :m]
+        elif k % 3 == 1:  # one cluster within 2e-12, on the curve or off it
+            s = rng.uniform(0.0, length)
+            center = _frame_array(c, np.array([s]))[0][0] if k % 2 else rng.uniform(-2, 2, 2)
+            yield center + rng.uniform(-1e-12, 1e-12, (sets, m, 2))
+        else:  # at the curve ends, on the curve, within 1e-12 of them
+            s = rng.choice([0.0, length], sets * m) + rng.uniform(-1e-12, 1e-12, sets * m)
+            yield _frame_array(c, np.clip(s, 0.0, length))[0].reshape(sets, m, 2)
+
+
+@pytest.mark.parametrize("c", [SEG01, HALF_ARC, Arc(Point2(0.3, -0.2), 0.8, -1.0, -1.0 + TWO_PI)],
+                         ids=["segment", "arc", "full circle"])
+def test_stacked_pieces_equal_kept_cut_oracle(c):
+    for stack in _crowded_stacks(c, np.random.default_rng(31)):
+        for got, want in zip(voronoi_breakpoints(c, stack), _kept_cut_pieces(c, stack)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_starts_close_to_the_start_before_are_no_cuts():
+    # four sites 6e-13 apart near the start of a segment, where their lines
+    # meet without cancellation: the envelope starts are 6e-13 apart, each
+    # within PARAM_TOL of the start before it, so only the first is a cut
+    # and the site at the midpoint of the rest owns them. Comparing with the
+    # cut kept before instead (the oracle) keeps the third start too.
+    xy = np.array([(1e-6 + 6e-13 * k, 0.0) for k in range(4)])
+    s0, s1, owner = voronoi_breakpoints(SEG01, xy[None])
+    assert voronoi_breakpoints(SEG01, xy) == [s1[0]]
+    assert s1[0] == pytest.approx(1e-6 + 3e-13, abs=1e-15)
+    assert owner.tolist() == [0, 3]
+    assert _kept_cut_pieces(SEG01, xy[None])[2].tolist() == [0, 1, 3]
 
 
 def _segment_march(c, sites_xy):
@@ -539,7 +605,8 @@ _EXPLICIT_ARC_CASES = {
 
 
 def _assert_equals_arc_march(arc, sites_xy):
-    cuts, owners = voronoi_breakpoints(arc, sites_xy, owners=True)
+    _, s1, owners = voronoi_breakpoints(arc, sites_xy[None])
+    cuts = s1[:-1]
     want_cuts, want_owners = _arc_march(arc, sites_xy)
     np.testing.assert_array_equal(owners, want_owners)
     # both take each cut angle from the same expression in the two sites'
@@ -627,13 +694,11 @@ def test_stacked_breakpoints_equal_one_set_at_a_time():
         m = k % 13 + 1  # powers of two and the sizes between
         stack = rng.uniform(-2.5, 2.5, (k % 5 + 1, m, 2))
         stack[0, m // 2:] = stack[0, :m - m // 2]  # duplicate sites
-        together = voronoi_breakpoints(c, stack, owners=True)
-        assert voronoi_breakpoints(c, stack) == [cuts for cuts, _ in together]
-        assert together == [voronoi_breakpoints(c, xy, owners=True) for xy in stack]
-        s0, s1, owner = _pieces(c, stack)
+        s0, s1, owner = voronoi_breakpoints(c, stack)
         for r, xy in enumerate(stack):
             mine = owner // m == r
-            one = _pieces(c, xy)
+            one = voronoi_breakpoints(c, xy[None])
+            assert s1[mine][:-1].tolist() == voronoi_breakpoints(c, xy)
             np.testing.assert_array_equal(s0[mine], one[0])
             np.testing.assert_array_equal(s1[mine], one[1])
             np.testing.assert_array_equal(owner[mine] - r * m, one[2])

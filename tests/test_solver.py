@@ -527,16 +527,16 @@ def dense_hessian(problem, descent, row):
     state, layout = descent.state, descent.layout
     xy, masses, moments = state.xy[row], state.masses[row], state.moments[row]
     real = layout.kind[row] != solver_module._PAD
-    owner = layout.owner[row]
+    owner = layout.owner
     chain = np.zeros((2 * len(xy), descent.x.shape[1]))
     for k in np.flatnonzero(real):
         chain[2 * owner[k]:2 * owner[k] + 2, k] = state.tangent[row, k]
     left, right, at, tangent = [], [], [], []
     for c in problem.measure.curves:
-        cuts, who = voronoi_breakpoints(c, xy, owners=True)
-        left += who[:-1]
-        right += who[1:]
-        point, tau = _frame_array(c, np.array(cuts))
+        _, s1, who = voronoi_breakpoints(c, xy[None])
+        left += who[:-1].tolist()
+        right += who[1:].tolist()
+        point, tau = _frame_array(c, s1[:-1])
         at.append(point)
         tangent.append(tau)
     i, j, at, tangent = np.array(left), np.array(right), np.concatenate(at), np.concatenate(tangent)
@@ -633,8 +633,8 @@ class TestBatch:
         assert_hessians_match_dense(problem, descent)
 
     def test_rows_of_different_lengths(self):
-        # point-set members take no coordinate, so a candidate with more of
-        # them has a shorter row, padded
+        # a point-set member's slot moves nothing, so a candidate with more
+        # of them has more padding
         members = (Point2(0.2, 0.0), Point2(0.5, 0.0), Point2(0.9, 0.0))
         measure = sc.interval_measure()
         problem = Problem(measure, (PointSetConstraint(members),
@@ -643,7 +643,7 @@ class TestBatch:
         mixed = [TaggedPoint("constrained", members[0], 0, 0.0)] + line[1:]
         descent = _Descent(problem, [line, mixed])
         assert descent.x.shape == (2, 3)
-        assert list(descent.layout.kind[1]) == [1, 1, solver_module._PAD]
+        assert list(descent.layout.kind[1]) == [solver_module._PAD, 1, 1]
         assert_hessians_match_dense(problem, descent)
         converged = descent.run(1e-12, 100)
         assert converged.all()
@@ -701,8 +701,7 @@ class TestIndefinite:
                 np.linalg.cholesky(want[p])
             except np.linalg.LinAlgError:
                 shifted.append(p)
-                lloyd = 2.0 * np.maximum(descent.state.masses[p, descent.layout.owner[p]],
-                                         MASS_TOL)
+                lloyd = 2.0 * np.maximum(descent.state.masses[p, descent.layout.owner], MASS_TOL)
                 S = want[p] / np.sqrt(np.outer(lloyd, lloyd))
                 low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
                 want[p] += np.diag((0.1 - float(low.min())) * lloyd)
