@@ -50,7 +50,7 @@ class AsymptoticsReport:
 
 @dataclass(frozen=True)
 class ScenarioLimits:
-    """Published limiting constants for one scenario family."""
+    """Limiting constants for one scenario family."""
 
     v_infinity: float | None
     dimension: float | None
@@ -229,23 +229,10 @@ def build_report(seq: ErrorSequence, kappa: float,
     return AsymptoticsReport(v_inf, dim_lo, dim_hi, kappa, co_lo, co_hi, used)
 
 
-@dataclass(frozen=True)
-class TriangleReference:
-    dimension: float
-    coefficient: float
-
-    def error_bracket(self, n: int) -> tuple[float, float]:
-        """Bounds on the n-point triangle distortion from the balanced-split
-        values at the nearest multiples of three."""
-        if n < 3:
-            raise ValueError("need n >= 3")
-        level = n // 3
-        return 1.0 / (12.0 * (level + 1) ** 2), 1.0 / (12.0 * level ** 2)
-
-
-def triangle_reference() -> TriangleReference:
-    """Exact triangle limits: dimension 1, coefficient 3/4 at kappa = 1."""
-    return TriangleReference(dimension=1.0, coefficient=0.75)
+def triangle_reference() -> ScenarioLimits:
+    """Exact triangle limits: v_infinity 0, dimension 1, coefficient 3/4 at
+    kappa = 1."""
+    return ScenarioLimits(0.0, 1.0, 1.0, 0.75)
 
 
 def exam_references() -> dict[str, ScenarioLimits]:

@@ -17,8 +17,9 @@ import json
 import math
 import re
 import sys
-import time
 from dataclasses import asdict, replace
+
+import numpy as np
 
 from curvequant import scenarios
 from curvequant.asymptotics import ErrorSequence, build_report
@@ -252,7 +253,9 @@ def _solver_options(args, file_overrides: dict | None = None) -> SolverOptions:
 
 def cmd_solve(args) -> int:
     problem, overrides = load_problem_file(args.problem)
-    quantizer = solve(problem, _solver_options(args, overrides))
+    # numbers that overflow end in solve's finite check, not in numpy warnings
+    with np.errstate(all="ignore"):
+        quantizer = solve(problem, _solver_options(args, overrides))
     _emit(result_doc(problem, quantizer), sys.stdout)
     return EXIT_DEGENERATE if quantizer.degenerate_points else EXIT_OK
 
@@ -261,21 +264,6 @@ def _names(field: str) -> list[str]:
     """Registry names, in registry order, whose entries have `field`."""
     return [name for name, entry in scenarios.SCENARIOS.items()
             if getattr(entry, field) is not None]
-
-
-class _Names:
-    """The `choices` of a scenario argument: `_names(field)`, read from the
-    registry whenever the parser checks a value or writes help, so that a
-    parser built once sees the registry as it is at each call."""
-
-    def __init__(self, field: str):
-        self.field = field
-
-    def __iter__(self):
-        return iter(_names(self.field))
-
-    def __contains__(self, name) -> bool:
-        return name in _names(self.field)
 
 
 def cmd_closed_form(args) -> int:
@@ -301,11 +289,9 @@ def cmd_sweep(args) -> int:
     row = scenarios.SCENARIOS[args.scenario].sweep
     rows = []
     for n in range(args.n_from, _limited(args.n_to, "n", "--to") + 1):
-        t0 = time.perf_counter()
         error, alloc = row(n)
-        wall = int(round((time.perf_counter() - t0) * 1000.0)) if args.timings else 0
-        rows.append(f"{n},{error!r},{alloc},{wall}")
-    text = "n,error,alloc,wall_time_ms\n" + "\n".join(rows) + "\n"
+        rows.append(f"{n},{error!r},{alloc}")
+    text = "n,error,alloc\n" + "\n".join(rows) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -441,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("closed-form", help="closed-form configuration for a scenario")
-    p.add_argument("scenario", choices=_Names("closed_form"))
+    p.add_argument("scenario", choices=_names("closed_form"))
     p.add_argument("-n", type=int, required=True, help="point count")
     p.add_argument("--a", type=float, default=0.0, help="support left endpoint")
     p.add_argument("--b", type=float, default=1.0, help="support right endpoint")
@@ -453,12 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser("sweep", help="closed-form error sequence as CSV")
-    p.add_argument("scenario", choices=_Names("sweep"))
+    p.add_argument("scenario", choices=_names("sweep"))
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
     p.add_argument("--output", required=True, help="CSV path, or - for stdout")
-    p.add_argument("--timings", action="store_true",
-                   help="record wall times instead of zeros")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("asymptotics", help="limit estimates from a sweep CSV")
@@ -484,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parsing leaves it as it was."""
+    """The parser, built once per process; parsing leaves it as it was.
+    Its scenario choices are the registry's names when it was built."""
     return build_parser()
 
 

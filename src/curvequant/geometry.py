@@ -22,6 +22,7 @@ candidates and no nearest-site search follows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,12 +89,14 @@ class UniformCurveMeasure:
         if not curves:
             raise ValueError("measure needs at least one curve")
         object.__setattr__(self, "curves", curves)
+        for c in curves:
+            # below this, every squared distance along c underflows
+            if not curve_length(c) >= math.sqrt(sys.float_info.min):
+                raise ValueError(f"curve length {curve_length(c)!r} is too small: "
+                                 "its square underflows")
         total = sum(curve_length(c) for c in curves)
-        if not 0.0 < total < math.inf:
-            raise ValueError("measure needs a positive, finite total length")
-        # a subnormal total length has no finite inverse
-        if not 1.0 / total < math.inf:
-            raise ValueError(f"measure's total length {total!r} is too small for a finite density")
+        if not total < math.inf:
+            raise ValueError("measure needs a finite total length")
         object.__setattr__(self, "total_length", total)
         object.__setattr__(self, "density", 1.0 / total)
 
@@ -312,9 +315,9 @@ def voronoi_breakpoints(c: Curve, sites):
     first is O(m log m), the second O(m log^2 m). Of sites tied on a
     stretch the lower index wins, and a stretch narrower than 2e-12 where
     one term dips below another is no cell. An envelope piece's start is a
-    breakpoint when it lies more than 1e-12 inside the curve and more than
-    1e-12 past the piece start before it. sites is a sequence of Point2 or
-    an (m, 2) array, and the breakpoints come as a list.
+    breakpoint when it lies more than 1e-12 of the curve length inside the
+    curve and as far past the piece start before it. sites is a sequence of
+    Point2 or an (m, 2) array, and the breakpoints come as a list.
 
     sites may also be an (R, m, 2) stack of R site sets, as a cell-state
     pass gives it. All their envelopes are then built in the same calls
@@ -333,12 +336,13 @@ def voronoi_breakpoints(c: Curve, sites):
     # on the curve: clipping keeps the order, and which midpoints a start
     # lies at or before
     start = np.clip(start, 0.0, length)
+    tol = PARAM_TOL * length
     first = np.empty(len(start), dtype=bool)  # each set's first piece
     first[0] = True
     np.not_equal(who[1:] // m, who[:-1] // m, out=first[1:])
     begin = first.copy()
-    begin[1:] |= ((start[1:] > PARAM_TOL) & (start[1:] < length - PARAM_TOL)
-                  & (start[1:] - start[:-1] > PARAM_TOL))
+    begin[1:] |= ((start[1:] > tol) & (start[1:] < length - tol)
+                  & (start[1:] - start[:-1] > tol))
     at = np.flatnonzero(begin)
     s0 = start[at]
     s1 = np.append(s0[1:], length)

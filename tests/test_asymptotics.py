@@ -7,6 +7,7 @@ from curvequant import asymptotics
 from curvequant import closed_form as cf
 from curvequant.asymptotics import (
     ErrorSequence,
+    ScenarioLimits,
     build_report,
     estimate_coefficient,
     estimate_dimension,
@@ -230,15 +231,9 @@ class TestReportAndReferences:
 
     def test_triangle_reference(self):
         ref = triangle_reference()
-        assert ref.dimension == 1.0
-        assert ref.coefficient == 0.75
-        lo, hi = ref.error_bracket(15)
-        assert hi == pytest.approx(1.0 / 300.0, abs=0)
-        assert lo == pytest.approx(1.0 / 432.0, abs=0)
-        assert lo <= cf.triangle_conditional(15).error <= hi
-        for k in range(2, 30):
-            assert cf.triangle_conditional(3 * k).error == pytest.approx(
-                ref.error_bracket(3 * k)[1], rel=1e-14)
+        assert isinstance(ref, ScenarioLimits)
+        assert (ref.v_infinity, ref.dimension, ref.kappa, ref.coefficient) == (0.0, 1.0, 1.0, 0.75)
+        assert ref.exists
 
     def test_exam_references(self):
         refs = exam_references()

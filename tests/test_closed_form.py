@@ -262,6 +262,12 @@ class TestTriangle:
         assert r.allocation == (3, 3, 3)
         assert r.error == pytest.approx(1 / 48, abs=1e-15)
 
+    def test_balanced_splits(self):
+        # n = 3k, k points per side: the error 1 / (12 k^2)
+        for k in range(2, 30):
+            assert cf.triangle_conditional(3 * k).error == pytest.approx(
+                1.0 / (12.0 * k ** 2), rel=1e-14)
+
     def test_cardinality(self):
         for n in range(3, 40):
             r = cf.triangle_conditional(n)

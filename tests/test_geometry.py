@@ -215,9 +215,12 @@ def test_measure_needs_positive_finite_length():
         UniformCurveMeasure((Arc(Point2(0, 0), 5e-324, 0.0, 5e-324),))
     with pytest.raises(ValueError):
         UniformCurveMeasure((Arc(Point2(0, 0), 1e308, 0.0, 6.0),))
-    # positive, but 1 / length, the density, overflows
-    with pytest.raises(ValueError, match="finite density"):
-        UniformCurveMeasure((Segment(Point2(0, 0), Point2(5e-309, 0)),))
+    # positive, but every squared distance along it underflows, and so does
+    # its density's inverse
+    for tiny in (5e-309, 1e-200):
+        with pytest.raises(ValueError, match="too small: its square underflows"):
+            UniformCurveMeasure((Segment(Point2(0, 0), Point2(tiny, 0)), SEG01))
+    UniformCurveMeasure((Segment(Point2(0, 0), Point2(1.5e-154, 0)),))
 
 
 def _random_measure(rng):
@@ -359,17 +362,18 @@ def test_piece_owners_change_at_every_cut():
 def _kept_cut_pieces(c, stack):
     """The pieces as a per-set loop made them before they came from arrays,
     kept as the test oracle: of each set's envelope starts strictly inside
-    (PARAM_TOL, length - PARAM_TOL), each is a cut when it lies more than
-    PARAM_TOL past the cut kept before it, and each piece's owner is the
-    envelope's at its midpoint, found by bisection."""
+    (tol, length - tol), tol = PARAM_TOL * length, each is a cut when it
+    lies more than tol past the cut kept before it, and each piece's owner
+    is the envelope's at its midpoint, found by bisection."""
     length, m = curve_length(c), stack.shape[1]
+    tol = PARAM_TOL * length
     start, who = _envelopes(c, stack)
     s0, s1, owner = [], [], []
     for r in range(len(stack)):
         starts, owners = start[who // m == r].tolist(), who[who // m == r].tolist()
         cuts = []
         for s in starts:
-            if PARAM_TOL < s < length - PARAM_TOL and (not cuts or s - cuts[-1] > PARAM_TOL):
+            if tol < s < length - tol and (not cuts or s - cuts[-1] > tol):
                 cuts.append(s)
         bounds = [0.0, *cuts, length]
         s0 += bounds[:-1]

@@ -846,6 +846,21 @@ class TestSolve:
                    for i in range(3) for j in range(i + 1, 3))
         assert q.distortion == pytest.approx(best, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** 20])
+    def test_scaled_support(self, scale):
+        # a power of two scales every coordinate exactly, and cuts merge
+        # within PARAM_TOL of the curve's length, so a support shorter than
+        # PARAM_TOL keeps its cells
+        def problem(length):
+            measure = UniformCurveMeasure((Segment(Point2(0.0, 0.0), Point2(length, 0.0)),))
+            return Problem(measure, (FreePlane(),), 3)
+
+        want = solve(problem(1.0), SolverOptions(restarts=4))
+        got = solve(problem(scale), SolverOptions(restarts=4))
+        assert got.distortion == pytest.approx(scale ** 2 * want.distortion, rel=1e-12)
+        assert got.masses == pytest.approx(want.masses, abs=1e-12)
+        assert got.masses == pytest.approx([1.0 / 3.0] * 3, abs=1e-12)
+
 
 # one instance per gallery family; triangle 4 is the sliver optimum, which
 # the published equal-spacing set does not reach

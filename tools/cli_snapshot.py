@@ -60,7 +60,7 @@ PROBLEMS = {
 _UNIT = [_segment([0, 0], [1, 0])]
 # problem files whose numbers overflow double precision in the solve: a
 # constraint set at 1e200, an arc whose squared radius overflows and one
-# whose cell integrals do, and a support too short for a finite density
+# whose cell integrals do, and a support whose squared length underflows
 OVERFLOWS = {
     "far_member.json": {"measure": _UNIT, "constraints": [{"type": "points",
                                                            "points": [[1e200, 0]]}], "n": 1},
@@ -75,6 +75,11 @@ OVERFLOWS = {
     "tiny_support.json": {"measure": [_segment([0, 0], [5e-309, 0])],
                           "constraints": [{"type": "free"}], "n": 1},
 }
+# problem files on short supports: 1e-12 long, so that every cell is
+# shorter than 1e-12, and 1e-200 long, so that its squared length underflows
+TINY = {f"support_{length:g}.json": {"measure": [_segment([0, 0], [length, 0])],
+                                     "constraints": [{"type": "free"}], "n": 3}
+        for length in (1e-12, 1e-200)}
 # sweep CSVs that `asymptotics` cases read, as (name, from, to): exam1 and
 # every other criterion-4 family, and the README's semicircle example
 SWEEPS = [("exam1", 3, 200), ("triangle", 3, 1500), ("exam2", 3, 1500),
@@ -148,6 +153,7 @@ def _cases() -> list[list[str]]:
               for w in ("-5", "0", "2")]
     cases.append(["asymptotics", "exam1.csv", "--kappa", "2", "--v-infinity", "nan"])
     cases += [["--restarts", "2", "solve", name] for name in OVERFLOWS]
+    cases += [["--restarts", "2", "solve", name] for name in TINY]
     return cases
 
 
@@ -188,7 +194,7 @@ def main_snapshot(outdir: str) -> int:
                                     "--output", f"{scenario}.csv"])
             if code != 0:
                 raise RuntimeError(f"could not write {scenario}.csv: {err}")
-        for name, doc in {**PROBLEMS, **OVERFLOWS}.items():
+        for name, doc in {**PROBLEMS, **OVERFLOWS, **TINY}.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump({"schema_version": 1, **doc}, fh)
         for i, argv in enumerate(_cases()):
