@@ -89,12 +89,12 @@ class UniformCurveMeasure:
         if not curves:
             raise ValueError("measure needs at least one curve")
         object.__setattr__(self, "curves", curves)
-        for c in curves:
-            # below this, every squared distance along c underflows
-            if not curve_length(c) >= math.sqrt(sys.float_info.min):
-                raise ValueError(f"curve length {curve_length(c)!r} is too small: "
-                                 "its square underflows")
-        total = sum(curve_length(c) for c in curves)
+        lengths = [curve_length(c) for c in curves]
+        for length in lengths:
+            # below this, every squared distance along the curve underflows
+            if not length >= math.sqrt(sys.float_info.min):
+                raise ValueError(f"curve length {length!r} is too small: its square underflows")
+        total = sum(lengths)
         if not total < math.inf:
             raise ValueError("measure needs a finite total length")
         object.__setattr__(self, "total_length", total)
@@ -346,7 +346,7 @@ def voronoi_breakpoints(c: Curve, sites):
     at = np.flatnonzero(begin)
     s0 = start[at]
     s1 = np.append(s0[1:], length)
-    s1[:-1][first[at[1:]]] = length
+    s1[:-1][first[at[1:]]] = length  # each set's last piece ends the curve
     # the last envelope start at or before each piece's midpoint
     mid = 0.5 * (s0 + s1)
     below = np.where(start <= mid[np.cumsum(begin) - 1], np.arange(len(start)), 0)
