@@ -2,11 +2,15 @@
 
 Covers the half-disk boundary (how many of n points sit on the diameter vs
 the arc) and the equilateral triangle (split across the three sides), each
-with a local search and a brute-force verifier.
+with a direct method and a brute-force verifier. The half-disk objective is
+strictly convex in the diameter count, so a walk from its derived continuous
+optimum n/(1 + pi/2) that stops at a local minimum has found the global one;
+the triangle's optimum is the balanced split.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +25,29 @@ class Allocation:
 
 
 def seed_a(n: int) -> int:
-    """Starting guess for the diameter count: floor(5(n+4)/13)."""
+    """The published starting guess for the diameter count, floor(5(n+4)/13).
+
+    semicircle_allocate starts from n/(1 + pi/2) instead: this seed lies
+    0.0044 n below the optimum, so a walk from it takes about n/230 steps.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     return (5 * (n + 4)) // 13
 
 
 def semicircle_allocate(n: int) -> Allocation:
-    """Best diameter/arc split found by hill descent from seed_a(n).
+    """Optimal diameter/arc split: a walk from the derived optimum.
 
-    The seed is clamped into [2, n]; while moving the diameter count down
-    (never past 2) strictly improves the objective, do so, otherwise climb
-    up while that strictly improves. Empirically this rests at the global
-    optimum (the verifier below agrees across the tested range).
+    With a = k - 1 diameter gaps and b = n - k + 1 arc gaps the objective is
+    f(k) = C (1/a^2 + h(b)), h(b) = 3 pi - 6b sin(pi/(2b)). Both terms are
+    strictly convex (h''(b) = 6 (pi/2)^2 sin(pi/(2b)) / b^3 > 0), so f is
+    strictly convex in k and a local minimum of the walk is the global one.
+    The leading terms, 1/a^2 + pi^3/(8 b^2), are least at b/a = pi/2, so the
+    walk starts at k = 1 + round(n/(1 + pi/2)), clamped into [2, n]. It moves
+    down while the lower neighbour is no worse (ties go to the smaller
+    count, as in the exhaustive scan), otherwise up while the upper one is
+    strictly better; each f(k) is evaluated once. Over n = 3..10000 the
+    start is already the optimum, so a call makes at most three evaluations.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -41,12 +55,14 @@ def semicircle_allocate(n: int) -> Allocation:
     def f(k: int) -> float:
         return semicircle_error(k, n - k + 2)
 
-    k = min(max(seed_a(n), 2), n)
-    while k > 2 and f(k - 1) < f(k):
-        k -= 1
-    while k < n and f(k + 1) < f(k):
-        k += 1
-    return Allocation((k, n - k + 2), f(k))
+    start = k = min(max(1 + round(n / (1.0 + math.pi / 2.0)), 2), n)
+    fk = f(k)
+    while k > 2 and (down := f(k - 1)) <= fk:
+        k, fk = k - 1, down
+    if k == start:  # after a step down, f(k + 1) >= f(k) is already known
+        while k < n and (up := f(k + 1)) < fk:
+            k, fk = k + 1, up
+    return Allocation((k, n - k + 2), fk)
 
 
 def semicircle_allocate_exhaustive(n: int) -> Allocation:

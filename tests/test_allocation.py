@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+import curvequant.allocation as allocation
 from curvequant.allocation import (
     Allocation,
     seed_a,
@@ -8,6 +11,7 @@ from curvequant.allocation import (
     triangle_allocate,
     triangle_allocate_exhaustive,
 )
+from curvequant.cli import LIMITS
 from curvequant.closed_form import semicircle_error
 
 
@@ -50,6 +54,63 @@ def test_semicircle_exhaustive_small():
 def test_semicircle_local_equals_exhaustive():
     for n in range(3, 501):
         assert semicircle_allocate(n).objective == semicircle_allocate_exhaustive(n).objective
+
+
+def _split_error(n: int, k: int) -> float:
+    return semicircle_error(k, n - k + 2)
+
+
+def test_semicircle_allocate_is_a_local_minimum_over_the_cli_range():
+    # f(k - 1) > f(k) <= f(k + 1): ties go to the smaller diameter count
+    for n in range(3, LIMITS["n"] + 1):
+        k = semicircle_allocate(n).parts[0]
+        fk = _split_error(n, k)
+        assert k == 2 or _split_error(n, k - 1) > fk, n
+        assert k == n or _split_error(n, k + 1) >= fk, n
+
+
+def test_semicircle_allocate_makes_at_most_three_evaluations(monkeypatch):
+    calls = []
+
+    def counted(n1: int, n2: int) -> float:
+        calls.append((n1, n2))
+        return semicircle_error(n1, n2)
+
+    monkeypatch.setattr(allocation, "semicircle_error", counted)
+    for n in range(3, LIMITS["n"] + 1):
+        calls.clear()
+        semicircle_allocate(n)
+        assert len(calls) <= 3, n
+        assert len(set(calls)) == len(calls), n
+
+
+@pytest.mark.parametrize("n", [2000, 5000, 10_000])
+def test_semicircle_allocate_equals_exhaustive_at_large_n(n):
+    assert semicircle_allocate(n) == semicircle_allocate_exhaustive(n)
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000, 10_000])
+def test_semicircle_error_is_strictly_convex_in_the_split(n):
+    # the walk's stopping rule is exact only because of this
+    f = [_split_error(n, k) for k in range(2, n + 1)]
+    second = [a - 2.0 * b + c for a, b, c in zip(f, f[1:], f[2:])]
+    assert min(second) > 0.0
+
+
+def test_semicircle_split_tends_to_one_to_half_pi():
+    # The leading terms 1/a^2 + pi^3/(8 b^2) of the objective, in a = k - 1
+    # diameter and b = n - k + 1 arc gaps, are least at b/a = pi/2; the next
+    # term of h(b) moves that minimiser by a relative O(b^-2), about 1e-8
+    # here. By convexity the integer minimiser a lies within one gap of the
+    # continuous one, and one gap moves b/a = n/a - 1 by less than
+    # n/(a(a - 1)): 6.6e-4 at n = 10000, where b/a = 1.570694 is measured.
+    n = 10_000
+    n1, n2 = semicircle_allocate(n).parts
+    a, b = n1 - 1, n2 - 1
+    assert a + b == n
+    bound = n / (a * (a - 1)) + 1e-6
+    assert abs(b / a - math.pi / 2.0) < bound
+    assert bound < 7e-4
 
 
 def test_semicircle_parts_consistent():

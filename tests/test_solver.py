@@ -761,7 +761,9 @@ class TestSolve:
         # is singular at the optimum
         circle = Arc(Point2(0.0, 0.0), 1.0, 0.0, 2.0 * math.pi)
         problem = Problem(UniformCurveMeasure((circle,)), (CurveConstraint(circle),), n)
-        want = 2.0 - 2.0 * n * math.sin(math.pi / n) / math.pi
+        # 2 - 2n sin(pi/n)/pi, written so that it does not cancel as n grows
+        x = math.pi / n
+        want = 2.0 * cf._x_minus_sin(x) / x
         for rng_seed in (1, 2, 3, 5, 7, 11, 42):
             q = solve(problem, SolverOptions(rng_seed=rng_seed))
             assert q.distortion == pytest.approx(want, rel=1e-12), rng_seed

@@ -154,6 +154,8 @@ def _cases() -> list[list[str]]:
     cases.append(["asymptotics", "exam1.csv", "--kappa", "2", "--v-infinity", "nan"])
     cases += [["--restarts", "2", "solve", name] for name in OVERFLOWS]
     cases += [["--restarts", "2", "solve", name] for name in TINY]
+    # the semicircle allocation at every n the command line accepts
+    cases.append(["sweep", "semicircle", "--from", "3", "--to", "10000", "--output", "-"])
     return cases
 
 
