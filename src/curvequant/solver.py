@@ -3,20 +3,15 @@ measures.
 
 Candidate quantizers carry a fixed conditional part (beta), points confined
 to constraint sets, and free points. The multi-start runs go in chunks,
-each seeded from the support alone just before it descends: k-means++
-picks among stratified support samples, each snapped onto the
-constraints, each step taken for the whole chunk at once. A run is a
-bounded Newton descent on the exact Hessian of the distortion, over free
-coordinates and arc lengths on constraint curves: every Voronoi-cell pass
-yields the gradient and the cuts from which the Hessian (2 mass per site,
-one rank-one term per cut) is summed. A chunk's runs descend in lockstep:
-each site after beta has the same fixed slots of x in every run, so one
-cell-state pass serves every run it evaluates, and one batched
-factorization and solve serves every run's Newton step, while each run
-keeps its own shift, line search and stopping rules. Point-set members
-move to the member nearest their cell mean. No closed form is consulted,
-so the solver checks them independently. Degenerate (zero-mass) points are
-reported, not dropped: several scenarios hinge on detecting them.
+each seeded by k-means++ from the support alone just before it descends,
+as arrays: only the result is tagged. A run is a bounded Newton descent on
+the exact Hessian of the distortion over free coordinates and arc lengths
+on constraint curves, a chunk's runs in lockstep: one cell-state pass
+serves every run it evaluates, one batched factorization and solve every
+run's Newton step, which each run assembles once per state. Point-set
+members move to the member nearest their cell mean. No closed form is
+consulted, so the solver checks them independently. Degenerate
+(zero-mass) points are reported, not dropped.
 """
 
 from __future__ import annotations
@@ -240,7 +235,15 @@ def _snap(problem: Problem, xy: np.ndarray):
     return points, index, param
 
 
-def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
+class _Seeds(NamedTuple):
+    """R candidates of one problem, m points each, beta first."""
+
+    sites: np.ndarray  # (R, m, 2)
+    index: np.ndarray  # (R, m - l) constraint index of each point after beta, or -1
+    param: np.ndarray  # (R, m - l) its arc length or member index, 0 if free
+
+
+def _seed_runs(problem: Problem, rng, runs: int) -> _Seeds:
     """k-means++ seeds (Arthur & Vassilvitskii, SODA 2007) of `runs` runs,
     each step one call over all runs.
 
@@ -261,9 +264,10 @@ def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
     chunk by chunk from one rng, as solve does, changes no seed.
     """
     count = problem.n - len(problem.beta)
-    beta = [TaggedPoint("beta", b) for b in problem.beta]
+    beta = np.array([(b.x, b.y) for b in problem.beta], float).reshape(-1, 2)
+    beta = np.tile(beta, (runs, 1, 1))
     if count == 0:
-        return [list(beta) for _ in range(runs)]
+        return _Seeds(beta, np.zeros((runs, 0), dtype=int), np.zeros((runs, 0)))
     size = SEED_SAMPLES * count
     lengths = np.array([curve_length(c) for c in problem.measure.curves])
     bounds = np.concatenate([[0.0], np.cumsum(lengths)])
@@ -294,11 +298,8 @@ def _seed_runs(problem: Problem, rng, runs: int) -> list[list[TaggedPoint]]:
         at = snapped[rows, k]
         d2 = np.minimum(d2, (x - at[:, :1]) ** 2 + (y - at[:, 1:]) ** 2)
     flat = picks + rows[:, None] * size
-    return [beta + [TaggedPoint("free", Point2(*p)) if i < 0
-                    else TaggedPoint("constrained", Point2(*p), i, t)
-                    for p, i, t in zip(xy, ci, s)]
-            for xy, ci, s in zip(snapped.reshape(-1, 2)[flat].tolist(), index[flat].tolist(),
-                                 param[flat].tolist())]
+    return _Seeds(np.concatenate([beta, snapped.reshape(-1, 2)[flat]], axis=1),
+                  index[flat], param[flat])
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +315,13 @@ class _Layout(NamedTuple):
     """Where the descent coordinates of a batch of R candidates with m
     sites each live. Each site after beta has w fixed, consecutive slots of
     x, w = 2 when the batch holds a free point and 1 otherwise: a free
-    point's x and y (kind _FREE, axis 0 and 1), a curve point's arc length,
+    point's x and y (kind _FREE), a curve point's arc length,
     boxed to [0, length] (kind the constraint index), and _PAD for the rest.
     Each coordinate moves one site along one unit vector; these arrays are
     that chain, so no dense d(sites)/dx matrix is ever formed."""
 
     owner: np.ndarray  # (n,) the site each coordinate moves
     kind: np.ndarray  # (R, n) constraint index of an arc length, _FREE or _PAD
-    axis: np.ndarray  # (n,) which coordinate of its site a free one is
     lo: np.ndarray  # (R, n) box bounds (0 for padding)
     hi: np.ndarray
     slots: np.ndarray  # (m, 2) the coordinates of each site, n where none
@@ -330,28 +330,26 @@ class _Layout(NamedTuple):
     radius2: np.ndarray  # (R, n) its squared radius, inf elsewhere
 
 
-def _layout(problem: Problem, candidates) -> tuple[_Layout, np.ndarray]:
+def _layout(problem: Problem, seeds: _Seeds) -> tuple[_Layout, np.ndarray]:
     """The layout of a batch of candidates, and their x."""
-    ell, m = len(problem.beta), len(candidates[0])
+    ell, (runs, m) = len(problem.beta), seeds.sites.shape[:2]
     curves = [isinstance(c, CurveConstraint) for c in problem.constraints]
-    kind = np.array([[_FREE if tp.kind == "free" else tp.constraint_index
-                      if curves[tp.constraint_index] else _PAD for tp in t[ell:]]
-                     for t in candidates], dtype=int).reshape(len(candidates), m - ell)
-    x = np.array([[(tp.point.x, tp.point.y) if tp.kind == "free" else (tp.s, 0.0)
-                   for tp in t[ell:]] for t in candidates]).reshape(kind.shape + (2,))
-    w = 1 + bool((kind == _FREE).any())
+    free = seeds.index < 0
+    kind = np.where(free, _FREE, np.where(np.array(curves)[seeds.index], seeds.index, _PAD))
+    x = np.where(free[..., None], seeds.sites[:, ell:], seeds.param[..., None] * [1.0, 0.0])
+    w = 1 + bool(free.any())
     # a free point's second slot is its y; any other site's moves nothing
-    kind = np.stack([kind, np.where(kind == _FREE, _FREE, _PAD)], axis=2)
-    x, kind = x[..., :w].reshape(len(candidates), -1), kind[..., :w].reshape(len(candidates), -1)
+    kind = np.stack([kind, np.where(free, _FREE, _PAD)], axis=2)
+    x, kind = x[..., :w].reshape(runs, -1), kind[..., :w].reshape(runs, -1)
     n = x.shape[1]
-    owner, axis = ell + np.arange(n) // w, np.arange(n) % w
+    owner = ell + np.arange(n) // w
     slots = np.full((m, 2), n)
     slots[ell:, :w] = np.arange(n).reshape(-1, w)
     lo = np.where(kind == _FREE, -np.inf, 0.0)
     # indexed by kind: _PAD (-2) reads 0 and _FREE (-1) inf
     hi = np.array([curve_length(c.curve) if on else 0.0
                    for c, on in zip(problem.constraints, curves)] + [0.0, np.inf])[kind]
-    tangent = np.eye(2)[axis] * (kind == _FREE)[..., None]
+    tangent = np.eye(2)[np.arange(n) % w] * (kind == _FREE)[..., None]
     center, radius2 = np.zeros(x.shape + (2,)), np.full(x.shape, np.inf)
     for ci, cons in enumerate(problem.constraints):
         if isinstance(cons, CurveConstraint) and isinstance(cons.curve, Arc):
@@ -360,7 +358,7 @@ def _layout(problem: Problem, candidates) -> tuple[_Layout, np.ndarray]:
             # numpy's power has the bits of Python's, but overflows to inf
             # where Python's raises
             radius2[on] = np.float64(cons.curve.radius) ** 2
-    return _Layout(owner, kind, axis, lo, hi, slots, tangent, center, radius2), np.clip(x, lo, hi)
+    return _Layout(owner, kind, lo, hi, slots, tangent, center, radius2), np.clip(x, lo, hi)
 
 
 def _indefinite(H: np.ndarray, known: bool = False) -> list[int]:
@@ -382,6 +380,11 @@ def _indefinite(H: np.ndarray, known: bool = False) -> list[int]:
     return first + [half + p for p in _indefinite(H[half:], known=not first)]
 
 
+def _dot(a, b):
+    """Dot products over a last axis of length 2, which numpy sums slowly."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
 class _State(NamedTuple):
     """One cell-state pass at x over some rows of a batch, one entry per row."""
 
@@ -392,40 +395,45 @@ class _State(NamedTuple):
     moments: np.ndarray  # (k, m, 2)
     grad: np.ndarray  # (k, n) of the distortion in x
     tangent: np.ndarray  # (k, n, 2) the unit vector each coordinate moves its site along
+    site_grad: np.ndarray  # (k, n, 2) of the distortion in that site
     pieces: list  # per support curve, (s1, site, batch row) of its pieces, row after row
 
 
 class _Descent:
-    """Bounded Newton descent on the distortion of a batch of candidates of
-    one problem, all rows in lockstep. x holds one row per candidate (see
-    _Layout); beta and point-set members stay put. Every cell-state pass
-    serves all the rows it evaluates at once, and every Newton step solves
-    all rows' systems H d = -g in one call: H is the exact Hessian of the
-    row's state (`hessian`), on the coordinates not held at a bound,
-    shifted toward the Lloyd diagonal where it is not positive definite
-    (`newton`). Each row's step is projected onto the box and halved until
-    it meets the Armijo condition, the rows still searching re-evaluated
-    together; `finish` takes one last full step. `state` holds the
-    cell-state pass at each row's x, and H is assembled only there, never
-    at a rejected trial point.
+    """Bounded Newton descent on the distortion of a batch of candidates
+    (_Seeds) of one problem, all rows in lockstep. x holds one row per
+    candidate (see _Layout); beta and point-set members stay put. Every
+    cell-state pass serves all the rows it evaluates at once, and every
+    Newton step solves all rows' systems H d = -g in one call: H is the
+    exact Hessian of the row's state (`hessian`), on the coordinates not
+    held at a bound, shifted toward the Lloyd diagonal where it is not
+    positive definite (`newton`). Each row's step is projected onto the box
+    and halved until it meets the Armijo condition, the rows still
+    searching re-evaluated together; `finish` takes one last full step.
+    `state` holds the cell-state pass at each row's x, and a row's step is
+    assembled there once and kept until `_accept` moves the row.
     """
 
-    def __init__(self, problem: Problem, candidates):
-        self.measure, self.tagged = problem.measure, [list(t) for t in candidates]
-        self.sites = np.array([[(tp.point.x, tp.point.y) for tp in t] for t in candidates])
-        self.layout, self.x = _layout(problem, candidates)
+    def __init__(self, problem: Problem, seeds: _Seeds):
+        self.problem, self.measure = problem, problem.measure
+        self.sites, self.index, self.param = seeds
+        self.layout, self.x = _layout(problem, seeds)
         self.curves = [(ci, cons.curve) for ci, cons in enumerate(problem.constraints)
                        if isinstance(cons, CurveConstraint)]
         self.state = self.evaluate(self.x)
+        self.step = np.zeros_like(self.x)
+        self.moving, self.known = np.zeros((2, len(self.x)), bool)
 
     def evaluate(self, x, rows=None) -> _State:
         """One cell-state pass at x, whose row k is x of the batch's row
         rows[k] (every row by default)."""
         rows = np.arange(len(self.x)) if rows is None else rows
-        lay = self.layout
+        lay, m = self.layout, self.sites.shape[1]
         kind, xy, tangent = lay.kind[rows], self.sites[rows], lay.tangent[rows]
-        r, k = np.nonzero(kind == _FREE)
-        xy[r, lay.owner[k], lay.axis[k]] = x[r, k]
+        free = kind == _FREE
+        if free.any():  # free x and y fill their sites' slots
+            np.copyto(xy[:, len(self.problem.beta):], x.reshape(len(rows), -1, 2),
+                      where=free.reshape(len(rows), -1, 2))
         for ci, curve in self.curves:
             r, k = np.nonzero(kind == ci)
             if r.size:
@@ -433,16 +441,14 @@ class _Descent:
                 xy[r, lay.owner[k]], tangent[r, k] = _frame_array(curve, x[r, k])
         d, masses, moments, pieces = _exact_state(self.measure, xy)
         # dD/dp_i = 2 (mass_i p_i - moment_i / L), chained to x
-        g = 2.0 * (masses[..., None] * xy - moments * self.measure.density)
-        grad = (g[:, lay.owner] * tangent).sum(axis=2)
-        m = xy.shape[1]
-        return _State(rows, xy, d, masses, moments, grad, tangent,
+        g = 2.0 * (masses[..., None] * xy - moments * self.measure.density)[:, lay.owner]
+        return _State(rows, xy, d, masses, moments, _dot(g, tangent), tangent, g,
                       [(s1, owner_ % m, rows[owner_ // m]) for s1, owner_ in pieces])
 
     def _accept(self, new: _State, ok, x) -> None:
         """Move the rows of new where ok to x and their state in new."""
         rows = new.rows[ok]
-        self.x[rows] = x[ok]
+        self.x[rows], self.known[rows] = x[ok], False
         for old, fresh in zip(self.state[1:-1], new[1:-1]):
             old[rows] = fresh[ok]
         taken = np.zeros(len(self.x), dtype=bool)
@@ -471,38 +477,32 @@ class _Descent:
         state, lay, n = self.state, self.layout, self.x.shape[1]
         at_row = np.full(len(self.x), -1)
         at_row[rows] = np.arange(len(rows))
-        row, left, right, at, tangent = [], [], [], [], []
+        cuts = []
         for c, (s1, site, r) in zip(self.measure.curves, state.pieces):
-            k = np.flatnonzero((site[:-1] != site[1:]) & (r[:-1] == r[1:]))
-            k = k[at_row[r[k]] >= 0]
-            row.append(r[k])
-            left.append(site[k])
-            right.append(site[k + 1])
-            point, tau = _frame_array(c, s1[k])
-            at.append(point)
-            tangent.append(tau)
-        r, i, j, at, tau = map(np.concatenate, (row, left, right, at, tangent))
-        p_i, p_j = state.xy[r, i], state.xy[r, j]
-        rate = 2.0 * ((p_j - p_i) * tau).sum(axis=1)
+            a = at_row[r]
+            k = np.flatnonzero((site[:-1] != site[1:]) & (a[:-1] == a[1:]) & (a[:-1] >= 0))
+            cuts.append((r[k], a[k], site[k[:, None] + (0, 1)], *_frame_array(c, s1[k])))
+        r, a, ij, at, tau = cuts[0] if len(cuts) == 1 else map(np.concatenate, zip(*cuts))
+        p = state.xy[r[:, None], ij]  # p_i and p_j of each cut
+        rate = 2.0 * _dot(p[:, 1] - p[:, 0], tau)
         # a rate that is not positive (sites equal up to rounding) adds nothing
-        weight = np.sqrt(4.0 * self.measure.density / np.where(rate > 0.0, rate, np.inf))[:, None]
-        # per cut, the coordinates of i and then of j (n for none), and
-        # sqrt(4 / (L phi')) w chained to each (0 at a _PAD slot, whose
-        # tangent is 0)
-        slot = np.concatenate([lay.slots[i], lay.slots[j]], axis=1)
-        w = np.stack([weight * (p_i - at)] * 2 + [weight * (at - p_j)] * 2, axis=1)
-        v = (w * state.tangent[r[:, None], np.minimum(slot, n - 1)]).sum(axis=2)
-        both = (slot[:, :, None] < n) & (slot[:, None, :] < n)
-        flat = (at_row[r][:, None, None] * n + slot[:, :, None]) * n + slot[:, None, :]
-        # (without cuts bincount counts in integers)
-        H = np.bincount(flat[both], (-v[:, :, None] * v[:, None, :])[both],
-                        minlength=len(rows) * n * n).astype(float, copy=False)
-        H = H.reshape(len(rows), n, n)
-        xy, masses = state.xy[rows][:, lay.owner], state.masses[rows][:, lay.owner]
-        g = 2.0 * (masses[..., None] * xy - state.moments[rows][:, lay.owner] * self.measure.density)
-        diag = 2.0 * masses - ((xy - lay.center[rows]) * g).sum(axis=2) / lay.radius2[rows]
-        H.reshape(len(rows), n * n)[:, ::n + 1] += np.where(lay.kind[rows] != _PAD, diag, 0.0)
-        return H
+        weight = np.sqrt(4.0 * self.measure.density / np.where(rate > 0.0, rate, np.inf))
+        # per cut, the coordinates of i and j (n for none) and sqrt(4 / (L phi'))
+        # w chained to each (0 at a _PAD slot, whose tangent is 0)
+        slot = lay.slots[ij]
+        w = weight[:, None, None] * (p - at[:, None])
+        w[:, 1] *= -1.0
+        v = _dot(w[:, :, None], state.tangent[r[:, None, None], np.minimum(slot, n - 1)])
+        v, slot = v.reshape(-1, 4), slot.reshape(-1, 4)
+        # slot n sums into a cut-off row and column (without cuts, in ints)
+        flat = (a[:, None, None] * (n + 1) + slot[:, :, None]) * (n + 1) + slot[:, None, :]
+        H = np.bincount(flat.ravel(), (-v[:, :, None] * v[:, None, :]).ravel(),
+                        minlength=len(rows) * (n + 1) ** 2).astype(float, copy=False)
+        own = rows[:, None], lay.owner
+        diag = 2.0 * state.masses[own] - _dot(
+            state.xy[own] - lay.center[rows], state.site_grad[rows]) / lay.radius2[rows]
+        H.reshape(len(rows), -1)[:, :-1:n + 2] += np.where(lay.kind[rows] != _PAD, diag, 0.0)
+        return H.reshape(len(rows), n + 1, n + 1)[:, :n, :n]
 
     def newton(self, rows, live) -> np.ndarray:
         """The Newton steps -H^-1 g of the given rows on their live
@@ -531,19 +531,20 @@ class _Descent:
         """The Newton steps at x of the given rows, zero where a coordinate
         is held at a bound, and which rows have one: a row none of whose
         movable coordinates has a gradient has none."""
-        lay = self.layout
-        x, g, lo, hi = self.x[rows], self.state.grad[rows], lay.lo[rows], lay.hi[rows]
+        new, lay = rows[~self.known[rows]], self.layout
+        x, g, lo, hi = self.x[new], self.state.grad[new], lay.lo[new], lay.hi[new]
         # hold coordinates at a bound that the gradient pushes outward; a
         # point without a cell has no gradient and no curvature
         live = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        live &= self.state.masses[rows][:, lay.owner] > 0.0
-        live &= lay.kind[rows] != _PAD
+        live &= self.state.masses[new][:, lay.owner] > 0.0
+        live &= lay.kind[new] != _PAD
         moving = np.where(live, g, 0.0).any(axis=1)
         d = np.zeros_like(x)
         if moving.any():
-            d[moving] = self.newton(rows[moving], live[moving])
+            d[moving] = self.newton(new[moving], live[moving])
         d[((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
-        return d, moving
+        self.step[new], self.moving[new], self.known[new] = d, moving, True
+        return self.step[rows], self.moving[rows]
 
     def run(self, tol: float, max_iters: int, rows=None) -> np.ndarray:
         """Iterate the given rows (every row by default) until an iteration
@@ -562,19 +563,18 @@ class _Descent:
             go = moving & (-(g * d).sum(axis=1) > _ROUNDING * f)
             active, f, g, d = active[go], f[go], g[go], d[go]
             x, lo, hi = self.x[active], lay.lo[active], lay.hi[active]
-            step, search = np.ones(len(active)), np.arange(len(active))
-            reached = np.full(len(active), np.nan)
-            for _ in range(_HALVINGS):
-                if not search.size:
-                    break
-                x_new = np.clip(x[search] + step[search, None] * d[search], lo[search], hi[search])
+            reached, search = np.full(len(active), np.nan), slice(None)
+            # each searching row has halved its step h times
+            for h in range(_HALVINGS if active.size else 0):
+                x_new = np.clip(x[search] + 0.5 ** h * d[search], lo[search], hi[search])
                 new = self.evaluate(x_new, active[search])
                 ok = new.distortion <= f[search] + _ARMIJO * (
                     g[search] * (x_new - x[search])).sum(axis=1)
                 self._accept(new, ok, x_new)
-                reached[search[ok]] = new.distortion[ok]
-                search = search[~ok]
-                step[search] *= 0.5
+                reached[search] = np.where(ok, new.distortion, np.nan)
+                if ok.all():
+                    break
+                search = np.arange(len(active))[search][~ok]
             # a row stops when its line search fails or its iteration
             # improved too little (the comparison with nan is False)
             active = active[f - reached >= np.maximum(tol, _ROUNDING * f)]
@@ -596,59 +596,59 @@ class _Descent:
             self._accept(new, new.distortion <= self.state.distortion[rows] * (1.0 + _ROUNDING),
                          x_new)
 
+    def params(self) -> np.ndarray:
+        """The param arrays of every row at its x (see _Seeds)."""
+        lay, param = self.layout, self.param.copy()
+        r, k = np.nonzero(lay.kind >= 0)
+        param[r, lay.owner[k] - len(self.problem.beta)] = self.x[r, k]
+        return param
+
     def result(self, row: int) -> list[TaggedPoint]:
         """The tagged points of a row at its x."""
-        lay, xy = self.layout, self.state.xy[row]
-        curve = lay.kind[row] >= 0
-        params = dict(zip(lay.owner[curve].tolist(), self.x[row, curve].tolist()))
-        return [replace(tp, point=Point2(*xy[i].tolist()), s=params.get(i))
-                if tp.kind == "free" or i in params else tp
-                for i, tp in enumerate(self.tagged[row])]
+        ell = len(self.problem.beta)
+        return [TaggedPoint("beta", b) for b in self.problem.beta] + [
+            TaggedPoint("free", Point2(*p)) if i < 0
+            else TaggedPoint("constrained", Point2(*p), i, s)
+            for p, i, s in zip(self.state.xy[row, ell:].tolist(), self.index[row].tolist(),
+                               self.params()[row].tolist())]
 
 
-def _nearest_members(problem: Problem, run: _Descent, row: int):
-    """A row's points with each positive-mass point-set member moved to the
-    member nearest its cell mean; None when no member moves."""
-    masses, moments = run.state.masses[row], run.state.moments[row]
-    moved = {}
-    for i, tp in enumerate(run.tagged[row]):
-        cons = problem.constraints[tp.constraint_index] if tp.kind == "constrained" else None
+def _nearest_members(problem: Problem, run: _Descent, row: int, param):
+    """A row's seed arrays at its x (param: its params, changed here), each
+    positive-mass point-set member moved to the member nearest its cell
+    mean; None if none moves."""
+    ell, masses, moments = len(problem.beta), run.state.masses[row], run.state.moments[row]
+    sites, moved = run.state.xy[row].copy(), False
+    for i, ci in enumerate(run.index[row].tolist(), ell):
+        cons = problem.constraints[ci] if ci >= 0 else None
         if isinstance(cons, PointSetConstraint) and masses[i] > 1e-12:
             mx, my = moments[i] / (masses[i] * problem.measure.total_length)
             k = int(np.argmin([(p.x - mx) ** 2 + (p.y - my) ** 2 for p in cons.points]))
-            if k != int(tp.s):
-                moved[i] = TaggedPoint("constrained", cons.points[k], tp.constraint_index, float(k))
-    return [moved.get(i, tp) for i, tp in enumerate(run.result(row))] if moved else None
+            if k != int(param[i - ell]):
+                sites[i], param[i - ell], moved = (cons.points[k].x, cons.points[k].y), k, True
+    return (sites, run.index[row], param) if moved else None
 
 
-def _distortion(descent) -> float:
-    """The distortion of a (batch, row, converged) descent."""
-    run, row, _ = descent
-    return run.state.distortion[row]
-
-
-def _descend(problem: Problem, candidates, options: SolverOptions) -> list[tuple]:
+def _descend(problem: Problem, seeds: _Seeds, options: SolverOptions) -> list[tuple]:
     """Bounded Newton descent of every candidate to param_tol, in lockstep,
     then nearest-member moves of point-set members, repeated while the
     moves lower a candidate's distortion by at least param_tol; the
     candidates that moved descend again together. Returns each candidate's
-    best descent as (batch, row, converged), converged saying whether its
-    Newton descent reached param_tol."""
-    best = [None] * len(candidates)
-    todo = dict(enumerate(candidates))
+    best descent as (distortion, batch, row, converged), converged saying
+    whether its Newton descent reached param_tol."""
+    best, todo = [None] * len(seeds.sites), range(len(seeds.sites))
     while todo:
-        run = _Descent(problem, list(todo.values()))
-        converged = run.run(options.param_tol, options.max_iters)
-        moved = {}
+        run = _Descent(problem, seeds)
+        converged, params, moved = run.run(options.param_tol, options.max_iters), run.params(), {}
         for row, k in enumerate(todo):
-            if best[k] is not None and (run.state.distortion[row]
-                                        > _distortion(best[k]) - options.param_tol):
+            d = run.state.distortion[row]
+            if best[k] is not None and d > best[k][0] - options.param_tol:
                 continue
-            best[k] = (run, row, bool(converged[row]))
-            tagged = _nearest_members(problem, run, row)
-            if tagged is not None:
-                moved[k] = tagged
-        todo = moved
+            best[k] = (d, run, row, bool(converged[row]))
+            if (seed := _nearest_members(problem, run, row, params[row])) is not None:
+                moved[k] = seed
+        todo = list(moved)
+        seeds = _Seeds(*map(np.stack, zip(*moved.values()))) if moved else None
     return best
 
 
@@ -658,7 +658,7 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     The runs go in chunks, in run order, as many as fit in _HESSIAN_FLOATS
     floats of a run's widest arrays: its seeding arrays or its Hessian over
     every coordinate. Each chunk is seeded from stratified samples of the
-    support (see _seed_runs: chunks change no seed) just before it descends
+    support (chunks change no seed) just before it descends
     by bounded Newton on the exact Hessian of the distortion to param_tol.
     The winner (lowest distortion, earliest run on ties) then descends on
     in its batch until an iteration no longer improves it beyond rounding,
@@ -677,9 +677,9 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     for start in range(0, options.restarts, chunk):
         seeds = _seed_runs(problem, rng, min(chunk, options.restarts - start))
         for run in _descend(problem, seeds, options):
-            if best is None or _distortion(run) < _distortion(best) - 1e-15:
+            if best is None or run[0] < best[0] - 1e-15:
                 best = run
-    batch, row, converged = best
+    _, batch, row, converged = best
     batch.run(0.0, options.max_iters, np.array([row]))
     batch.finish(np.array([row]))
     d, masses = float(batch.state.distortion[row]), batch.state.masses[row]

@@ -1,6 +1,7 @@
 """Solver tests: evaluation, Lloyd dynamics, the descent gradient, multi-start
 solve, existence detection, the sandwich chain, and density gaps."""
 
+import collections
 import inspect
 import math
 import sys
@@ -40,6 +41,7 @@ from curvequant.solver import (
     solve,
     SEED_SAMPLES,
     _Descent,
+    _Seeds,
     _indefinite,
     _seed_runs,
 )
@@ -49,6 +51,15 @@ V3_SEMI = (2.0 / (2.0 + math.pi)) * (-2.0 * math.sqrt(2.0) + 1.0 / 3.0 + math.pi
 
 def tag_free(*xy):
     return [TaggedPoint("free", Point2(x, y)) for x, y in xy]
+
+
+def seeds_of(problem, candidates):
+    """Tagged candidates of one length as the descent's seed arrays."""
+    ell = len(problem.beta)
+    return _Seeds(np.array([[(tp.point.x, tp.point.y) for tp in t] for t in candidates]),
+                  np.array([[-1 if tp.kind == "free" else tp.constraint_index for tp in t[ell:]]
+                            for t in candidates]),
+                  np.array([[tp.s or 0.0 for tp in t[ell:]] for t in candidates]))
 
 
 class TestTypes:
@@ -279,13 +290,14 @@ def seed_batch(problem, count, rng_seed=3):
 
 def kmeans_pp_oracle(problem, samples, pick, uniform):
     """One run's k-means++ seed, one pick at a time, as the per-restart
-    seeder made it. Its variates come from three callables: samples(size)
-    gives the stratifying uniforms, pick(total) a weighted pick's point in
-    [0, total) and uniform(pool) a uniform pick's index."""
+    seeder made it: its sites (beta first), constraint indices and params
+    as in _Seeds, one row. Its variates come from three callables:
+    samples(size) gives the stratifying uniforms, pick(total) a weighted
+    pick's point in [0, total) and uniform(pool) a uniform pick's index."""
     count = problem.n - len(problem.beta)
-    tagged = [TaggedPoint("beta", b) for b in problem.beta]
+    sites, picked = [(b.x, b.y) for b in problem.beta], []
     if count == 0:
-        return tagged
+        return np.array(sites, dtype=float).reshape(-1, 2), np.zeros(0, dtype=int), np.zeros(0)
     size = SEED_SAMPLES * count
     measure = problem.measure
     lengths = np.array([curve_length(c) for c in measure.curves])
@@ -307,13 +319,23 @@ def kmeans_pp_oracle(problem, samples, pick, uniform):
             k = int(np.searchsorted(cum, pick(cum[-1]), side="right"))
         else:
             k = int(uniform(size))
-        point = Point2(float(snapped[k, 0]), float(snapped[k, 1]))
-        if index[k] < 0:
-            tagged.append(TaggedPoint("free", point))
-        else:
-            tagged.append(TaggedPoint("constrained", point, int(index[k]), float(param[k])))
+        sites.append(tuple(snapped[k]))
+        picked.append(k)
         d2 = np.minimum(d2, ((pool - snapped[k]) ** 2).sum(axis=1))
-    return tagged
+    return np.array(sites), index[picked], param[picked]
+
+
+def assert_seed_row(seeds, r, want):
+    """Row r of a _Seeds equals an oracle row, exactly."""
+    for got, expected in zip(seeds, want):
+        np.testing.assert_array_equal(got[r], expected, err_msg=f"row {r}")
+        assert got.dtype == expected.dtype
+
+
+def assert_seeds_equal(a, b):
+    for got, want in zip(a, b):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
 
 
 def oracle_from_row(problem, row, branches=None):
@@ -426,10 +448,12 @@ class TestSeeding:
         runs = 7
         rows = np.random.default_rng(11).random((runs, seed_width(problem)))
         seeds = _seed_runs(problem, np.random.default_rng(11), runs)
-        assert len(seeds) == runs
+        m = problem.n
+        assert seeds.sites.shape == (runs, m, 2)
+        assert seeds.index.shape == seeds.param.shape == (runs, m - len(problem.beta))
         branches = []
         for r in range(runs):
-            assert seeds[r] == oracle_from_row(problem, rows[r], branches), r
+            assert_seed_row(seeds, r, oracle_from_row(problem, rows[r], branches))
         if name == "exam2-4":
             # beta is nearer the whole support than the line: no gain anywhere
             assert set(branches) == {"uniform"}
@@ -448,13 +472,14 @@ class TestSeeding:
         rows[:, SEED_SAMPLES * (problem.n - len(problem.beta)):] = 0.0
         seeds = _seed_runs(problem, FixedRng(rows), 3)
         for r in range(3):
-            assert seeds[r] == oracle_from_row(problem, rows[r]), r
+            assert_seed_row(seeds, r, oracle_from_row(problem, rows[r]))
 
     def test_blocks_of_one_stream(self):
         problem = sc.triangle_problem(9)
         rng = np.random.default_rng(4)
-        split = _seed_runs(problem, rng, 5) + _seed_runs(problem, rng, 11)
-        assert split == _seed_runs(problem, np.random.default_rng(4), 16)
+        split = zip(_seed_runs(problem, rng, 5), _seed_runs(problem, rng, 11))
+        assert_seeds_equal([np.concatenate(pair) for pair in split],
+                           _seed_runs(problem, np.random.default_rng(4), 16))
 
     @pytest.mark.parametrize("name", ["semicircle-12", "points-run-out", "free-no-beta-5"])
     def test_smallest_blocks_change_no_seed(self, name, monkeypatch):
@@ -469,13 +494,13 @@ class TestSeeding:
                             lambda p, rng, runs: seed_runs(p, RecordingRng(rng, events), runs))
 
         def recording_descend(p, seeds, o):
-            events.append(("descend", len(seeds)))
-            descended.extend(seeds)
+            events.append(("descend", len(seeds.sites)))
+            descended.append(seeds)
             return descend(p, seeds, o)
 
         monkeypatch.setattr(solver_module, "_descend", recording_descend)
         solve(problem, SolverOptions(restarts=9, rng_seed=6))
-        assert descended == whole
+        assert_seeds_equal([np.concatenate(part) for part in zip(*descended)], whole)
         assert events == [("random", (1, seed_width(problem))), ("descend", 1)] * 9
 
     def test_blocks_fit_the_float_budget(self, monkeypatch):
@@ -517,7 +542,9 @@ class TestSeeding:
             problem = entry.build(n)
             rng = np.random.default_rng(42)
             want = [oracle_from_rng(problem, rng) for _ in range(16)]
-            assert _seed_runs(problem, np.random.default_rng(42), 16) == want
+            seeds = _seed_runs(problem, np.random.default_rng(42), 16)
+            for r in range(16):
+                assert_seed_row(seeds, r, want[r])
 
 
 def dense_hessian(problem, descent, row):
@@ -570,8 +597,7 @@ class TestBatch:
     @pytest.mark.parametrize("name", list(sc.GALLERY))
     def test_stacked_state_equals_single_passes(self, name):
         problem = sc.GALLERY[name].build(sc.GALLERY[name].n_range[1])
-        sites = np.array([[(tp.point.x, tp.point.y) for tp in seed]
-                          for seed in seed_batch(problem, 16)])
+        sites = seed_batch(problem, 16).sites
         d, masses, moments, pieces = _cell_state(problem.measure, sites)
         m = sites.shape[1]
         for r, xy in enumerate(sites):
@@ -605,7 +631,7 @@ class TestBatch:
         rng = np.random.default_rng(17)
         candidates = [[TaggedPoint("beta", Point2(-1.0, 0.0))]
                       + tag_free(*rng.uniform(-3.0, 3.0, (6, 2))) for _ in range(8)]
-        assert_hessians_match_dense(problem, _Descent(problem, candidates))
+        assert_hessians_match_dense(problem, _Descent(problem, seeds_of(problem, candidates)))
 
     def test_accepting_some_rows_equals_a_fresh_pass(self):
         problem = sc.triangle_problem(7)
@@ -641,14 +667,14 @@ class TestBatch:
                                     CurveConstraint(measure.curves[0])), 3)
         line = [TaggedPoint("constrained", Point2(s, 0.0), 1, s) for s in (0.1, 0.45, 0.7)]
         mixed = [TaggedPoint("constrained", members[0], 0, 0.0)] + line[1:]
-        descent = _Descent(problem, [line, mixed])
+        descent = _Descent(problem, seeds_of(problem, [line, mixed]))
         assert descent.x.shape == (2, 3)
         assert list(descent.layout.kind[1]) == [solver_module._PAD, 1, 1]
         assert_hessians_match_dense(problem, descent)
         converged = descent.run(1e-12, 100)
         assert converged.all()
         for row, tagged in enumerate((line, mixed)):
-            alone = _Descent(problem, [tagged])
+            alone = _Descent(problem, seeds_of(problem, [tagged]))
             alone.run(1e-12, 100)
             assert descent.state.distortion[row] == pytest.approx(
                 alone.state.distortion[0], rel=1e-12)
@@ -750,7 +776,7 @@ class TestSolve:
         for floats, chunks in ((1, [1] * 16), (6 * run_floats(problem), [6, 6, 4])):
             sizes = []
             monkeypatch.setattr(solver_module, "_descend",
-                                lambda p, seeds, o: sizes.append(len(seeds)) or real(p, seeds, o))
+                                lambda p, seeds, o: sizes.append(len(seeds.sites)) or real(p, seeds, o))
             monkeypatch.setattr(solver_module, "_HESSIAN_FLOATS", floats)
             assert solve(problem, options) == whole
             assert sizes == chunks
@@ -974,6 +1000,85 @@ class TestPassBudget:
         calls = count_passes(monkeypatch)
         solve(sc.interval_left_problem(10))
         assert 0 < len(calls) <= 160
+
+
+# default seed-42 solves: (state passes, candidate states, Newton steps in
+# the polish, distortion bits); a row keeping its step moves none of them
+# but the steps, and the polish assembles at most the one at the winner's
+# last x, which the descent assembled already when it stopped there
+STEP_ONCE_CASES = {
+    "semicircle-4": (lambda: sc.semicircle_problem(4), 6, 64, 0, "0x1.3bddf2585c688p-3"),
+    "triangle-4": (lambda: sc.triangle_problem(4), 12, 95, 1, "0x1.ffad5b7c4d670p-5"),
+    "interval-left-10": (lambda: sc.interval_left_problem(10), 9, 94, 1, "0x1.e41b6b8d97851p-11"),
+}
+
+
+class TestOneStepPerState:
+    """Each descent row assembles its Newton step once per state: it keeps
+    the step until it moves, so the polish does not assemble again the step
+    the descent left the winner at."""
+
+    @pytest.mark.parametrize("name", list(STEP_ONCE_CASES))
+    def test_no_step_assembled_twice(self, name, monkeypatch):
+        build, passes, states, polish_steps, bits = STEP_ONCE_CASES[name]
+        problem = build()
+        assembled, finished, phase, calls = collections.Counter(), [], ["descent"], []
+        hessian, finish, descend = _Descent.hessian, _Descent.finish, solver_module._descend
+        state = solver_module._exact_state
+
+        def counting_hessian(self, rows):
+            for row in rows.tolist():
+                assembled[(id(self), row, self.x[row].tobytes(), phase[0])] += 1
+            return hessian(self, rows)
+
+        def recording_finish(self, rows):
+            finished.append((id(self), int(rows[0]), self.x[rows[0]].tobytes()))
+            return finish(self, rows)
+
+        def polishing_descend(*args):
+            out = descend(*args)
+            phase[0] = "polish"
+            return out
+
+        monkeypatch.setattr(_Descent, "hessian", counting_hessian)
+        monkeypatch.setattr(_Descent, "finish", recording_finish)
+        monkeypatch.setattr(solver_module, "_descend", polishing_descend)
+        monkeypatch.setattr(solver_module, "_exact_state",
+                            lambda measure, xy: calls.append(len(xy)) or state(measure, xy))
+        q = solve(problem)
+        per_state = collections.Counter(key[:3] for key in assembled.elements())
+        assert max(per_state.values()) == 1
+        polish = [key for key in assembled if key[3] == "polish"]
+        assert len(polish) == polish_steps
+        # the finish reuses the step at the winner's last x, assembled once
+        [last] = finished
+        assert per_state[last] == 1
+        assert all(key[:2] == last[:2] for key in polish)
+        assert (len(calls), sum(calls)) == (passes, states)
+        assert q.distortion.hex() == bits
+
+
+class TestNearestMembers:
+    def test_moves_redescend_to_the_same_result(self, monkeypatch):
+        # the members of tools/cli_snapshot.py's members.json: nearest-member
+        # moves re-enter the descent four times, in ever smaller batches
+        members = tuple(Point2(k / 8, 0.05 * (-1) ** k) for k in range(9))
+        problem = Problem(sc.interval_measure(), (PointSetConstraint(members),), 4,
+                          beta=(Point2(0.0, 0.0),))
+        batches = []
+        init = _Descent.__init__
+        monkeypatch.setattr(_Descent, "__init__",
+                            lambda self, p, seeds: batches.append(len(seeds.sites)) or init(self, p, seeds))
+        q = solve(problem)
+        assert batches == [16, 11, 4, 3, 1]
+        assert q.distortion.hex() == "0x1.3d1712fa66f24p-7"
+        assert q.points == (TaggedPoint("beta", Point2(0.0, 0.0)),
+                            TaggedPoint("constrained", Point2(0.875, -0.05), 0, 7.0),
+                            TaggedPoint("constrained", Point2(0.375, -0.05), 0, 3.0),
+                            TaggedPoint("constrained", Point2(0.625, -0.05), 0, 5.0))
+        assert q.masses == (0.19083333333333333, 0.2500000000000001, 0.3091666666666667,
+                            0.2499999999999999)
+        assert all(type(tp.s) is float and type(tp.point.x) is float for tp in q.points[1:])
 
 
 class TestSandwich:

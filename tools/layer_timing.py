@@ -3,7 +3,7 @@
     python3 tools/layer_timing.py
 
 Imports `curvequant` from the `src` next to this script. Prints the machine
-(cores, Python, numpy), then four tables, each entry the median of REPEATS
+(cores, Python, numpy), then five tables, each entry the median of REPEATS
 timed runs:
 
 * large m: per family and site count m in SIZES, the breakpoint work of a
@@ -15,6 +15,14 @@ timed runs:
 * small m: per gallery family at each n in SMALL_NS, SEEDS site sets drawn
   as `solve` seeds them (one `_seed_runs` call), passed one at a time and as
   one stacked pass;
+* Newton step: one descent state of some rows, where the solver's descent
+  starts (`_Descent` over the seeds), and at that state its exact Hessian
+  (`_Descent.hessian`), one whole Newton step (`_Descent.direction`, which
+  assembles that Hessian, tests it and solves; the step it keeps is
+  dropped before each run) and one state pass (`_Descent.evaluate`) of
+  every row. Per gallery family at each n in SMALL_NS over SEEDS rows, and
+  on the closed-form semicircle and triangle sets (as in large m) at
+  m = NEWTON_M, one row;
 * solve phases: per gallery family at each n in SMALL_NS, one default
   `solve` split into its seeding (`_seed_runs`, one batched call per chunk
   of restarts, so one call for all 16 at these n), its descent
@@ -40,6 +48,7 @@ from curvequant import allocation, cli, closed_form, geometry, scenarios, solver
 
 SIZES = (200, 400, 1000, 2000)
 SMALL_NS = (4, 12)
+NEWTON_M = 1000
 SEEDS = 16
 REPEATS = 21
 PARSE_ARGV = ["--seed", "42", "solve", "problem.json"]
@@ -83,8 +92,7 @@ def _small_m() -> None:
     for family, entry in scenarios.GALLERY.items():
         for n in SMALL_NS:
             problem = entry.build(n)
-            seeds = solver._seed_runs(problem, np.random.default_rng(42), SEEDS)
-            stack = np.array([[(tp.point.x, tp.point.y) for tp in tagged] for tagged in seeds])
+            stack = solver._seed_runs(problem, np.random.default_rng(42), SEEDS).sites
 
             def single():
                 for xy in stack:
@@ -93,6 +101,42 @@ def _small_m() -> None:
             one = _median_s(single)
             stacked = _median_s(lambda: geometry._cell_state(problem.measure, stack))
             print(f"{family:<18}{n:>6}{one * 1e3:>14.3f}{stacked * 1e3:>14.3f}")
+
+
+def _closed_form_seeds(family: str, m: int):
+    """The family's problem at m and its closed-form set, as one row of
+    seed arrays: beta first, every other point snapped onto the constraints."""
+    problem = scenarios.GALLERY[family].build(m)
+    beta = {(b.x, b.y) for b in problem.beta}
+    rest = [p for p in _sites(family, m)[1] if (p.x, p.y) not in beta]
+    xy, index, param = solver._snap(problem, geometry._sites_array(rest))
+    sites = np.concatenate([geometry._sites_array(problem.beta), xy])
+    return problem, solver._Seeds(sites[None], index[None], param[None])
+
+
+def _newton_row(family: str, n: int, descent) -> None:
+    rows = np.arange(len(descent.x))
+
+    def step():
+        descent.known[:] = False
+        descent.direction(rows)
+
+    hessian = _median_s(lambda: descent.hessian(rows))
+    newton = _median_s(step)
+    state = _median_s(lambda: descent.evaluate(descent.x))
+    print(f"{family:<18}{n:>6}{len(rows):>6}{hessian * 1e3:>12.3f}{newton * 1e3:>12.3f}"
+          f"{state * 1e3:>12.3f}")
+
+
+def _newton_steps() -> None:
+    print(f"{'family':<18}{'n':>6}{'rows':>6}{'hessian':>12}{'step':>12}{'state pass':>12}")
+    for family, entry in scenarios.GALLERY.items():
+        for n in SMALL_NS:
+            problem = entry.build(n)
+            seeds = solver._seed_runs(problem, np.random.default_rng(42), SEEDS)
+            _newton_row(family, n, solver._Descent(problem, seeds))
+    for family in ("semicircle", "triangle"):
+        _newton_row(family, NEWTON_M, solver._Descent(*_closed_form_seeds(family, NEWTON_M)))
 
 
 def _phases(problem) -> tuple[float, float, float]:
@@ -143,6 +187,7 @@ def main() -> int:
           f"numpy {np.__version__}")
     print(f"median of {REPEATS} runs, ms")
     for title, table in (("large m", _large_m), (f"small m, {SEEDS} seeds", _small_m),
+                         ("Newton step and state pass at one state", _newton_steps),
                          ("solve phases, default options", _solve_phases),
                          ("CLI parse", _cli_parse)):
         print(f"\n{title}")
