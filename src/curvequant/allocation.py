@@ -24,17 +24,6 @@ class Allocation:
     objective: float
 
 
-def seed_a(n: int) -> int:
-    """The published starting guess for the diameter count, floor(5(n+4)/13).
-
-    semicircle_allocate starts from n/(1 + pi/2) instead: this seed lies
-    0.0044 n below the optimum, so a walk from it takes about n/230 steps.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return (5 * (n + 4)) // 13
-
-
 def semicircle_allocate(n: int) -> Allocation:
     """Optimal diameter/arc split: a walk from the derived optimum.
 

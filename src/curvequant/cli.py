@@ -149,14 +149,11 @@ def parse_problem_doc(doc, where: str = "problem") -> tuple[Problem, dict]:
     n = _limited(_integer(doc["n"], f"{where}.n"), "n", f"{where}.n")
     solver_over = doc.get("solver", {})
     _check_fields(solver_over, f"{where}.solver", set(),
-                  {"restarts", "rng_seed", "param_tol", "max_iters"})
+                  {"restarts", "rng_seed", "max_iters"})
     overrides = {}
     for key, value in solver_over.items():
         field = f"{where}.solver.{key}"
-        if key == "param_tol":
-            overrides[key] = _number(value, field)
-        else:
-            overrides[key] = _limited(_integer(value, field), key, field)
+        overrides[key] = _limited(_integer(value, field), key, field)
         _options(SolverOptions(), field, **{key: overrides[key]})
     try:
         problem = Problem(UniformCurveMeasure(curves), constraints, n, beta=beta)

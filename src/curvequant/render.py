@@ -21,7 +21,9 @@ from curvequant.geometry import (
     voronoi_breakpoints,
 )
 
-SCALE = 200.0
+# pixels across the drawing's longer side, margins aside: a support of any
+# size is drawn at this size
+SIZE = 400.0
 MARGIN = 20.0
 POINT_RADIUS = 4.0
 BREAK_RADIUS = 2.5
@@ -48,12 +50,13 @@ class _Mapper:
     def __init__(self, min_x, max_x, min_y, max_y):
         self.min_x = min_x
         self.max_y = max_y
-        self.width = (max_x - min_x) * SCALE + 2 * MARGIN
-        self.height = (max_y - min_y) * SCALE + 2 * MARGIN
+        self.scale = SIZE / max(max_x - min_x, max_y - min_y)
+        self.width = (max_x - min_x) * self.scale + 2 * MARGIN
+        self.height = (max_y - min_y) * self.scale + 2 * MARGIN
 
     def __call__(self, p: Point2) -> tuple[float, float]:
-        return ((p.x - self.min_x) * SCALE + MARGIN,
-                (self.max_y - p.y) * SCALE + MARGIN)
+        return ((p.x - self.min_x) * self.scale + MARGIN,
+                (self.max_y - p.y) * self.scale + MARGIN)
 
 
 def _segment_path(seg: Segment, to) -> str:
@@ -71,7 +74,7 @@ def _arc_path(arc: Arc, to) -> str:
         spans = [(arc.theta0, mid), (mid, arc.theta1)]
     else:
         spans = [(arc.theta0, arc.theta1)]
-    r = arc.radius * SCALE
+    r = arc.radius * to.scale
     d_parts = []
     first = Point2(arc.center.x + arc.radius * math.cos(spans[0][0]),
                    arc.center.y + arc.radius * math.sin(spans[0][0]))
@@ -93,7 +96,8 @@ def render_svg(measure: UniformCurveMeasure, points: list[tuple[str, Point2]]) -
 
     points is a list of (kind, position); kind picks the fill color. The
     Voronoi breakpoints of the configuration are drawn as hollow circles on
-    the support.
+    the support. The drawing is fitted to SIZE pixels on its longer side,
+    whatever the size of the support.
     """
     sites = [p for _, p in points]
     mapper = _Mapper(*_bounds(measure, sites))

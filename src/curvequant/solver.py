@@ -119,7 +119,7 @@ class Quantizer:
     points: tuple[TaggedPoint, ...]
     distortion: float
     masses: tuple[float, ...]
-    converged: bool
+    converged: bool  # the winner's descent reached the rounding stop within max_iters
     degenerate_points: tuple[int, ...]
 
 
@@ -127,7 +127,6 @@ class Quantizer:
 class SolverOptions:
     restarts: int = 16
     rng_seed: int = 42
-    param_tol: float = 1e-10
     max_iters: int = 10_000
 
     def __post_init__(self):
@@ -135,8 +134,6 @@ class SolverOptions:
             raise ValueError("need at least one restart")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if self.param_tol <= 0:
-            raise ValueError("param_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -546,15 +543,13 @@ class _Descent:
         self.step[new], self.moving[new], self.known[new] = d, moving, True
         return self.step[rows], self.moving[rows]
 
-    def run(self, tol: float, max_iters: int, rows=None) -> np.ndarray:
-        """Iterate the given rows (every row by default) until an iteration
-        improves a row's distortion by less than tol, or no step improves it
-        beyond rounding (True), or for max_iters iterations (False); a row
-        without coordinates stops at once (True). Returns the flags of all
-        rows, True for a row not iterated."""
+    def run(self, max_iters: int) -> np.ndarray:
+        """Iterate every row until neither an iteration nor the step it
+        would take lowers its distortion by more than _ROUNDING of it
+        (True), or for max_iters iterations (False); a row without
+        coordinates stops at once (True). Returns the flags of all rows."""
         lay = self.layout
-        active = np.arange(len(self.x)) if rows is None else rows
-        active = active[(lay.kind[active] != _PAD).any(axis=1)]
+        active = np.flatnonzero((lay.kind != _PAD).any(axis=1))
         for _ in range(max_iters):
             if not active.size:
                 break
@@ -577,7 +572,7 @@ class _Descent:
                 search = np.arange(len(active))[search][~ok]
             # a row stops when its line search fails or its iteration
             # improved too little (the comparison with nan is False)
-            active = active[f - reached >= np.maximum(tol, _ROUNDING * f)]
+            active = active[f - reached >= _ROUNDING * f]
         converged = np.ones(len(self.x), dtype=bool)
         converged[active] = False
         return converged
@@ -630,19 +625,20 @@ def _nearest_members(problem: Problem, run: _Descent, row: int, param):
 
 
 def _descend(problem: Problem, seeds: _Seeds, options: SolverOptions) -> list[tuple]:
-    """Bounded Newton descent of every candidate to param_tol, in lockstep,
-    then nearest-member moves of point-set members, repeated while the
-    moves lower a candidate's distortion by at least param_tol; the
-    candidates that moved descend again together. Returns each candidate's
-    best descent as (distortion, batch, row, converged), converged saying
-    whether its Newton descent reached param_tol."""
+    """Bounded Newton descent of every candidate in lockstep, each until an
+    iteration no longer lowers its distortion beyond rounding (_ROUNDING of
+    it), then nearest-member moves of point-set members, repeated while the
+    moves lower a candidate's distortion beyond rounding; the candidates
+    that moved descend again together. Returns each candidate's best
+    descent as (distortion, batch, row, converged), converged saying
+    whether its Newton descent reached that stop within max_iters."""
     best, todo = [None] * len(seeds.sites), range(len(seeds.sites))
     while todo:
         run = _Descent(problem, seeds)
-        converged, params, moved = run.run(options.param_tol, options.max_iters), run.params(), {}
+        converged, params, moved = run.run(options.max_iters), run.params(), {}
         for row, k in enumerate(todo):
             d = run.state.distortion[row]
-            if best[k] is not None and d > best[k][0] - options.param_tol:
+            if best[k] is not None and d > best[k][0] * (1.0 - _ROUNDING):
                 continue
             best[k] = (d, run, row, bool(converged[row]))
             if (seed := _nearest_members(problem, run, row, params[row])) is not None:
@@ -658,14 +654,16 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     The runs go in chunks, in run order, as many as fit in _HESSIAN_FLOATS
     floats of a run's widest arrays: its seeding arrays or its Hessian over
     every coordinate. Each chunk is seeded from stratified samples of the
-    support (chunks change no seed) just before it descends
-    by bounded Newton on the exact Hessian of the distortion to param_tol.
-    The winner (lowest distortion, earliest run on ties) then descends on
-    in its batch until an iteration no longer improves it beyond rounding,
-    and takes one last full Newton step, which fixes its points to
-    rounding and not only its distortion. Raises ValueError when the
-    winner's distortion or a cell mass is not finite, which happens when
-    the problem's numbers overflow double precision.
+    support (chunks change no seed) just before it descends by bounded
+    Newton on the exact Hessian of the distortion until an iteration no
+    longer lowers a run's distortion beyond rounding (_descend). The winner
+    (lowest distortion, earliest run on ties, both judged relative to the
+    distortion, so scaling the problem changes no choice) then takes one
+    last full Newton step, which fixes its points to rounding and not only
+    its distortion. Quantizer.converged says whether the winner reached
+    that stop within max_iters. Raises ValueError when the winner's
+    distortion or a cell mass is not finite, which happens when the
+    problem's numbers overflow double precision.
     """
     options = options or SolverOptions()
     count = problem.n - len(problem.beta)
@@ -677,10 +675,9 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     for start in range(0, options.restarts, chunk):
         seeds = _seed_runs(problem, rng, min(chunk, options.restarts - start))
         for run in _descend(problem, seeds, options):
-            if best is None or run[0] < best[0] - 1e-15:
+            if best is None or run[0] < best[0] * (1.0 - _ROUNDING):
                 best = run
     _, batch, row, converged = best
-    batch.run(0.0, options.max_iters, np.array([row]))
     batch.finish(np.array([row]))
     d, masses = float(batch.state.distortion[row]), batch.state.masses[row]
     if not (np.isfinite(d) and np.isfinite(masses).all()):
@@ -694,13 +691,13 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
 def existence_check(problem: Problem, options: SolverOptions | None = None) -> ExistenceReport:
     """Whether an optimal set of exactly n positive-mass points exists.
 
-    Runs the solver at a tightened improvement tolerance (the degeneracy
-    signal is a cell mass sliding to zero, which the descent must follow
-    well below MASS_TOL) and checks every reported point for positive mass.
+    Runs the solver (four restarts by default) and checks every reported
+    point for positive mass. The degeneracy signal is a cell mass sliding
+    to zero, which the descent follows well below MASS_TOL, since every
+    run descends until an iteration no longer lowers its distortion beyond
+    rounding.
     """
-    base = options or SolverOptions(restarts=4)
-    opts = replace(base, param_tol=1e-14)
-    witness = solve(problem, opts)
+    witness = solve(problem, options or SolverOptions(restarts=4))
     exists = (len(witness.points) == problem.n
               and not witness.degenerate_points
               and all(m > MASS_TOL for m in witness.masses))
@@ -711,7 +708,7 @@ def sandwich_check(problem: Problem, options: SolverOptions | None = None) -> Sa
     """Compare conditional error against the plain n and n - l errors.
 
     Solves the same constrained problem three ways with one budget and
-    reports whether v_n <= v_cond_n <= v_(n-l) holds to solver tolerance.
+    reports whether v_n <= v_cond_n <= v_(n-l) holds to 1e-7 relative.
     """
     ell = len(problem.beta)
     if ell == 0 or problem.n <= ell:
@@ -723,14 +720,18 @@ def sandwich_check(problem: Problem, options: SolverOptions | None = None) -> Sa
     plain = replace(problem, beta=())
     v_n = solve(plain, options).distortion
     v_minus = solve(replace(plain, n=problem.n - ell), options).distortion
-    tol = 1e-7
-    holds = (v_n <= v_cond + tol) and (v_cond <= v_minus + tol)
+    slack = 1.0 + 1e-7
+    holds = (v_n <= v_cond * slack) and (v_cond <= v_minus * slack)
     return SandwichReport(v_n, v_cond, v_minus, holds)
 
 
 def _beta_inside_constraints(problem: Problem, b: Point2) -> bool:
+    """Whether b lies on the constraint union to within 1e-9 of the
+    problem's size: the support's length, or b's largest coordinate where
+    that is larger (the snap rounds relative to the coordinates)."""
     snapped, _, _ = _snap(problem, np.array([[b.x, b.y]]))
-    return float(((snapped[0] - (b.x, b.y)) ** 2).sum()) < 1e-18
+    size = max(problem.measure.total_length, abs(b.x), abs(b.y))
+    return float(np.hypot(*(snapped[0] - (b.x, b.y)))) < 1e-9 * size
 
 
 def density_gap(measure: UniformCurveMeasure, n_max: int) -> list[tuple[int, float]]:

@@ -5,7 +5,6 @@ import pytest
 import curvequant.allocation as allocation
 from curvequant.allocation import (
     Allocation,
-    seed_a,
     semicircle_allocate,
     semicircle_allocate_exhaustive,
     triangle_allocate,
@@ -13,22 +12,6 @@ from curvequant.allocation import (
 )
 from curvequant.cli import LIMITS
 from curvequant.closed_form import semicircle_error
-
-
-def test_seed_sequence_start():
-    assert [seed_a(n) for n in range(1, 10)] == [1, 2, 2, 3, 3, 3, 4, 4, 5]
-
-
-def test_seed_published_values():
-    assert seed_a(50) == 20
-    assert seed_a(1200) == 463
-
-
-def test_seed_monotone_periodic():
-    vals = [seed_a(n) for n in range(1, 600)]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-    for n in range(1, 500):
-        assert seed_a(n + 13) == seed_a(n) + 5
 
 
 def test_semicircle_allocate_published():
@@ -144,8 +127,6 @@ def test_triangle_local_equals_exhaustive_and_balanced():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        seed_a(0)
     with pytest.raises(ValueError):
         semicircle_allocate(2)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,8 @@ from curvequant import cli, scenarios
 from curvequant import closed_form as cf
 from curvequant.allocation import semicircle_allocate
 from curvequant.cli import main
+from curvequant.geometry import Arc, Point2, Segment, UniformCurveMeasure
+from curvequant.render import render_svg
 from curvequant.scenarios import exam2_problem, semicircle_problem
 from curvequant.solver import Problem
 
@@ -147,7 +150,7 @@ VALID_DOCS = {
         ],
         "beta": [[-1.0, 0.0], [1.0, 0.0]],
         "n": 4,
-        "solver": {"restarts": 2, "rng_seed": 3, "param_tol": 1e-9, "max_iters": 50},
+        "solver": {"restarts": 2, "rng_seed": 3, "max_iters": 50},
     },
 }
 
@@ -531,6 +534,19 @@ class TestRenderCommand:
         assert main(["render", str(result), "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("k", [2.0 ** 20, 1e-12])
+    def test_drawing_fits_any_scale(self, k):
+        # the longer side is 400 px, the shorter one in proportion
+        measure = UniformCurveMeasure((Segment(Point2(-k, 0.0), Point2(k, 0.0)),
+                                       Arc(Point2(0.0, 0.0), k, 0.0, math.pi)))
+        points = [("beta", Point2(-k, 0.0)), ("beta", Point2(k, 0.0)),
+                  ("constrained", Point2(0.0, k)), ("constrained", Point2(k / 4, 0.0))]
+        svg = render_svg(measure, points)
+        width, height = map(float, re.search(r'width="([^"]+)" height="([^"]+)"', svg).groups())
+        assert width == 440.0 and height == 240.0
+        pixels = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="4.00"', svg)
+        assert len(set(pixels)) == len(points)
+
     def test_rejects_non_result_document(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text('{"schema_version": 1}')
@@ -656,7 +672,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("solver, message", [
         ({"rng_seed": -3}, "solver.rng_seed: rng_seed must be non-negative"),
         ({"restarts": 0}, "solver.restarts: need at least one restart"),
-        ({"param_tol": 0}, "solver.param_tol: param_tol must be positive"),
+        ({"param_tol": 1e-10}, "solver: unknown field 'param_tol'"),
     ])
     def test_invalid_solver_field_is_one(self, tmp_path, capsys, solver, message):
         path = tmp_path / "p.json"

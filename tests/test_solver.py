@@ -5,6 +5,7 @@ import collections
 import inspect
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from curvequant.solver import (
     SEED_SAMPLES,
     _Descent,
     _Seeds,
+    _beta_inside_constraints,
     _indefinite,
     _seed_runs,
 )
@@ -51,6 +53,29 @@ V3_SEMI = (2.0 / (2.0 + math.pi)) * (-2.0 * math.sqrt(2.0) + 1.0 / 3.0 + math.pi
 
 def tag_free(*xy):
     return [TaggedPoint("free", Point2(x, y)) for x, y in xy]
+
+
+def scaled(problem, k):
+    """The problem dilated by k about the origin: every point, center and
+    radius times k, which a power of two does exactly."""
+    def point(p):
+        return Point2(k * p.x, k * p.y)
+
+    def curve(c):
+        if isinstance(c, Segment):
+            return Segment(point(c.p0), point(c.p1))
+        return Arc(point(c.center), k * c.radius, c.theta0, c.theta1)
+
+    def constraint(c):
+        if isinstance(c, CurveConstraint):
+            return CurveConstraint(curve(c.curve))
+        if isinstance(c, PointSetConstraint):
+            return PointSetConstraint(tuple(map(point, c.points)))
+        return c
+
+    return replace(problem, measure=UniformCurveMeasure(tuple(map(curve, problem.measure.curves))),
+                   constraints=tuple(map(constraint, problem.constraints)),
+                   beta=tuple(map(point, problem.beta)))
 
 
 def seeds_of(problem, candidates):
@@ -86,7 +111,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             SolverOptions(restarts=0)
         with pytest.raises(ValueError):
-            SolverOptions(param_tol=0.0)
+            SolverOptions(max_iters=0)
 
     def test_negative_rng_seed_rejected(self):
         with pytest.raises(ValueError, match="rng_seed must be non-negative"):
@@ -620,7 +645,7 @@ class TestBatch:
             assert_hessians_match_dense(problem, descent)
             # the rows stop at different iterations, their states merged
             # from different passes
-            descent.run(1e-10, 5)
+            descent.run(5)
             assert_hessians_match_dense(problem, descent)
 
     def test_hessians_equal_dense_oracle_anywhere_in_the_plane(self):
@@ -671,11 +696,11 @@ class TestBatch:
         assert descent.x.shape == (2, 3)
         assert list(descent.layout.kind[1]) == [solver_module._PAD, 1, 1]
         assert_hessians_match_dense(problem, descent)
-        converged = descent.run(1e-12, 100)
+        converged = descent.run(100)
         assert converged.all()
         for row, tagged in enumerate((line, mixed)):
             alone = _Descent(problem, seeds_of(problem, [tagged]))
-            alone.run(1e-12, 100)
+            alone.run(100)
             assert descent.state.distortion[row] == pytest.approx(
                 alone.state.distortion[0], rel=1e-12)
 
@@ -889,6 +914,18 @@ class TestSolve:
         assert got.masses == pytest.approx(want.masses, abs=1e-12)
         assert got.masses == pytest.approx([1.0 / 3.0] * 3, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [2.0 ** -30, 2.0 ** 20])
+    @pytest.mark.parametrize("name", list(sc.GALLERY))
+    def test_gallery_scale_free(self, name, k):
+        # every distortion the solver compares is judged relative to itself,
+        # so a dilation by a power of two changes no decision
+        entry = sc.GALLERY[name]
+        for n in range(entry.n_range[0], entry.n_range[1] + 1):
+            problem = entry.build(n)
+            want, got = solve(problem), solve(scaled(problem, k))
+            assert got.distortion / k ** 2 == pytest.approx(want.distortion, rel=1e-12), n
+            assert got.masses == pytest.approx(want.masses, rel=0.0, abs=1e-12), n
+
 
 # one instance per gallery family; triangle 4 is the sliver optimum, which
 # the published equal-spacing set does not reach
@@ -1004,12 +1041,13 @@ class TestPassBudget:
 
 # default seed-42 solves: (state passes, candidate states, Newton steps in
 # the polish, distortion bits); a row keeping its step moves none of them
-# but the steps, and the polish assembles at most the one at the winner's
-# last x, which the descent assembled already when it stopped there
+# but the steps, and the polish (the winner's last Newton step) assembles
+# at most the one at the winner's last x, none where the descent stopped
+# there on the step it had assembled already
 STEP_ONCE_CASES = {
     "semicircle-4": (lambda: sc.semicircle_problem(4), 6, 64, 0, "0x1.3bddf2585c688p-3"),
-    "triangle-4": (lambda: sc.triangle_problem(4), 12, 95, 1, "0x1.ffad5b7c4d670p-5"),
-    "interval-left-10": (lambda: sc.interval_left_problem(10), 9, 94, 1, "0x1.e41b6b8d97851p-11"),
+    "triangle-4": (lambda: sc.triangle_problem(4), 12, 96, 0, "0x1.ffad5b7c4d670p-5"),
+    "interval-left-10": (lambda: sc.interval_left_problem(10), 10, 95, 0, "0x1.e41b6b8d97851p-11"),
 }
 
 
@@ -1118,6 +1156,23 @@ class TestSandwich:
                        3, beta=(Point2(0.0, 0.01),))
         with pytest.raises(ValueError):
             sandwich_check(prob)
+
+    @pytest.mark.parametrize("k", [1.0, 2.0 ** -30])
+    def test_beta_off_constraint_rejected_at_any_scale(self, k):
+        # beta a quarter of the segment's length above it
+        segment = Segment(Point2(0.0, 0.0), Point2(k, 0.0))
+        prob = Problem(UniformCurveMeasure((segment,)), (CurveConstraint(segment),), 3,
+                       beta=(Point2(k / 2, k / 4),))
+        with pytest.raises(ValueError, match="inside the constraint union"):
+            sandwich_check(prob)
+
+    @pytest.mark.parametrize("k", [2.0 ** -30, 1.0, 2.0 ** 20])
+    def test_semicircle_corners_inside_at_any_scale(self, k):
+        problem = scaled(sc.semicircle_problem(4), k)
+        # on the diameter exactly; on the arc alone up to its rounded end
+        arc = replace(problem, constraints=problem.constraints[1:])
+        for prob in (problem, arc):
+            assert all(_beta_inside_constraints(prob, b) for b in prob.beta)
 
 
 class TestDensityGap:

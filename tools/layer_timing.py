@@ -26,8 +26,9 @@ timed runs:
 * solve phases: per gallery family at each n in SMALL_NS, one default
   `solve` split into its seeding (`_seed_runs`, one batched call per chunk
   of restarts, so one call for all 16 at these n), its descent
-  (`_descend`, every restart to the tolerance) and the rest, the polish
-  (the winner's descent to rounding and last Newton step, in its batch);
+  (`_descend`, every restart until an iteration no longer lowers its
+  distortion beyond rounding) and the rest, the polish: the winner's last
+  Newton step (`_Descent.finish`) and its result;
 * CLI parse: one argv parsed by a freshly built parser, as every
   `cli.main` call paid before the parser was kept, and by the kept one.
 """
@@ -140,7 +141,8 @@ def _newton_steps() -> None:
 
 
 def _phases(problem) -> tuple[float, float, float]:
-    """Seeding, descent and polish seconds of one default solve."""
+    """Seeding, descent and polish (last Newton step) seconds of one
+    default solve."""
     spent = {"seed": 0.0, "descend": 0.0}
     seed_runs, descend = solver._seed_runs, solver._descend
 
