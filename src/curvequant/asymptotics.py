@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ErrorSequence:
@@ -23,10 +21,12 @@ class ErrorSequence:
         entries = tuple((int(n), float(v)) for n, v in self.entries)
         if not entries:
             raise ValueError("sequence is empty")
+        if entries[0][0] < 1:
+            raise ValueError("point counts must be positive")
         for (n0, v0), (n1, v1) in zip(entries, entries[1:]):
             if n1 <= n0:
                 raise ValueError("point counts must be strictly increasing")
-            if v1 > v0 + 1e-12 * max(1.0, abs(v0)):
+            if v1 > v0 + 1e-12 * abs(v0):
                 raise ValueError(f"errors must be nonincreasing (v({n1}) > v({n0}))")
         for n, v in entries:
             if not (math.isfinite(v) and v > 0):
@@ -59,72 +59,35 @@ class ScenarioLimits:
     exists: bool = True
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f in [xa, xb], where f changes sign, by Brent's method.
-
-    Follows scipy.optimize.brentq (its C routine) iterate for iterate, so
-    equal tolerances give the same float.
-    """
-    xpre, xcur, fpre, fcur = xa, xb, f(xa), f(xb)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry  # a good short step
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations")
-
-
 def _power_fit3(ns, vs):
-    """Fit v = V + C * n**(-s) through three points, or None if singular."""
+    """Fit v = V + C * n**(-s) through three points, or None where no s
+    lies strictly inside (1e-3, 10**1.5).
+
+    s solves rho = (v1 - v2) / (v2 - v3) = h(s) = (n1**-s - n2**-s) /
+    (n2**-s - n3**-s) = expm1(s*a) / -expm1(-s*b), a = log(n2/n1) and
+    b = log(n3/n2). h rises strictly from a/b (expm1(s*a)/s rises,
+    -expm1(-s*b)/s falls), so bisection finds the one root to float
+    convergence. The command line's point counts are at most 10000
+    (`cli.LIMITS`), so s*a <= 31.6*log(10000/3), about 256: no overflow.
+    """
     n1, n2, n3 = ns
     v1, v2, v3 = vs
     if not (v1 > v2 > v3):
         return None
+    rho = (v1 - v2) / (v2 - v3)
+    a, b = math.log1p((n2 - n1) / n1), math.log1p((n3 - n2) / n2)
 
-    def g(s):
-        r1, r2, r3 = n1 ** (-s), n2 ** (-s), n3 ** (-s)
-        return (v1 - v2) * (r2 - r3) - (v2 - v3) * (r1 - r2)
+    def below(s):
+        return math.expm1(s * a) / -math.expm1(-s * b) < rho
 
-    grid = np.logspace(-3, 1.5, 200)
-    vals = [g(s) for s in grid]
-    s_star = None
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            s_star = float(grid[i])
-            break
-        if vals[i] * vals[i + 1] < 0.0:
-            s_star = _brentq(g, float(grid[i]), float(grid[i + 1]), xtol=1e-15, rtol=8.9e-16)
-            break
-    if s_star is None:
+    lo, hi = 1e-3, 10 ** 1.5
+    if not below(lo) or below(hi):
         return None
-    r1, r3 = n1 ** (-s_star), n3 ** (-s_star)
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    r1, r3 = n1 ** (-mid), n3 ** (-mid)
     c = (v1 - v3) / (r1 - r3)
-    return v3 - c * r3, c, s_star
+    return v3 - c * r3, c, mid
 
 
 def estimate_v_infinity(seq: ErrorSequence) -> float:
@@ -201,17 +164,24 @@ def estimate_coefficient(seq: ErrorSequence, v_infinity: float, kappa: float,
 
     The scaled sequence c_n typically still drifts like c + B/n; pairing
     entries half a window apart and eliminating the 1/n term gives the
-    reported range (constant sequences are reproduced exactly).
+    reported range (constant sequences are reproduced exactly). A kappa
+    for which that overflows double precision is refused.
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
     if math.isinf(kappa):
         raise ValueError("kappa must be finite")
     window = _tail_entries(seq.entries, tail_window)
-    scaled = [(n, n ** (2.0 / kappa) * (v - v_infinity)) for n, v in window]
-    lag = max(len(scaled) // 2, 1)
-    coeffs = [(n_b * c_b - n_a * c_a) / (n_b - n_a)
-              for (n_a, c_a), (n_b, c_b) in zip(scaled, scaled[lag:])]
+    lag = max(len(window) // 2, 1)
+    try:  # an overflowing power raises, an infinite one (a subnormal kappa) gives inf
+        scaled = [(n, n ** (2.0 / kappa) * (v - v_infinity)) for n, v in window]
+        coeffs = [(n_b * c_b - n_a * c_a) / (n_b - n_a)
+                  for (n_a, c_a), (n_b, c_b) in zip(scaled, scaled[lag:])]
+        if not all(map(math.isfinite, coeffs)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"kappa {kappa!r} is too small for these errors: "
+                         "n**(2/kappa) * (v - v_infinity) overflows") from None
     return min(coeffs), max(coeffs)
 
 

@@ -311,9 +311,10 @@ def _read_sweep_csv(path: str) -> ErrorSequence:
         if len(parts) < 2:
             raise CliError(f"{path}:{i}: malformed row")
         try:
-            entries.append((int(parts[0]), float(parts[1])))
+            n, v = int(parts[0]), float(parts[1])
         except ValueError as exc:
             raise CliError(f"{path}:{i}: {exc}") from exc
+        entries.append((_limited(n, "n", f"{path}:{i}"), v))
     if len(entries) < 6:
         raise CliError(f"{path}: need at least 6 rows, found {len(entries)}")
     try:

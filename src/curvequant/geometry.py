@@ -107,11 +107,18 @@ def curve_length(c: Curve) -> float:
     return c.radius * (c.theta1 - c.theta0)
 
 
+def _on_curve(s: float, length: float) -> bool:
+    """Whether arc length s lies on a curve of that length: in [0, length]
+    up to PARAM_TOL of the length past either end. The one range rule for
+    arc lengths, in curve_eval and in the solver's candidate check."""
+    slack = PARAM_TOL * length
+    return -slack <= s <= length + slack
+
+
 def curve_eval(c: Curve, s: float) -> Point2:
     """Unit-speed point on c at arc length s, with s in [0, length]."""
     length = curve_length(c)
-    slack = PARAM_TOL * max(1.0, length)
-    if s < -slack or s > length + slack:
+    if not _on_curve(s, length):
         raise ValueError(f"arc-length parameter {s} outside [0, {length}]")
     s = min(max(s, 0.0), length)
     x, y = _frame_array(c, np.array([s]))[0][0]

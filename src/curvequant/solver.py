@@ -30,6 +30,7 @@ from curvequant.geometry import (
     _cell_state,
     _cell_state as _exact_state,  # the solver's own passes; evaluate's is apart
     _frame_array,
+    _on_curve,
     _project_array,
     _sites_array,
     curve_length,
@@ -168,7 +169,7 @@ def _check_candidate(problem: Problem, candidate) -> None:
             continue
         cons = problem.constraints[tp.constraint_index]
         if isinstance(cons, CurveConstraint):
-            if not -1e-12 <= tp.s <= curve_length(cons.curve) + 1e-12:
+            if not _on_curve(tp.s, curve_length(cons.curve)):
                 raise ValueError("constraint parameter out of range")
         elif isinstance(cons, PointSetConstraint):
             if not 0 <= int(tp.s) < len(cons.points):

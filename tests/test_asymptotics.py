@@ -60,6 +60,36 @@ class TestErrorSequence:
         seq = ErrorSequence(((3, 1.0), (4, 1.0), (5, 0.5)))
         assert len(seq) == 3
 
+    def test_requires_positive_point_counts(self):
+        for first in (0, -5):
+            with pytest.raises(ValueError, match="point counts must be positive"):
+                ErrorSequence(((first, 3.0), (first + 1, 2.0), (first + 2, 1.0)))
+
+    @pytest.mark.parametrize("k", [-60, 60])
+    def test_scale_free(self, k):
+        # a rise of 1e-12 of the value is allowed, at every scale
+        cases = [((1.0, 1.5), False), ((1.0, 1.0 + 2e-12), False), ((1.0, 1.0 + 5e-13), True),
+                 ((1e-3, 1e-3 * (1 + 5e-13)), True), ((1e-3, 1.5e-3), False)]
+        for (v0, v1), accepted in cases:
+            for scale in (1.0, 2.0 ** k):
+                entries = ((3, scale * v0), (4, scale * v1))
+                if accepted:
+                    assert len(ErrorSequence(entries)) == 2
+                else:
+                    with pytest.raises(ValueError, match="nonincreasing"):
+                        ErrorSequence(entries)
+        # the criterion-4 reports scale with the values: rho, s and the
+        # Richardson weight are scale-free, only the logarithms round
+        for seq, kappa in ((triangle_seq(), 1.0), (exam1_cond_seq(), 2.0),
+                           (exam2_constr_seq(), 2.0)):
+            ref = build_report(seq, kappa)
+            got = build_report(ErrorSequence(tuple((n, 2.0 ** k * v) for n, v in seq.entries)),
+                               kappa)
+            assert (got.v_infinity, got.coeff_lower, got.coeff_upper) == (
+                2.0 ** k * ref.v_infinity, 2.0 ** k * ref.coeff_lower, 2.0 ** k * ref.coeff_upper)
+            assert got.dim_lower == pytest.approx(ref.dim_lower, rel=0, abs=1e-12)
+            assert got.dim_upper == pytest.approx(ref.dim_upper, rel=0, abs=1e-12)
+
 
 class TestVInfinity:
     def test_exam2_within_1e4_of_limit(self):
@@ -118,34 +148,49 @@ class TestSyntheticRecovery:
             assert abs(got[1] - ref[1]) <= 0.01
 
 
-class TestBrent:
-    def test_port_matches_scipy_bit_for_bit(self, monkeypatch):
+class TestPowerFit:
+    def test_root_matches_scipy_brentq(self):
+        # s is the one root of rho = expm1(s*a) / -expm1(-s*b) in
+        # (1e-3, 10**1.5), on consecutive and on spread point counts
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(3)
-        sequences = [triangle_seq(), exam1_cond_seq(), exam1_constr_seq(), exam2_constr_seq(),
-                     seq_from(lambda n: cf.semicircle_error(n // 2 + 1, n - n // 2 + 1), 3, 300)]
-        for _ in range(20):
+        roots = k = 0
+        while roots < 1000:
+            k += 1
             v, c, p = rng.uniform(0.0, 2.0), rng.uniform(0.2, 4.0), rng.uniform(0.2, 3.0)
-            sequences.append(seq_from(lambda n: v + c * n ** (-p) * (1 + 1e-3 * math.sin(n)),
-                                      3, 200))
-        triples = [seq.entries[k:k + 3] for seq in sequences
-                   for k in range(0, len(seq) - 2, 3)]
-        scipy_calls = []
+            if k % 2:
+                ns = [int(rng.integers(3, 2999)) + i for i in range(3)]
+            else:
+                ns = sorted(int(n) for n in rng.choice(np.arange(3, 3001), 3, replace=False))
+            vs = [v + c * n ** (-p) * (1 + 1e-3 * math.sin(n)) for n in ns]
+            fit = asymptotics._power_fit3(ns, vs)
+            if fit is None:
+                continue
+            (n1, n2, n3), (v1, v2, v3) = ns, vs
+            a, b = math.log1p((n2 - n1) / n1), math.log1p((n3 - n2) / n2)
+            rho = (v1 - v2) / (v2 - v3)
+            root = optimize.brentq(lambda s: math.expm1(s * a) / -math.expm1(-s * b) - rho,
+                                   1e-3, 10 ** 1.5, xtol=1e-300, rtol=8.9e-16)
+            assert fit[2] == pytest.approx(root, rel=1e-12, abs=0)
+            roots += 1
 
-        def scipy_brentq(f, xa, xb, xtol, rtol):
-            scipy_calls.append(1)
-            return optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+    @pytest.mark.parametrize("s", [5e-4, 40.0])
+    def test_none_without_a_root_inside(self, s):
+        # exact power laws whose exponent lies outside (1e-3, 10**1.5), and
+        # triples that do not fall strictly
+        ns = [2, 3, 4]
+        assert asymptotics._power_fit3(ns, [1.0 + n ** -s for n in ns]) is None
+        assert asymptotics._power_fit3(ns, [1.0, 0.5, 0.5]) is None
+        assert asymptotics._power_fit3(ns, [1.0, 0.5, 0.75]) is None
 
-        fit = asymptotics._power_fit3
-        ports = [fit([n for n, _ in t], [v for _, v in t]) for t in triples]
-        monkeypatch.setattr(asymptotics, "_brentq", scipy_brentq)
-        for t, port in zip(triples, ports):
-            assert fit([n for n, _ in t], [v for _, v in t]) == port
-        assert len(scipy_calls) > 100
-
-    def test_wrong_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            asymptotics._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16)
+    def test_steep_tail_fits(self):
+        # differences at rounding level and s near 29.5 (scipy's brentq on
+        # the same ratio gives 29.4948)
+        fit = asymptotics._power_fit3([2646, 2662, 2678], [0.2041522931908706,
+                                                           0.20415229319086498,
+                                                           0.20415229319086028])
+        assert fit[2] == pytest.approx(29.4948, abs=1e-4)
+        assert fit[0] == pytest.approx(0.2041522931908, abs=1e-12)
 
 
 class TestDimension:
@@ -206,6 +251,14 @@ class TestCoefficient:
         for kappa in (0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 estimate_coefficient(triangle_seq(50), 0.0, kappa=kappa)
+
+    def test_overflowing_scaling_refused(self):
+        # n**(2/kappa) overflows at n = 50 (or is inf, for a subnormal
+        # kappa), or the scaled errors overflow in the 1/n elimination
+        for seq, kappa in ((triangle_seq(50), 0.01), (triangle_seq(50), 5e-324),
+                           (seq_from(lambda n: 1e305 / n, 3, 60), 1.0)):
+            with pytest.raises(ValueError, match=f"kappa {kappa!r} is too small"):
+                estimate_coefficient(seq, 0.0, kappa=kappa)
 
 
 class TestReportAndReferences:

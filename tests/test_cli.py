@@ -477,6 +477,29 @@ class TestAsymptoticsCommand:
         assert main(["asymptotics", str(csv_path), "--kappa", "2"]) == 1
         assert "header" in capsys.readouterr().err
 
+    def test_point_count_over_limit_is_one(self, tmp_path, capsys):
+        # sweep never writes n above LIMITS["n"]; a larger one is an input error
+        for n in (10_001, 10 ** 306, 10 ** 400):
+            csv_path = tmp_path / "huge.csv"
+            rows = [(k, 1.0 / k) for k in range(3, 9)] + [(n, 1e-6)]
+            csv_path.write_text("n,error,alloc\n" + "".join(f"{k},{v!r},\n" for k, v in rows))
+            assert main(["asymptotics", str(csv_path), "--kappa", "2"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: {csv_path}:8: ")
+            assert captured.err.endswith(" exceeds the limit of 10000\n")
+
+    def test_steep_rounding_level_tail(self, tmp_path, capsys):
+        # the last three differences sit at rounding level and fit s = 29.49
+        rows = [(2550 + 16 * k, 0.2041522931908706 + 1e-4 * (6 - k)) for k in range(6)]
+        rows += [(2646, 0.2041522931908706), (2662, 0.20415229319086498),
+                 (2678, 0.20415229319086028)]
+        csv_path = tmp_path / "steep.csv"
+        csv_path.write_text("n,error,alloc\n" + "".join(f"{n},{v!r},\n" for n, v in rows))
+        assert main(["asymptotics", str(csv_path), "--kappa", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(doc[key]) for key in ("v_infinity", "dim_lower", "dim_upper",
+                                                       "coeff_lower", "coeff_upper"))
+
     def test_negative_kappa_in_exponent_form_is_one(self, tmp_path, capsys):
         csv_path = tmp_path / "e.csv"
         assert main(["sweep", "exam1", "--from", "3", "--to", "60", "--output", str(csv_path)]) == 0
@@ -499,7 +522,8 @@ class TestAsymptoticsCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("kappa", ["nan", "inf"])
+    # nan, inf, and a kappa so small that n**(2/kappa) overflows at n = 60
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "0.01"])
     def test_non_finite_kappa_is_one(self, tmp_path, capsys, kappa):
         csv_path = tmp_path / "e1.csv"
         assert main(["sweep", "exam1", "--from", "3", "--to", "60",
@@ -546,6 +570,17 @@ class TestRenderCommand:
         assert width == 440.0 and height == 240.0
         pixels = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="4.00"', svg)
         assert len(set(pixels)) == len(points)
+
+    def test_full_circle_draws_two_arcs(self):
+        # an arc longer than pi is drawn as two A commands, so that no A
+        # command starts where it ends; the path closes on its start
+        circle = Arc(Point2(0.0, 0.0), 1.0, 0.0, 2.0 * math.pi)
+        svg = render_svg(UniformCurveMeasure((circle,)), [("constrained", Point2(1.0, 0.0))])
+        (d,) = re.findall(r'<path d="([^"]+)"', svg)
+        start = re.fullmatch(r"M (\S+) (\S+)", d.split(" A ")[0]).groups()
+        arcs = re.findall(r"A \S+ \S+ 0 0 0 (\S+) (\S+)", d)
+        assert len(arcs) == d.count("A ") == 2
+        assert arcs[0] != start and arcs[1] == start
 
     def test_rejects_non_result_document(self, tmp_path, capsys):
         path = tmp_path / "junk.json"

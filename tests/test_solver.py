@@ -21,6 +21,7 @@ from curvequant.geometry import (
     UniformCurveMeasure,
     _cell_state,
     _frame_array,
+    curve_eval,
     curve_length,
     distortion,
     voronoi_breakpoints,
@@ -154,6 +155,31 @@ class TestEvaluate:
         cand = [TaggedPoint("constrained", Point2(2, 0), 0, 2.0)]
         with pytest.raises(ValueError):
             evaluate(prob, cand)
+
+    @pytest.mark.parametrize("over, accepted", [(1e-3, False), (1e-13, True)])
+    def test_one_relative_range_rule(self, over, accepted):
+        # curve_eval and the candidate check accept an arc length up to a
+        # fixed fraction of the curve's length past its end, at any scale
+        length = 2.0 ** -30
+        seg = Segment(Point2(0.0, 0.0), Point2(length, 0.0))
+        prob = Problem(UniformCurveMeasure((seg,)), (CurveConstraint(seg),), 1)
+        s = length * (1 + over)
+        cand = [TaggedPoint("constrained", Point2(length, 0.0), 0, s)]
+        if accepted:
+            assert curve_eval(seg, s) == Point2(length, 0.0)
+            assert evaluate(prob, cand)[1] == [1.0]
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                curve_eval(seg, s)
+            with pytest.raises(ValueError, match="constraint parameter out of range"):
+                evaluate(prob, cand)
+
+    def test_member_index_out_of_range_rejected(self):
+        members = (Point2(0.25, 0.0), Point2(0.75, 0.0))
+        prob = Problem(sc.interval_measure(), (PointSetConstraint(members),), 1)
+        assert evaluate(prob, [TaggedPoint("constrained", members[1], 0, 1)])[1] == [1.0]
+        with pytest.raises(ValueError, match="point-set member index out of range"):
+            evaluate(prob, [TaggedPoint("constrained", members[1], 0, len(members))])
 
     def test_too_many_points_rejected(self):
         prob = sc.interval_free_problem(1)

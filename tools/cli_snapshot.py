@@ -8,9 +8,9 @@ the exit code (or the exception that escaped `main`), stdout, stderr, the
 warnings raised (category and message, no source location) and, for a
 `solve` that returns a result, the SVG that `render` draws of it. Run the
 same script in two checkouts and compare with `diff -r` to see exactly
-which outputs a change moves. Inputs (the sweep CSVs of SWEEPS and the
-problem files of PROBLEMS, written first) and outputs are relative to a
-temporary working directory, so no path of the machine shows in the
+which outputs a change moves. Inputs (the sweep CSVs of SWEEPS and CSVS and
+the problem files of PROBLEMS, written first) and outputs are relative to
+a temporary working directory, so no path of the machine shows in the
 snapshot. A run takes a few seconds.
 """
 
@@ -86,6 +86,19 @@ SWEEPS = [("exam1", 3, 200), ("triangle", 3, 1500), ("exam2", 3, 1500),
           ("interval-interior", 3, 1500), ("semicircle", 3, 300)]
 
 
+def _csv(rows) -> str:
+    return "n,error,alloc\n" + "".join(f"{n},{v!r},\n" for n, v in rows)
+
+
+# hand-written sweep CSVs: a point count over the limit, and a tail whose
+# last three differences sit at rounding level (a steep fit, s = 29.49)
+CSVS = {"huge_n.csv": _csv([(n, 1.0 / n) for n in range(3, 9)] + [(10 ** 400, 1e-6)]),
+        "steep.csv": _csv([(2550 + 16 * k, 0.2041522931908706 + 1e-4 * (6 - k))
+                           for k in range(6)]
+                          + [(2646, 0.2041522931908706), (2662, 0.20415229319086498),
+                             (2678, 0.20415229319086028)])}
+
+
 def _cases() -> list[list[str]]:
     cases = [["closed-form", name, "-n", str(n)]
              for name in CLOSED_FORM_NAMES for n in (1, 2, 3, 4, 5, 6, 12, 40)]
@@ -156,6 +169,11 @@ def _cases() -> list[list[str]]:
     cases += [["--restarts", "2", "solve", name] for name in TINY]
     # the semicircle allocation at every n the command line accepts
     cases.append(["sweep", "semicircle", "--from", "3", "--to", "10000", "--output", "-"])
+    # asymptotics inputs: a kappa whose scaling overflows, an n over the
+    # limit, and the steep tail
+    cases += [["asymptotics", "exam1.csv", "--kappa", "0.01"],
+              ["asymptotics", "huge_n.csv", "--kappa", "1"],
+              ["asymptotics", "steep.csv", "--kappa", "1"]]
     return cases
 
 
@@ -199,6 +217,9 @@ def main_snapshot(outdir: str) -> int:
         for name, doc in {**PROBLEMS, **OVERFLOWS, **TINY}.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump({"schema_version": 1, **doc}, fh)
+        for name, text in CSVS.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
         for i, argv in enumerate(_cases()):
             code, out, err, caught = _run(argv)
             name = f"{i:03d}_" + "_".join(a.removeprefix("--") for a in argv)[:80]
