@@ -15,17 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from curvequant.closed_form import semicircle_error, triangle_error, triangle_split
+from curvequant.closed_form import _counts, semicircle_error, triangle_error, triangle_split
 
 
 @dataclass(frozen=True)
 class Allocation:
-    parts: tuple[int, ...]
-    objective: float
+    """Per-component point counts and their error: ints and a float for one
+    n, or one int64 array per part and a float64 array for an array of n."""
+
+    parts: tuple
+    objective: float | np.ndarray
 
 
-def semicircle_allocate(n: int) -> Allocation:
-    """Optimal diameter/arc split: a walk from the derived optimum.
+def semicircle_allocate(n) -> Allocation:
+    """Optimal diameter/arc split: a walk from the derived optimum, at one n
+    or for each element of an integer array of n (n up to
+    closed_form.COLUMN_MAX either way: one n is walked as an array of one).
 
     With a = k - 1 diameter gaps and b = n - k + 1 arc gaps the objective is
     f(k) = C (1/a^2 + h(b)), h(b) = 3 pi - 6b sin(pi/(2b)). Both terms are
@@ -36,39 +41,50 @@ def semicircle_allocate(n: int) -> Allocation:
     down while the lower neighbour is no worse (ties go to the smaller
     count, as in the exhaustive scan), otherwise up while the upper one is
     strictly better; each f(k) is evaluated once. Over n = 3..10000 the
-    start is already the optimum, so a call makes at most three evaluations.
+    start is already the optimum, so an n costs at most three evaluations.
+    The walk steps every n of an array at once: each semicircle_error call
+    evaluates the n still moving, so each n takes the path, and gets the
+    bits, of its own walk.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-
-    def f(k: int) -> float:
-        return semicircle_error(k, n - k + 2)
-
-    start = k = min(max(1 + round(n / (1.0 + math.pi / 2.0)), 2), n)
-    fk = f(k)
-    while k > 2 and (down := f(k - 1)) <= fk:
-        k, fk = k - 1, down
-    if k == start:  # after a step down, f(k + 1) >= f(k) is already known
-        while k < n and (up := f(k + 1)) < fk:
-            k, fk = k + 1, up
-    return Allocation((k, n - k + 2), fk)
+    ns = np.array(_counts(n, 3, "need n >= 3"), dtype=np.int64, ndmin=1)
+    start = np.clip(1 + np.rint(ns / (1.0 + math.pi / 2.0)).astype(np.int64), 2, ns)
+    k = start.copy()
+    fk = semicircle_error(k, ns - k + 2)
+    moving = k > 2
+    while moving.any():
+        i = np.flatnonzero(moving)
+        down = semicircle_error(k[i] - 1, ns[i] - (k[i] - 1) + 2)
+        step = down <= fk[i]
+        k[i[step]] -= 1
+        fk[i[step]] = down[step]
+        moving[i] = step & (k[i] > 2)
+    moving = (k == start) & (k < ns)  # after a step down, f(k + 1) >= f(k) is known
+    while moving.any():
+        i = np.flatnonzero(moving)
+        up = semicircle_error(k[i] + 1, ns[i] - (k[i] + 1) + 2)
+        step = up < fk[i]
+        k[i[step]] += 1
+        fk[i[step]] = up[step]
+        moving[i] = step & (k[i] < ns[i])
+    if not isinstance(n, np.ndarray):
+        return Allocation((int(k[0]), int(ns[0] - k[0] + 2)), float(fk[0]))
+    return Allocation((k, ns - k + 2), fk)
 
 
 def semicircle_allocate_exhaustive(n: int) -> Allocation:
-    """Full scan over every admissible diameter count; ties to the smaller."""
+    """Full scan over every admissible diameter count, as one column of
+    errors; argmin keeps ties on the smaller count."""
     if n < 3:
         raise ValueError("need n >= 3")
-    best_k = 2
-    best_v = semicircle_error(2, n)
-    for k in range(3, n + 1):
-        v = semicircle_error(k, n - k + 2)
-        if v < best_v:
-            best_k, best_v = k, v
-    return Allocation((best_k, n - best_k + 2), best_v)
+    k = np.arange(2, n + 1)
+    errors = semicircle_error(k, n - k + 2)
+    best = int(np.argmin(errors))
+    return Allocation((best + 2, n - best), float(errors[best]))
 
 
-def triangle_allocate(n: int) -> Allocation:
-    """Balanced per-side counts for n boundary points (vertices shared)."""
+def triangle_allocate(n) -> Allocation:
+    """Balanced per-side counts for n boundary points (vertices shared), at
+    one n or an array of n."""
     parts = triangle_split(n)
     return Allocation(parts, triangle_error(*parts))
 

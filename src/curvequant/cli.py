@@ -82,7 +82,9 @@ def _integer(value, where: str) -> int:
 def _limited(value: int, key: str, where: str) -> int:
     limit = LIMITS.get(key)
     if limit is not None and value > limit:
-        raise CliError(f"{where}: {value} exceeds the limit of {limit}")
+        digits = str(value)
+        shown = digits if len(digits) <= 20 else f"a {len(digits)}-digit {key}"
+        raise CliError(f"{where}: {shown} exceeds the limit of {limit}")
     return value
 
 
@@ -283,12 +285,17 @@ def cmd_closed_form(args) -> int:
 def cmd_sweep(args) -> int:
     if args.n_from > args.n_to:
         raise CliError("--from must not exceed --to")
-    row = scenarios.SCENARIOS[args.scenario].sweep
-    rows = []
-    for n in range(args.n_from, _limited(args.n_to, "n", "--to") + 1):
-        error, alloc = row(n)
-        rows.append(f"{n},{error!r},{alloc}")
-    text = "n,error,alloc\n" + "\n".join(rows) + "\n"
+    n_to = _limited(args.n_to, "n", "--to")
+    sweep = scenarios.SCENARIOS[args.scenario].sweep
+    sweep(args.n_from)  # the family's smallest n, checked before any column exists
+    ns = np.arange(args.n_from, n_to + 1)
+    errors, parts = sweep(ns)
+    # Python ints and floats, so that !r prints the digits a scalar row would
+    allocs = (["+".join(map(str, row)) for row in zip(*(p.tolist() for p in parts))]
+              if parts else [""] * ns.size)
+    text = "n,error,alloc\n" + "".join(
+        f"{n},{error!r},{alloc}\n"
+        for n, error, alloc in zip(ns.tolist(), errors.tolist(), allocs))
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -300,7 +307,7 @@ def cmd_sweep(args) -> int:
 def _read_sweep_csv(path: str) -> ErrorSequence:
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [line for ln in fh if (line := ln.strip())]
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from exc
     if not lines or not lines[0].startswith("n,error"):

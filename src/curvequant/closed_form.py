@@ -3,15 +3,21 @@ half-circle boundary, and the equilateral triangle.
 
 Each configuration function returns the explicit points together with the
 published distortion expression for them. Each family that covers every n
-also has an error-only function that evaluates that expression in O(1)
-without building points (interval_interior_error, interval_endpoint_error,
-line_constraint_published_error, semicircle_error, triangle_error,
-exam1_published_error); the configuration function calls it, so every
-formula exists once. Each docstring says whether its points are an optimum
-or only the published configuration: the published equal-spacing triangle
-sets are critical points but not optima at n = 4, 5 (triangle_sliver gives
-the optimum there), and some error fields are extrapolated polynomials (see
-the per-scenario notes).
+also has an error-only function that evaluates that expression without
+building points, for one n or an array of n (interval_interior_error,
+interval_endpoint_error, line_constraint_published_error, semicircle_error,
+triangle_split/triangle_error, exam1_breakpoint/exam1_published_error); the
+configuration function calls it, so every formula exists once. A Python int
+n gives Python numbers and stays a Python int inside the formula, so its
+powers never wrap. An integer array of n (up to COLUMN_MAX) gives arrays
+whose every element equals the one-n result bit for bit: the same
+operations run in the same order, and a float power goes through
+np.float_power, since `**` on a float64 array takes a vectorized pow that
+can differ from Python's in the last bit. Each docstring says whether its
+points are an optimum or only the published configuration: the published
+equal-spacing triangle sets are critical points but not optima at n = 4, 5
+(triangle_sliver gives the optimum there), and some error fields are
+extrapolated polynomials (see the per-scenario notes).
 """
 
 from __future__ import annotations
@@ -19,9 +25,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from curvequant.geometry import Point2
+import numpy as np
+
+from curvequant.geometry import Point2, _h_minus_sin
 
 SQRT3 = math.sqrt(3.0)
+
+# largest n an array may hold: up to here exam1's 3n^3 + 18n^2 and every
+# other integer power in the formulas stay exact in int64
+COLUMN_MAX = 2**20
+
+
+def _counts(n, least: int, message: str):
+    """n checked against its smallest admissible value: a Python int as it
+    is, an array as int64, which must also stay within COLUMN_MAX."""
+    if not isinstance(n, np.ndarray):
+        if n < least:
+            raise ValueError(message)
+        return n
+    n = n.astype(np.int64, copy=False)
+    if n.size and n.min() < least:
+        raise ValueError(message)
+    if n.size and n.max() > COLUMN_MAX:
+        raise ValueError(f"an array of counts must stay <= {COLUMN_MAX}")
+    return n
+
+
+def _out(value):
+    """A float64 array stays one; a scalar result becomes a Python float."""
+    return value if np.ndim(value) else float(value)
 
 
 @dataclass(frozen=True)
@@ -63,11 +95,10 @@ class ClosedFormResult:
     allocation: tuple[int, ...] | None = None
 
 
-def interval_interior_error(m: int, scen: IntervalScenario) -> float:
-    """Distortion of interval_interior(m, scen)."""
-    if m < 2:
-        raise ValueError("interior placement needs m >= 2")
-    return (scen.d - scen.c) ** 3 / (12.0 * (scen.b - scen.a) * (m - 1) ** 2)
+def interval_interior_error(m, scen: IntervalScenario):
+    """Distortion of interval_interior(m, scen), at one m or an array of m."""
+    m = _counts(m, 2, "interior placement needs m >= 2")
+    return _out((scen.d - scen.c) ** 3 / (12.0 * (scen.b - scen.a) * (m - 1) ** 2))
 
 
 def interval_interior(m: int, scen: IntervalScenario) -> ClosedFormResult:
@@ -78,14 +109,13 @@ def interval_interior(m: int, scen: IntervalScenario) -> ClosedFormResult:
     return ClosedFormResult(points, error)
 
 
-def interval_endpoint_error(n: int, a: float, b: float) -> float:
+def interval_endpoint_error(n, a: float, b: float):
     """Distortion of interval_left_endpoint(n, a, b) and of its translate
-    interval_right_endpoint(n, a, b)."""
+    interval_right_endpoint(n, a, b), at one n or an array of n."""
     if a >= b:
         raise ValueError("need a < b")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return (b - a) ** 2 / (3.0 * (2 * n - 1) ** 2)
+    n = _counts(n, 1, "need n >= 1")
+    return _out((b - a) ** 2 / (3.0 * (2 * n - 1) ** 2))
 
 
 def interval_left_endpoint(n: int, a: float, b: float) -> ClosedFormResult:
@@ -117,8 +147,9 @@ def _line_floor(scen: LineConstraintScenario) -> float:
     return num / (3.0 * m * (b - a) * mm1)
 
 
-def line_constraint_published_error(n: int, scen: LineConstraintScenario) -> float:
-    """Published error of line_constraint_optimal(n, scen).
+def line_constraint_published_error(n, scen: LineConstraintScenario):
+    """Published error of line_constraint_optimal(n, scen), at one n or an
+    array of n.
 
     The two- and three-point expressions are exact, and the general-n
     polynomial is the published extrapolation of them (exact whenever
@@ -126,19 +157,17 @@ def line_constraint_published_error(n: int, scen: LineConstraintScenario) -> flo
     published expression covers it). line_constraint_exact_error gives the
     true distortion.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _counts(n, 1, "need n >= 1")
     a, b, m, c = scen.a, scen.b, scen.m, scen.c
     mm1 = 1.0 + m * m
-    if n == 1:
-        return _line_floor(scen) + (b - a) ** 2 / (12.0 * mm1)
-    if n == 2:
-        return (a * a * (16 * m * m + 1) + 2 * a * b * (8 * m * m - 1) + 48 * a * c * m
-                + b * b * (16 * m * m + 1) + 48 * b * c * m + 48 * c * c) / (48.0 * mm1)
-    return (-48 * (a - b) ** 2 * m * m
-            + (a - b) * (a - b + 72 * c * m + 8 * (11 * a - 2 * b) * m * m) * n
-            - 12 * (a - b) * m * (5 * c + (4 * a + b) * m) * n * n
-            + 12 * (c + a * m) ** 2 * n ** 3) / (12.0 * mm1 * n ** 3)
+    one = _line_floor(scen) + (b - a) ** 2 / (12.0 * mm1)
+    two = (a * a * (16 * m * m + 1) + 2 * a * b * (8 * m * m - 1) + 48 * a * c * m
+           + b * b * (16 * m * m + 1) + 48 * b * c * m + 48 * c * c) / (48.0 * mm1)
+    general = (-48 * (a - b) ** 2 * m * m
+               + (a - b) * (a - b + 72 * c * m + 8 * (11 * a - 2 * b) * m * m) * n
+               - 12 * (a - b) * m * (5 * c + (4 * a + b) * m) * n * n
+               + 12 * (c + a * m) ** 2 * n ** 3) / (12.0 * mm1 * n ** 3)
+    return _out(np.where(n == 1, one, np.where(n == 2, two, general)))
 
 
 def line_constraint_optimal(n: int, scen: LineConstraintScenario) -> ClosedFormResult:
@@ -167,33 +196,19 @@ def line_constraint_exact_error(n: int, scen: LineConstraintScenario) -> float:
     return _line_floor(scen) + (scen.b - scen.a) ** 2 / (12.0 * (1.0 + scen.m ** 2) * n * n)
 
 
-def _x_minus_sin(x: float) -> float:
-    """x - sin(x) for x >= 0; a Taylor series below 1, where the difference cancels.
-
-    Scalar twin of geometry._h_minus_sin: the allocation scans call this per
-    candidate split, where a numpy call would cost about 15 times as much.
-    """
-    if x >= 1.0:
-        return x - math.sin(x)
-    x2 = x * x
-    tail = 1.0
-    for k in (272, 210, 156, 110, 72, 42, 20):  # (2j)(2j + 1), j = 8 .. 2
-        tail = 1.0 - x2 / k * tail
-    return x * x2 / 6.0 * tail
-
-
-def semicircle_error(n1: int, n2: int) -> float:
+def semicircle_error(n1, n2):
     """Distortion on the closed half-disk boundary with n1 diameter points
-    and n2 arc points, endpoints shared, all equally spaced.
+    and n2 arc points, endpoints shared, all equally spaced; n1 and n2 may
+    be counts or arrays of counts.
 
     The published arc term 3 pi - 6k sin(pi/(2k)), k = n2 - 1, is evaluated
     as 6k (x - sin x) with x = pi/(2k), which does not cancel as k grows.
     """
-    if n1 < 2 or n2 < 2:
-        raise ValueError("need n1 >= 2 and n2 >= 2")
+    message = "need n1 >= 2 and n2 >= 2"
+    n1, n2 = _counts(n1, 2, message), _counts(n2, 2, message)
     k = n2 - 1
-    return (2.0 / (3.0 * (2.0 + math.pi))) * (
-        1.0 / (n1 - 1) ** 2 + 6.0 * k * _x_minus_sin(math.pi / (2.0 * k)))
+    return _out((2.0 / (3.0 * (2.0 + math.pi))) * (
+        1.0 / (n1 - 1) ** 2 + 6.0 * k * _h_minus_sin(math.pi / (2.0 * k))))
 
 
 def semicircle_conditional(n: int, n1: int) -> ClosedFormResult:
@@ -214,24 +229,21 @@ def semicircle_conditional(n: int, n1: int) -> ClosedFormResult:
     return ClosedFormResult(tuple(points), semicircle_error(n1, n2), (n1, n2))
 
 
-def triangle_error(n1: int, n2: int, n3: int) -> float:
+def triangle_error(n1, n2, n3):
     """Distortion for an equilateral unit triangle with nj points per side
-    (vertices shared between adjacent sides)."""
-    if min(n1, n2, n3) < 2:
-        raise ValueError("all side counts must be >= 2")
-    return (1.0 / 36.0) * (1.0 / (n1 - 1) ** 2 + 1.0 / (n2 - 1) ** 2 + 1.0 / (n3 - 1) ** 2)
+    (vertices shared between adjacent sides); counts or arrays of counts."""
+    n1, n2, n3 = (_counts(nj, 2, "all side counts must be >= 2") for nj in (n1, n2, n3))
+    return _out((1.0 / 36.0) * (
+        1.0 / (n1 - 1) ** 2 + 1.0 / (n2 - 1) ** 2 + 1.0 / (n3 - 1) ** 2))
 
 
-def triangle_split(n: int) -> tuple[int, int, int]:
-    """Per-side counts (vertices double-counted) that balance the three sides."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+def triangle_split(n):
+    """Per-side counts (vertices double-counted) that balance the three sides:
+    (k + 1, k + 1, k + 1) plus one on the first r sides, n = 3k + r. For an
+    array of n, a tuple of three arrays."""
+    n = _counts(n, 3, "need n >= 3")
     k, r = divmod(n, 3)
-    if r == 0:
-        return (k + 1, k + 1, k + 1)
-    if r == 1:
-        return (k + 2, k + 1, k + 1)
-    return (k + 2, k + 2, k + 1)
+    return (k + 1 + (r >= 1), k + 1 + (r == 2), k + 1)
 
 
 def triangle_conditional(n: int) -> ClosedFormResult:
@@ -311,24 +323,24 @@ def exam1_conditional(n: int) -> ClosedFormResult:
     return ClosedFormResult(tuple(points), error)
 
 
-def exam1_published_error(n: int) -> float:
+def exam1_published_error(n):
     """Published V_{n+1} of exam1_conditional(n), an extrapolated polynomial
-    in n and the breakpoint d; exam1_exact_error gives the true distortion."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+    in n and the breakpoint d, at one n or an array of n; exam1_exact_error
+    gives the true distortion."""
+    n = _counts(n, 3, "need n >= 3")
     d = exam1_breakpoint(n)
-    return d ** 3 / 3.0 + (
+    return _out(np.float_power(d, 3) / 3.0 + (
         d * d * (3 * n ** 3 - 12 * n ** 2 + 26 * n - 12)
         + 2 * d * (3 * n ** 3 - 3 * n ** 2 - 8 * n + 12)
         + 3 * n ** 3 + 18 * n ** 2 - 10 * n - 12
-    ) / (51.0 * n ** 3)
+    ) / (51.0 * n ** 3))
 
 
-def exam1_breakpoint(n: int) -> float:
-    """Boundary d between the forced origin's cell and the line points' cells."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return (n * n + n * math.sqrt(17.0 * n * n + 52.0) - 4.0) / (16.0 * n * n - 4.0)
+def exam1_breakpoint(n):
+    """Boundary d between the forced origin's cell and the line points' cells,
+    at one n or an array of n."""
+    n = _counts(n, 1, "need n >= 1")
+    return _out((n * n + n * np.sqrt(17.0 * n * n + 52.0) - 4.0) / (16.0 * n * n - 4.0))
 
 
 def exam1_exact_error(n: int) -> float:

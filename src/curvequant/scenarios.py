@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from curvequant import closed_form as cf
 from curvequant.allocation import Allocation, semicircle_allocate, triangle_allocate
 from curvequant.geometry import Arc, Point2, Segment, UniformCurveMeasure
@@ -117,12 +119,14 @@ class Scenario:
     """What each command uses of one scenario; None where it uses nothing.
 
     closed_form(n, *, a, b, c, d, m, intercept, n1) takes the `closed-form`
-    options; sweep(n) gives a sweep row's (error, alloc column); build,
-    config and n_range give `verify` its problem, optimum and range of n.
+    options; sweep(n) maps a column of n to the sweep's error column and its
+    allocation parts, one int column per part (none where the family has no
+    allocation), and one n to one row's error and parts. build, config and
+    n_range give `verify` its problem, optimum and range of n.
     """
 
     closed_form: Callable[..., cf.ClosedFormResult] | None = None
-    sweep: Callable[[int], tuple[float, str]] | None = None
+    sweep: Callable[[int | np.ndarray], tuple[float | np.ndarray, tuple]] | None = None
     build: Callable[[int], Problem] | None = None
     config: Callable[[int], tuple[Point2, ...]] | None = None
     n_range: tuple[int, int] | None = None
@@ -143,8 +147,8 @@ def _semicircle(n: int, *, n1=None, **_) -> cf.ClosedFormResult:
     return cf.semicircle_conditional(n, semicircle_allocate(n).parts[0] if n1 is None else n1)
 
 
-def _allocated(alloc: Allocation) -> tuple[float, str]:
-    return alloc.objective, "+".join(str(p) for p in alloc.parts)
+def _allocated(alloc: Allocation) -> tuple[float | np.ndarray, tuple]:
+    return alloc.objective, alloc.parts
 
 
 def _triangle_config(n: int) -> tuple[Point2, ...]:
@@ -158,17 +162,17 @@ def _triangle_config(n: int) -> tuple[Point2, ...]:
 SCENARIOS: dict[str, Scenario] = {
     "interval-left": Scenario(
         closed_form=lambda n, *, a, b, **_: cf.interval_left_endpoint(n, a, b),
-        sweep=lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ""),
+        sweep=lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ()),
         build=interval_left_problem, n_range=(1, 10),
         config=lambda n: cf.interval_left_endpoint(n, 0.0, 1.0).points),
     "interval-right": Scenario(
         closed_form=lambda n, *, a, b, **_: cf.interval_right_endpoint(n, a, b),
-        sweep=lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ""),
+        sweep=lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ()),
         build=interval_right_problem, n_range=(1, 10),
         config=lambda n: cf.interval_right_endpoint(n, 0.0, 1.0).points),
     "interval-interior": Scenario(
         closed_form=_interval_interior,
-        sweep=lambda n: (cf.interval_interior_error(n, UNIT_INTERVAL), ""),
+        sweep=lambda n: (cf.interval_interior_error(n, UNIT_INTERVAL), ()),
         build=interval_interior_problem, n_range=(2, 10),
         config=lambda n: cf.interval_interior(n, UNIT_INTERVAL).points),
     "line-constraint": Scenario(closed_form=_line_constraint),
@@ -190,11 +194,11 @@ SCENARIOS: dict[str, Scenario] = {
         config=_triangle_config),
     "exam1": Scenario(
         closed_form=lambda n, **_: cf.exam1_conditional(n),
-        sweep=lambda n: (cf.exam1_published_error(n), ""),
+        sweep=lambda n: (cf.exam1_published_error(n), ()),
         build=exam1_problem, n_range=(3, 10),
         config=lambda n: cf.exam1_conditional(n).points),
     "exam2": Scenario(
-        sweep=lambda n: (cf.line_constraint_published_error(n, EXAM2_LINE), "")),
+        sweep=lambda n: (cf.line_constraint_published_error(n, EXAM2_LINE), ())),
 }
 
 GALLERY = {name: s for name, s in SCENARIOS.items() if s.build is not None}

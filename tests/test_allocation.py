@@ -1,5 +1,7 @@
+import collections
 import math
 
+import numpy as np
 import pytest
 
 import curvequant.allocation as allocation
@@ -39,32 +41,42 @@ def test_semicircle_local_equals_exhaustive():
         assert semicircle_allocate(n).objective == semicircle_allocate_exhaustive(n).objective
 
 
-def _split_error(n: int, k: int) -> float:
-    return semicircle_error(k, n - k + 2)
-
-
 def test_semicircle_allocate_is_a_local_minimum_over_the_cli_range():
     # f(k - 1) > f(k) <= f(k + 1): ties go to the smaller diameter count
-    for n in range(3, LIMITS["n"] + 1):
-        k = semicircle_allocate(n).parts[0]
-        fk = _split_error(n, k)
-        assert k == 2 or _split_error(n, k - 1) > fk, n
-        assert k == n or _split_error(n, k + 1) >= fk, n
+    n = np.arange(3, LIMITS["n"] + 1)
+    k = semicircle_allocate(n).parts[0]
+    fk = semicircle_error(k, n - k + 2)
+    below = np.maximum(k - 1, 2)  # k = 2 has no lower neighbour
+    above = np.minimum(k + 1, n)  # nor k = n an upper one
+    assert np.all((k == 2) | (semicircle_error(below, n - below + 2) > fk))
+    assert np.all((k == n) | (semicircle_error(above, n - above + 2) >= fk))
 
 
 def test_semicircle_allocate_makes_at_most_three_evaluations(monkeypatch):
+    # each call records the (n, n1) pairs it evaluates; a scalar call
+    # evaluates an array of one, a column call only the n still moving
     calls = []
 
-    def counted(n1: int, n2: int) -> float:
-        calls.append((n1, n2))
+    def counted(n1, n2):
+        calls.append(list(zip((n1 + n2 - 2).tolist(), n1.tolist())))
         return semicircle_error(n1, n2)
 
     monkeypatch.setattr(allocation, "semicircle_error", counted)
-    for n in range(3, LIMITS["n"] + 1):
+    semicircle_allocate(np.arange(3, LIMITS["n"] + 1))
+    evaluated = collections.defaultdict(list)
+    for call in calls:
+        for n, n1 in call:
+            evaluated[n].append(n1)
+    assert sorted(evaluated) == list(range(3, LIMITS["n"] + 1))
+    for n, splits in evaluated.items():
+        assert len(splits) <= 3, n
+        assert len(set(splits)) == len(splits), n
+    for n in (3, 4, 5, 50, 1200, LIMITS["n"]):
         calls.clear()
         semicircle_allocate(n)
+        assert [len(call) for call in calls] == [1] * len(calls), n
         assert len(calls) <= 3, n
-        assert len(set(calls)) == len(calls), n
+        assert len(set(map(tuple, calls))) == len(calls), n
 
 
 @pytest.mark.parametrize("n", [2000, 5000, 10_000])
@@ -75,9 +87,10 @@ def test_semicircle_allocate_equals_exhaustive_at_large_n(n):
 @pytest.mark.parametrize("n", [10, 100, 1000, 10_000])
 def test_semicircle_error_is_strictly_convex_in_the_split(n):
     # the walk's stopping rule is exact only because of this
-    f = [_split_error(n, k) for k in range(2, n + 1)]
-    second = [a - 2.0 * b + c for a, b, c in zip(f, f[1:], f[2:])]
-    assert min(second) > 0.0
+    k = np.arange(2, n + 1)
+    f = semicircle_error(k, n - k + 2)
+    second = f[:-2] - 2.0 * f[1:-1] + f[2:]
+    assert second.min() > 0.0
 
 
 def test_semicircle_split_tends_to_one_to_half_pi():

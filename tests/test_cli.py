@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -371,8 +372,8 @@ class TestSweepCommand:
          lambda n: cf.interval_interior(n, cf.IntervalScenario(0.0, 1.0, 0.0, 1.0))),
     ])
     def test_row_equals_configuration_error(self, scenario, lo, configuration):
-        for n in range(lo, 301):
-            assert scenarios.SCENARIOS[scenario].sweep(n)[0] == configuration(n).error
+        errors, _ = scenarios.SCENARIOS[scenario].sweep(np.arange(lo, 301))
+        assert errors.tolist() == [configuration(n).error for n in range(lo, 301)]
 
     def test_sweeps_build_no_points(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -487,6 +488,16 @@ class TestAsymptoticsCommand:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith(f"error: {csv_path}:8: ")
             assert captured.err.endswith(" exceeds the limit of 10000\n")
+
+    def test_row_numbers_count_nonblank_lines(self, tmp_path, capsys):
+        # blank lines are skipped and not counted; a row's number is its
+        # place among the non-blank lines, the header being line 1
+        csv_path = tmp_path / "gaps.csv"
+        rows = "".join(f"{k},{1.0 / k!r},\n\n" for k in range(3, 9))
+        csv_path.write_text("\n n,error,alloc \n\n" + rows + "  \n9,oops,\n")
+        assert main(["asymptotics", str(csv_path), "--kappa", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}:8: could not convert string to float")
 
     def test_steep_rounding_level_tail(self, tmp_path, capsys):
         # the last three differences sit at rounding level and fit s = 29.49
@@ -727,6 +738,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {option}:") and "exceeds the limit" in captured.err
+
+    @pytest.mark.parametrize("n, shown", [
+        (10**19, str(10**19)), (10**20, "a 21-digit n"), (10**400, "a 401-digit n")])
+    def test_over_limit_line_stays_short(self, tmp_path, capsys, n, shown):
+        # a number longer than 20 digits is named by its digit count
+        csv_path = tmp_path / "huge.csv"
+        rows = [(k, 1.0 / k) for k in range(3, 9)] + [(n, 1e-6)]
+        csv_path.write_text("n,error,alloc\n" + "".join(f"{k},{v!r},\n" for k, v in rows))
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(dict(INTERVAL_LEFT_DOC, n=n)))
+        for argv, where in (
+                (["asymptotics", str(csv_path), "--kappa", "1"], f"{csv_path}:8"),
+                (["closed-form", "interval-left", "-n", str(n)], "-n"),
+                (["sweep", "exam1", "--from", "3", "--to", str(n), "--output", "-"], "--to"),
+                (["solve", str(problem)], f"{problem}.n")):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {where}: {shown} exceeds the limit of 10000\n"
 
     def test_limits_themselves_are_accepted(self, tmp_path):
         doc = dict(INTERVAL_LEFT_DOC, n=cli.LIMITS["n"],

@@ -48,6 +48,7 @@ from curvequant.solver import (
     _indefinite,
     _seed_runs,
 )
+from scalar_reference import x_minus_sin
 
 V3_SEMI = (2.0 / (2.0 + math.pi)) * (-2.0 * math.sqrt(2.0) + 1.0 / 3.0 + math.pi)
 
@@ -840,7 +841,7 @@ class TestSolve:
         problem = Problem(UniformCurveMeasure((circle,)), (CurveConstraint(circle),), n)
         # 2 - 2n sin(pi/n)/pi, written so that it does not cancel as n grows
         x = math.pi / n
-        want = 2.0 * cf._x_minus_sin(x) / x
+        want = 2.0 * x_minus_sin(x) / x
         for rng_seed in (1, 2, 3, 5, 7, 11, 42):
             q = solve(problem, SolverOptions(rng_seed=rng_seed))
             assert q.distortion == pytest.approx(want, rel=1e-12), rng_seed

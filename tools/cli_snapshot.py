@@ -33,6 +33,9 @@ CLOSED_FORM_NAMES = ("interval-left", "interval-right", "interval-interior",
                      "line-constraint", "semicircle", "triangle", "exam1")
 SWEEP_NAMES = ("triangle", "semicircle", "exam1", "exam2",
                "interval-left", "interval-right", "interval-interior")
+# each sweep family's smallest n
+SWEEP_LOWEST = {"triangle": 3, "semicircle": 3, "exam1": 3, "exam2": 1,
+                "interval-left": 1, "interval-right": 1, "interval-interior": 2}
 SUBCOMMANDS = ("solve", "closed-form", "sweep", "asymptotics", "render", "verify")
 
 
@@ -174,6 +177,12 @@ def _cases() -> list[list[str]]:
     cases += [["asymptotics", "exam1.csv", "--kappa", "0.01"],
               ["asymptotics", "huge_n.csv", "--kappa", "1"],
               ["asymptotics", "steep.csv", "--kappa", "1"]]
+    # every other sweep family from its smallest n to the limit, and a
+    # --from far below every family's smallest n
+    cases += [["sweep", name, "--from", str(lowest), "--to", "10000", "--output", "-"]
+              for name, lowest in SWEEP_LOWEST.items() if name != "semicircle"]
+    cases.append(["sweep", "interval-left", "--from", "-1000000000000", "--to", "3",
+                  "--output", "-"])
     return cases
 
 
