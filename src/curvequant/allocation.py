@@ -93,15 +93,13 @@ def triangle_allocate_exhaustive(n: int) -> Allocation:
     """Scan all (n1, n2, n3) with side gaps summing to n; lexicographic ties."""
     if n < 3:
         raise ValueError("need n >= 3")
-    # side j holds nj points of which nj - 1 are "its own" (far vertex shared)
-    i = np.arange(1, n - 1)
-    gi, gj = np.meshgrid(i, i, indexing="ij")
+    # side j holds nj points of which nj - 1 are "its own" (far vertex shared);
+    # every pair of gaps gi, gj >= 1 that leaves gk >= 1, gi first, then gj
+    r, c = np.triu_indices(n - 2)
+    gi, gj = r + 1, c - r + 1
     gk = n - gi - gj
-    obj = np.where(gk >= 1,
-                   (1.0 / 36.0) * (1.0 / gi**2 + 1.0 / gj**2 + 1.0 / np.maximum(gk, 1) ** 2),
-                   np.inf)
-    flat = int(np.argmin(obj))
-    bi, bj = divmod(flat, obj.shape[1])
-    n1, n2 = int(i[bi]) + 1, int(i[bj]) + 1
+    obj = (1.0 / 36.0) * (1.0 / gi**2 + 1.0 / gj**2 + 1.0 / gk**2)
+    best = int(np.argmin(obj))
+    n1, n2 = int(gi[best]) + 1, int(gj[best]) + 1
     n3 = n - (n1 - 1) - (n2 - 1) + 1
     return Allocation((n1, n2, n3), triangle_error(n1, n2, n3))

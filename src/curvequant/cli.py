@@ -5,8 +5,8 @@ scenario -> points/error), sweep (closed-form error sequences as CSV),
 asymptotics (CSV -> limit report), render (result JSON -> SVG), verify
 (solver vs closed-form gallery).
 
-Exit codes: 0 success, 1 any error, 2 solve detected a degenerate
-(zero-mass) point.
+Exit codes: 0 success, 1 any error, 2 solve found a point whose Voronoi
+cell is empty (mass 0.0).
 """
 
 from __future__ import annotations
@@ -267,9 +267,14 @@ def _names(field: str) -> list[str]:
 
 def cmd_closed_form(args) -> int:
     n = _limited(args.n, "n", "-n")
-    result = scenarios.SCENARIOS[args.scenario].closed_form(
-        n, a=args.a, b=args.b, c=args.c, d=args.d, m=args.m,
-        intercept=args.intercept, n1=args.n1)
+    try:
+        result = scenarios.SCENARIOS[args.scenario].closed_form(
+            n, a=args.a, b=args.b, c=args.c, d=args.d, m=args.m,
+            intercept=args.intercept, n1=args.n1)
+        if not math.isfinite(result.error):
+            raise OverflowError
+    except OverflowError as exc:
+        raise CliError(f"{args.scenario}: the closed form overflows double precision") from exc
     doc = {
         "scenario": args.scenario,
         "n": n,
@@ -358,7 +363,10 @@ def cmd_render(args) -> int:
             raise CliError(f"{where}: unknown point kind {entry['kind']!r}")
         points.append((entry["kind"], Point2(_number(entry["x"], f"{where}.x"),
                                              _number(entry["y"], f"{where}.y"))))
-    svg = render_svg(UniformCurveMeasure(curves), points)
+    # far points overflow in the breakpoint search without numpy warnings;
+    # render_svg refuses a drawing whose extent overflows
+    with np.errstate(all="ignore"):
+        svg = render_svg(UniformCurveMeasure(curves), points)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return EXIT_OK

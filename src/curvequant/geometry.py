@@ -33,7 +33,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class DegenerateCellError(ValueError):
-    """A Voronoi cell that was asked for carries (numerically) zero mass."""
+    """A Voronoi cell that was asked for is empty: its mass is 0.0."""
 
 
 @dataclass(frozen=True)
@@ -462,10 +462,11 @@ def voronoi_masses(measure: UniformCurveMeasure, sites) -> list[float]:
 
 
 def conditional_mean(measure: UniformCurveMeasure, sites, site_index: int) -> Point2:
-    """Mean of the measure restricted to the indexed site's Voronoi cell."""
+    """Mean of the measure restricted to the indexed site's Voronoi cell;
+    DegenerateCellError if that cell is empty (mass 0.0)."""
     masses, moments = voronoi_cell_stats(measure, sites)
     mass = masses[site_index]
-    if mass <= 1e-12:
+    if mass == 0.0:
         raise DegenerateCellError(f"cell {site_index} has zero mass")
     cell_length = mass * measure.total_length
     return Point2(float(moments[site_index, 0] / cell_length),

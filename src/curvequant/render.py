@@ -53,6 +53,8 @@ class _Mapper:
         self.scale = SIZE / max(max_x - min_x, max_y - min_y)
         self.width = (max_x - min_x) * self.scale + 2 * MARGIN
         self.height = (max_y - min_y) * self.scale + 2 * MARGIN
+        if not math.isfinite(self.width + self.height):
+            raise ValueError("the drawing's extent overflows double precision")
 
     def __call__(self, p: Point2) -> tuple[float, float]:
         return ((p.x - self.min_x) * self.scale + MARGIN,
@@ -97,7 +99,8 @@ def render_svg(measure: UniformCurveMeasure, points: list[tuple[str, Point2]]) -
     points is a list of (kind, position); kind picks the fill color. The
     Voronoi breakpoints of the configuration are drawn as hollow circles on
     the support. The drawing is fitted to SIZE pixels on its longer side,
-    whatever the size of the support.
+    whatever the size of the support. Raises ValueError when the extent
+    of the drawing overflows double precision.
     """
     sites = [p for _, p in points]
     mapper = _Mapper(*_bounds(measure, sites))

@@ -37,7 +37,6 @@ from curvequant.geometry import (
     distortion,  # noqa: F401 -- bound by name; perfbench's tracer test relies on it
 )
 
-MASS_TOL = 1e-5
 # support samples per seeded point: the pool each k-means++ seed draws from
 SEED_SAMPLES = 8
 # the most floats a chunk of runs holds in its seeding arrays or Hessians
@@ -117,6 +116,9 @@ class TaggedPoint:
 
 @dataclass(frozen=True)
 class Quantizer:
+    """Tagged points (beta first), distortion, one cell mass per point;
+    degenerate_points indexes the points whose cell is empty (mass 0.0)."""
+
     points: tuple[TaggedPoint, ...]
     distortion: float
     masses: tuple[float, ...]
@@ -185,14 +187,14 @@ def evaluate(problem: Problem, candidate) -> tuple[float, list[float]]:
 
 
 def lloyd_step(problem: Problem, candidate) -> list[TaggedPoint]:
-    """Move every positive-mass free point to its cell mean; zero-mass free
-    points are left in place (they are the degeneracy signal)."""
+    """Move every free point to its cell mean; one whose cell is empty
+    (mass 0.0) is left in place (the degeneracy signal)."""
     _check_candidate(problem, candidate)
     sites_xy = _sites_array([tp.point for tp in candidate])
     _, masses, moments, _ = _exact_state(problem.measure, sites_xy)
     out = []
     for i, tp in enumerate(candidate):
-        if tp.kind != "free" or masses[i] <= 1e-12:
+        if tp.kind != "free" or masses[i] == 0.0:
             out.append(tp)
             continue
         cell_len = masses[i] * problem.measure.total_length
@@ -506,10 +508,11 @@ class _Descent:
         """The Newton steps -H^-1 g of the given rows on their live
         coordinates, zero elsewhere. Where a row's H is not safely positive
         definite there (see _indefinite), it is shifted toward the Lloyd
-        diagonal: H + lam diag(2 max(mass, MASS_TOL)), with lam the least
-        that lifts the Gershgorin bound of the shifted matrix, in the Lloyd
-        scale, to 1/10. The other coordinates get the identity, so that
-        every row is factored, tested and solved in the same calls."""
+        diagonal: H + lam diag(2 mass), masses positive on live coordinates,
+        with lam the least that lifts the Gershgorin bound of the shifted
+        matrix, in the Lloyd scale, to 1/10. The other coordinates get the
+        identity (scale 1), so that every row is factored, tested and solved
+        in the same calls."""
         H = self.hessian(rows)
         H *= live[:, :, None]
         H *= live[:, None, :]
@@ -517,7 +520,7 @@ class _Descent:
         H[r, k, k] = 1.0
         for p in _indefinite(H):
             row = rows[p]
-            lloyd = 2.0 * np.maximum(self.state.masses[row, self.layout.owner], MASS_TOL)
+            lloyd = np.where(live[p], 2.0 * self.state.masses[row, self.layout.owner], 1.0)
             S = H[p] / np.sqrt(np.outer(lloyd, lloyd))
             low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
             on = np.flatnonzero(live[p])
@@ -617,7 +620,7 @@ def _nearest_members(problem: Problem, run: _Descent, row: int, param):
     sites, moved = run.state.xy[row].copy(), False
     for i, ci in enumerate(run.index[row].tolist(), ell):
         cons = problem.constraints[ci] if ci >= 0 else None
-        if isinstance(cons, PointSetConstraint) and masses[i] > 1e-12:
+        if isinstance(cons, PointSetConstraint) and masses[i] > 0.0:
             mx, my = moments[i] / (masses[i] * problem.measure.total_length)
             k = int(np.argmin([(p.x - mx) ** 2 + (p.y - my) ** 2 for p in cons.points]))
             if k != int(param[i - ell]):
@@ -662,7 +665,8 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     distortion, so scaling the problem changes no choice) then takes one
     last full Newton step, which fixes its points to rounding and not only
     its distortion. Quantizer.converged says whether the winner reached
-    that stop within max_iters. Raises ValueError when the winner's
+    that stop within max_iters; degenerate_points are its points with an
+    empty cell (mass 0.0). Raises ValueError when the winner's
     distortion or a cell mass is not finite, which happens when the
     problem's numbers overflow double precision.
     """
@@ -684,7 +688,7 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     if not (np.isfinite(d) and np.isfinite(masses).all()):
         raise ValueError("the distortion or a cell mass is not finite: "
                          "the problem's coordinates overflow double precision")
-    degenerate = tuple(i for i, m in enumerate(masses) if m <= MASS_TOL)
+    degenerate = tuple(i for i, m in enumerate(masses) if m == 0.0)
     return Quantizer(tuple(batch.result(row)), d, tuple(float(m) for m in masses),
                      converged, degenerate)
 
@@ -692,16 +696,13 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
 def existence_check(problem: Problem, options: SolverOptions | None = None) -> ExistenceReport:
     """Whether an optimal set of exactly n positive-mass points exists.
 
-    Runs the solver (four restarts by default) and checks every reported
-    point for positive mass. The degeneracy signal is a cell mass sliding
-    to zero, which the descent follows well below MASS_TOL, since every
-    run descends until an iteration no longer lowers its distortion beyond
-    rounding.
+    Runs the solver (four restarts by default) and checks that no point's
+    cell is empty (mass 0.0). The degeneracy signal is a cell the descent
+    shrinks until it is empty, since every run descends until an iteration
+    no longer lowers its distortion beyond rounding.
     """
     witness = solve(problem, options or SolverOptions(restarts=4))
-    exists = (len(witness.points) == problem.n
-              and not witness.degenerate_points
-              and all(m > MASS_TOL for m in witness.masses))
+    exists = len(witness.points) == problem.n and not witness.degenerate_points
     return ExistenceReport(exists, witness)
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from curvequant.cli import main
 from curvequant.geometry import Arc, Point2, Segment, UniformCurveMeasure
 from curvequant.render import render_svg
 from curvequant.scenarios import exam2_problem, semicircle_problem
-from curvequant.solver import Problem
+from curvequant.solver import FreePlane, Problem
 
 
 def write_problem(tmp_path, problem, name="problem.json", solver=None):
@@ -230,6 +231,16 @@ class TestSolveCommand:
         assert doc["degenerate_points"] == [1, 2]
         assert doc["distortion"] == pytest.approx(1.0 / 3.0, rel=1e-9)
 
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6])
+    def test_tiny_cell_exits_zero(self, tmp_path, capsys, delta):
+        # beta at (0, 0.1 (1 - delta)) keeps a cell of mass about delta
+        # (test_solver.py derives it): small, but not empty
+        problem = Problem(scenarios.interval_measure(), (FreePlane(),), 6,
+                          beta=(Point2(0.0, 0.1 * (1.0 - delta)),))
+        assert main(["solve", write_problem(tmp_path, problem)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["degenerate_points"] == [] and 0.0 < doc["masses"][0] < 2.0 * delta
+
     def test_constrained_points_carry_parameters(self, tmp_path, capsys):
         path = write_problem(tmp_path, semicircle_problem(3), solver={"restarts": 4})
         assert main(["--seed", "42", "solve", path]) == 0
@@ -294,6 +305,24 @@ class TestClosedFormCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [0.0, 0.0] in doc["points"]
         assert len(doc["points"]) == 4
+
+    # every family with real-valued options, at options whose closed form
+    # overflows (an OverflowError) or loses itself in inf - inf (a NaN error)
+    @pytest.mark.parametrize("argv", [
+        ["line-constraint", "-n", "3", "--m", "1e160", "--intercept", "0"],
+        ["line-constraint", "-n", "3", "--m", "1e160", "--intercept", "1e300"],
+        ["line-constraint", "-n", "2", "--a", "-1e200", "--b", "1e200",
+         "--m", "0", "--intercept", "0"],
+        ["line-constraint", "-n", "3", "--b", "10", "--m", "1e308", "--intercept", "0"],
+        ["interval-left", "-n", "3", "--a", "-1e200", "--b", "1e200"],
+        ["interval-right", "-n", "3", "--a", "-1e200", "--b", "1e200"],
+        ["interval-interior", "-n", "3", "--a", "-1e200", "--b", "1e200"],
+    ])
+    def test_overflow_is_one_error_line(self, capsys, argv):
+        assert main(["closed-form", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[0]}: the closed form overflows double precision\n"
 
     def test_line_requires_slope_and_intercept(self, capsys):
         assert main(["closed-form", "line-constraint", "-n", "3"]) == 1
@@ -610,6 +639,20 @@ class TestRenderCommand:
         path.write_text(json.dumps(doc))
         assert main(["render", str(path), "--output", str(tmp_path / "x.svg")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_drawing_is_one(self, tmp_path, capsys):
+        # points 2e308 apart: the drawing's width overflows
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "problem": {"measure": INTERVAL_LEFT_DOC["measure"]},
+            "points": [{"kind": "free", "x": x, "y": 0.0} for x in (1e308, -1e308)]}))
+        svg = tmp_path / "far.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["render", str(path), "--output", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the drawing's extent overflows double precision\n"
+        assert not svg.exists()
 
 
 class TestVerifyCommand:

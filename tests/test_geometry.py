@@ -240,6 +240,18 @@ def _random_measure(rng):
     return UniformCurveMeasure(tuple(curves))
 
 
+def _curve_points(c, s):
+    """Points of c at the arc lengths s, a (k, 2) array, written here apart
+    from the package's own evaluation."""
+    if isinstance(c, Segment):
+        t = s / curve_length(c)
+        return np.stack([c.p0.x + t * (c.p1.x - c.p0.x),
+                         c.p0.y + t * (c.p1.y - c.p0.y)], axis=1)
+    ang = c.theta0 + s / c.radius
+    return np.stack([c.center.x + c.radius * np.cos(ang),
+                     c.center.y + c.radius * np.sin(ang)], axis=1)
+
+
 def _riemann_distortion(measure, sites, samples=10**6):
     sites_xy = np.array([(p.x, p.y) for p in sites])
     total = 0.0
@@ -247,14 +259,7 @@ def _riemann_distortion(measure, sites, samples=10**6):
         length = curve_length(c)
         k = max(int(samples * length / measure.total_length), 1000)
         s = (np.arange(k) + 0.5) * (length / k)
-        if isinstance(c, Segment):
-            t = s / length
-            pts = np.stack([c.p0.x + t * (c.p1.x - c.p0.x),
-                            c.p0.y + t * (c.p1.y - c.p0.y)], axis=1)
-        else:
-            ang = c.theta0 + s / c.radius
-            pts = np.stack([c.center.x + c.radius * np.cos(ang),
-                            c.center.y + c.radius * np.sin(ang)], axis=1)
+        pts = _curve_points(c, s)
         # running minimum over the sites: no (k, m, 2) temporary
         d2 = np.full(k, np.inf)
         for sx, sy in sites_xy:
@@ -298,12 +303,9 @@ def test_breakpoints_partition_constant_owner():
                 if s1 - s0 < 1e-9:
                     owners.append(None)
                     continue
-                s = np.linspace(s0 + 1e-9, s1 - 1e-9, 1000)
-                seen = set()
-                for si in s:
-                    p = curve_eval(c, float(si))
-                    d2 = ((sites_xy - (p.x, p.y)) ** 2).sum(axis=1)
-                    seen.add(int(np.argmin(d2)))
+                pts = _curve_points(c, np.linspace(s0 + 1e-9, s1 - 1e-9, 1000))
+                d2 = ((pts[:, None, :] - sites_xy[None, :, :]) ** 2).sum(axis=2)
+                seen = set(np.argmin(d2, axis=1).tolist())
                 assert len(seen) == 1
                 owners.append(seen.pop())
             # every breakpoint is a change of owner, none spurious

@@ -28,7 +28,6 @@ from curvequant.geometry import (
     voronoi_masses,
 )
 from curvequant.solver import (
-    MASS_TOL,
     CurveConstraint,
     FreePlane,
     PointSetConstraint,
@@ -779,7 +778,7 @@ class TestIndefinite:
                 np.linalg.cholesky(want[p])
             except np.linalg.LinAlgError:
                 shifted.append(p)
-                lloyd = 2.0 * np.maximum(descent.state.masses[p, descent.layout.owner], MASS_TOL)
+                lloyd = np.where(live[p], 2.0 * descent.state.masses[p, descent.layout.owner], 1.0)
                 S = want[p] / np.sqrt(np.outer(lloyd, lloyd))
                 low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
                 want[p] += np.diag((0.1 - float(low.min())) * lloyd)
@@ -1022,16 +1021,33 @@ class TestExistence:
 
     @pytest.mark.parametrize("rng_seed", [42, 7])
     def test_offset_beta_witness_cell_collapses(self, rng_seed):
-        # beyond the existence boundary the descent drives one cell mass
-        # well below the degeneracy threshold, not just under it
+        # beyond the existence boundary the descent drives one cell until
+        # it is empty
         rep = existence_check(sc.offset_beta_problem(50),
                               SolverOptions(restarts=4, rng_seed=rng_seed))
         assert not rep.exists_with_n_points
-        assert min(rep.witness.masses) <= MASS_TOL / 5
+        assert min(rep.witness.masses) == 0.0
 
     def test_offset_beta_small_n_exists(self):
         rep = existence_check(sc.offset_beta_problem(5))
         assert rep.exists_with_n_points
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6])
+    def test_tiny_cell_is_not_degenerate(self, delta):
+        # beta at (0, h), h = 0.1 (1 - delta), keeps the cell [0, c] of
+        # five free points on [0, 1]: they split [c, 1] evenly, so the first
+        # sits at p1 = c + (1 - c) / 10, and the cut c between it and beta
+        # solves 2 c p1 = p1^2 - h^2, i.e. 0.99 c^2 + 0.02 c = k with
+        # k = 0.01 - h^2 = 0.01 delta (2 - delta): a mass about delta
+        h = 0.1 * (1.0 - delta)
+        problem = Problem(sc.interval_measure(), (FreePlane(),), 6, beta=(Point2(0.0, h),))
+        k = 0.01 * delta * (2.0 - delta)
+        c = 2.0 * k / (0.02 + math.sqrt(0.02 ** 2 + 4.0 * 0.99 * k))
+        rep = existence_check(problem)
+        assert rep.witness.degenerate_points == ()
+        assert rep.witness.masses[0] == pytest.approx(c, rel=1e-8)
+        assert rep.exists_with_n_points
+        assert solve(problem).degenerate_points == ()
 
 
 def count_passes(monkeypatch):

@@ -83,6 +83,15 @@ OVERFLOWS = {
 TINY = {f"support_{length:g}.json": {"measure": [_segment([0, 0], [length, 0])],
                                      "constraints": [{"type": "free"}], "n": 3}
         for length in (1e-12, 1e-200)}
+# a problem whose beta keeps a cell of mass about 1e-5, small but not empty,
+# and a result document whose points lie 2e308 apart, so that the drawing's
+# width overflows
+EDGES = {
+    "tiny_cell.json": {"measure": _UNIT, "constraints": [{"type": "free"}],
+                       "beta": [[0, 0.1 * (1 - 1e-5)]], "n": 6},
+    "far_points.json": {"problem": {"measure": _UNIT},
+                        "points": [{"kind": "free", "x": x, "y": 0} for x in (1e308, -1e308)]},
+}
 # sweep CSVs that `asymptotics` cases read, as (name, from, to): exam1 and
 # every other criterion-4 family, and the README's semicircle example
 SWEEPS = [("exam1", 3, 200), ("triangle", 3, 1500), ("exam2", 3, 1500),
@@ -183,6 +192,10 @@ def _cases() -> list[list[str]]:
               for name, lowest in SWEEP_LOWEST.items() if name != "semicircle"]
     cases.append(["sweep", "interval-left", "--from", "-1000000000000", "--to", "3",
                   "--output", "-"])
+    # the EDGES, and a closed form that overflows
+    cases += [["--restarts", "4", "solve", "tiny_cell.json"],
+              ["closed-form", "line-constraint", "-n", "3", "--m", "1e160", "--intercept", "0"],
+              ["render", "far_points.json", "--output", "far_points.svg"]]
     return cases
 
 
@@ -223,7 +236,7 @@ def main_snapshot(outdir: str) -> int:
                                     "--output", f"{scenario}.csv"])
             if code != 0:
                 raise RuntimeError(f"could not write {scenario}.csv: {err}")
-        for name, doc in {**PROBLEMS, **OVERFLOWS, **TINY}.items():
+        for name, doc in {**PROBLEMS, **OVERFLOWS, **TINY, **EDGES}.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump({"schema_version": 1, **doc}, fh)
         for name, text in CSVS.items():
