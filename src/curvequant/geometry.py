@@ -6,17 +6,24 @@ splitting every curve at its exact Voronoi breakpoints and integrating the
 squared distance to each piece's site in closed form. The breakpoints are
 those of the lower envelope of the per-site squared distances: on a segment
 a family of lines, whose envelope comes from one sort by slope in
-O(m log m); on an arc a family of sinusoids of one frequency, any two of
+O(k log k); on an arc a family of sinusoids of one frequency, any two of
 which cross at most twice, whose envelope comes from divide and conquer in
-O(m log^2 m): site pairs in closed form, then groups merged pairwise level
+O(k log^2 k): site pairs in closed form, then groups merged pairwise level
 by level, every merge of a level in the same numpy calls, each level one
-sort of its O(m) piece starts. Both envelopes know the site that owns
-each of their pieces, and both take a stack of site sets at once: the
-lines are sorted by set before slope, and the sinusoid groups of every set
-are merged in the same numpy calls. For a stack, voronoi_breakpoints turns
-the envelopes' arrays into the pieces of every set, each with its owner,
-in numpy, so that one cell-state pass serves a whole batch of the solver's
-candidates and no nearest-site search follows.
+sort of its O(k) piece starts. Here k is the number of sites that can own
+a piece of the curve. Above CULL_ABOVE sites per set, the others are
+dropped first: no point of the curve is farther from its nearest site than
+B = max over t of min_i (d_i + |t - f_i|), d_i the distance of site i to
+the curve and f_i the arc length of its nearest point, which one sort of
+the f_i and two prefix minima give, so a site farther than B from the
+curve owns none of it; at or below CULL_ABOVE, k = m. Both envelopes know
+the site that owns each of their pieces, and both take a stack of site
+sets at once: the lines are sorted by set before slope, and the sinusoid
+groups of every set are merged in the same numpy calls, each set with the
+sites it keeps. For a stack, voronoi_breakpoints turns the envelopes'
+arrays into the pieces of every set, each with its owner, in numpy, so
+that one cell-state pass serves a whole batch of the solver's candidates
+and no nearest-site search follows.
 """
 
 from __future__ import annotations
@@ -28,6 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PARAM_TOL = 1e-12
+
+# sites per set above which an envelope is built of only the sites that can
+# own a piece of the curve: the crossover measured by tools/layer_timing.py
+CULL_ABOVE = 32
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,7 +211,9 @@ def _split_pairs(a, e, A, B, KPQ):
     owner[:, 0] = owner[:, 2] = first
     np.subtract(A + B, first, out=owner[:, 1])
     end = np.empty((n, 3))
-    np.minimum(start[:, 1:], e[:, None], out=end[:, :2])
+    # fmin: a crossing that is NaN (terms that overflow) ends no piece, so
+    # the first site keeps the interval
+    np.fmin(start[:, 1:], e[:, None], out=end[:, :2])
     end[:, 2] = e
     keep = start < end
     start, owner = start[keep], owner[keep]
@@ -210,36 +223,52 @@ def _split_pairs(a, e, A, B, KPQ):
     return start[new], owner[new]
 
 
-def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m: int):
+def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m):
     """Lower envelopes of the sinusoids K_i + P_i cos t + Q_i sin t on
-    [lo, hi], hi - lo <= 2 pi, of each set of m consecutive sites in K, P,
-    Q: (starts, owners) of the pieces, set after set, with owners indexing
-    K; starts[0] of each set is lo, ties go to the lower index.
+    [lo, hi], hi - lo <= 2 pi, of each set of consecutive sites in K, P, Q,
+    m sites each or m[r] in set r: (starts, owners) of the pieces, set after
+    set, with owners indexing K; starts[0] of each set is lo, ties go to the
+    lower index.
 
     Divide and conquer (Sharir & Agarwal, Davenport-Schinzel Sequences and
     Their Geometric Applications, 1995): two sinusoids of one frequency cross
     at most twice, so the envelope of k of them has at most 2k - 1 pieces.
-    Site i of set r is numbered r * 2^w + i, with 2^w >= m, and group g of
-    level j holds numbers g * 2^j to (g + 1) * 2^j - 1, so a piece's group
-    is its owner's number shifted right by j and no group spans two sets.
-    Level 1 is each pair in closed form; each further level merges groups
-    2g and 2g + 1 of the last, all pairs of all sets in the same numpy
-    calls: the piece starts of both are sorted together, each side's owner
-    is carried forward over them, and each interval between two starts is
-    split at the crossings of its two owners. Each of the ceil(log2 m) - 1
-    merge levels sorts O(m) starts per set (the groups' starts interleave,
-    so they are no presorted runs), which makes O(m log^2 m) in all.
+    Site i of set r is numbered r * 2^w + i, with 2^w >= every set's size,
+    and group g of level j holds numbers g * 2^j to (g + 1) * 2^j - 1, so a
+    piece's group is its owner's number shifted right by j and no group
+    spans two sets. Level 1 is each pair in closed form; each further level
+    merges groups 2g and 2g + 1 of the last, all pairs of all sets in the
+    same numpy calls: the piece starts of both are sorted together, each
+    side's owner is carried forward over them, and each interval between
+    two starts is split at the crossings of its two owners. Each of the
+    ceil(log2 m) - 1 merge levels sorts O(m) starts per set (the groups'
+    starts interleave, so they are no presorted runs), which makes
+    O(m log^2 m) in all. A set with fewer levels than the largest passes
+    through the rest unchanged.
     """
-    sets, width = len(K) // m, (m - 1).bit_length()
-    KPQ = np.zeros((6, sets, 1 << width))  # np.pad would cost more than the whole setup
-    KPQ[:, :, :m] = np.array([K, P, Q, -K, -P, -Q]).reshape(6, sets, m)
-    KPQ = KPQ.reshape(6, -1)
-    first = (np.arange(sets) << width)[:, None]
-    pair = np.arange(0, m, 2)
-    A, B = (first + pair).ravel(), (first + np.minimum(pair + 1, m - 1)).ravel()
+    ragged = np.ndim(m) > 0  # sets of their own sizes
+    if ragged:
+        sets, most = len(m), int(m.max())
+        width = (most - 1).bit_length()
+        begin = np.cumsum(m) - m
+        KPQ = np.zeros((6, sets << width))
+        KPQ[:, np.arange(len(K)) + np.repeat((np.arange(sets) << width) - begin, m)] = (
+            K, P, Q, -K, -P, -Q)
+        first = (np.arange(sets) << width)[:, None]
+        pair = np.arange(0, most, 2)
+        real = pair < m[:, None]
+        A, B = (first + pair)[real], (first + np.minimum(pair + 1, (m - 1)[:, None]))[real]
+    else:
+        sets, most, width = len(K) // m, m, (m - 1).bit_length()
+        KPQ = np.zeros((6, sets, 1 << width))  # np.pad would cost more than the whole setup
+        KPQ[:, :, :m] = np.array([K, P, Q, -K, -P, -Q]).reshape(6, sets, m)
+        KPQ = KPQ.reshape(6, -1)
+        first = (np.arange(sets) << width)[:, None]
+        pair = np.arange(0, m, 2)
+        A, B = (first + pair).ravel(), (first + np.minimum(pair + 1, m - 1)).ravel()
     start, owner = _split_pairs(np.full(len(A), lo), np.full(len(A), hi), A, B, KPQ)
     level = 1
-    while m > 1 << level:
+    while most > 1 << level:
         grp = owner >> (level + 1)
         order = np.lexsort((start, grp))
         grp, start, owner = grp[order], start[order], owner[order]
@@ -250,8 +279,10 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m: int):
         on_right = at * ((owner >> level) & 1)
         own_a = owner[np.maximum.accumulate(at - on_right)]
         own_b = owner[np.maximum.accumulate(on_right)]
-        if not ((m - 1) >> level) & 1:  # the last group of a set has no partner
-            alone = grp & ((1 << (width - level - 1)) - 1) == (m - 1) >> (level + 1)
+        # a set with an odd number of groups has a last group with no
+        # partner, whose right owner is carried over from the group before
+        if ragged or not ((m - 1) >> level) & 1:
+            alone = own_b >> (level + 1) != grp
             own_b[alone] = own_a[alone]
         end = np.empty(len(start))
         end[:-1] = start[1:]
@@ -259,23 +290,31 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m: int):
         end[-1] = hi
         start, owner = _split_pairs(start, end, own_a, own_b, KPQ)
         level += 1
+    if ragged:
+        return start, begin[owner >> width] + (owner & ((1 << width) - 1))
     return start, (owner >> width) * m + (owner & ((1 << width) - 1))
 
 
-def _line_envelope(K, P, m: int):
-    """Lower envelopes of the lines K_i + P_i t over all t, of each set of m
-    consecutive lines in K, P: arrays (starts, owners) of their pieces, set
-    after set, each set's first start -inf and owners indexing K; one sort
-    by set and slope, then a stack per set (point-line duality)."""
+def _line_envelope(K, P, m):
+    """Lower envelopes of the lines K_i + P_i t over all t, of each set of
+    consecutive lines in K, P, m lines each or m[r] in set r: arrays
+    (starts, owners) of their pieces, set after set, each set's first start
+    -inf and owners indexing K; one sort by set and slope, then a stack per
+    set (point-line duality)."""
+    if np.ndim(m):
+        bounds, set_of = np.cumsum(m).tolist(), np.repeat(np.arange(len(m)), m)
+    else:
+        bounds, set_of = range(m, len(K) + 1, m), np.arange(len(K)) // m
     # steepest ascent first; of parallel lines only the lowest can be on the
     # envelope, ties to the lower index
-    order = np.lexsort((K, -P, np.arange(len(K)) // m))
+    order = np.lexsort((K, -P, set_of))
     ks, ps, sites = K[order].tolist(), P[order].tolist(), order.tolist()
     starts, owners = [], []
-    for lo in range(0, len(K), m):
+    lo = 0
+    for hi in bounds:
         hull = []  # (K, P, start, site) of each envelope line so far, start ascending
         top_k = top_p = top_start = None  # those of hull[-1]
-        for k, p, i in zip(ks[lo:lo + m], ps[lo:lo + m], sites[lo:lo + m]):
+        for k, p, i in zip(ks[lo:hi], ps[lo:hi], sites[lo:hi]):
             if p == top_p:
                 continue
             while hull:
@@ -294,20 +333,113 @@ def _line_envelope(K, P, m: int):
         _, _, set_starts, set_owners = zip(*hull)
         starts += set_starts
         owners += set_owners
+        lo = hi
     return np.array(starts), np.array(owners)
+
+
+def _reach(c: Curve, K, P, Q):
+    """(d2, f): the squared distance from each site to c and the arc length
+    of its nearest point on c, from the site's _envelope terms K, P, Q
+    (any shape). Those are written in the site's own frame, the difference
+    to the segment's start or to the arc's center, so no large coordinates
+    cancel; what does cancel is below a few rounding units of the terms."""
+    length = curve_length(c)
+    if isinstance(c, Segment):
+        # the foot of the site on the line, -P / 2, clamped to the segment;
+        # there the squared distance is f^2 + K + P f
+        f = np.minimum(np.maximum(-0.5 * P, 0.0), length)
+        return np.maximum(K + f * (P + f), 0.0), f
+    # a site at radius rho about the center, at angle rel past theta0 ((P, Q)
+    # points from it to the center) and gap from the arc's nearest point:
+    # distance^2 = (r - rho)^2 + 4 r rho sin^2(gap / 2)
+    r, rho = c.radius, np.sqrt(K)
+    rel = np.mod(np.arctan2(Q, P) + (math.pi - c.theta0), TWO_PI)
+    back, past = TWO_PI - rel, rel - (c.theta1 - c.theta0)  # to the start, past the end
+    gap = np.maximum(np.minimum(back, past), 0.0)
+    f = np.where(back < past, 0.0, np.minimum(rel * r, length))
+    return (r - rho) ** 2 + (4.0 * r) * rho * np.sin(0.5 * gap) ** 2, f
+
+
+def _owning_sites(c: Curve, K, P, Q) -> np.ndarray:
+    """Which sites can own a piece of c: a mask shaped as the sites'
+    _envelope terms K, P, Q are, (m,) for one set or (R, m) for a stack.
+
+    The distance from a curve point to its nearest site is 1-Lipschitz in
+    arc length and at most d_i at site i's nearest point f_i, so it never
+    exceeds B = max over t in [0, length] of min_i (d_i + |t - f_i|).
+    Between consecutive sorted f_i that minimum is min(t + left, right - t),
+    left a prefix minimum of d_i - f_i and right one of d_i + f_i from the
+    other end, and it is never below that elsewhere, so B is exact. A site
+    farther than B from the whole curve is nearest nowhere. It is dropped
+    only when d^2 exceeds B^2 by more than 64 rounding units of the terms
+    that the envelope compares, its own and those of any site within 2B of
+    c, and no site of a set is dropped when one of the set's terms is not
+    finite. Sets with no site farther from c than B's values at its ends,
+    a lower bound of B, keep them all without the sort."""
+    d2, f = _reach(c, K, P, Q)
+    m, length = d2.shape[-1], curve_length(c)
+    d = np.sqrt(d2)
+    below, above = d - f, d + f
+    # B is at least its values at the ends of c, where the sites lie on one
+    # side only: sets with no site farther than both keep them all, unsorted
+    ends = np.maximum(above.min(axis=-1), length + below.min(axis=-1))
+    top = d2.max(axis=-1)
+    if np.all(np.sqrt(top) <= ends):
+        return np.ones(d2.shape, dtype=bool)
+    # stable: the merge sort that lexsort runs, not another sort's code
+    at = np.argsort(f, axis=-1, kind="stable")
+    if at.ndim > 1:  # each row into the flat arrays
+        at += np.arange(0, at.size, m)[:, None]
+    left = np.minimum.accumulate(below.ravel()[at], axis=-1)
+    right = np.minimum.accumulate(above.ravel()[at][..., ::-1], axis=-1)[..., ::-1]
+    # min(t + left_k, right_k+1 - t) is at most the nearest-site distance at
+    # every t, and equal to it between the k-th and k+1-th feet, so B is the
+    # largest of its maxima over [0, length] and of the values at the ends
+    to_lo, to_hi = left[..., :-1], right[..., 1:]
+    inner = np.minimum(np.minimum(0.5 * (to_lo + to_hi), length + to_lo), to_hi)
+    bound = np.maximum(inner.max(axis=-1), ends)
+    # The envelope compares terms below (d + 2.5 span)^2 <= 2 d^2 + 12.5 span^2
+    # for a site at distance d (|t| <= length on a segment, |cos t|, |sin t|
+    # <= 1 on an arc): a site's against those of one within 2B
+    span = length if isinstance(c, Segment) else c.radius
+    e = 64.0 * sys.float_info.epsilon
+    # a term that is not finite makes its d2 and the set's top inf or NaN,
+    # so 0 top is NaN, and so is the reach of the set, which keeps every site
+    reach = bound * bound * ((1.0 + 8.0 * e) / (1.0 - 2.0 * e)) + (
+        32.0 * e / (1.0 - 2.0 * e) * span * span + 0.0 * top)
+    return ~(d2 > reach[..., None])
+
+
+def _set_envelopes(c: Curve, t0: float, scale: float, K, P, Q, m):
+    """_envelopes of the consecutive sets of sites whose terms are K, P, Q,
+    m sites each or m[r] in set r."""
+    if isinstance(c, Segment):
+        return _line_envelope(K, P, m)
+    start, owner = _sinusoid_envelope(K, P, Q, t0, c.theta1, m)
+    return (start - t0) * scale, owner
 
 
 def _envelopes(c: Curve, stack: np.ndarray):
     """The lower envelopes of the distance terms along c of every site set
     of the (R, m, 2) stack: arrays (starts, owners) of their pieces, set
     after set, starts in arc length and ascending within a set, and owner
-    r * m + i site i of set r."""
-    m = stack.shape[1]
+    r * m + i site i of set r.
+
+    Above CULL_ABOVE sites per set, each set's envelope is that of only the
+    sites that _owning_sites keeps, so that its cost follows the sites near
+    c rather than m; the kept sites of all sets still go through the same
+    calls."""
+    sets, m = stack.shape[:2]
     t0, scale, K, P, Q = _envelope(c, stack.reshape(-1, 2))
-    if isinstance(c, Segment):
-        return _line_envelope(K, P, m)
-    start, owner = _sinusoid_envelope(K, P, Q, t0, c.theta1, m)
-    return (start - t0) * scale, owner
+    if m > CULL_ABOVE:
+        shape = (m,) if sets == 1 else (sets, m)  # one set in scalars, faster
+        keep = _owning_sites(c, K.reshape(shape), P.reshape(shape), Q.reshape(shape))
+        if not keep.all():
+            kept = np.flatnonzero(keep)
+            size = len(kept) if sets == 1 else keep.sum(axis=1)
+            start, owner = _set_envelopes(c, t0, scale, K[kept], P[kept], Q[kept], size)
+            return start, kept[owner]
+    return _set_envelopes(c, t0, scale, K, P, Q, m)
 
 
 def voronoi_breakpoints(c: Curve, sites):
@@ -319,17 +451,23 @@ def voronoi_breakpoints(c: Curve, sites):
     which cross at most twice, and the envelope comes from divide and
     conquer: pairs of site groups are merged level by level, each interval
     between two piece starts split at the crossings of its two owners. The
-    first is O(m log m), the second O(m log^2 m). Of sites tied on a
-    stretch the lower index wins, and a stretch narrower than 2e-12 where
-    one term dips below another is no cell. An envelope piece's start is a
-    breakpoint when it lies more than 1e-12 of the curve length inside the
-    curve and as far past the piece start before it. sites is a sequence of
+    first is O(k log k), the second O(k log^2 k), in the k sites that can
+    own a piece of c: with more than CULL_ABOVE sites in a set, the
+    envelope leaves out every site whose distance to c exceeds the bound B
+    on the distance from any point of c to its nearest site (see
+    _owning_sites) by more than rounding, so k is the number of sites near
+    c rather than m; no owner changes, and a cut on an arc may move by a
+    few rounding units of its angle. Of sites tied on a stretch the lower
+    index wins, and a stretch narrower than 2e-12 where one term dips below
+    another is no cell. An envelope piece's start is a breakpoint when it
+    lies more than 1e-12 of the curve length inside the curve and as far
+    past the piece start before it. sites is a sequence of
     Point2 or an (m, 2) array, and the breakpoints come as a list.
 
     sites may also be an (R, m, 2) stack of R site sets, as a cell-state
     pass gives it. All their envelopes are then built in the same calls
     (the lines sorted by set before slope, the sinusoid groups of every set
-    merged together), and the result is the pieces between 0, the
+    merged together, each set with the sites it keeps), and the result is the pieces between 0, the
     breakpoints and the curve length: arrays (s0, s1, owner), set after
     set, owner r * m + i being site i of set r, the nearest site at the
     piece's midpoint as the envelope has it, so that a Voronoi split needs

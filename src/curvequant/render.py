@@ -50,11 +50,15 @@ class _Mapper:
     def __init__(self, min_x, max_x, min_y, max_y):
         self.min_x = min_x
         self.max_y = max_y
-        self.scale = SIZE / max(max_x - min_x, max_y - min_y)
-        self.width = (max_x - min_x) * self.scale + 2 * MARGIN
-        self.height = (max_y - min_y) * self.scale + 2 * MARGIN
+        dx, dy = max_x - min_x, max_y - min_y
+        self.scale = SIZE / max(dx, dy)
+        self.width = dx * self.scale + 2 * MARGIN
+        self.height = dy * self.scale + 2 * MARGIN
         if not math.isfinite(self.width + self.height):
             raise ValueError("the drawing's extent overflows double precision")
+        # the breakpoints drawn compare squared distances across the drawing
+        if not math.isfinite(dx * dx + dy * dy):
+            raise ValueError("the squared distances across the drawing overflow double precision")
 
     def __call__(self, p: Point2) -> tuple[float, float]:
         return ((p.x - self.min_x) * self.scale + MARGIN,
@@ -100,7 +104,7 @@ def render_svg(measure: UniformCurveMeasure, points: list[tuple[str, Point2]]) -
     Voronoi breakpoints of the configuration are drawn as hollow circles on
     the support. The drawing is fitted to SIZE pixels on its longer side,
     whatever the size of the support. Raises ValueError when the extent
-    of the drawing overflows double precision.
+    of the drawing, or its square, overflows double precision.
     """
     sites = [p for _, p in points]
     mapper = _Mapper(*_bounds(measure, sites))

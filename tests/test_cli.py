@@ -51,6 +51,7 @@ INTERVAL_LEFT_DOC = {
     "n": 4,
     "solver": {"restarts": 6},
 }
+FAR_ARC = {"type": "arc", "center": [0.0, 0.0], "radius": 1.0, "theta0": 0.0, "theta1": 3.0}
 
 
 class TestProblemParsing:
@@ -275,6 +276,19 @@ class TestSolveCommand:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert "nan" not in captured.err.lower()
+
+    def test_far_members_over_an_arc_is_one(self, tmp_path, capsys):
+        # members at (+-1e200, 0) over an arc: no squared distance to them
+        # is finite, so neither is the distortion, as on a segment
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "measure": [FAR_ARC], "n": 2,
+            "constraints": [{"type": "points", "points": [[1e200, 0.0], [-1e200, 0.0]]}]}))
+        assert main(["--restarts", "2", "solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the distortion or a cell mass is not finite: "
+                                "the problem's coordinates overflow double precision\n")
 
 
 class TestClosedFormCommand:
@@ -652,6 +666,21 @@ class TestRenderCommand:
             assert main(["render", str(path), "--output", str(svg)]) == 1
         err = capsys.readouterr().err
         assert err == "error: the drawing's extent overflows double precision\n"
+        assert not svg.exists()
+
+    def test_far_points_over_an_arc_is_one(self, tmp_path, capsys):
+        # points at (+-1e200, 0): the drawing's extent is finite, its square
+        # and the squared distances the breakpoints compare are not
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "problem": {"measure": [FAR_ARC]},
+            "points": [{"kind": "free", "x": x, "y": 0.0} for x in (1e200, -1e200)]}))
+        svg = tmp_path / "far.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["render", str(path), "--output", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the squared distances across the drawing overflow double precision\n"
         assert not svg.exists()
 
 

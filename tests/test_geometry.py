@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvequant import closed_form, scenarios
+from curvequant import closed_form, geometry, scenarios
 from curvequant.allocation import semicircle_allocate
 from curvequant.geometry import (
+    CULL_ABOVE,
     PARAM_TOL,
     TWO_PI,
     Arc,
@@ -15,6 +16,7 @@ from curvequant.geometry import (
     Point2,
     Segment,
     UniformCurveMeasure,
+    _cell_state,
     _envelope,
     _envelopes,
     _frame_array,
@@ -452,9 +454,43 @@ def _segment_march(c, sites_xy):
             out.append(t)
 
 
+def _reach_bound(c, xy):
+    """B = max over the curve of min_i (d_i + |t - f_i|), with d_i and f_i
+    the distance of site i from c and the arc length of its nearest point,
+    from the points of c itself: the maximum of that piecewise linear
+    function lies at an end of c or where two of its terms meet."""
+    f = _project_array(c, xy)
+    d = np.hypot(*(_frame_array(c, f)[0] - xy).T)
+    t = np.concatenate([[0.0, curve_length(c)], f,
+                        (0.5 * (f[:, None] + f[None, :] + d[None, :] - d[:, None])).ravel()])
+    t = np.clip(t, 0.0, curve_length(c))
+    return np.min(d[None, :] + np.abs(t[:, None] - f[None, :]), axis=1).max()
+
+
+def _beyond_bound_set(c, rng):
+    """CULL_ABOVE + 1 to 120 sites along c: a third on the curve, a third
+    in a cluster 2 to 5 away, and the rest just beyond the bound
+    _reach_bound of the others, 1 rounding unit to 1e-6 farther from c
+    than it, some of them just inside it."""
+    length = curve_length(c)
+    m = int(rng.integers(CULL_ABOVE + 1, 121))
+    on = _frame_array(c, rng.uniform(0.0, length, m // 3))[0]
+    middle = _frame_array(c, np.array([0.5 * length]))[0][0]
+    cluster = middle + rng.uniform(2.0, 5.0) * _on_circle(Point2(0, 0), 1.0, rng.uniform(0, 7, 1))
+    cluster = cluster + rng.uniform(-0.3, 0.3, (m // 3, 2))
+    bound = _reach_bound(c, np.concatenate([on, cluster]))
+    rest = m - 2 * (m // 3)
+    gap = bound * rng.choice([1.0 + 2.2e-16, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.0 - 1e-9], rest)
+    foot, tangent = _frame_array(c, rng.uniform(0.0, length, rest))
+    side = rng.choice([-1.0, 1.0], rest)[:, None]
+    beyond = foot + side * gap[:, None] * np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
+    return np.concatenate([on, cluster, beyond])[rng.permutation(m)]
+
+
 def _random_segment_cases():
     """(segment, sites) with m = 1..40 sites: in a third of the inputs all
-    sites lie on one line, in a fifth some sites repeat."""
+    sites lie on one line, in a fifth some sites repeat; then sets of more
+    than CULL_ABOVE sites from _beyond_bound_set."""
     rng = np.random.default_rng(17)
     for k in range(600):
         p0, p1 = rng.uniform(-2, 2, (2, 2))
@@ -467,6 +503,11 @@ def _random_segment_cases():
         if k % 5 == 0:
             xy = xy[rng.integers(0, m, m)]
         yield seg, xy
+    # sets above CULL_ABOVE whose envelope is built of the sites near the
+    # segment only: on it, far away and just beyond the bound
+    for k in range(24):
+        seg = SEG01 if k % 4 == 0 else Segment(*(Point2(*p) for p in rng.uniform(-2, 2, (2, 2))))
+        yield seg, _beyond_bound_set(seg, rng)
 
 
 def _on_line(seg, feet, offsets=None):
@@ -576,7 +617,8 @@ def _on_circle(center, radius, angles):
 
 def _random_arc_cases():
     """(arc, sites) with m = 1..60 random sites on random arcs, a seventh of
-    them full turns, and on the wrapped windows of _partition_cases."""
+    them full turns, and on the wrapped windows of _partition_cases; then
+    sets of more than CULL_ABOVE sites from _beyond_bound_set."""
     rng = np.random.default_rng(23)
     for k in range(240):
         t0 = rng.uniform(-7.0, 7.0)
@@ -586,6 +628,13 @@ def _random_arc_cases():
     for arc in WRAPPED_ARCS:
         for m in (1, 2, 5, 13, 40):
             yield arc, rng.uniform(-2.5, 2.5, (m, 2))
+    # sets above CULL_ABOVE whose envelope is built of the sites near the
+    # arc only: on it, far away and just beyond the bound
+    for k in range(24):
+        t0 = rng.uniform(-7.0, 7.0)
+        span = 2 * math.pi if k % 7 == 0 else float(rng.uniform(0.1, 2 * math.pi))
+        arc = Arc(Point2(*rng.uniform(-2, 2, 2)), float(rng.uniform(0.2, 2.0)), t0, t0 + span)
+        yield arc, _beyond_bound_set(arc, rng)
 
 
 _EXPLICIT_ARC_CASES = {
@@ -697,14 +746,33 @@ def test_stacked_breakpoints_equal_one_set_at_a_time():
     rng = np.random.default_rng(29)
     curves = [c for curves, _ in _partition_cases() for c in curves]
     for k, c in enumerate(curves):
-        m = k % 13 + 1  # powers of two and the sizes between
-        stack = rng.uniform(-2.5, 2.5, (k % 5 + 1, m, 2))
-        stack[0, m // 2:] = stack[0, :m - m // 2]  # duplicate sites
-        s0, s1, owner = voronoi_breakpoints(c, stack)
-        for r, xy in enumerate(stack):
-            mine = owner // m == r
-            one = voronoi_breakpoints(c, xy[None])
-            assert s1[mine][:-1].tolist() == voronoi_breakpoints(c, xy)
-            np.testing.assert_array_equal(s0[mine], one[0])
-            np.testing.assert_array_equal(s1[mine], one[1])
-            np.testing.assert_array_equal(owner[mine] - r * m, one[2])
+        # powers of two and the sizes between; every fourth curve also one
+        # size above CULL_ABOVE, where each set keeps its own sites
+        for m in [k % 13 + 1] + [CULL_ABOVE + 1 + k % 40] * (k % 4 == 0):
+            stack = rng.uniform(-2.5, 2.5, (k % 5 + 1, m, 2))
+            stack[0, m // 2:] = stack[0, :m - m // 2]  # duplicate sites
+            s0, s1, owner = voronoi_breakpoints(c, stack)
+            for r, xy in enumerate(stack):
+                mine = owner // m == r
+                one = voronoi_breakpoints(c, xy[None])
+                assert s1[mine][:-1].tolist() == voronoi_breakpoints(c, xy)
+                np.testing.assert_array_equal(s0[mine], one[0])
+                np.testing.assert_array_equal(s1[mine], one[1])
+                np.testing.assert_array_equal(owner[mine] - r * m, one[2])
+
+
+@pytest.mark.parametrize("measure", [M01, SEMI], ids=["segment", "semicircle"])
+def test_overflowing_site_set_above_the_constant_drops_no_site(measure, monkeypatch):
+    # sites at 1e200, whose squared distances to every curve overflow: above
+    # CULL_ABOVE the pass keeps every site of the set, so it gives what the
+    # pass of the whole set gives, bit for bit, NaN and inf included
+    rng = np.random.default_rng(37)
+    for far in ([[1e200, 0.0]], [[1e200, 0.0], [-1e200, 0.0]]):
+        xy = np.concatenate([far, rng.uniform(-1.0, 1.0, (CULL_ABOVE + 8 - len(far), 2))])
+        with np.errstate(all="ignore"):  # as the command line runs it
+            got = _cell_state(measure, xy)
+            monkeypatch.setattr(geometry, "CULL_ABOVE", 10 ** 9)
+            want = _cell_state(measure, xy)
+            monkeypatch.undo()
+        for a, b in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(a, b)

@@ -92,6 +92,16 @@ EDGES = {
     "far_points.json": {"problem": {"measure": _UNIT},
                         "points": [{"kind": "free", "x": x, "y": 0} for x in (1e308, -1e308)]},
 }
+# point-set members and free points at (+-1e200, 0) over an arc: no squared
+# distance from the arc to them is finite
+_ARC = {"type": "arc", "center": [0, 0], "radius": 1, "theta0": 0, "theta1": 3}
+_FAR = [[1e200, 0], [-1e200, 0]]
+FAR_ARC = {
+    "far_arc_members.json": {"measure": [_ARC], "n": 2,
+                             "constraints": [{"type": "points", "points": _FAR}]},
+    "far_arc_points.json": {"problem": {"measure": [_ARC]},
+                            "points": [{"kind": "free", "x": x, "y": y} for x, y in _FAR]},
+}
 # sweep CSVs that `asymptotics` cases read, as (name, from, to): exam1 and
 # every other criterion-4 family, and the README's semicircle example
 SWEEPS = [("exam1", 3, 200), ("triangle", 3, 1500), ("exam2", 3, 1500),
@@ -196,6 +206,9 @@ def _cases() -> list[list[str]]:
     cases += [["--restarts", "4", "solve", "tiny_cell.json"],
               ["closed-form", "line-constraint", "-n", "3", "--m", "1e160", "--intercept", "0"],
               ["render", "far_points.json", "--output", "far_points.svg"]]
+    # the FAR_ARC
+    cases += [["--restarts", "2", "solve", "far_arc_members.json"],
+              ["render", "far_arc_points.json", "--output", "far_arc_points.svg"]]
     return cases
 
 
@@ -236,7 +249,7 @@ def main_snapshot(outdir: str) -> int:
                                     "--output", f"{scenario}.csv"])
             if code != 0:
                 raise RuntimeError(f"could not write {scenario}.csv: {err}")
-        for name, doc in {**PROBLEMS, **OVERFLOWS, **TINY, **EDGES}.items():
+        for name, doc in {**PROBLEMS, **OVERFLOWS, **TINY, **EDGES, **FAR_ARC}.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump({"schema_version": 1, **doc}, fh)
         for name, text in CSVS.items():

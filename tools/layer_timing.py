@@ -3,7 +3,7 @@
     python3 tools/layer_timing.py
 
 Imports `curvequant` from the `src` next to this script. Prints the machine
-(cores, Python, numpy), then five tables, each entry the median of REPEATS
+(cores, Python, numpy), then six tables, each entry the median of REPEATS
 timed runs:
 
 * large m: per family and site count m in SIZES, the breakpoint work of a
@@ -11,7 +11,17 @@ timed runs:
   full cell-state pass (`geometry._cell_state`: breakpoints, piece owners,
   closed-form integrals, masses and moments), on the closed-form sets
   (`closed_form.semicircle_conditional` with the optimal diameter/arc split
-  and `closed_form.triangle_conditional`);
+  and `closed_form.triangle_conditional`), and beside them the sites kept
+  per curve when m is over `geometry.CULL_ABOVE`;
+* crossover: one cell-state pass built of every site of each set and of
+  only the sites that can own a piece of each curve
+  (`geometry._owning_sites`), runs of the two alternating with
+  `geometry.CULL_ABOVE` set for each, and the ratio of their medians: per
+  family and m in CROSSOVER_MS, the SEEDS site sets that `solve` seeds,
+  stacked as its state passes take them, and for the semicircle and
+  triangle the closed-form set alone. `geometry.CULL_ABOVE` is the m from
+  which the seeded stacks stop losing. Both tables print the sites kept
+  per curve, summed over the sets;
 * small m: per gallery family at each n in SMALL_NS, SEEDS site sets drawn
   as `solve` seeds them (one `_seed_runs` call), passed one at a time and as
   one stacked pass;
@@ -48,6 +58,7 @@ import numpy as np  # noqa: E402
 from curvequant import allocation, cli, closed_form, geometry, scenarios, solver  # noqa: E402
 
 SIZES = (200, 400, 1000, 2000)
+CROSSOVER_MS = (8, 16, 32, 64, 128, 192, 256)
 SMALL_NS = (4, 12)
 NEWTON_M = 1000
 SEEDS = 16
@@ -72,8 +83,19 @@ def _median_s(fn) -> float:
     return statistics.median(times)
 
 
+def _kept(measure, stack) -> str:
+    """The sites that geometry._owning_sites keeps of each curve, summed
+    over the sets of the stack, and the site count: "157/245 of 400"."""
+    kept = []
+    for c in measure.curves:
+        _, _, K, P, Q = geometry._envelope(c, stack.reshape(-1, 2))
+        keep = geometry._owning_sites(c, *(v.reshape(stack.shape[:2]) for v in (K, P, Q)))
+        kept.append(str(int(keep.sum())))
+    return f"{'/'.join(kept)} of {stack.shape[0] * stack.shape[1]}"
+
+
 def _large_m() -> None:
-    print(f"{'family':<18}{'m':>6}{'breakpoints':>14}{'state pass':>14}")
+    print(f"{'family':<18}{'m':>6}{'breakpoints':>14}{'state pass':>14}  kept per curve")
     for family in ("semicircle", "triangle"):
         for m in SIZES:
             measure, points = _sites(family, m)
@@ -85,7 +107,42 @@ def _large_m() -> None:
 
             cuts = _median_s(breakpoints)
             state = _median_s(lambda: geometry._cell_state(measure, xy))
-            print(f"{family:<18}{len(xy):>6}{cuts * 1e3:>14.2f}{state * 1e3:>14.2f}")
+            print(f"{family:<18}{len(xy):>6}{cuts * 1e3:>14.2f}{state * 1e3:>14.2f}"
+                  f"  {_kept(measure, xy[None])}")
+
+
+def _pass_pair(measure, stack) -> tuple[float, float]:
+    """Median seconds of one cell-state pass of the stack built of every
+    site and of the culled sites, runs of the two alternating so that both
+    see the same machine, with geometry.CULL_ABOVE set for each run."""
+    saved, m = geometry.CULL_ABOVE, stack.shape[1]
+    times = ([], [])
+    try:
+        for k in range(2 * REPEATS + 2):
+            geometry.CULL_ABOVE = m if k % 2 else 0
+            t = time.perf_counter()
+            geometry._cell_state(measure, stack)
+            if k > 1:  # the first of each warms up
+                times[k % 2].append(time.perf_counter() - t)
+    finally:
+        geometry.CULL_ABOVE = saved
+    return statistics.median(times[1]), statistics.median(times[0])
+
+
+def _crossover() -> None:
+    print(f"{'family':<18}{'sets':>6}{'m':>6}{'all sites':>12}{'culled':>12}{'ratio':>8}"
+          "  kept per curve")
+    for family in ("semicircle", "triangle", "interval-left", "exam1"):
+        for m in CROSSOVER_MS:
+            problem = scenarios.GALLERY[family].build(m)
+            stacks = [solver._seed_runs(problem, np.random.default_rng(42), SEEDS).sites]
+            if family in ("semicircle", "triangle"):
+                stacks.append(geometry._sites_array(_sites(family, m)[1])[None])
+            for stack in stacks:
+                whole, culled = _pass_pair(problem.measure, stack)
+                print(f"{family:<18}{len(stack):>6}{stack.shape[1]:>6}{whole * 1e3:>12.3f}"
+                      f"{culled * 1e3:>12.3f}{culled / whole:>8.2f}"
+                      f"  {_kept(problem.measure, stack)}")
 
 
 def _small_m() -> None:
@@ -188,7 +245,9 @@ def main() -> int:
     print(f"machine: {os.cpu_count()} cores, Python {platform.python_version()}, "
           f"numpy {np.__version__}")
     print(f"median of {REPEATS} runs, ms")
-    for title, table in (("large m", _large_m), (f"small m, {SEEDS} seeds", _small_m),
+    for title, table in (("large m", _large_m),
+                         ("cell-state pass with and without the culled envelopes", _crossover),
+                         (f"small m, {SEEDS} seeds", _small_m),
                          ("Newton step and state pass at one state", _newton_steps),
                          ("solve phases, default options", _solve_phases),
                          ("CLI parse", _cli_parse)):
