@@ -37,8 +37,10 @@ import numpy as np
 PARAM_TOL = 1e-12
 
 # sites per set above which an envelope is built of only the sites that can
-# own a piece of the curve: the crossover measured by tools/layer_timing.py
-CULL_ABOVE = 32
+# own a piece of the curve: where one pass of the closed-form semicircle set
+# and one of the triangle set, alone as one evaluation takes them, stop
+# costing more in sum than the passes of all their sites (tools/layer_timing.py)
+CULL_ABOVE = 128
 
 TWO_PI = 2.0 * math.pi
 
@@ -226,16 +228,16 @@ def _split_pairs(a, e, A, B, KPQ):
 def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m):
     """Lower envelopes of the sinusoids K_i + P_i cos t + Q_i sin t on
     [lo, hi], hi - lo <= 2 pi, of each set of consecutive sites in K, P, Q,
-    m sites each or m[r] in set r: (starts, owners) of the pieces, set after
-    set, with owners indexing K; starts[0] of each set is lo, ties go to the
-    lower index.
+    m[r] sites in set r: (starts, owners) of the pieces, set after set, with
+    owners indexing K; starts[0] of each set is lo, ties go to the lower
+    index.
 
     Divide and conquer (Sharir & Agarwal, Davenport-Schinzel Sequences and
     Their Geometric Applications, 1995): two sinusoids of one frequency cross
     at most twice, so the envelope of k of them has at most 2k - 1 pieces.
-    Site i of set r is numbered r * 2^w + i, with 2^w >= every set's size,
-    and group g of level j holds numbers g * 2^j to (g + 1) * 2^j - 1, so a
-    piece's group is its owner's number shifted right by j and no group
+    Site i of set r is numbered r * 2^w + i, with 2^w >= 2 and every set's
+    size, and group g of level j holds numbers g * 2^j to (g + 1) * 2^j - 1,
+    so a piece's group is its owner's number shifted right by j and no group
     spans two sets. Level 1 is each pair in closed form; each further level
     merges groups 2g and 2g + 1 of the last, all pairs of all sets in the
     same numpy calls: the piece starts of both are sorted together, each
@@ -243,30 +245,24 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m):
     two starts is split at the crossings of its two owners. Each of the
     ceil(log2 m) - 1 merge levels sorts O(m) starts per set (the groups'
     starts interleave, so they are no presorted runs), which makes
-    O(m log^2 m) in all. A set with fewer levels than the largest passes
-    through the rest unchanged.
+    O(m log^2 m) in all. A group with no partner, the last of a set with an
+    odd number of groups or the only one of a set with fewer levels than
+    the largest, passes through unchanged.
     """
-    ragged = np.ndim(m) > 0  # sets of their own sizes
-    if ragged:
-        sets, most = len(m), int(m.max())
-        width = (most - 1).bit_length()
-        begin = np.cumsum(m) - m
-        KPQ = np.zeros((6, sets << width))
-        KPQ[:, np.arange(len(K)) + np.repeat((np.arange(sets) << width) - begin, m)] = (
-            K, P, Q, -K, -P, -Q)
-        first = (np.arange(sets) << width)[:, None]
-        pair = np.arange(0, most, 2)
-        real = pair < m[:, None]
-        A, B = (first + pair)[real], (first + np.minimum(pair + 1, (m - 1)[:, None]))[real]
-    else:
-        sets, most, width = len(K) // m, m, (m - 1).bit_length()
-        KPQ = np.zeros((6, sets, 1 << width))  # np.pad would cost more than the whole setup
-        KPQ[:, :, :m] = np.array([K, P, Q, -K, -P, -Q]).reshape(6, sets, m)
-        KPQ = KPQ.reshape(6, -1)
-        first = (np.arange(sets) << width)[:, None]
-        pair = np.arange(0, m, 2)
-        A, B = (first + pair).ravel(), (first + np.minimum(pair + 1, m - 1)).ravel()
+    sets, most = len(m), int(m.max())
+    width = max(most - 1, 1).bit_length()
+    real = np.arange(1 << width) < m[:, None]  # which numbers are sites
+    KPQ = np.zeros((6, sets << width))
+    KPQ[:3, real.ravel()] = K, P, Q
+    np.negative(KPQ[:3], out=KPQ[3:])
+    # each pair of numbers 2i, 2i + 1 whose first is a site; a site without
+    # a partner makes a pair of itself
+    A = np.arange(0, sets << width, 2).reshape(sets, -1)[real[:, ::2]]
+    B = A + real[:, 1::2][real[:, ::2]]
     start, owner = _split_pairs(np.full(len(A), lo), np.full(len(A), hi), A, B, KPQ)
+    # set r has ((m[r] - 1) >> j) + 1 groups at level j, so bit j of paired
+    # is set when every group of every set has a partner there
+    paired = int(np.bitwise_and.reduce(m - 1))
     level = 1
     while most > 1 << level:
         grp = owner >> (level + 1)
@@ -279,39 +275,34 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m):
         on_right = at * ((owner >> level) & 1)
         own_a = owner[np.maximum.accumulate(at - on_right)]
         own_b = owner[np.maximum.accumulate(on_right)]
-        # a set with an odd number of groups has a last group with no
-        # partner, whose right owner is carried over from the group before
-        if ragged or not ((m - 1) >> level) & 1:
-            alone = own_b >> (level + 1) != grp
-            own_b[alone] = own_a[alone]
+        # a group with no partner has no right half, so its right owner is
+        # carried over from another group (or is piece 0's): it keeps its
+        # pieces as they are
+        if not paired >> level & 1:
+            alone = own_b >> level != 2 * grp + 1
+            np.copyto(own_b, own_a, where=alone)
         end = np.empty(len(start))
         end[:-1] = start[1:]
         end[:-1][grp[1:] != grp[:-1]] = hi
         end[-1] = hi
         start, owner = _split_pairs(start, end, own_a, own_b, KPQ)
         level += 1
-    if ragged:
-        return start, begin[owner >> width] + (owner & ((1 << width) - 1))
-    return start, (owner >> width) * m + (owner & ((1 << width) - 1))
+    return start, (np.cumsum(real) - 1)[owner]
 
 
 def _line_envelope(K, P, m):
     """Lower envelopes of the lines K_i + P_i t over all t, of each set of
-    consecutive lines in K, P, m lines each or m[r] in set r: arrays
-    (starts, owners) of their pieces, set after set, each set's first start
-    -inf and owners indexing K; one sort by set and slope, then a stack per
-    set (point-line duality)."""
-    if np.ndim(m):
-        bounds, set_of = np.cumsum(m).tolist(), np.repeat(np.arange(len(m)), m)
-    else:
-        bounds, set_of = range(m, len(K) + 1, m), np.arange(len(K)) // m
+    consecutive lines in K, P, m[r] lines in set r: arrays (starts, owners)
+    of their pieces, set after set, each set's first start -inf and owners
+    indexing K; one sort by set and slope, then a stack per set (point-line
+    duality)."""
     # steepest ascent first; of parallel lines only the lowest can be on the
     # envelope, ties to the lower index
-    order = np.lexsort((K, -P, set_of))
+    order = np.lexsort((K, -P, np.repeat(np.arange(len(m)), m)))
     ks, ps, sites = K[order].tolist(), P[order].tolist(), order.tolist()
     starts, owners = [], []
     lo = 0
-    for hi in bounds:
+    for hi in np.cumsum(m).tolist():
         hull = []  # (K, P, start, site) of each envelope line so far, start ascending
         top_k = top_p = top_start = None  # those of hull[-1]
         for k, p, i in zip(ks[lo:hi], ps[lo:hi], sites[lo:hi]):
@@ -412,7 +403,7 @@ def _owning_sites(c: Curve, K, P, Q) -> np.ndarray:
 
 def _set_envelopes(c: Curve, t0: float, scale: float, K, P, Q, m):
     """_envelopes of the consecutive sets of sites whose terms are K, P, Q,
-    m sites each or m[r] in set r."""
+    m[r] sites in set r."""
     if isinstance(c, Segment):
         return _line_envelope(K, P, m)
     start, owner = _sinusoid_envelope(K, P, Q, t0, c.theta1, m)
@@ -436,10 +427,10 @@ def _envelopes(c: Curve, stack: np.ndarray):
         keep = _owning_sites(c, K.reshape(shape), P.reshape(shape), Q.reshape(shape))
         if not keep.all():
             kept = np.flatnonzero(keep)
-            size = len(kept) if sets == 1 else keep.sum(axis=1)
-            start, owner = _set_envelopes(c, t0, scale, K[kept], P[kept], Q[kept], size)
+            start, owner = _set_envelopes(c, t0, scale, K[kept], P[kept], Q[kept],
+                                          keep.reshape(sets, m).sum(axis=1))
             return start, kept[owner]
-    return _set_envelopes(c, t0, scale, K, P, Q, m)
+    return _set_envelopes(c, t0, scale, K, P, Q, np.full(sets, m))
 
 
 def voronoi_breakpoints(c: Curve, sites):
@@ -467,12 +458,12 @@ def voronoi_breakpoints(c: Curve, sites):
     sites may also be an (R, m, 2) stack of R site sets, as a cell-state
     pass gives it. All their envelopes are then built in the same calls
     (the lines sorted by set before slope, the sinusoid groups of every set
-    merged together, each set with the sites it keeps), and the result is the pieces between 0, the
-    breakpoints and the curve length: arrays (s0, s1, owner), set after
-    set, owner r * m + i being site i of set r, the nearest site at the
-    piece's midpoint as the envelope has it, so that a Voronoi split needs
-    no second nearest-site search. Each set's pieces are what it gives
-    alone.
+    merged together, each set with the sites it keeps), and the result is
+    the pieces between 0, the breakpoints and the curve length: arrays
+    (s0, s1, owner), set after set, owner r * m + i being site i of set r,
+    the nearest site at the piece's midpoint as the envelope has it, so
+    that a Voronoi split needs no second nearest-site search. Each set's
+    pieces are what it gives alone.
     """
     length = curve_length(c)
     xy = _sites_array(sites)

@@ -668,12 +668,15 @@ class TestRenderCommand:
         assert err == "error: the drawing's extent overflows double precision\n"
         assert not svg.exists()
 
-    def test_far_points_over_an_arc_is_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("curve", [FAR_ARC, INTERVAL_LEFT_DOC["measure"][0]],
+                             ids=["arc", "segment"])
+    def test_far_points_over_a_curve_is_one(self, tmp_path, capsys, curve):
         # points at (+-1e200, 0): the drawing's extent is finite, its square
-        # and the squared distances the breakpoints compare are not
+        # and the squared distances the breakpoints compare are not; over a
+        # segment too, which rendered before the check was made
         path = tmp_path / "far.json"
         path.write_text(json.dumps({
-            "problem": {"measure": [FAR_ARC]},
+            "problem": {"measure": [curve]},
             "points": [{"kind": "free", "x": x, "y": 0.0} for x in (1e200, -1e200)]}))
         svg = tmp_path / "far.svg"
         with warnings.catch_warnings():

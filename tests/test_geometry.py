@@ -468,12 +468,12 @@ def _reach_bound(c, xy):
 
 
 def _beyond_bound_set(c, rng):
-    """CULL_ABOVE + 1 to 120 sites along c: a third on the curve, a third
-    in a cluster 2 to 5 away, and the rest just beyond the bound
-    _reach_bound of the others, 1 rounding unit to 1e-6 farther from c
-    than it, some of them just inside it."""
+    """CULL_ABOVE + 1 to CULL_ABOVE + 88 sites along c: a third on the
+    curve, a third in a cluster 2 to 5 away, and the rest just beyond the
+    bound _reach_bound of the others, 1 rounding unit to 1e-6 farther from
+    c than it, some of them just inside it."""
     length = curve_length(c)
-    m = int(rng.integers(CULL_ABOVE + 1, 121))
+    m = int(rng.integers(CULL_ABOVE + 1, CULL_ABOVE + 89))
     on = _frame_array(c, rng.uniform(0.0, length, m // 3))[0]
     middle = _frame_array(c, np.array([0.5 * length]))[0][0]
     cluster = middle + rng.uniform(2.0, 5.0) * _on_circle(Point2(0, 0), 1.0, rng.uniform(0, 7, 1))
@@ -740,25 +740,53 @@ def test_closed_form_sets_at_large_n(n):
         assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
 
 
+# (arc, two sites) that a set keeps of CULL_ABOVE + 1 on its own: in a
+# stack with a row that keeps 20, its single group has no partner from the
+# second merge level on, and splitting its pieces again against its first
+# piece's owner, as if that were a partner, moved its cut by one rounding unit
+_LONE_GROUP_CASES = [
+    (Arc(Point2(0.04630824257916499, -0.5099193665473707), 1.352232621017048,
+         -5.319911979845817, -1.6984347830638868),
+     [[-0.8878862514579522, 1.2099148448284582], [1.9298829189236795, -1.9064627549394164]]),
+    (Arc(Point2(-0.8889440361974117, 0.08196877767827893), 1.9529491797544145,
+         2.1893403591184857, 8.156804999388491),
+     [[1.9225304270018757, 2.129101955524461], [-1.717439197647828, 0.5122448776953541]]),
+    (Arc(Point2(-1.0230029320390623, -0.8760169798435644), 0.8865730526713409,
+         -6.305618124491026, -1.11104170640259),
+     [[-0.7392036598527336, -2.3940349993810752], [-2.3676558902907447, 1.9611752516723202]]),
+]
+
+
 def test_stacked_breakpoints_equal_one_set_at_a_time():
     # R site sets in one call: the lines are sorted by set before slope and
     # the sinusoid groups of every set merge together, without changing a bit
     rng = np.random.default_rng(29)
     curves = [c for curves, _ in _partition_cases() for c in curves]
+    cases = []
     for k, c in enumerate(curves):
         # powers of two and the sizes between; every fourth curve also one
         # size above CULL_ABOVE, where each set keeps its own sites
         for m in [k % 13 + 1] + [CULL_ABOVE + 1 + k % 40] * (k % 4 == 0):
             stack = rng.uniform(-2.5, 2.5, (k % 5 + 1, m, 2))
             stack[0, m // 2:] = stack[0, :m - m // 2]  # duplicate sites
-            s0, s1, owner = voronoi_breakpoints(c, stack)
-            for r, xy in enumerate(stack):
-                mine = owner // m == r
-                one = voronoi_breakpoints(c, xy[None])
-                assert s1[mine][:-1].tolist() == voronoi_breakpoints(c, xy)
-                np.testing.assert_array_equal(s0[mine], one[0])
-                np.testing.assert_array_equal(s1[mine], one[1])
-                np.testing.assert_array_equal(owner[mine] - r * m, one[2])
+            cases.append((c, stack))
+    # row 0 keeps 2 sites and row 1 20 on the arc, the rest lying far off,
+    # so the sinusoid envelope of row 0 has fewer levels than that of row 1
+    for arc, xy in _LONE_GROUP_CASES:
+        stack = np.full((2, CULL_ABOVE + 1, 2), 60.0)
+        stack[0, :2] = xy
+        stack[1, :20] = _on_circle(arc.center, arc.radius, np.linspace(arc.theta0, arc.theta1, 20))
+        cases.append((arc, stack))
+    for c, stack in cases:
+        m = stack.shape[1]
+        s0, s1, owner = voronoi_breakpoints(c, stack)
+        for r, xy in enumerate(stack):
+            mine = owner // m == r
+            one = voronoi_breakpoints(c, xy[None])
+            assert s1[mine][:-1].tolist() == voronoi_breakpoints(c, xy)
+            np.testing.assert_array_equal(s0[mine], one[0])
+            np.testing.assert_array_equal(s1[mine], one[1])
+            np.testing.assert_array_equal(owner[mine] - r * m, one[2])
 
 
 @pytest.mark.parametrize("measure", [M01, SEMI], ids=["segment", "semicircle"])

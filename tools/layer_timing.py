@@ -19,9 +19,12 @@ timed runs:
   `geometry.CULL_ABOVE` set for each, and the ratio of their medians: per
   family and m in CROSSOVER_MS, the SEEDS site sets that `solve` seeds,
   stacked as its state passes take them, and for the semicircle and
-  triangle the closed-form set alone. `geometry.CULL_ABOVE` is the m from
-  which the seeded stacks stop losing. Both tables print the sites kept
-  per curve, summed over the sets;
+  triangle the closed-form set alone, as one evaluation of
+  `distortion` or `voronoi_masses` takes it. `geometry.CULL_ABOVE` is the
+  largest m at which the two closed-form sets' passes, summed, still lose;
+  the seeded stacks stop losing at a smaller m, but no benchmark workload
+  runs them that large. Both tables print the sites kept per curve, summed
+  over the sets;
 * small m: per gallery family at each n in SMALL_NS, SEEDS site sets drawn
   as `solve` seeds them (one `_seed_runs` call), passed one at a time and as
   one stacked pass;
@@ -58,7 +61,7 @@ import numpy as np  # noqa: E402
 from curvequant import allocation, cli, closed_form, geometry, scenarios, solver  # noqa: E402
 
 SIZES = (200, 400, 1000, 2000)
-CROSSOVER_MS = (8, 16, 32, 64, 128, 192, 256)
+CROSSOVER_MS = (8, 16, 32, 64, 96, 128, 144, 160, 192, 256)
 SMALL_NS = (4, 12)
 NEWTON_M = 1000
 SEEDS = 16
