@@ -352,7 +352,8 @@ def cmd_render(args) -> int:
     measure_doc = doc["problem"]["measure"]
     if not isinstance(measure_doc, list) or not measure_doc:
         raise CliError(f"{args.result}: result document lacks a measure")
-    curves = tuple(_parse_curve(c, f"measure[{i}]") for i, c in enumerate(measure_doc))
+    curves = tuple(_parse_curve(c, f"{args.result}: problem.measure[{i}]")
+                   for i, c in enumerate(measure_doc))
     if not isinstance(doc["points"], list):
         raise CliError(f"{args.result}: points: expected a list")
     points = []

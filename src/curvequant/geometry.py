@@ -352,8 +352,8 @@ def _reach(c: Curve, K, P, Q):
 
 
 def _owning_sites(c: Curve, K, P, Q) -> np.ndarray:
-    """Which sites can own a piece of c: a mask shaped as the sites'
-    _envelope terms K, P, Q are, (m,) for one set or (R, m) for a stack.
+    """Which sites can own a piece of c: an (R, m) mask, shaped as the
+    _envelope terms K, P, Q of R sets of m sites are.
 
     The distance from a curve point to its nearest site is 1-Lipschitz in
     arc length and at most d_i at site i's nearest point f_i, so it never
@@ -365,22 +365,17 @@ def _owning_sites(c: Curve, K, P, Q) -> np.ndarray:
     only when d^2 exceeds B^2 by more than 64 rounding units of the terms
     that the envelope compares, its own and those of any site within 2B of
     c, and no site of a set is dropped when one of the set's terms is not
-    finite. Sets with no site farther from c than B's values at its ends,
-    a lower bound of B, keep them all without the sort."""
+    finite."""
     d2, f = _reach(c, K, P, Q)
     m, length = d2.shape[-1], curve_length(c)
     d = np.sqrt(d2)
     below, above = d - f, d + f
-    # B is at least its values at the ends of c, where the sites lie on one
-    # side only: sets with no site farther than both keep them all, unsorted
+    # B's values at the ends of c, where the sites lie on one side only
     ends = np.maximum(above.min(axis=-1), length + below.min(axis=-1))
     top = d2.max(axis=-1)
-    if np.all(np.sqrt(top) <= ends):
-        return np.ones(d2.shape, dtype=bool)
-    # stable: the merge sort that lexsort runs, not another sort's code
-    at = np.argsort(f, axis=-1, kind="stable")
-    if at.ndim > 1:  # each row into the flat arrays
-        at += np.arange(0, at.size, m)[:, None]
+    # stable: the merge sort that lexsort runs, not another sort's code;
+    # each row into the flat arrays
+    at = np.argsort(f, axis=-1, kind="stable") + np.arange(0, f.size, m)[:, None]
     left = np.minimum.accumulate(below.ravel()[at], axis=-1)
     right = np.minimum.accumulate(above.ravel()[at][..., ::-1], axis=-1)[..., ::-1]
     # min(t + left_k, right_k+1 - t) is at most the nearest-site distance at
@@ -423,8 +418,7 @@ def _envelopes(c: Curve, stack: np.ndarray):
     sets, m = stack.shape[:2]
     t0, scale, K, P, Q = _envelope(c, stack.reshape(-1, 2))
     if m > CULL_ABOVE:
-        shape = (m,) if sets == 1 else (sets, m)  # one set in scalars, faster
-        keep = _owning_sites(c, K.reshape(shape), P.reshape(shape), Q.reshape(shape))
+        keep = _owning_sites(c, K.reshape(sets, m), P.reshape(sets, m), Q.reshape(sets, m))
         if not keep.all():
             kept = np.flatnonzero(keep)
             start, owner = _set_envelopes(c, t0, scale, K[kept], P[kept], Q[kept],

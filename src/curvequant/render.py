@@ -32,10 +32,7 @@ _KIND_FILL = {"beta": "#c0392b", "constrained": "#2471a3", "free": "#1e8449"}
 
 
 def _fmt(v: float) -> str:
-    v = round(v, 2)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.2f}"
+    return f"{round(v, 2):.2f}"
 
 
 def _bounds(measure: UniformCurveMeasure, pts: list[Point2]):

@@ -361,23 +361,19 @@ def _layout(problem: Problem, seeds: _Seeds) -> tuple[_Layout, np.ndarray]:
     return _Layout(owner, kind, lo, hi, slots, tangent, center, radius2), np.clip(x, lo, hi)
 
 
-def _indefinite(H: np.ndarray, known: bool = False) -> list[int]:
+def _indefinite(H: np.ndarray) -> list[int]:
     """Which matrices of the stack H are not safely positive definite: their
-    Cholesky factorization fails, found by halving (f of R take O(f log R)
-    calls), or has a pivot at rounding level (on a full circle, turning all
-    points is free). known: one of H fails."""
-    if not known:
-        try:
-            pivots = np.linalg.cholesky(H).diagonal(axis1=1, axis2=2) ** 2
-            scale = H.diagonal(axis1=1, axis2=2).max(axis=1, keepdims=True)
-            return np.flatnonzero((pivots <= _PIVOT * scale).any(axis=1)).tolist()
-        except np.linalg.LinAlgError:
-            pass
-    if len(H) == 1:
-        return [0]
-    half = len(H) // 2
-    first = _indefinite(H[:half])
-    return first + [half + p for p in _indefinite(H[half:], known=not first)]
+    Cholesky factorization fails or has a pivot at rounding level (on a full
+    circle, turning all points is free). The whole stack is factored in one
+    call; when that fails, each matrix is tested alone."""
+    try:
+        pivots = np.linalg.cholesky(H).diagonal(axis1=1, axis2=2) ** 2
+    except np.linalg.LinAlgError:
+        if len(H) == 1:
+            return [0]
+        return [p for p in range(len(H)) if _indefinite(H[p:p + 1])]
+    scale = H.diagonal(axis1=1, axis2=2).max(axis=1, keepdims=True)
+    return np.flatnonzero((pivots <= _PIVOT * scale).any(axis=1)).tolist()
 
 
 def _dot(a, b):
@@ -511,8 +507,9 @@ class _Descent:
         diagonal: H + lam diag(2 mass), masses positive on live coordinates,
         with lam the least that lifts the Gershgorin bound of the shifted
         matrix, in the Lloyd scale, to 1/10. The other coordinates get the
-        identity (scale 1), so that every row is factored, tested and solved
-        in the same calls."""
+        identity (scale 1), so that every row is tested in one stacked
+        Cholesky call (row by row only when that fails) and solved in one
+        call."""
         H = self.hessian(rows)
         H *= live[:, :, None]
         H *= live[:, None, :]

@@ -142,6 +142,8 @@ def test_triangle_local_equals_exhaustive_and_balanced():
 def test_domain_errors():
     with pytest.raises(ValueError):
         semicircle_allocate(2)
+    with pytest.raises(ValueError, match="need n >= 3"):
+        semicircle_allocate_exhaustive(2)
     with pytest.raises(ValueError):
         triangle_allocate_exhaustive(2)
 

@@ -42,6 +42,10 @@ def exam2_constr_seq(n_to=300):
 
 
 class TestErrorSequence:
+    def test_requires_entries(self):
+        with pytest.raises(ValueError, match="sequence is empty"):
+            ErrorSequence(())
+
     def test_requires_increasing_n(self):
         with pytest.raises(ValueError):
             ErrorSequence(((3, 1.0), (3, 0.5)))
@@ -215,6 +219,12 @@ class TestDimension:
         seq = seq_from(lambda n: 1.0 / n, 3, 60)
         with pytest.raises(ValueError):
             estimate_dimension(seq, 0.5)
+
+    def test_domain_error_without_a_decaying_pair(self):
+        # a constant tail above the limit: every lagged slope is 0
+        seq = ErrorSequence(tuple((n, 1.0) for n in range(3, 15)))
+        with pytest.raises(ValueError, match="no decaying pairs"):
+            estimate_dimension(seq, 0.0)
 
 
 class TestCoefficient:

@@ -188,6 +188,12 @@ class TestProblemDocProperty:
             problem, _ = cli.parse_problem_doc(doc)
             assert problem.n == doc["n"]
 
+    def test_point_set_problem_round_trips(self):
+        problem, _ = cli.parse_problem_doc(VALID_DOCS["semicircle-points"])
+        doc = {"schema_version": cli.SCHEMA_VERSION, **cli.problem_doc(problem)}
+        assert doc["constraints"][1] == {"type": "points", "points": [[0.0, 1.0], [0.5, 0.5]]}
+        assert cli.parse_problem_doc(doc) == (problem, {})
+
     @settings(max_examples=200, deadline=None)
     @given(JSON_VALUES)
     def test_any_json_value(self, doc):
@@ -276,6 +282,14 @@ class TestSolveCommand:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert "nan" not in captured.err.lower()
+
+    def test_negative_arc_radius_is_one(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(INTERVAL_LEFT_DOC, measure=[dict(FAR_ARC, radius=-1.0)])))
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}.measure[0]: arc radius must be positive and finite\n"
 
     def test_far_members_over_an_arc_is_one(self, tmp_path, capsys):
         # members at (+-1e200, 0) over an arc: no squared distance to them
@@ -521,6 +535,23 @@ class TestAsymptoticsCommand:
         assert main(["asymptotics", str(csv_path), "--kappa", "2"]) == 1
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, option, message", [
+        (None, [], "{path}: No such file or directory"),
+        ([f"{n},{1.0 / n!r}," for n in range(3, 9)] + ["9"], [], "{path}:8: malformed row"),
+        ([f"{n},{1.0 / n!r}," for n in (3, 4, 5, 5, 6, 7)], [],
+         "{path}: point counts must be strictly increasing"),
+        ([f"{n},1.0," for n in range(3, 15)], ["--v-infinity", "0"],
+         "no decaying pairs in the tail window"),
+    ], ids=["missing", "one-field-row", "repeated-n", "constant-above-limit"])
+    def test_unusable_sweep_is_one(self, tmp_path, capsys, rows, option, message):
+        csv_path = tmp_path / "sweep.csv"
+        if rows is not None:
+            csv_path.write_text("n,error,alloc\n" + "".join(f"{row}\n" for row in rows))
+        assert main(["asymptotics", str(csv_path), "--kappa", "1", *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + message.format(path=csv_path) + "\n"
+
     def test_point_count_over_limit_is_one(self, tmp_path, capsys):
         # sweep never writes n above LIMITS["n"]; a larger one is an input error
         for n in (10_001, 10 ** 306, 10 ** 400):
@@ -653,6 +684,19 @@ class TestRenderCommand:
         path.write_text(json.dumps(doc))
         assert main(["render", str(path), "--output", str(tmp_path / "x.svg")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("measure, kind, message", [
+        ([], "free", "result document lacks a measure"),
+        (INTERVAL_LEFT_DOC["measure"], "weird", "points[0]: unknown point kind 'weird'"),
+        ([{"type": "spiral"}], "free", "problem.measure[0]: unknown curve type 'spiral'"),
+    ], ids=["no-measure", "unknown-kind", "unknown-curve"])
+    def test_error_names_the_file(self, tmp_path, capsys, measure, kind, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"problem": {"measure": measure},
+                                    "points": [{"kind": kind, "x": 0.5, "y": 0.0}]}))
+        assert main(["render", str(path), "--output", str(tmp_path / "x.svg")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
 
     def test_overflowing_drawing_is_one(self, tmp_path, capsys):
         # points 2e308 apart: the drawing's width overflows

@@ -155,6 +155,12 @@ class TestLineConstraint:
             q = distortion(M01, r.points)
             assert cf.line_constraint_exact_error(n, scen) == pytest.approx(q, rel=1e-12)
 
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="need a < b"):
+            cf.LineConstraintScenario(1, 0, 1, 0)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            cf.line_constraint_exact_error(0, cf.LineConstraintScenario(0, 1, 1, 4))
+
 
 class TestSemicircle:
     def test_printed_error_table(self):
@@ -233,6 +239,8 @@ class TestSemicircle:
             cf.semicircle_conditional(5, 1)
         with pytest.raises(ValueError):
             cf.semicircle_conditional(5, 6)
+        with pytest.raises(ValueError, match="need n >= 3"):
+            cf.semicircle_conditional(2, 2)
 
 
 class TestTriangle:
@@ -369,6 +377,8 @@ class TestExam1:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             cf.exam1_conditional(2)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            cf.exam1_exact_error(0)
 
 
 def test_oracle_equivalence_where_published_forms_are_exact():

@@ -213,6 +213,8 @@ def test_project_array_matches_scalar():
 
 
 def test_measure_needs_positive_finite_length():
+    with pytest.raises(ValueError, match="at least one curve"):
+        UniformCurveMeasure(())
     with pytest.raises(ValueError):
         UniformCurveMeasure((Arc(Point2(0, 0), 5e-324, 0.0, 5e-324),))
     with pytest.raises(ValueError):

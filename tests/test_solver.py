@@ -98,6 +98,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             Problem(sc.interval_measure(), (), 2)
 
+    def test_problem_needs_a_point(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            Problem(sc.interval_measure(), (FreePlane(),), 0)
+
     def test_point_set_constraint_nonempty(self):
         with pytest.raises(ValueError):
             PointSetConstraint(())
@@ -735,20 +739,35 @@ class TestIndefinite:
     """Finding the rows of a stacked Newton step that need the shift."""
 
     @pytest.mark.parametrize("bad", [(), (0,), (15,), (6, 7), (3, 4, 11), tuple(range(16))])
-    def test_halving_finds_the_rows_in_few_calls(self, bad, monkeypatch):
+    def test_flags_the_rows_that_fail_alone(self, bad, monkeypatch):
+        # a row is flagged exactly when its matrix, factored alone, fails or
+        # has a pivot at rounding level: in a stack of 16 and in one of 256
+        # that repeats its pattern and holds one singular row (the 6-cycle
+        # Laplacian below), each in one stacked call plus at most one per row
         rng = np.random.default_rng(8)
-        a = rng.normal(size=(16, 5, 5))
-        H = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(5)
-        H[list(bad), 2, 2] = -1.0
-        calls = []
         real = np.linalg.cholesky
+        cycle = 2.0 * np.eye(6) - np.roll(np.eye(6), 1, axis=0) - np.roll(np.eye(6), -1, axis=0)
+
+        def alone(h):
+            try:
+                pivots = real(h).diagonal() ** 2
+            except np.linalg.LinAlgError:
+                return True
+            return bool((pivots <= solver_module._PIVOT * h.diagonal().max()).any())
+
+        calls = []
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(len(m)) or real(m))
-        assert _indefinite(H) == list(bad)
-        # at most two calls per level below the first for each such row
-        assert len(calls) <= 1 + 2 * len(bad) * math.log2(len(H))
-        if bad == (15,):
-            # every first half factors, so every second half is known to fail
-            assert calls == [16, 8, 4, 2, 1]
+        for rows, singular in ((16, []), (256, [250])):
+            a = rng.normal(size=(rows, 6, 6))
+            H = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(6)
+            H[singular] = cycle
+            failing = [p for p in range(rows) if p % 16 in bad]
+            H[failing, 2, 2] = -1.0
+            want = [p for p in range(rows) if alone(H[p])]
+            assert want == sorted(set(failing + singular))
+            calls.clear()
+            assert _indefinite(H) == want
+            assert calls[0] == rows and len(calls) <= 1 + rows
 
     def test_rounding_level_pivots_count(self, monkeypatch):
         # the Laplacian of a 6-cycle is singular positive semidefinite, as H

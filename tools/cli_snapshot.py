@@ -209,6 +209,8 @@ def _cases() -> list[list[str]]:
     # the FAR_ARC
     cases += [["--restarts", "2", "solve", "far_arc_members.json"],
               ["render", "far_arc_points.json", "--output", "far_arc_points.svg"]]
+    # many rows in one descent, some of whose Hessians fail to factor
+    cases.append(["--restarts", "256", "solve", "triangle.json"])
     return cases
 
 
