@@ -67,8 +67,7 @@ def _power_fit3(ns, vs):
     (n2**-s - n3**-s) = expm1(s*a) / -expm1(-s*b), a = log(n2/n1) and
     b = log(n3/n2). h rises strictly from a/b (expm1(s*a)/s rises,
     -expm1(-s*b)/s falls), so bisection finds the one root to float
-    convergence. The command line's point counts are at most 10000
-    (`cli.LIMITS`), so s*a <= 31.6*log(10000/3), about 256: no overflow.
+    convergence.
     """
     n1, n2, n3 = ns
     v1, v2, v3 = vs
@@ -78,7 +77,10 @@ def _power_fit3(ns, vs):
     a, b = math.log1p((n2 - n1) / n1), math.log1p((n3 - n2) / n2)
 
     def below(s):
-        return math.expm1(s * a) / -math.expm1(-s * b) < rho
+        try:
+            return math.expm1(s * a) / -math.expm1(-s * b) < rho
+        except OverflowError:  # h rises strictly, so h(s) > rho there
+            return False
 
     lo, hi = 1e-3, 10 ** 1.5
     if not below(lo) or below(hi):

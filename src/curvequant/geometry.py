@@ -141,7 +141,7 @@ def curve_eval(c: Curve, s: float) -> Point2:
 def _frame_array(c: Curve, s: np.ndarray):
     """Points and unit tangents of c at the arc lengths in the 1-D array s,
     without range checks: two (k, 2) arrays. The one point evaluation of the
-    package: curve_eval, seeds, descent sites and moments all take it."""
+    package: curve_eval, render, seeds, descent sites and moments all take it."""
     if isinstance(c, Segment):
         length = curve_length(c)
         d = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y])
@@ -396,15 +396,6 @@ def _owning_sites(c: Curve, K, P, Q) -> np.ndarray:
     return ~(d2 > reach[..., None])
 
 
-def _set_envelopes(c: Curve, t0: float, scale: float, K, P, Q, m):
-    """_envelopes of the consecutive sets of sites whose terms are K, P, Q,
-    m[r] sites in set r."""
-    if isinstance(c, Segment):
-        return _line_envelope(K, P, m)
-    start, owner = _sinusoid_envelope(K, P, Q, t0, c.theta1, m)
-    return (start - t0) * scale, owner
-
-
 def _envelopes(c: Curve, stack: np.ndarray):
     """The lower envelopes of the distance terms along c of every site set
     of the (R, m, 2) stack: arrays (starts, owners) of their pieces, set
@@ -417,14 +408,17 @@ def _envelopes(c: Curve, stack: np.ndarray):
     calls."""
     sets, m = stack.shape[:2]
     t0, scale, K, P, Q = _envelope(c, stack.reshape(-1, 2))
+    kept, sizes = None, np.full(sets, m)
     if m > CULL_ABOVE:
         keep = _owning_sites(c, K.reshape(sets, m), P.reshape(sets, m), Q.reshape(sets, m))
-        if not keep.all():
-            kept = np.flatnonzero(keep)
-            start, owner = _set_envelopes(c, t0, scale, K[kept], P[kept], Q[kept],
-                                          keep.reshape(sets, m).sum(axis=1))
-            return start, kept[owner]
-    return _set_envelopes(c, t0, scale, K, P, Q, np.full(sets, m))
+        kept, sizes = np.flatnonzero(keep), keep.sum(axis=1)
+        K, P, Q = K[kept], P[kept], Q[kept]
+    if isinstance(c, Segment):
+        start, owner = _line_envelope(K, P, sizes)
+    else:
+        start, owner = _sinusoid_envelope(K, P, Q, t0, c.theta1, sizes)
+        start = (start - t0) * scale
+    return start, owner if kept is None else kept[owner]
 
 
 def voronoi_breakpoints(c: Curve, sites):

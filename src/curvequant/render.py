@@ -11,12 +11,11 @@ import math
 import numpy as np
 
 from curvequant.geometry import (
-    Arc,
+    Curve,
     Point2,
     Segment,
     UniformCurveMeasure,
     _frame_array,
-    curve_eval,
     curve_length,
     voronoi_breakpoints,
 )
@@ -35,10 +34,9 @@ def _fmt(v: float) -> str:
     return f"{round(v, 2):.2f}"
 
 
-def _bounds(measure: UniformCurveMeasure, pts: list[Point2]):
+def _bounds(measure: UniformCurveMeasure, sites: np.ndarray):
     xy = np.concatenate([_frame_array(c, curve_length(c) * np.arange(257) / 256)[0]
-                         for c in measure.curves]
-                        + [np.array([(p.x, p.y) for p in pts]).reshape(-1, 2)])
+                         for c in measure.curves] + [sites])
     lo, hi = xy.min(axis=0), xy.max(axis=0)
     return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
@@ -57,41 +55,31 @@ class _Mapper:
         if not math.isfinite(dx * dx + dy * dy):
             raise ValueError("the squared distances across the drawing overflow double precision")
 
-    def __call__(self, p: Point2) -> tuple[float, float]:
-        return ((p.x - self.min_x) * self.scale + MARGIN,
-                (self.max_y - p.y) * self.scale + MARGIN)
+    def __call__(self, xy: np.ndarray) -> list[list[float]]:
+        """Drawing coordinates of the plane points in the (k, 2) array xy."""
+        return np.stack([(xy[:, 0] - self.min_x) * self.scale + MARGIN,
+                         (self.max_y - xy[:, 1]) * self.scale + MARGIN], axis=1).tolist()
 
 
-def _segment_path(seg: Segment, to) -> str:
-    x0, y0 = to(seg.p0)
-    x1, y1 = to(seg.p1)
-    return (f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-            'stroke="#444444" stroke-width="2" fill="none"/>')
-
-
-def _arc_path(arc: Arc, to) -> str:
-    # split spans over pi so endpoints never coincide (full circles included)
-    span = arc.theta1 - arc.theta0
-    if span > math.pi:
-        mid = arc.theta0 + span / 2.0
-        spans = [(arc.theta0, mid), (mid, arc.theta1)]
-    else:
-        spans = [(arc.theta0, arc.theta1)]
-    r = arc.radius * to.scale
-    d_parts = []
-    first = Point2(arc.center.x + arc.radius * math.cos(spans[0][0]),
-                   arc.center.y + arc.radius * math.sin(spans[0][0]))
-    x, y = to(first)
-    d_parts.append(f"M {_fmt(x)} {_fmt(y)}")
-    for t0, t1 in spans:
-        end = Point2(arc.center.x + arc.radius * math.cos(t1),
-                     arc.center.y + arc.radius * math.sin(t1))
-        xe, ye = to(end)
-        large = 1 if (t1 - t0) > math.pi else 0
-        # counterclockwise in plane coordinates is sweep=0 after the y-flip
-        d_parts.append(f"A {_fmt(r)} {_fmt(r)} 0 {large} 0 {_fmt(xe)} {_fmt(ye)}")
-    return (f'<path d="{" ".join(d_parts)}" stroke="#444444" stroke-width="2" '
-            'fill="none"/>')
+def _curve(c: Curve, to, sites: np.ndarray) -> tuple[str, list]:
+    """The SVG element of a curve, and the drawn Voronoi breakpoints of the
+    sites on it, which come from one evaluation along c with an arc's ends.
+    A span over pi is drawn in two halves, so that no piece ends where it
+    starts (full circles included) and none spans over pi."""
+    at = np.array(voronoi_breakpoints(c, sites) if len(sites) else [])
+    if isinstance(c, Segment):
+        (x0, y0), (x1, y1) = to(np.array([(c.p0.x, c.p0.y), (c.p1.x, c.p1.y)]))
+        return (f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
+                'stroke="#444444" stroke-width="2" fill="none"/>'), to(_frame_array(c, at)[0])
+    ends = curve_length(c) * np.array([0.0, 0.5, 1.0] if c.theta1 - c.theta0 > math.pi
+                                      else [0.0, 1.0])
+    (x, y), *drawn = to(_frame_array(c, np.concatenate([ends, at]))[0])
+    r, k = c.radius * to.scale, len(ends) - 1
+    # counterclockwise in plane coordinates is sweep=0 after the y-flip; the
+    # large-arc flag is 0, since no piece spans over pi
+    d = " ".join([f"M {_fmt(x)} {_fmt(y)}"]
+                 + [f"A {_fmt(r)} {_fmt(r)} 0 0 0 {_fmt(xe)} {_fmt(ye)}" for xe, ye in drawn[:k]])
+    return f'<path d="{d}" stroke="#444444" stroke-width="2" fill="none"/>', drawn[k:]
 
 
 def render_svg(measure: UniformCurveMeasure, points: list[tuple[str, Point2]]) -> str:
@@ -103,7 +91,7 @@ def render_svg(measure: UniformCurveMeasure, points: list[tuple[str, Point2]]) -
     whatever the size of the support. Raises ValueError when the extent
     of the drawing, or its square, overflows double precision.
     """
-    sites = [p for _, p in points]
+    sites = np.array([(p.x, p.y) for _, p in points], float).reshape(-1, 2)
     mapper = _Mapper(*_bounds(measure, sites))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -112,20 +100,16 @@ def render_svg(measure: UniformCurveMeasure, points: list[tuple[str, Point2]]) -
         f'viewBox="0 0 {_fmt(mapper.width)} {_fmt(mapper.height)}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
     ]
+    breaks = []
     for c in measure.curves:
-        if isinstance(c, Segment):
-            lines.append(_segment_path(c, mapper))
-        else:
-            lines.append(_arc_path(c, mapper))
-    if sites:
-        for c in measure.curves:
-            for s in voronoi_breakpoints(c, sites):
-                x, y = mapper(curve_eval(c, s))
-                lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                             f'r="{_fmt(BREAK_RADIUS)}" stroke="#999999" '
-                             'stroke-width="1" fill="none"/>')
-    for kind, p in points:
-        x, y = mapper(p)
+        path, drawn = _curve(c, mapper, sites)
+        lines.append(path)
+        breaks += drawn
+    for x, y in breaks:
+        lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
+                     f'r="{_fmt(BREAK_RADIUS)}" stroke="#999999" '
+                     'stroke-width="1" fill="none"/>')
+    for (kind, _), (x, y) in zip(points, mapper(sites)):
         fill = _KIND_FILL.get(kind, "#333333")
         lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
                      f'r="{_fmt(POINT_RADIUS)}" fill="{fill}"/>')

@@ -207,6 +207,19 @@ def lloyd_step(problem: Problem, candidate) -> list[TaggedPoint]:
 # seeding
 
 
+def _nearest(cons: CurveConstraint | PointSetConstraint, xy: np.ndarray):
+    """Nearest point of a curve or point-set constraint to each row of xy:
+    arrays (arc length or member index, points). The one member search of
+    the solver: the snap and the nearest-member move take it."""
+    if isinstance(cons, CurveConstraint):
+        s = _project_array(cons.curve, xy)
+        return s, _frame_array(cons.curve, s)[0]
+    members = np.array([(p.x, p.y) for p in cons.points])
+    member = ((xy[:, :1] - members[:, 0]) ** 2
+              + (xy[:, 1:] - members[:, 1]) ** 2).argmin(axis=1)
+    return member.astype(float), members[member]
+
+
 def _snap(problem: Problem, xy: np.ndarray):
     """Nearest admissible point to each row of xy over the union of the
     constraint sets: arrays (points, constraint index, arc length or member
@@ -218,14 +231,7 @@ def _snap(problem: Problem, xy: np.ndarray):
     for i, cons in enumerate(problem.constraints):
         if isinstance(cons, FreePlane):
             return xy, np.full(len(xy), -1), param
-        if isinstance(cons, CurveConstraint):
-            s = _project_array(cons.curve, xy)
-            cand = _frame_array(cons.curve, s)[0]
-        else:
-            members = np.array([(p.x, p.y) for p in cons.points])
-            member = ((xy[:, :1] - members[:, 0]) ** 2
-                      + (xy[:, 1:] - members[:, 1]) ** 2).argmin(axis=1)
-            s, cand = member.astype(float), members[member]
+        s, cand = _nearest(cons, xy)
         # by coordinate: numpy sums a last axis of length 2 slowly
         d2 = (xy[:, 0] - cand[:, 0]) ** 2 + (xy[:, 1] - cand[:, 1]) ** 2
         # the first set claims every row, even one whose distance overflows
@@ -478,7 +484,7 @@ class _Descent:
             a = at_row[r]
             k = np.flatnonzero((site[:-1] != site[1:]) & (a[:-1] == a[1:]) & (a[:-1] >= 0))
             cuts.append((r[k], a[k], site[k[:, None] + (0, 1)], *_frame_array(c, s1[k])))
-        r, a, ij, at, tau = cuts[0] if len(cuts) == 1 else map(np.concatenate, zip(*cuts))
+        r, a, ij, at, tau = map(np.concatenate, zip(*cuts))
         p = state.xy[r[:, None], ij]  # p_i and p_j of each cut
         rate = 2.0 * _dot(p[:, 1] - p[:, 0], tau)
         # a rate that is not positive (sites equal up to rounding) adds nothing
@@ -609,20 +615,20 @@ class _Descent:
                                self.params()[row].tolist())]
 
 
-def _nearest_members(problem: Problem, run: _Descent, row: int, param):
-    """A row's seed arrays at its x (param: its params, changed here), each
-    positive-mass point-set member moved to the member nearest its cell
-    mean; None if none moves."""
-    ell, masses, moments = len(problem.beta), run.state.masses[row], run.state.moments[row]
-    sites, moved = run.state.xy[row].copy(), False
-    for i, ci in enumerate(run.index[row].tolist(), ell):
-        cons = problem.constraints[ci] if ci >= 0 else None
-        if isinstance(cons, PointSetConstraint) and masses[i] > 0.0:
-            mx, my = moments[i] / (masses[i] * problem.measure.total_length)
-            k = int(np.argmin([(p.x - mx) ** 2 + (p.y - my) ** 2 for p in cons.points]))
-            if k != int(param[i - ell]):
-                sites[i], param[i - ell], moved = (cons.points[k].x, cons.points[k].y), k, True
-    return (sites, run.index[row], param) if moved else None
+def _nearest_members(problem: Problem, run: _Descent):
+    """The batch's seed arrays at its x, each positive-mass point-set member
+    moved to the member nearest its cell mean, and which rows moved one."""
+    ell, state, param = len(problem.beta), run.state, run.params()
+    sites, moved = state.xy.copy(), np.zeros(len(param), dtype=bool)
+    for ci, cons in enumerate(problem.constraints):
+        if isinstance(cons, PointSetConstraint):
+            r, i = np.nonzero((run.index == ci) & (state.masses[:, ell:] > 0.0))
+            mass = state.masses[r, ell + i] * problem.measure.total_length
+            k, at = _nearest(cons, state.moments[r, ell + i] / mass[:, None])
+            new = k != param[r, i]
+            r, i = r[new], i[new]
+            sites[r, ell + i], param[r, i], moved[r] = at[new], k[new], True
+    return _Seeds(sites, run.index, param), moved
 
 
 def _descend(problem: Problem, seeds: _Seeds, options: SolverOptions) -> list[tuple]:
@@ -633,19 +639,18 @@ def _descend(problem: Problem, seeds: _Seeds, options: SolverOptions) -> list[tu
     that moved descend again together. Returns each candidate's best
     descent as (distortion, batch, row, converged), converged saying
     whether its Newton descent reached that stop within max_iters."""
-    best, todo = [None] * len(seeds.sites), range(len(seeds.sites))
-    while todo:
+    best, todo = [None] * len(seeds.sites), np.arange(len(seeds.sites))
+    while todo.size:
         run = _Descent(problem, seeds)
-        converged, params, moved = run.run(options.max_iters), run.params(), {}
-        for row, k in enumerate(todo):
+        converged = run.run(options.max_iters)
+        seeds, moved = _nearest_members(problem, run)
+        for row, k in enumerate(todo.tolist()):
             d = run.state.distortion[row]
             if best[k] is not None and d > best[k][0] * (1.0 - _ROUNDING):
-                continue
-            best[k] = (d, run, row, bool(converged[row]))
-            if (seed := _nearest_members(problem, run, row, params[row])) is not None:
-                moved[k] = seed
-        todo = list(moved)
-        seeds = _Seeds(*map(np.stack, zip(*moved.values()))) if moved else None
+                moved[row] = False
+            else:
+                best[k] = (d, run, row, bool(converged[row]))
+        todo, seeds = todo[moved], _Seeds(*(a[moved] for a in seeds))
     return best
 
 

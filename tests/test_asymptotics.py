@@ -196,6 +196,16 @@ class TestPowerFit:
         assert fit[2] == pytest.approx(29.4948, abs=1e-4)
         assert fit[0] == pytest.approx(0.2041522931908, abs=1e-12)
 
+    def test_overflowing_ratio_counts_as_above(self):
+        # a = log(1e10): expm1(s*a) overflows from s = 30.8 on, below the
+        # top of the bracket, where h(s) is far above rho = 100
+        ns, vs = [1, 10 ** 10, 2 * 10 ** 10], [1.0, 0.01, 1e-4]
+        fit = asymptotics._power_fit3(ns, vs)
+        a, b = math.log(10 ** 10), math.log(2.0)
+        assert math.expm1(fit[2] * a) / -math.expm1(-fit[2] * b) == pytest.approx(100.0, rel=1e-12)
+        v = estimate_v_infinity(ErrorSequence(tuple(zip(ns, vs))))
+        assert v == pytest.approx(-0.1712, abs=1e-4)
+
 
 class TestDimension:
     def test_triangle_near_one(self):

@@ -248,6 +248,11 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["degenerate_points"] == [] and 0.0 < doc["masses"][0] < 2.0 * delta
 
+    def test_iteration_cap_reports_not_converged(self, tmp_path, capsys):
+        path = write_problem(tmp_path, semicircle_problem(8), solver={"max_iters": 1})
+        assert main(["solve", path]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is False
+
     def test_constrained_points_carry_parameters(self, tmp_path, capsys):
         path = write_problem(tmp_path, semicircle_problem(3), solver={"restarts": 4})
         assert main(["--seed", "42", "solve", path]) == 0
@@ -846,6 +851,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}.{message}\n"
+
+    @pytest.mark.parametrize("points", [[], "x"])
+    def test_empty_or_non_list_points_is_one(self, tmp_path, capsys, points):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(
+            INTERVAL_LEFT_DOC, constraints=[{"type": "points", "points": points}])))
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}.constraints[0].points: expected a nonempty list\n"
 
     @pytest.mark.parametrize("argv, option", [
         (["closed-form", "interval-left", "-n", str(cli.LIMITS["n"] + 1)], "-n"),

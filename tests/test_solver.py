@@ -822,6 +822,10 @@ class TestSolve:
         assert q.converged
         assert q.degenerate_points == ()
 
+    @pytest.mark.parametrize("build", [sc.semicircle_problem, sc.triangle_problem])
+    def test_iteration_cap_is_not_converged(self, build):
+        assert solve(build(8), SolverOptions(max_iters=1)).converged is False
+
     def test_interval_conditional_matches_closed_form(self):
         q = solve(sc.interval_left_problem(4))
         assert q.distortion == pytest.approx(1.0 / 147.0, rel=1e-9)
@@ -1179,6 +1183,66 @@ class TestNearestMembers:
         assert q.masses == (0.19083333333333333, 0.2500000000000001, 0.3091666666666667,
                             0.2499999999999999)
         assert all(type(tp.s) is float and type(tp.point.x) is float for tp in q.points[1:])
+
+
+    def test_a_tying_redescent_is_not_kept(self, monkeypatch):
+        # the cell mean 0.5 is as near both members, so the run at 0.75
+        # moves to 0.25 (the first), whose descent only ties its first one
+        problem = Problem(sc.interval_measure(),
+                          (PointSetConstraint((Point2(0.25, 0.0), Point2(0.75, 0.0))),), 1)
+        batches = []
+        init = _Descent.__init__
+        monkeypatch.setattr(_Descent, "__init__",
+                            lambda self, p, seeds: batches.append(len(seeds.sites)) or init(self, p, seeds))
+        seeds = _Seeds(np.array([[[0.75, 0.0]], [[0.25, 0.0]]]), np.array([[0], [0]]),
+                       np.array([[1.0], [0.0]]))
+        best = solver_module._descend(problem, seeds, SolverOptions())
+        assert batches == [2, 1]
+        assert [b[1].state.xy[b[2], 0].tolist() for b in best] == [[0.75, 0.0], [0.25, 0.0]]
+        assert [b[1] for b in best] == [best[0][1]] * 2
+        q = solve(problem)
+        assert q.points == (TaggedPoint("constrained", Point2(0.25, 0.0), 0, 0.0),)
+        assert q.distortion.hex() == "0x1.2aaaaaaaaaaabp-3"
+
+    def test_one_batch_move_equals_the_row_by_row_moves(self):
+        # two point sets and a curve: each positive-mass member goes to the
+        # member of its own set nearest its cell mean, as this loop of the
+        # earlier solver moved one row at a time
+        def row_moves(problem, run, row, param):
+            ell, masses, moments = len(problem.beta), run.state.masses[row], run.state.moments[row]
+            sites, moved = run.state.xy[row].copy(), False
+            for i, ci in enumerate(run.index[row].tolist(), ell):
+                cons = problem.constraints[ci] if ci >= 0 else None
+                if isinstance(cons, PointSetConstraint) and masses[i] > 0.0:
+                    mx, my = moments[i] / (masses[i] * problem.measure.total_length)
+                    k = int(np.argmin([(p.x - mx) ** 2 + (p.y - my) ** 2 for p in cons.points]))
+                    if k != int(param[i - ell]):
+                        sites[i], param[i - ell], moved = (cons.points[k].x, cons.points[k].y), k, True
+            return sites, param, moved
+
+        rng = np.random.default_rng(5)
+        upper = PointSetConstraint(tuple(Point2(*p) for p in rng.uniform((0, 0), (1, 0.2), (60, 2))))
+        lower = PointSetConstraint(tuple(Point2(*p) for p in rng.uniform((0, -0.2), (1, 0), (40, 2))))
+        problem = Problem(sc.interval_measure(), (upper, CurveConstraint(Segment(
+            Point2(0.7, 0.0), Point2(1.0, 0.0))), lower), 9, beta=(Point2(0.5, 0.0),))
+        seeds = _seed_runs(problem, np.random.default_rng(1), 32)
+        # a member copied onto the last point of its row: an empty cell
+        empty = int(np.flatnonzero(seeds.index[:, -2] != 1)[0])
+        for a in seeds:
+            a[empty, -1] = a[empty, -2]
+        run = _Descent(problem, seeds)
+        run.run(2)
+        seeds, moved = solver_module._nearest_members(problem, run)
+        params = run.params()
+        for row in range(32):
+            sites, param, row_moved = row_moves(problem, run, row, params[row])
+            assert seeds.sites[row].tolist() == sites.tolist()
+            assert seeds.param[row].tolist() == param.tolist()
+            assert moved[row] == row_moved
+        assert 0 < moved.sum() < 32
+        assert (seeds.index == run.index).all()
+        assert set(run.index.ravel().tolist()) == {0, 1, 2}
+        assert run.state.masses[empty, -1] == 0.0
 
 
 class TestSandwich:

@@ -102,6 +102,20 @@ FAR_ARC = {
     "far_arc_points.json": {"problem": {"measure": [_ARC]},
                             "points": [{"kind": "free", "x": x, "y": y} for x, y in _FAR]},
 }
+# point-set problems: 200 members with beta, and two members at the same
+# distance from the one cell mean, whose re-descent ties the first; and a
+# solve over an arc wider than pi that is no full circle, drawn in two pieces
+_WIDE_ARC = {"type": "arc", "center": [0, 0], "radius": 1, "theta0": 0, "theta1": 4.5}
+MEMBERS = {
+    "members200.json": {"measure": _UNIT, "beta": [[0, 0]], "n": 6,
+                        "constraints": [{"type": "points",
+                                         "points": [[k / 199, 0.05 * (-1) ** k]
+                                                    for k in range(200)]}]},
+    "tie.json": {"measure": _UNIT, "n": 1,
+                 "constraints": [{"type": "points", "points": [[0.25, 0], [0.75, 0]]}]},
+    "wide_arc.json": {"measure": [_WIDE_ARC], "n": 5,
+                      "constraints": [{"type": "curve", "curve": _WIDE_ARC}]},
+}
 # sweep CSVs that `asymptotics` cases read, as (name, from, to): exam1 and
 # every other criterion-4 family, and the README's semicircle example
 SWEEPS = [("exam1", 3, 200), ("triangle", 3, 1500), ("exam2", 3, 1500),
@@ -211,6 +225,8 @@ def _cases() -> list[list[str]]:
               ["render", "far_arc_points.json", "--output", "far_arc_points.svg"]]
     # many rows in one descent, some of whose Hessians fail to factor
     cases.append(["--restarts", "256", "solve", "triangle.json"])
+    # at the default 16 restarts, half the tie's runs start at (0.75, 0)
+    cases += [["solve", name] for name in MEMBERS]
     return cases
 
 
@@ -251,7 +267,7 @@ def main_snapshot(outdir: str) -> int:
                                     "--output", f"{scenario}.csv"])
             if code != 0:
                 raise RuntimeError(f"could not write {scenario}.csv: {err}")
-        for name, doc in {**PROBLEMS, **OVERFLOWS, **TINY, **EDGES, **FAR_ARC}.items():
+        for name, doc in {**PROBLEMS, **OVERFLOWS, **TINY, **EDGES, **FAR_ARC, **MEMBERS}.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump({"schema_version": 1, **doc}, fh)
         for name, text in CSVS.items():
