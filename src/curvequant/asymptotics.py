@@ -13,12 +13,23 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ErrorSequence:
-    """Distortion values v indexed by point count n, decreasing in n."""
+    """Distortion values v indexed by point count n, decreasing in n. A
+    point count is an integer (4.0 and numpy ints pass) with a finite float
+    value."""
 
     entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        entries = tuple((int(n), float(v)) for n, v in self.entries)
+        raw = tuple(self.entries)  # read twice below
+        given = [n for n, _ in raw]
+        try:
+            counts = [int(n) for n in given]
+        except (OverflowError, ValueError):  # inf, nan
+            counts = None
+        if counts != given:  # elementwise ==, so 4.0 and numpy ints pass
+            raise ValueError("point counts must be integers")
+        values = [float(v) for _, v in raw]
+        entries = tuple(zip(counts, values))
         if not entries:
             raise ValueError("sequence is empty")
         if entries[0][0] < 1:
@@ -28,9 +39,12 @@ class ErrorSequence:
                 raise ValueError("point counts must be strictly increasing")
             if v1 > v0 + 1e-12 * abs(v0):
                 raise ValueError(f"errors must be nonincreasing (v({n1}) > v({n0}))")
-        for n, v in entries:
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError("errors must be finite and positive")
+        try:  # the estimators take powers of n as floats
+            float(counts[-1])
+        except OverflowError:
+            raise ValueError("point counts must have a finite float value") from None
+        if not (all(map(math.isfinite, values)) and min(values) > 0):
+            raise ValueError("errors must be finite and positive")
         object.__setattr__(self, "entries", entries)
 
     def __len__(self):
@@ -61,7 +75,8 @@ class ScenarioLimits:
 
 def _power_fit3(ns, vs):
     """Fit v = V + C * n**(-s) through three points, or None where no s
-    lies strictly inside (1e-3, 10**1.5).
+    lies strictly inside (1e-3, 10**1.5) or C does not come out finite
+    (n**(-s) underflows at counts near the top of the float range).
 
     s solves rho = (v1 - v2) / (v2 - v3) = h(s) = (n1**-s - n2**-s) /
     (n2**-s - n3**-s) = expm1(s*a) / -expm1(-s*b), a = log(n2/n1) and
@@ -88,7 +103,9 @@ def _power_fit3(ns, vs):
     while lo < (mid := (lo + hi) / 2) < hi:
         lo, hi = (mid, hi) if below(mid) else (lo, mid)
     r1, r3 = n1 ** (-mid), n3 ** (-mid)
-    c = (v1 - v3) / (r1 - r3)
+    c = (v1 - v3) / (r1 - r3) if r1 > r3 else math.inf
+    if not math.isfinite(c):
+        return None
     return v3 - c * r3, c, mid
 
 

@@ -145,12 +145,13 @@ def _frame_array(c: Curve, s: np.ndarray):
     if isinstance(c, Segment):
         length = curve_length(c)
         d = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y])
-        return ((c.p0.x, c.p0.y) + (s / length)[:, None] * d,
-                np.repeat((d / length)[None], len(s), axis=0))
+        return (c.p0.x, c.p0.y) + (s / length)[:, None] * d, (d / length)[None].repeat(len(s), 0)
     ang = c.theta0 + s / c.radius
     cos, sin = np.cos(ang), np.sin(ang)
-    return (np.stack([c.center.x + c.radius * cos, c.center.y + c.radius * sin], axis=-1),
-            np.stack([-sin, cos], axis=-1))
+    point, tangent = np.empty((2, len(s), 2))
+    point[:, 0], point[:, 1] = c.center.x + c.radius * cos, c.center.y + c.radius * sin
+    tangent[:, 0], tangent[:, 1] = -sin, cos
+    return point, tangent
 
 
 def _sites_array(sites) -> np.ndarray:
@@ -259,7 +260,10 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m):
     # a partner makes a pair of itself
     A = np.arange(0, sets << width, 2).reshape(sets, -1)[real[:, ::2]]
     B = A + real[:, 1::2][real[:, ::2]]
-    start, owner = _split_pairs(np.full(len(A), lo), np.full(len(A), hi), A, B, KPQ)
+    a, e = np.empty((2, len(A)))
+    a.fill(lo)
+    e.fill(hi)
+    start, owner = _split_pairs(a, e, A, B, KPQ)
     # set r has ((m[r] - 1) >> j) + 1 groups at level j, so bit j of paired
     # is set when every group of every set has a partner there
     paired = int(np.bitwise_and.reduce(m - 1))
@@ -287,7 +291,7 @@ def _sinusoid_envelope(K, P, Q, lo: float, hi: float, m):
         end[-1] = hi
         start, owner = _split_pairs(start, end, own_a, own_b, KPQ)
         level += 1
-    return start, (np.cumsum(real) - 1)[owner]
+    return start, (real.cumsum() - 1)[owner]
 
 
 def _line_envelope(K, P, m):
@@ -298,11 +302,11 @@ def _line_envelope(K, P, m):
     duality)."""
     # steepest ascent first; of parallel lines only the lowest can be on the
     # envelope, ties to the lower index
-    order = np.lexsort((K, -P, np.repeat(np.arange(len(m)), m)))
+    order = np.lexsort((K, -P, np.arange(len(m)).repeat(m)))
     ks, ps, sites = K[order].tolist(), P[order].tolist(), order.tolist()
     starts, owners = [], []
     lo = 0
-    for hi in np.cumsum(m).tolist():
+    for hi in m.cumsum().tolist():
         hull = []  # (K, P, start, site) of each envelope line so far, start ascending
         top_k = top_p = top_start = None  # those of hull[-1]
         for k, p, i in zip(ks[lo:hi], ps[lo:hi], sites[lo:hi]):
@@ -408,10 +412,11 @@ def _envelopes(c: Curve, stack: np.ndarray):
     calls."""
     sets, m = stack.shape[:2]
     t0, scale, K, P, Q = _envelope(c, stack.reshape(-1, 2))
-    kept, sizes = None, np.full(sets, m)
+    kept, sizes = None, np.empty(sets, dtype=int)
+    sizes.fill(m)
     if m > CULL_ABOVE:
         keep = _owning_sites(c, K.reshape(sets, m), P.reshape(sets, m), Q.reshape(sets, m))
-        kept, sizes = np.flatnonzero(keep), keep.sum(axis=1)
+        kept, sizes = keep.ravel().nonzero()[0], keep.sum(axis=1)
         K, P, Q = K[kept], P[kept], Q[kept]
     if isinstance(c, Segment):
         start, owner = _line_envelope(K, P, sizes)
@@ -459,7 +464,7 @@ def voronoi_breakpoints(c: Curve, sites):
     start, who = _envelopes(c, xy if xy.ndim == 3 else xy[None])
     # on the curve: clipping keeps the order, and which midpoints a start
     # lies at or before
-    start = np.clip(start, 0.0, length)
+    start = np.minimum(np.maximum(start, 0.0), length)
     tol = PARAM_TOL * length
     first = np.empty(len(start), dtype=bool)  # each set's first piece
     first[0] = True
@@ -467,13 +472,13 @@ def voronoi_breakpoints(c: Curve, sites):
     begin = first.copy()
     begin[1:] |= ((start[1:] > tol) & (start[1:] < length - tol)
                   & (start[1:] - start[:-1] > tol))
-    at = np.flatnonzero(begin)
+    at = begin.nonzero()[0]
     s0 = start[at]
-    s1 = np.append(s0[1:], length)
+    s1 = np.concatenate((s0[1:], (length,)))
     s1[:-1][first[at[1:]]] = length  # each set's last piece ends the curve
     # the last envelope start at or before each piece's midpoint
     mid = 0.5 * (s0 + s1)
-    below = np.where(start <= mid[np.cumsum(begin) - 1], np.arange(len(start)), 0)
+    below = np.where(start <= mid[begin.cumsum() - 1], np.arange(len(start)), 0)
     owner = who[np.maximum.reduceat(below, at)]
     return (s0, s1, owner) if xy.ndim == 3 else s1[:-1].tolist()
 
@@ -504,7 +509,9 @@ def _piece_integrals(c: Curve, s0: np.ndarray, s1: np.ndarray, q: np.ndarray):
     mid = c.theta0 + 0.5 * (s0 + s1) / r
     center = np.array([c.center.x, c.center.y])
     chord = 2.0 * r * r * np.sin(half)
-    moment = np.outer(ds, center) + chord[:, None] * np.stack([np.cos(mid), np.sin(mid)], axis=1)
+    moment = np.empty((len(ds), 2))
+    moment[:, 0] = ds * c.center.x + chord * np.cos(mid)
+    moment[:, 1] = ds * c.center.y + chord * np.sin(mid)
     # site at radius rho, angle psi about the center:
     # |curve - q|^2 = (r - rho)^2 + 4 r rho sin^2((theta - psi) / 2)
     a = q - center
@@ -548,7 +555,7 @@ def _cell_state(measure: UniformCurveMeasure, sites_xy: np.ndarray):
     d, masses = total * measure.density, lengths * measure.density
     if sites_xy.ndim == 2:
         return float(d), masses, moments, pieces
-    return np.reshape(d, sets), masses.reshape(sets, m), moments.reshape(sets, m, 2), pieces
+    return np.asarray(d).reshape(sets), masses.reshape(sets, m), moments.reshape(sets, m, 2), pieces
 
 
 def distortion(measure: UniformCurveMeasure, sites) -> float:

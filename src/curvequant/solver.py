@@ -330,7 +330,7 @@ class _Layout(NamedTuple):
     kind: np.ndarray  # (R, n) constraint index of an arc length, _FREE or _PAD
     lo: np.ndarray  # (R, n) box bounds (0 for padding)
     hi: np.ndarray
-    slots: np.ndarray  # (m, 2) the coordinates of each site, n where none
+    slots: np.ndarray  # (m, w) the coordinates of each site, n where none
     tangent: np.ndarray  # (R, n, 2) a free coordinate's unit vector, 0 elsewhere
     center: np.ndarray  # (R, n, 2) an arc length's circle center, 0 elsewhere
     radius2: np.ndarray  # (R, n) its squared radius, inf elsewhere
@@ -349,8 +349,8 @@ def _layout(problem: Problem, seeds: _Seeds) -> tuple[_Layout, np.ndarray]:
     x, kind = x[..., :w].reshape(runs, -1), kind[..., :w].reshape(runs, -1)
     n = x.shape[1]
     owner = ell + np.arange(n) // w
-    slots = np.full((m, 2), n)
-    slots[ell:, :w] = np.arange(n).reshape(-1, w)
+    slots = np.full((m, w), n)
+    slots[ell:] = np.arange(n).reshape(-1, w)
     lo = np.where(kind == _FREE, -np.inf, 0.0)
     # indexed by kind: _PAD (-2) reads 0 and _FREE (-1) inf
     hi = np.array([curve_length(c.curve) if on else 0.0
@@ -379,7 +379,7 @@ def _indefinite(H: np.ndarray) -> list[int]:
             return [0]
         return [p for p in range(len(H)) if _indefinite(H[p:p + 1])]
     scale = H.diagonal(axis1=1, axis2=2).max(axis=1, keepdims=True)
-    return np.flatnonzero((pivots <= _PIVOT * scale).any(axis=1)).tolist()
+    return (pivots <= _PIVOT * scale).any(axis=1).nonzero()[0].tolist()
 
 
 def _dot(a, b):
@@ -422,13 +422,17 @@ class _Descent:
         self.layout, self.x = _layout(problem, seeds)
         self.curves = [(ci, cons.curve) for ci, cons in enumerate(problem.constraints)
                        if isinstance(cons, CurveConstraint)]
+        # fixed for the batch: the coordinates that move a site, and whether
+        # any coordinate is an arc length on an arc
+        self.real = self.layout.kind != _PAD
+        self.arcs = any(isinstance(curve, Arc) for _, curve in self.curves)
         self.state = self.evaluate(self.x)
-        self.step = np.zeros_like(self.x)
+        self.step = np.zeros(self.x.shape)
         self.moving, self.known = np.zeros((2, len(self.x)), bool)
 
     def evaluate(self, x, rows=None) -> _State:
         """One cell-state pass at x, whose row k is x of the batch's row
-        rows[k] (every row by default)."""
+        rows[k] (every row by default), rows ascending."""
         rows = np.arange(len(self.x)) if rows is None else rows
         lay, m = self.layout, self.sites.shape[1]
         kind, xy, tangent = lay.kind[rows], self.sites[rows], lay.tangent[rows]
@@ -437,7 +441,7 @@ class _Descent:
             np.copyto(xy[:, len(self.problem.beta):], x.reshape(len(rows), -1, 2),
                       where=free.reshape(len(rows), -1, 2))
         for ci, curve in self.curves:
-            r, k = np.nonzero(kind == ci)
+            r, k = (kind == ci).nonzero()
             if r.size:
                 # an arc length moves its point along the unit tangent
                 xy[r, lay.owner[k]], tangent[r, k] = _frame_array(curve, x[r, k])
@@ -449,6 +453,10 @@ class _Descent:
 
     def _accept(self, new: _State, ok, x) -> None:
         """Move the rows of new where ok to x and their state in new."""
+        if len(new.rows) == len(self.x) and ok.all():
+            # every row moves, and new holds them in order: it is the state
+            self.x, self.state, self.known[:] = x, new, False
+            return
         rows = new.rows[ok]
         self.x[rows], self.known[rows] = x[ok], False
         for old, fresh in zip(self.state[1:-1], new[1:-1]):
@@ -472,17 +480,20 @@ class _Descent:
         x - p_j in block j, so the cut moves by -2 w.dp / phi'. Each
         coordinate moves one site along a unit vector, so the mass term
         stays 2 mass_i on the diagonal, a cut's term touches at most the
-        four coordinates of its two sites, and a point on an arc also gets
-        g_i . c''(s_i) = -g_i . (p_i - center) / r^2 there. The terms of all
-        cuts of all rows are summed into the stack by one bincount.
+        coordinates in the w slots of each of its two sites (see _Layout),
+        and a point on an arc also gets g_i . c''(s_i) =
+        -g_i . (p_i - center) / r^2 there, a term left out when no
+        coordinate is on an arc. The terms of all cuts of all rows are
+        summed into the stack by one bincount.
         """
         state, lay, n = self.state, self.layout, self.x.shape[1]
-        at_row = np.full(len(self.x), -1)
+        at_row = np.empty(len(self.x), dtype=int)
+        at_row.fill(-1)
         at_row[rows] = np.arange(len(rows))
         cuts = []
         for c, (s1, site, r) in zip(self.measure.curves, state.pieces):
             a = at_row[r]
-            k = np.flatnonzero((site[:-1] != site[1:]) & (a[:-1] == a[1:]) & (a[:-1] >= 0))
+            k = ((site[:-1] != site[1:]) & (a[:-1] == a[1:]) & (a[:-1] >= 0)).nonzero()[0]
             cuts.append((r[k], a[k], site[k[:, None] + (0, 1)], *_frame_array(c, s1[k])))
         r, a, ij, at, tau = map(np.concatenate, zip(*cuts))
         p = state.xy[r[:, None], ij]  # p_i and p_j of each cut
@@ -495,15 +506,17 @@ class _Descent:
         w = weight[:, None, None] * (p - at[:, None])
         w[:, 1] *= -1.0
         v = _dot(w[:, :, None], state.tangent[r[:, None, None], np.minimum(slot, n - 1)])
-        v, slot = v.reshape(-1, 4), slot.reshape(-1, 4)
+        v, slot = v.reshape(-1, 2 * slot.shape[2]), slot.reshape(-1, 2 * slot.shape[2])
         # slot n sums into a cut-off row and column (without cuts, in ints)
         flat = (a[:, None, None] * (n + 1) + slot[:, :, None]) * (n + 1) + slot[:, None, :]
         H = np.bincount(flat.ravel(), (-v[:, :, None] * v[:, None, :]).ravel(),
                         minlength=len(rows) * (n + 1) ** 2).astype(float, copy=False)
         own = rows[:, None], lay.owner
-        diag = 2.0 * state.masses[own] - _dot(
-            state.xy[own] - lay.center[rows], state.site_grad[rows]) / lay.radius2[rows]
-        H.reshape(len(rows), -1)[:, :-1:n + 2] += np.where(lay.kind[rows] != _PAD, diag, 0.0)
+        diag = 2.0 * state.masses[own]
+        if self.arcs:
+            diag -= _dot(state.xy[own] - lay.center[rows],
+                         state.site_grad[rows]) / lay.radius2[rows]
+        H.reshape(len(rows), -1)[:, :-1:n + 2] += np.where(self.real[rows], diag, 0.0)
         return H.reshape(len(rows), n + 1, n + 1)[:, :n, :n]
 
     def newton(self, rows, live) -> np.ndarray:
@@ -519,14 +532,14 @@ class _Descent:
         H = self.hessian(rows)
         H *= live[:, :, None]
         H *= live[:, None, :]
-        r, k = np.nonzero(~live)
+        r, k = (~live).nonzero()
         H[r, k, k] = 1.0
         for p in _indefinite(H):
             row = rows[p]
             lloyd = np.where(live[p], 2.0 * self.state.masses[row, self.layout.owner], 1.0)
             S = H[p] / np.sqrt(np.outer(lloyd, lloyd))
             low = S.diagonal() - (np.abs(S).sum(axis=1) - np.abs(S.diagonal()))
-            on = np.flatnonzero(live[p])
+            on = live[p].nonzero()[0]
             H[p, on, on] += (0.1 - float(low[on].min())) * lloyd[on]
         g = np.where(live, self.state.grad[rows], 0.0)
         return -np.linalg.solve(H, g[..., None])[..., 0]
@@ -541,9 +554,9 @@ class _Descent:
         # point without a cell has no gradient and no curvature
         live = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
         live &= self.state.masses[new][:, lay.owner] > 0.0
-        live &= lay.kind[new] != _PAD
+        live &= self.real[new]
         moving = np.where(live, g, 0.0).any(axis=1)
-        d = np.zeros_like(x)
+        d = np.zeros(x.shape)
         if moving.any():
             d[moving] = self.newton(new[moving], live[moving])
         d[((x <= lo) & (d < 0.0)) | ((x >= hi) & (d > 0.0))] = 0.0
@@ -556,7 +569,7 @@ class _Descent:
         (True), or for max_iters iterations (False); a row without
         coordinates stops at once (True). Returns the flags of all rows."""
         lay = self.layout
-        active = np.flatnonzero((lay.kind != _PAD).any(axis=1))
+        active = self.real.any(axis=1).nonzero()[0]
         for _ in range(max_iters):
             if not active.size:
                 break
@@ -565,10 +578,12 @@ class _Descent:
             go = moving & (-(g * d).sum(axis=1) > _ROUNDING * f)
             active, f, g, d = active[go], f[go], g[go], d[go]
             x, lo, hi = self.x[active], lay.lo[active], lay.hi[active]
-            reached, search = np.full(len(active), np.nan), slice(None)
+            reached, search = np.empty(len(active)), slice(None)
+            reached.fill(np.nan)
             # each searching row has halved its step h times
             for h in range(_HALVINGS if active.size else 0):
-                x_new = np.clip(x[search] + 0.5 ** h * d[search], lo[search], hi[search])
+                x_new = np.minimum(np.maximum(x[search] + 0.5 ** h * d[search], lo[search]),
+                                   hi[search])
                 new = self.evaluate(x_new, active[search])
                 ok = new.distortion <= f[search] + _ARMIJO * (
                     g[search] * (x_new - x[search])).sum(axis=1)
@@ -593,7 +608,8 @@ class _Descent:
         d, moving = self.direction(rows)
         rows = rows[moving]
         if rows.size:
-            x_new = np.clip(self.x[rows] + d[moving], self.layout.lo[rows], self.layout.hi[rows])
+            x_new = np.minimum(np.maximum(self.x[rows] + d[moving], self.layout.lo[rows]),
+                               self.layout.hi[rows])
             new = self.evaluate(x_new, rows)
             self._accept(new, new.distortion <= self.state.distortion[rows] * (1.0 + _ROUNDING),
                          x_new)
@@ -601,7 +617,7 @@ class _Descent:
     def params(self) -> np.ndarray:
         """The param arrays of every row at its x (see _Seeds)."""
         lay, param = self.layout, self.param.copy()
-        r, k = np.nonzero(lay.kind >= 0)
+        r, k = (lay.kind >= 0).nonzero()
         param[r, lay.owner[k] - len(self.problem.beta)] = self.x[r, k]
         return param
 
@@ -622,7 +638,7 @@ def _nearest_members(problem: Problem, run: _Descent):
     sites, moved = state.xy.copy(), np.zeros(len(param), dtype=bool)
     for ci, cons in enumerate(problem.constraints):
         if isinstance(cons, PointSetConstraint):
-            r, i = np.nonzero((run.index == ci) & (state.masses[:, ell:] > 0.0))
+            r, i = ((run.index == ci) & (state.masses[:, ell:] > 0.0)).nonzero()
             mass = state.masses[r, ell + i] * problem.measure.total_length
             k, at = _nearest(cons, state.moments[r, ell + i] / mass[:, None])
             new = k != param[r, i]

@@ -69,6 +69,22 @@ class TestErrorSequence:
             with pytest.raises(ValueError, match="point counts must be positive"):
                 ErrorSequence(((first, 3.0), (first + 1, 2.0), (first + 2, 1.0)))
 
+    def test_requires_integer_point_counts(self):
+        # a count is not truncated to an integer; 4.0 and numpy ints pass
+        for bad in (3.7, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="point counts must be integers"):
+                ErrorSequence(((bad, 1.0), (4, 0.5), (5.9, 0.3)))
+        seq = ErrorSequence(((np.int64(3), 1.0), (4.0, 0.5), (np.float64(5), 0.3)))
+        assert seq.entries == ((3, 1.0), (4, 0.5), (5, 0.3))
+        assert all(type(n) is int for n, _ in seq.entries)
+
+    def test_requires_float_sized_point_counts(self):
+        # n = 1e400 has no float value, and the estimators' n**(-s) would
+        # overflow instead of returning a value
+        entries = tuple(zip([10 ** 400, 2 * 10 ** 400, 4 * 10 ** 400], [1.0, 0.5, 0.484375]))
+        with pytest.raises(ValueError, match="finite float value"):
+            ErrorSequence(entries)
+
     @pytest.mark.parametrize("k", [-60, 60])
     def test_scale_free(self, k):
         # a rise of 1e-12 of the value is allowed, at every scale
@@ -195,6 +211,16 @@ class TestPowerFit:
                                                            0.20415229319086028])
         assert fit[2] == pytest.approx(29.4948, abs=1e-4)
         assert fit[0] == pytest.approx(0.2041522931908, abs=1e-12)
+
+    @pytest.mark.parametrize("e", [62, 100])
+    def test_none_where_the_power_underflows(self, e):
+        # s = 5 at ratio 2: n**-5 is subnormal at 1e62, where C overflows,
+        # and 0.0 at 1e100, where it would divide by zero; the estimate
+        # then says that the tail does not fit
+        ns, vs = [10 ** e, 2 * 10 ** e, 4 * 10 ** e], [1.0, 0.5, 0.484375]
+        assert asymptotics._power_fit3(ns, vs) is None
+        with pytest.raises(ValueError, match="tail is not strictly decreasing"):
+            estimate_v_infinity(ErrorSequence(tuple(zip(ns, vs))))
 
     def test_overflowing_ratio_counts_as_above(self):
         # a = log(1e10): expm1(s*a) overflows from s = 30.8 on, below the

@@ -706,6 +706,49 @@ class TestBatch:
                 np.testing.assert_array_equal(a[key], b)
         assert_hessians_match_dense(problem, descent)
 
+    def test_accepting_every_row_equals_a_fresh_pass(self):
+        # a pass over the whole batch that every row accepts becomes the
+        # state: pieces in row order, as a fresh pass has them, and every
+        # kept step is dropped
+        problem = sc.semicircle_problem(7)
+        descent = _Descent(problem, seed_batch(problem, 5))
+        rows = np.arange(5)
+        descent.direction(rows)
+        rng = np.random.default_rng(2)
+        x = np.clip(descent.x + rng.normal(0.0, 0.05, descent.x.shape),
+                    descent.layout.lo, descent.layout.hi)
+        descent._accept(descent.evaluate(x, rows), np.ones(5, dtype=bool), x)
+        assert not descent.known.any()
+        np.testing.assert_array_equal(descent.x, x)
+        fresh = descent.evaluate(descent.x)
+        for merged, want in zip(descent.state[:-1], fresh[:-1]):
+            np.testing.assert_array_equal(merged, want)
+        for merged, want in zip(descent.state.pieces, fresh.pieces):
+            for a, b in zip(merged, want):
+                np.testing.assert_array_equal(a, b)
+        assert_hessians_match_dense(problem, descent)
+
+    def test_hessians_equal_dense_oracle_with_free_points_and_an_arc(self):
+        # free points beside points on an arc constraint: two slots per
+        # site and the arc term in one batch
+        measure = sc.semicircle_measure()
+        arc = measure.curves[1]
+        problem = Problem(measure, (FreePlane(), CurveConstraint(arc)), 6)
+        rng = np.random.default_rng(11)
+        candidates = []
+        for r in range(6):
+            free = rng.random(6) < 0.5
+            free[:2] = r % 2 == 0, r % 2 == 1  # every row mixes both kinds
+            s = np.sort(rng.uniform(0.0, curve_length(arc), 6))
+            candidates.append([tag_free(rng.uniform(-1.0, 1.0, 2))[0] if f
+                               else TaggedPoint("constrained", curve_eval(arc, t), 1, t)
+                               for f, t in zip(free, s)])
+        descent = _Descent(problem, seeds_of(problem, candidates))
+        assert descent.layout.slots.shape[1] == 2 and descent.arcs
+        assert_hessians_match_dense(problem, descent)
+        descent.run(5)
+        assert_hessians_match_dense(problem, descent)
+
     @pytest.mark.parametrize("build", [sc.semicircle_problem, sc.triangle_problem],
                              ids=["semicircle", "triangle"])
     def test_hessians_equal_dense_oracle_at_n400(self, build):

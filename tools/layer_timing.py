@@ -29,13 +29,17 @@ timed runs:
   as `solve` seeds them (one `_seed_runs` call), passed one at a time and as
   one stacked pass;
 * Newton step: one descent state of some rows, where the solver's descent
-  starts (`_Descent` over the seeds), and at that state its exact Hessian
-  (`_Descent.hessian`), one whole Newton step (`_Descent.direction`, which
-  assembles that Hessian, tests it and solves; the step it keeps is
-  dropped before each run) and one state pass (`_Descent.evaluate`) of
-  every row. Per gallery family at each n in SMALL_NS over SEEDS rows, and
-  on the closed-form semicircle and triangle sets (as in large m) at
-  m = NEWTON_M, one row;
+  starts (`_Descent` over the seeds), and at that state one whole Newton
+  step of every row (`_Descent.direction`; the step it keeps is dropped
+  before each run) split into its layers from one set of runs: the
+  assembly of the exact Hessian (`_Descent.hessian`), the definiteness
+  test and the solve (`_Descent.newton` less the assembly) and the
+  bookkeeping of `direction` itself (less `newton`: the live coordinates,
+  the bounds, the kept step); then `_Descent._accept` of a pass over
+  every row that every row accepts, and one such state pass
+  (`_Descent.evaluate`). Per gallery family at each n in SMALL_NS over
+  SEEDS rows, and on the closed-form semicircle and triangle sets (as in
+  large m) at m = NEWTON_M, one row;
 * solve phases: per gallery family at each n in SMALL_NS, one default
   `solve` split into its seeding (`_seed_runs`, one batched call per chunk
   of restarts, so one call for all 16 at these n), its descent
@@ -175,22 +179,52 @@ def _closed_form_seeds(family: str, m: int):
     return problem, solver._Seeds(sites[None], index[None], param[None])
 
 
+def _step_layers(descent, rows) -> list[float]:
+    """Median seconds of the assembly, the test and solve, and direction's
+    own bookkeeping in one Newton step of the rows, each run timed at all
+    three layers at once (instance attributes wrap the two methods)."""
+    spent = {}
+
+    def timed(key, fn):
+        def wrapper(*args):
+            t = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[key] += time.perf_counter() - t
+        return wrapper
+
+    descent.hessian = timed("hessian", descent.hessian)
+    descent.newton = timed("newton", descent.newton)
+    runs = []
+    try:
+        for _ in range(REPEATS + 1):
+            descent.known[:] = False
+            spent.update(hessian=0.0, newton=0.0)
+            t = time.perf_counter()
+            descent.direction(rows)
+            whole = time.perf_counter() - t
+            runs.append((spent["hessian"], spent["newton"] - spent["hessian"],
+                         whole - spent["newton"]))
+    finally:
+        del descent.hessian, descent.newton
+    return [statistics.median(r[k] for r in runs[1:]) for k in range(3)]  # run 0 warms up
+
+
 def _newton_row(family: str, n: int, descent) -> None:
     rows = np.arange(len(descent.x))
-
-    def step():
-        descent.known[:] = False
-        descent.direction(rows)
-
-    hessian = _median_s(lambda: descent.hessian(rows))
-    newton = _median_s(step)
+    layers = _step_layers(descent, rows)
+    x, every = descent.x.copy(), np.ones(len(rows), dtype=bool)
+    new = descent.evaluate(x)
+    accept = _median_s(lambda: descent._accept(new, every, x))
     state = _median_s(lambda: descent.evaluate(descent.x))
-    print(f"{family:<18}{n:>6}{len(rows):>6}{hessian * 1e3:>12.3f}{newton * 1e3:>12.3f}"
-          f"{state * 1e3:>12.3f}")
+    print(f"{family:<18}{n:>6}{len(rows):>6}"
+          + "".join(f"{t * 1e3:>12.3f}" for t in (*layers, accept, state)))
 
 
 def _newton_steps() -> None:
-    print(f"{'family':<18}{'n':>6}{'rows':>6}{'hessian':>12}{'step':>12}{'state pass':>12}")
+    print(f"{'family':<18}{'n':>6}{'rows':>6}{'hessian':>12}{'test+solve':>12}"
+          f"{'bookkeeping':>12}{'accept':>12}{'state pass':>12}")
     for family, entry in scenarios.GALLERY.items():
         for n in SMALL_NS:
             problem = entry.build(n)
