@@ -6,9 +6,11 @@ splitting every curve at its exact Voronoi breakpoints and integrating the
 squared distance to each piece's site in closed form. The breakpoints are
 those of the lower envelope of the per-site squared distances: on a segment
 a family of lines, whose envelope comes from one sort by slope in
-O(k log k); on an arc a family of sinusoids of one frequency, any two of
-which cross at most twice, whose envelope comes from divide and conquer in
-O(k log^2 k): site pairs in closed form, then groups merged pairwise level
+O(k log k), then the consecutive crossings in numpy when in every set
+they rise so that no line drops, else a Python stack per set; on an arc
+a family of sinusoids of one frequency, any two of which cross at most
+twice, whose envelope comes from divide and conquer in O(k log^2 k):
+site pairs in closed form, then groups merged pairwise level
 by level, every merge of a level in the same numpy calls, each level one
 sort of its O(k) piece starts. Here k is the number of sites that can own
 a piece of the curve. Above CULL_ABOVE sites per set, the others are
@@ -23,7 +25,10 @@ groups of every set are merged in the same numpy calls, each set with the
 sites it keeps. For a stack, voronoi_breakpoints turns the envelopes'
 arrays into the pieces of every set, each with its owner, in numpy, so
 that one cell-state pass serves a whole batch of the solver's candidates
-and no nearest-site search follows.
+and no nearest-site search follows. That pass integrates squared
+distances, piece lengths and position moments; distortion integrates only
+the squared distances and voronoi_masses only the lengths, with the same
+arithmetic and so the same bits.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ import numpy as np
 PARAM_TOL = 1e-12
 
 # sites per set above which an envelope is built of only the sites that can
-# own a piece of the curve: where one pass of the closed-form semicircle set
-# and one of the triangle set, alone as one evaluation takes them, stop
-# costing more in sum than the passes of all their sites (tools/layer_timing.py)
+# own a piece of the curve: the single-set crossover, the largest m at which
+# one pass of the closed-form semicircle set and one of the triangle set,
+# alone as one evaluation takes them, cost more in sum culled than with all
+# their sites (tools/layer_timing.py). Moving it can move arc cut bits
 CULL_ABOVE = 128
 
 TWO_PI = 2.0 * math.pi
@@ -63,10 +69,14 @@ class Point2:
 class Segment:
     p0: Point2
     p1: Point2
+    # arc length, computed once here; curve_length returns it
+    length: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p0.x == self.p1.x and self.p0.y == self.p1.y:
             raise ValueError("segment endpoints must differ")
+        object.__setattr__(self, "length",
+                           math.hypot(self.p1.x - self.p0.x, self.p1.y - self.p0.y))
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,8 @@ class Arc:
     radius: float
     theta0: float
     theta1: float
+    # arc length, computed once here; curve_length returns it
+    length: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.radius > 0 and math.isfinite(self.radius)):
@@ -84,6 +96,7 @@ class Arc:
         # at most one full turn, so arc length is unambiguous
         if not (self.theta0 < self.theta1 <= self.theta0 + TWO_PI):
             raise ValueError("need theta0 < theta1 <= theta0 + 2*pi")
+        object.__setattr__(self, "length", self.radius * (self.theta1 - self.theta0))
 
 
 Curve = Segment | Arc
@@ -115,9 +128,7 @@ class UniformCurveMeasure:
 
 
 def curve_length(c: Curve) -> float:
-    if isinstance(c, Segment):
-        return math.hypot(c.p1.x - c.p0.x, c.p1.y - c.p0.y)
-    return c.radius * (c.theta1 - c.theta0)
+    return c.length
 
 
 def _on_curve(s: float, length: float) -> bool:
@@ -299,11 +310,44 @@ def _line_envelope(K, P, m):
     consecutive lines in K, P, m[r] lines in set r: arrays (starts, owners)
     of their pieces, set after set, each set's first start -inf and owners
     indexing K; one sort by set and slope, then a stack per set (point-line
-    duality)."""
+    duality).
+
+    The stack pops a line when the next line crosses it no later than it
+    starts. A set where that never happens keeps every line but the
+    parallel ones after the lowest, each starting where it crosses the one
+    before it, and those crossings come from numpy with the stack's
+    arithmetic, so the same bits. When in some set a crossing does not
+    rise past the one before it (or is NaN), every set of the call goes
+    through the stack, one line at a time."""
+    set_of = np.arange(len(m)).repeat(m)
     # steepest ascent first; of parallel lines only the lowest can be on the
     # envelope, ties to the lower index
-    order = np.lexsort((K, -P, np.arange(len(m)).repeat(m)))
-    ks, ps, sites = K[order].tolist(), P[order].tolist(), order.tolist()
+    order = np.lexsort((K, -P, set_of))
+    ks, ps = K[order], P[order]
+    head = np.empty(len(order), dtype=bool)  # each set's first line
+    head[0] = True
+    np.not_equal(set_of[1:], set_of[:-1], out=head[1:])
+    # the lines the stack does not skip: each set's first and each whose
+    # slope differs from the one before it
+    kept = head.copy()
+    kept[1:] |= ps[1:] != ps[:-1]
+    kk, kp, kh = ks[kept], ps[kept], head[kept]
+    start = np.empty(len(kk))
+    with np.errstate(all="ignore"):  # as the stack's Python floats: inf, NaN, no warning
+        np.divide(kk[1:] - kk[:-1], kp[:-1] - kp[1:], out=start[1:])
+        start[kh] = -math.inf
+        rises = start[1:] > start[:-1]
+    rises |= kh[1:]
+    if rises.all():
+        return start, order[kept]
+    starts, owners = _line_stack(ks.tolist(), ps.tolist(), order.tolist(), m)
+    return np.array(starts), np.array(owners)
+
+
+def _line_stack(ks, ps, sites, m):
+    """The stack of _line_envelope on lines sorted as it sorts them, given
+    as lists (K, P, site) of each set of consecutive lines, m[r] in set r:
+    lists (starts, owners) of the envelope pieces, set after set."""
     starts, owners = [], []
     lo = 0
     for hi in m.cumsum().tolist():
@@ -329,7 +373,7 @@ def _line_envelope(K, P, m):
         starts += set_starts
         owners += set_owners
         lo = hi
-    return np.array(starts), np.array(owners)
+    return starts, owners
 
 
 def _reach(c: Curve, K, P, Q):
@@ -430,11 +474,14 @@ def voronoi_breakpoints(c: Curve, sites):
     """Arc-length values where the nearest-site index changes along c.
 
     Exact, from the lower envelope of the per-site distance terms. On a
-    segment they are lines, and the envelope comes from one sort by slope
-    plus a stack. On an arc they are sinusoids of one frequency, any two of
-    which cross at most twice, and the envelope comes from divide and
-    conquer: pairs of site groups are merged level by level, each interval
-    between two piece starts split at the crossings of its two owners. The
+    segment they are lines, and the envelope comes from one sort by slope:
+    when in every set the consecutive crossings rise, no line drops and
+    they come from numpy, else (a line drops, or a crossing is NaN, from
+    terms that overflow) every set goes through a stack. On an arc they
+    are sinusoids of one frequency, any two of which cross at most twice,
+    and the envelope comes from divide and conquer: pairs of site groups
+    are merged level by level, each interval between two piece starts
+    split at the crossings of its two owners. The
     first is O(k log k), the second O(k log^2 k), in the k sites that can
     own a piece of c: with more than CULL_ABOVE sites in a set, the
     envelope leaves out every site whose distance to c exceeds the bound B
@@ -492,34 +539,42 @@ def _h_minus_sin(h: np.ndarray) -> np.ndarray:
     return np.where(h < 1.0, h * h2 / 6.0 * tail, h - np.sin(h))
 
 
-def _piece_integrals(c: Curve, s0: np.ndarray, s1: np.ndarray, q: np.ndarray):
-    """Closed-form integrals of |curve(s) - q|^2, shape (k,), and of curve(s),
-    shape (k, 2), over pieces [s0, s1] of c with sites q. Each is written in
-    the site's own frame, so no large terms cancel on short pieces."""
+def _piece_sq(c: Curve, s0: np.ndarray, s1: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Closed-form integrals of |curve(s) - q|^2 over pieces [s0, s1] of c
+    with sites q, shape (k,). Written in the site's own frame, so no large
+    terms cancel on short pieces."""
     ds = s1 - s0
     if isinstance(c, Segment):
         u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / curve_length(c)
         a = q - np.array([c.p0.x, c.p0.y])
         foot = a @ u  # arc length of the site's projection onto the line
         off = a[:, 0] * u[1] - a[:, 1] * u[0]
-        sq = off * off * ds + ((s1 - foot) ** 3 - (s0 - foot) ** 3) / 3.0
-        return sq, ds[:, None] * _frame_array(c, 0.5 * (s0 + s1))[0]
+        return off * off * ds + ((s1 - foot) ** 3 - (s0 - foot) ** 3) / 3.0
     r = c.radius
     half = 0.5 * ds / r
     mid = c.theta0 + 0.5 * (s0 + s1) / r
-    center = np.array([c.center.x, c.center.y])
+    # site at radius rho, angle psi about the center:
+    # |curve - q|^2 = (r - rho)^2 + 4 r rho sin^2((theta - psi) / 2)
+    a = q - np.array([c.center.x, c.center.y])
+    rho = np.hypot(a[:, 0], a[:, 1])
+    bend = np.sin(0.5 * (mid - np.arctan2(a[:, 1], a[:, 0])))
+    return (r - rho) ** 2 * ds + 4.0 * r * r * rho * (
+        _h_minus_sin(half) + 2.0 * np.sin(half) * bend * bend)
+
+
+def _piece_moments(c: Curve, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Closed-form integrals of curve(s) over pieces [s0, s1] of c, shape (k, 2)."""
+    ds = s1 - s0
+    if isinstance(c, Segment):
+        return ds[:, None] * _frame_array(c, 0.5 * (s0 + s1))[0]
+    r = c.radius
+    half = 0.5 * ds / r
+    mid = c.theta0 + 0.5 * (s0 + s1) / r
     chord = 2.0 * r * r * np.sin(half)
     moment = np.empty((len(ds), 2))
     moment[:, 0] = ds * c.center.x + chord * np.cos(mid)
     moment[:, 1] = ds * c.center.y + chord * np.sin(mid)
-    # site at radius rho, angle psi about the center:
-    # |curve - q|^2 = (r - rho)^2 + 4 r rho sin^2((theta - psi) / 2)
-    a = q - center
-    rho = np.hypot(a[:, 0], a[:, 1])
-    bend = np.sin(0.5 * (mid - np.arctan2(a[:, 1], a[:, 0])))
-    sq = (r - rho) ** 2 * ds + 4.0 * r * r * rho * (
-        _h_minus_sin(half) + 2.0 * np.sin(half) * bend * bend)
-    return sq, moment
+    return moment
 
 
 def _cell_state(measure: UniformCurveMeasure, sites_xy: np.ndarray):
@@ -546,11 +601,11 @@ def _cell_state(measure: UniformCurveMeasure, sites_xy: np.ndarray):
     pieces = []
     for c in measure.curves:
         s0, s1, owner = voronoi_breakpoints(c, stack)
-        sq, mom = _piece_integrals(c, s0, s1, flat[owner])
+        sq = _piece_sq(c, s0, s1, flat[owner])
         # one set sums as numpy does, so that a single pass keeps its bits
         total += sq.sum() if sets == 1 else np.bincount(owner // m, sq, minlength=sets)
         lengths += np.bincount(owner, s1 - s0, minlength=sets * m)
-        np.add.at(moments, owner, mom)
+        np.add.at(moments, owner, _piece_moments(c, s0, s1))
         pieces.append((s1, owner))
     d, masses = total * measure.density, lengths * measure.density
     if sites_xy.ndim == 2:
@@ -562,9 +617,15 @@ def distortion(measure: UniformCurveMeasure, sites) -> float:
     """Mean squared distance from the support to the nearest site.
 
     Exact: the support is split at the Voronoi breakpoints and the squared
-    distance to each piece's site is integrated in closed form.
+    distance to each piece's site is integrated in closed form; no lengths
+    or moments are integrated.
     """
-    return _cell_state(measure, _sites_array(sites))[0]
+    xy = _sites_array(sites)
+    stack, total = xy[None], 0.0
+    for c in measure.curves:
+        s0, s1, owner = voronoi_breakpoints(c, stack)
+        total += _piece_sq(c, s0, s1, xy[owner]).sum()
+    return float(total * measure.density)
 
 
 def voronoi_cell_stats(measure: UniformCurveMeasure, sites):
@@ -580,9 +641,14 @@ def voronoi_cell_stats(measure: UniformCurveMeasure, sites):
 
 
 def voronoi_masses(measure: UniformCurveMeasure, sites) -> list[float]:
-    """Probability mass of each site's Voronoi cell on the support."""
-    masses, _ = voronoi_cell_stats(measure, sites)
-    return [float(v) for v in masses]
+    """Probability mass of each site's Voronoi cell on the support: the
+    exact lengths of its pieces, and nothing else integrated."""
+    xy = _sites_array(sites)
+    stack, lengths = xy[None], np.zeros(len(xy))
+    for c in measure.curves:
+        s0, s1, owner = voronoi_breakpoints(c, stack)
+        lengths += np.bincount(owner, s1 - s0, minlength=len(xy))
+    return (lengths * measure.density).tolist()
 
 
 def conditional_mean(measure: UniformCurveMeasure, sites, site_index: int) -> Point2:

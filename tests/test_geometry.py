@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +573,113 @@ def test_segment_breakpoints_equal_march_oracle_on(kind):
         assert voronoi_breakpoints(seg, xy) == _segment_march(seg, xy)
 
 
+def _line_stack_oracle(K, P, m):
+    """The segment envelope as one sort by set and slope and then a Python
+    stack per set, every set through the stack, kept as the test oracle:
+    arrays (starts, owners). Its Python floats never warn."""
+    order = np.lexsort((K, -P, np.arange(len(m)).repeat(m)))
+    ks, ps, sites = K[order].tolist(), P[order].tolist(), order.tolist()
+    starts, owners = [], []
+    lo = 0
+    for hi in m.cumsum().tolist():
+        hull = []
+        top_k = top_p = top_start = None
+        for k, p, i in zip(ks[lo:hi], ps[lo:hi], sites[lo:hi]):
+            if p == top_p:
+                continue
+            while hull:
+                start = (k - top_k) / (top_p - p)
+                if start > top_start:
+                    break
+                hull.pop()
+                if hull:
+                    top_k, top_p, top_start, _ = hull[-1]
+            else:
+                start = -math.inf
+            hull.append((k, p, start, i))
+            top_k, top_p, top_start = k, p, start
+        _, _, set_starts, set_owners = zip(*hull)
+        starts += set_starts
+        owners += set_owners
+        lo = hi
+    return np.array(starts), np.array(owners)
+
+
+def _line_sets(rng):
+    """(K, P, m) of seeded stacks of line sets, the sets of a stack of
+    varied sizes and kinds: _envelope terms on OBLIQUE of distinct sites on
+    its line (every line on the envelope), of such sites with duplicates,
+    of random sites off the line, of near twins, of one site, and of sets
+    with sites at 1e200, whose terms are inf and whose crossings NaN; and
+    terms drawn directly, of a few slopes only or of slopes one rounding
+    unit apart."""
+    for _ in range(300):
+        xy, K, P, m = [], [], [], []
+        for _ in range(rng.integers(1, 7)):
+            kind, size = rng.integers(8), int(rng.integers(1, 13))
+            if kind == 0:
+                sites = _frame_array(OBLIQUE, np.sort(rng.uniform(-1.0, 4.0, size)))[0]
+            elif kind == 1:
+                sites = _frame_array(OBLIQUE, rng.uniform(-1.0, 4.0, size))[0]
+                sites = sites[rng.integers(0, size, size)]
+            elif kind == 2:
+                sites = rng.uniform(-2.0, 2.0, (size, 2))
+            elif kind == 3:
+                half = rng.uniform(-2.0, 2.0, ((size + 1) // 2, 2))
+                twins = half + rng.uniform(-2e-12, 2e-12, half.shape)
+                sites = np.concatenate([half, twins])[:size]
+            elif kind == 4:
+                sites = rng.uniform(-2.0, 2.0, (1, 2))
+            elif kind == 5:
+                sites = rng.uniform(-2.0, 2.0, (size, 2))
+                sites[rng.integers(0, size, 1 + size // 3)] = rng.choice([-1e200, 1e200], 2)
+            else:
+                k_terms = rng.uniform(-1.0, 1.0, size)
+                if kind == 6:
+                    p_terms = rng.choice([-1.0, 0.0, -0.0, 0.5, 1.0], size)
+                else:
+                    p_terms = np.nextafter(0.25, 1.0 - 2.0 * rng.integers(0, 2, size))
+                    p_terms[rng.integers(0, size)] = 0.25
+                K.append(k_terms)
+                P.append(p_terms)
+                m.append(size)
+                continue
+            with np.errstate(all="ignore"):
+                _, _, k_terms, p_terms, _ = _envelope(OBLIQUE, sites)
+            K.append(k_terms)
+            P.append(p_terms)
+            m.append(len(sites))
+        yield np.concatenate(K), np.concatenate(P), np.array(m)
+
+
+def test_line_envelope_equals_stack_oracle(monkeypatch):
+    # a call goes through the stack, every set of it, only when a line
+    # drops in some set; starts and owners stay the stack's, bit for bit,
+    # and no term warns
+    stacked = []
+    line_stack = geometry._line_stack
+    monkeypatch.setattr(geometry, "_line_stack",
+                        lambda *args: stacked.append(args[-1]) or line_stack(*args))
+    mixed = 0
+    for K, P, m in _line_sets(np.random.default_rng(43)):
+        want = _line_stack_oracle(K, P, m)
+        stacked.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = geometry._line_envelope(K, P, m)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # a set drops a line when it has fewer pieces than slope runs
+        set_of = np.arange(len(m)).repeat(m)
+        sorted_p = P[np.lexsort((K, -P, set_of))]
+        runs = np.ones(len(P), dtype=bool)
+        runs[1:] = (sorted_p[1:] != sorted_p[:-1]) | (set_of[1:] != set_of[:-1])
+        drops = np.bincount(set_of, runs) > np.bincount(set_of[want[1]], minlength=len(m))
+        assert [s.tolist() for s in stacked] == ([m.tolist()] if drops.any() else [])
+        mixed += bool(drops.any() and not drops.all())
+    assert mixed >= 50
+
+
 def _arc_march(c, sites_xy):
     """The arc march that the divide-and-conquer envelope replaced, kept as
     the test oracle: (cuts, owners). It marches the lower envelope of the
@@ -806,3 +914,67 @@ def test_overflowing_site_set_above_the_constant_drops_no_site(measure, monkeypa
             monkeypatch.undo()
         for a, b in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(a, b)
+
+
+def _evaluator_cases():
+    """(measure, (m, 2) sites, site indices for conditional_mean): every
+    gallery config over its n_range, the closed-form semicircle and
+    triangle sets at 200 and 400 sites, near twins, and sets with sites at
+    1e200, whose terms overflow."""
+    for entry in scenarios.GALLERY.values():
+        lo, hi = entry.n_range
+        for n in range(lo, hi + 1):
+            xy = geometry._sites_array(list(entry.config(n)))
+            yield entry.build(n).measure, xy, range(len(xy))
+    for n in (200, 400):
+        for measure, sites in _closed_form_sets(n):
+            yield measure, geometry._sites_array(list(sites)), (0, n // 2, n - 1)
+    twins = [[0.2, 0.0], [0.6, 0.0], [0.6 + 1.5e-12, 0.0]]
+    yield M01, np.array(twins), range(3)
+    arc = [[math.cos(a), math.sin(a)] for a in (0.5, 1.2, 1.2 + 1.5e-12)]
+    yield UniformCurveMeasure((HALF_ARC,)), np.array(arc), range(3)
+    rng = np.random.default_rng(41)
+    for measure in (M01, SEMI, scenarios.triangle_measure()):
+        half = rng.uniform(-1.5, 1.5, (4, 2))
+        twins = half + rng.uniform(-2e-12, 2e-12, half.shape)
+        yield measure, np.concatenate([half, twins]), range(8)
+        for far in ([[1e200, 0.0]], [[1e200, 0.0], [0.0, -1e200]]):
+            xy = np.concatenate([far, rng.uniform(-1.0, 1.0, (5, 2))])
+            yield measure, xy, range(len(xy))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _outcome(fn, *args):
+    """The bits of fn's Point2, or the type of what it raised."""
+    try:
+        p = fn(*args)
+    except ValueError as error:
+        return type(error)
+    return np.array([p.x, p.y]).tobytes()
+
+
+def test_evaluators_equal_the_cell_state_pass():
+    # distortion and voronoi_masses integrate only what they return, and
+    # every public evaluator returns what the solver's full pass gives, bit
+    # for bit
+    def mean_of_state(masses, moments, i):
+        if masses[i] == 0.0:
+            raise DegenerateCellError
+        cell_length = masses[i] * measure.total_length
+        return Point2(float(moments[i, 0] / cell_length), float(moments[i, 1] / cell_length))
+
+    for measure, xy, indices in _evaluator_cases():
+        with np.errstate(all="ignore"):  # as the command line runs it
+            d, masses, moments, _ = _cell_state(measure, xy)
+            assert _same_bits(distortion(measure, xy), d)
+            got = voronoi_masses(measure, xy)
+            assert all(type(v) is float for v in got) and _same_bits(got, masses)
+            got_masses, got_moments = geometry.voronoi_cell_stats(measure, xy)
+            assert _same_bits(got_masses, masses) and _same_bits(got_moments, moments)
+            for i in indices:
+                assert (_outcome(conditional_mean, measure, xy, i)
+                        == _outcome(mean_of_state, masses, moments, i))

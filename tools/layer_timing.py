@@ -7,9 +7,10 @@ Imports `curvequant` from the `src` next to this script. Prints the machine
 timed runs:
 
 * large m: per family and site count m in SIZES, the breakpoint work of a
-  pass (one `voronoi_breakpoints` call per curve of the support) and one
+  pass (one `voronoi_breakpoints` call per curve of the support), one
   full cell-state pass (`geometry._cell_state`: breakpoints, piece owners,
-  closed-form integrals, masses and moments), on the closed-form sets
+  closed-form integrals, masses and moments) and the public `distortion`
+  and `voronoi_masses`, on the closed-form sets
   (`closed_form.semicircle_conditional` with the optimal diameter/arc split
   and `closed_form.triangle_conditional`), and beside them the sites kept
   per curve when m is over `geometry.CULL_ABOVE`;
@@ -21,10 +22,11 @@ timed runs:
   stacked as its state passes take them, and for the semicircle and
   triangle the closed-form set alone, as one evaluation of
   `distortion` or `voronoi_masses` takes it. `geometry.CULL_ABOVE` is the
-  largest m at which the two closed-form sets' passes, summed, still lose;
-  the seeded stacks stop losing at a smaller m, but no benchmark workload
-  runs them that large. Both tables print the sites kept per curve, summed
-  over the sets;
+  single-set crossover it was set at: the largest m at which the two
+  closed-form sets' passes, summed, cost more with the cull; the seeded
+  stacks stop losing at a smaller m, but no benchmark workload runs them
+  that large. Both tables print the sites kept per curve, summed over the
+  sets;
 * small m: per gallery family at each n in SMALL_NS, SEEDS site sets drawn
   as `solve` seeds them (one `_seed_runs` call), passed one at a time and as
   one stacked pass;
@@ -102,7 +104,8 @@ def _kept(measure, stack) -> str:
 
 
 def _large_m() -> None:
-    print(f"{'family':<18}{'m':>6}{'breakpoints':>14}{'state pass':>14}  kept per curve")
+    print(f"{'family':<18}{'m':>6}{'breakpoints':>14}{'state pass':>14}{'distortion':>14}"
+          f"{'masses':>14}  kept per curve")
     for family in ("semicircle", "triangle"):
         for m in SIZES:
             measure, points = _sites(family, m)
@@ -112,10 +115,12 @@ def _large_m() -> None:
                 for c in measure.curves:
                     geometry.voronoi_breakpoints(c, xy)
 
-            cuts = _median_s(breakpoints)
-            state = _median_s(lambda: geometry._cell_state(measure, xy))
-            print(f"{family:<18}{len(xy):>6}{cuts * 1e3:>14.2f}{state * 1e3:>14.2f}"
-                  f"  {_kept(measure, xy[None])}")
+            times = [_median_s(fn) for fn in (
+                breakpoints, lambda: geometry._cell_state(measure, xy),
+                lambda: geometry.distortion(measure, points),
+                lambda: geometry.voronoi_masses(measure, points))]
+            print(f"{family:<18}{len(xy):>6}" + "".join(f"{t * 1e3:>14.2f}" for t in times)
+                  + f"  {_kept(measure, xy[None])}")
 
 
 def _pass_pair(measure, stack) -> tuple[float, float]:
