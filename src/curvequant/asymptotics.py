@@ -140,7 +140,11 @@ def estimate_v_infinity(seq: ErrorSequence) -> float:
         fit = _power_fit3([entries[i][0] for i in idx], [entries[i][1] for i in idx])
         if fit is not None:
             return fit[0]
-    raise ValueError("tail is not strictly decreasing enough to fit a limit")
+    v1, v2, v3 = (e[1] for e in tail)
+    if not v1 > v2 > v3:
+        raise ValueError("tail is not strictly decreasing enough to fit a limit")
+    raise ValueError("tail fits no power law V + C*n**(-s) with s in (1e-3, 10**1.5) "
+                     "and a finite C")
 
 
 def _tail_entries(entries, tail_window):

@@ -26,9 +26,12 @@ sites it keeps. For a stack, voronoi_breakpoints turns the envelopes'
 arrays into the pieces of every set, each with its owner, in numpy, so
 that one cell-state pass serves a whole batch of the solver's candidates
 and no nearest-site search follows. That pass integrates squared
-distances, piece lengths and position moments; distortion integrates only
-the squared distances and voronoi_masses only the lengths, with the same
-arithmetic and so the same bits.
+distances, piece lengths and position moments, and sums each set's pieces
+in piece order. voronoi_masses integrates only the lengths, with the same
+arithmetic and so the same bits; distortion integrates only the squared
+distances, each piece's with the pass's arithmetic, but sums them per curve
+as numpy's pairwise sum does, which keeps a large set's sum within a few
+rounding units of its closed form.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class Point2:
 class Segment:
     p0: Point2
     p1: Point2
-    # arc length, computed once here; curve_length returns it
+    # arc length, computed once here
     length: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,7 +90,7 @@ class Arc:
     radius: float
     theta0: float
     theta1: float
-    # arc length, computed once here; curve_length returns it
+    # arc length, computed once here
     length: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,7 +118,7 @@ class UniformCurveMeasure:
         if not curves:
             raise ValueError("measure needs at least one curve")
         object.__setattr__(self, "curves", curves)
-        lengths = [curve_length(c) for c in curves]
+        lengths = [c.length for c in curves]
         for length in lengths:
             # below this, every squared distance along the curve underflows
             if not length >= math.sqrt(sys.float_info.min):
@@ -125,10 +128,6 @@ class UniformCurveMeasure:
             raise ValueError("measure needs a finite total length")
         object.__setattr__(self, "total_length", total)
         object.__setattr__(self, "density", 1.0 / total)
-
-
-def curve_length(c: Curve) -> float:
-    return c.length
 
 
 def _on_curve(s: float, length: float) -> bool:
@@ -141,7 +140,7 @@ def _on_curve(s: float, length: float) -> bool:
 
 def curve_eval(c: Curve, s: float) -> Point2:
     """Unit-speed point on c at arc length s, with s in [0, length]."""
-    length = curve_length(c)
+    length = c.length
     if not _on_curve(s, length):
         raise ValueError(f"arc-length parameter {s} outside [0, {length}]")
     s = min(max(s, 0.0), length)
@@ -154,7 +153,7 @@ def _frame_array(c: Curve, s: np.ndarray):
     without range checks: two (k, 2) arrays. The one point evaluation of the
     package: curve_eval, render, seeds, descent sites and moments all take it."""
     if isinstance(c, Segment):
-        length = curve_length(c)
+        length = c.length
         d = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y])
         return (c.p0.x, c.p0.y) + (s / length)[:, None] * d, (d / length)[None].repeat(len(s), 0)
     ang = c.theta0 + s / c.radius
@@ -186,7 +185,7 @@ def _envelope(c: Curve, sites_xy: np.ndarray):
     angle t on an arc; arc length is (t - t0) * scale."""
     if isinstance(c, Segment):
         a = np.array([c.p0.x, c.p0.y]) - sites_xy
-        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / curve_length(c)
+        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / c.length
         t0, scale, P, Q = 0.0, 1.0, 2.0 * (a @ u), np.zeros(len(a))
     else:
         a = np.array([c.center.x, c.center.y]) - sites_xy
@@ -209,10 +208,13 @@ def _split_pairs(a, e, A, B, KPQ):
     sin_part = np.sqrt(np.maximum((r - dK) * (r + dK), 0.0))
     alpha = np.arctan2(sin_part, -d[::3])
     to = np.mod(np.arctan2(d[2::3], d[1::3]) + alpha - a, TWO_PI)
-    # a stretch narrower than 2 * PARAM_TOL where one term dips below the
-    # other is no cell. The two stretches make up a full turn, so only
-    # equal terms leave neither site a cell, and then A takes it all.
-    b_none, a_none = alpha >= math.pi - PARAM_TOL
+    # a taker without a stretch where its term dips below the owner's has
+    # alpha = pi, with sin_part 0; any other has alpha below pi - 1e-8,
+    # however narrow its stretch: near r = |dK| the factor r - |dK| is an
+    # exact difference, 0 or at least 2^-53 |dK|, so sin_part is 0 or above
+    # 1e-8 |dK|. The two stretches make up a full turn, so only equal
+    # terms leave neither site a cell, and then A takes it all.
+    b_none, a_none = alpha >= math.pi
     np.copyto(to, np.inf, where=b_none | a_none)
     # pieces [a, c1), [c1, c2), [c2, e) owned by first, second, first
     first = np.where((to[1] < to[0]) | (a_none > b_none), B, A)
@@ -382,7 +384,7 @@ def _reach(c: Curve, K, P, Q):
     (any shape). Those are written in the site's own frame, the difference
     to the segment's start or to the arc's center, so no large coordinates
     cancel; what does cancel is below a few rounding units of the terms."""
-    length = curve_length(c)
+    length = c.length
     if isinstance(c, Segment):
         # the foot of the site on the line, -P / 2, clamped to the segment;
         # there the squared distance is f^2 + K + P f
@@ -415,7 +417,7 @@ def _owning_sites(c: Curve, K, P, Q) -> np.ndarray:
     c, and no site of a set is dropped when one of the set's terms is not
     finite."""
     d2, f = _reach(c, K, P, Q)
-    m, length = d2.shape[-1], curve_length(c)
+    m, length = d2.shape[-1], c.length
     d = np.sqrt(d2)
     below, above = d - f, d + f
     # B's values at the ends of c, where the sites lie on one side only
@@ -489,10 +491,10 @@ def voronoi_breakpoints(c: Curve, sites):
     _owning_sites) by more than rounding, so k is the number of sites near
     c rather than m; no owner changes, and a cut on an arc may move by a
     few rounding units of its angle. Of sites tied on a stretch the lower
-    index wins, and a stretch narrower than 2e-12 where one term dips below
-    another is no cell. An envelope piece's start is a breakpoint when it
-    lies more than 1e-12 of the curve length inside the curve and as far
-    past the piece start before it. sites is a sequence of
+    index wins, and on an arc a stretch where one term dips below another
+    is an envelope piece however narrow. An envelope piece's start is a
+    breakpoint when it lies more than 1e-12 of the curve length inside the
+    curve and as far past the piece start before it. sites is a sequence of
     Point2 or an (m, 2) array, and the breakpoints come as a list.
 
     sites may also be an (R, m, 2) stack of R site sets, as a cell-state
@@ -505,7 +507,7 @@ def voronoi_breakpoints(c: Curve, sites):
     that a Voronoi split needs no second nearest-site search. Each set's
     pieces are what it gives alone.
     """
-    length = curve_length(c)
+    length = c.length
     xy = _sites_array(sites)
     m = xy.shape[-2]
     start, who = _envelopes(c, xy if xy.ndim == 3 else xy[None])
@@ -545,7 +547,7 @@ def _piece_sq(c: Curve, s0: np.ndarray, s1: np.ndarray, q: np.ndarray) -> np.nda
     terms cancel on short pieces."""
     ds = s1 - s0
     if isinstance(c, Segment):
-        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / curve_length(c)
+        u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / c.length
         a = q - np.array([c.p0.x, c.p0.y])
         foot = a @ u  # arc length of the site's projection onto the line
         off = a[:, 0] * u[1] - a[:, 1] * u[0]
@@ -577,40 +579,35 @@ def _piece_moments(c: Curve, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
     return moment
 
 
-def _cell_state(measure: UniformCurveMeasure, sites_xy: np.ndarray):
-    """One Voronoi-split pass: (distortion, masses, cell position moments,
-    pieces).
+def _cell_state(measure: UniformCurveMeasure, stack: np.ndarray):
+    """One Voronoi-split pass over an (R, m, 2) stack of site sets:
+    (distortion, masses, cell position moments, pieces), one
+    voronoi_breakpoints call per curve for all R sets.
 
-    masses is an (m,) probability vector and moments an (m, 2) array of
-    arc-length integrals of the position over each cell. pieces holds, per
-    curve of the measure, the (s1, owner) arrays of its pieces: s1[k] for
-    k < last is the cut between owner[k] and owner[k + 1].
-
-    For an (R, m, 2) stack of site sets the pass serves all R in one
-    voronoi_breakpoints call per curve: distortion is then an (R,) array,
-    masses (R, m) and moments (R, m, 2), and pieces lists the pieces of
-    each set in turn, owner r * m + i being site i of set r. Masses,
-    moments and pieces equal those of R single passes; a distortion may
-    differ from its single pass by the order of summation.
+    distortion is an (R,) array, masses an (R, m) array of cell
+    probabilities and moments an (R, m, 2) array of arc-length integrals of
+    the position over each cell. pieces holds, per curve of the measure,
+    the (s1, owner) arrays of the pieces of each set in turn, owner
+    r * m + i being site i of set r: s1[k] is the cut between owner[k] and
+    owner[k + 1] where both are of one set. Each set's pieces are summed in
+    piece order, curve after curve, whatever the other sets, so every
+    result of a set is what the pass of that set alone gives, bit for bit.
+    A single set passes as xy[None].
     """
-    sets, m = (1, len(sites_xy)) if sites_xy.ndim == 2 else sites_xy.shape[:2]
-    stack, flat = sites_xy.reshape(sets, m, 2), sites_xy.reshape(-1, 2)
-    total = 0.0
+    sets, m = stack.shape[:2]
+    flat = stack.reshape(-1, 2)
+    total = np.zeros(sets)
     lengths = np.zeros(sets * m)
     moments = np.zeros((sets * m, 2))
     pieces = []
     for c in measure.curves:
         s0, s1, owner = voronoi_breakpoints(c, stack)
-        sq = _piece_sq(c, s0, s1, flat[owner])
-        # one set sums as numpy does, so that a single pass keeps its bits
-        total += sq.sum() if sets == 1 else np.bincount(owner // m, sq, minlength=sets)
+        total += np.bincount(owner // m, _piece_sq(c, s0, s1, flat[owner]), minlength=sets)
         lengths += np.bincount(owner, s1 - s0, minlength=sets * m)
         np.add.at(moments, owner, _piece_moments(c, s0, s1))
         pieces.append((s1, owner))
-    d, masses = total * measure.density, lengths * measure.density
-    if sites_xy.ndim == 2:
-        return float(d), masses, moments, pieces
-    return np.asarray(d).reshape(sets), masses.reshape(sets, m), moments.reshape(sets, m, 2), pieces
+    return (total * measure.density, (lengths * measure.density).reshape(sets, m),
+            moments.reshape(sets, m, 2), pieces)
 
 
 def distortion(measure: UniformCurveMeasure, sites) -> float:
@@ -618,7 +615,8 @@ def distortion(measure: UniformCurveMeasure, sites) -> float:
 
     Exact: the support is split at the Voronoi breakpoints and the squared
     distance to each piece's site is integrated in closed form; no lengths
-    or moments are integrated.
+    or moments are integrated. The pieces of each curve are summed pairwise
+    (ndarray.sum), not in the cell-state pass's piece order.
     """
     xy = _sites_array(sites)
     stack, total = xy[None], 0.0
@@ -636,8 +634,8 @@ def voronoi_cell_stats(measure: UniformCurveMeasure, sites):
     cell, so moments[i] / (cell arc length) is the conditional mean. Both use
     exact piece lengths and closed-form moments, no quadrature.
     """
-    _, masses, moments, _ = _cell_state(measure, _sites_array(sites))
-    return masses, moments
+    _, masses, moments, _ = _cell_state(measure, _sites_array(sites)[None])
+    return masses[0], moments[0]
 
 
 def voronoi_masses(measure: UniformCurveMeasure, sites) -> list[float]:
@@ -674,7 +672,7 @@ def _project_array(c: Curve, xy: np.ndarray) -> np.ndarray:
     the ends; on an arc the angle of the row about the center when it falls
     inside the arc's window, else the nearer end (the start on ties), and
     half the length for the center itself."""
-    length = curve_length(c)
+    length = c.length
     if isinstance(c, Segment):
         v = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y])
         t = (xy - (c.p0.x, c.p0.y)) @ v / (v @ v)

@@ -16,7 +16,6 @@ from curvequant.geometry import (
     Segment,
     UniformCurveMeasure,
     _frame_array,
-    curve_length,
     voronoi_breakpoints,
 )
 
@@ -35,7 +34,7 @@ def _fmt(v: float) -> str:
 
 
 def _bounds(measure: UniformCurveMeasure, sites: np.ndarray):
-    xy = np.concatenate([_frame_array(c, curve_length(c) * np.arange(257) / 256)[0]
+    xy = np.concatenate([_frame_array(c, c.length * np.arange(257) / 256)[0]
                          for c in measure.curves] + [sites])
     lo, hi = xy.min(axis=0), xy.max(axis=0)
     return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
@@ -71,8 +70,8 @@ def _curve(c: Curve, to, sites: np.ndarray) -> tuple[str, list]:
         (x0, y0), (x1, y1) = to(np.array([(c.p0.x, c.p0.y), (c.p1.x, c.p1.y)]))
         return (f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
                 'stroke="#444444" stroke-width="2" fill="none"/>'), to(_frame_array(c, at)[0])
-    ends = curve_length(c) * np.array([0.0, 0.5, 1.0] if c.theta1 - c.theta0 > math.pi
-                                      else [0.0, 1.0])
+    ends = c.length * np.array([0.0, 0.5, 1.0] if c.theta1 - c.theta0 > math.pi
+                               else [0.0, 1.0])
     (x, y), *drawn = to(_frame_array(c, np.concatenate([ends, at]))[0])
     r, k = c.radius * to.scale, len(ends) - 1
     # counterclockwise in plane coordinates is sweep=0 after the y-flip; the

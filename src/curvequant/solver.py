@@ -33,7 +33,6 @@ from curvequant.geometry import (
     _on_curve,
     _project_array,
     _sites_array,
-    curve_length,
     distortion,  # noqa: F401 -- bound by name; perfbench's tracer test relies on it
 )
 
@@ -171,7 +170,7 @@ def _check_candidate(problem: Problem, candidate) -> None:
             continue
         cons = problem.constraints[tp.constraint_index]
         if isinstance(cons, CurveConstraint):
-            if not _on_curve(tp.s, curve_length(cons.curve)):
+            if not _on_curve(tp.s, cons.curve.length):
                 raise ValueError("constraint parameter out of range")
         elif isinstance(cons, PointSetConstraint):
             if not 0 <= int(tp.s) < len(cons.points):
@@ -182,16 +181,17 @@ def evaluate(problem: Problem, candidate) -> tuple[float, list[float]]:
     """Distortion and Voronoi masses of a tagged candidate (beta included),
     from one cell-state pass."""
     _check_candidate(problem, candidate)
-    d, masses, _, _ = _cell_state(problem.measure, _sites_array([tp.point for tp in candidate]))
-    return d, [float(v) for v in masses]
+    d, masses, _, _ = _cell_state(problem.measure,
+                                  _sites_array([tp.point for tp in candidate])[None])
+    return float(d[0]), masses[0].tolist()
 
 
 def lloyd_step(problem: Problem, candidate) -> list[TaggedPoint]:
     """Move every free point to its cell mean; one whose cell is empty
     (mass 0.0) is left in place (the degeneracy signal)."""
     _check_candidate(problem, candidate)
-    sites_xy = _sites_array([tp.point for tp in candidate])
-    _, masses, moments, _ = _exact_state(problem.measure, sites_xy)
+    _, (masses,), (moments,), _ = _exact_state(
+        problem.measure, _sites_array([tp.point for tp in candidate])[None])
     out = []
     for i, tp in enumerate(candidate):
         if tp.kind != "free" or masses[i] == 0.0:
@@ -275,7 +275,7 @@ def _seed_runs(problem: Problem, rng, runs: int) -> _Seeds:
     if count == 0:
         return _Seeds(beta, np.zeros((runs, 0), dtype=int), np.zeros((runs, 0)))
     size = SEED_SAMPLES * count
-    lengths = np.array([curve_length(c) for c in problem.measure.curves])
+    lengths = np.array([c.length for c in problem.measure.curves])
     bounds = np.concatenate([[0.0], np.cumsum(lengths)])
     v = rng.random((runs, size + count))
     u = (np.arange(size) + v[:, :size]) * (bounds[-1] / size)
@@ -353,7 +353,7 @@ def _layout(problem: Problem, seeds: _Seeds) -> tuple[_Layout, np.ndarray]:
     slots[ell:] = np.arange(n).reshape(-1, w)
     lo = np.where(kind == _FREE, -np.inf, 0.0)
     # indexed by kind: _PAD (-2) reads 0 and _FREE (-1) inf
-    hi = np.array([curve_length(c.curve) if on else 0.0
+    hi = np.array([c.curve.length if on else 0.0
                    for c, on in zip(problem.constraints, curves)] + [0.0, np.inf])[kind]
     tangent = np.eye(2)[np.arange(n) % w] * (kind == _FREE)[..., None]
     center, radius2 = np.zeros(x.shape + (2,)), np.full(x.shape, np.inf)
@@ -676,17 +676,17 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> Quantizer:
     The runs go in chunks, in run order, as many as fit in _HESSIAN_FLOATS
     floats of a run's widest arrays: its seeding arrays or its Hessian over
     every coordinate. Each chunk is seeded from stratified samples of the
-    support (chunks change no seed) just before it descends by bounded
-    Newton on the exact Hessian of the distortion until an iteration no
-    longer lowers a run's distortion beyond rounding (_descend). The winner
-    (lowest distortion, earliest run on ties, both judged relative to the
-    distortion, so scaling the problem changes no choice) then takes one
-    last full Newton step, which fixes its points to rounding and not only
-    its distortion. Quantizer.converged says whether the winner reached
-    that stop within max_iters; degenerate_points are its points with an
-    empty cell (mass 0.0). Raises ValueError when the winner's
-    distortion or a cell mass is not finite, which happens when the
-    problem's numbers overflow double precision.
+    support just before it descends by bounded Newton on the exact Hessian
+    of the distortion until an iteration no longer lowers a run's
+    distortion beyond rounding (_descend); no run's seed or result depends
+    on its chunk. The winner (lowest distortion, earliest run on ties, both
+    judged relative to the distortion, so scaling the problem changes no
+    choice) then takes one last full Newton step, which fixes its points to
+    rounding and not only its distortion. Quantizer.converged says whether
+    the winner reached that stop within max_iters; degenerate_points are
+    its points with an empty cell (mass 0.0). Raises ValueError when the
+    winner's distortion or a cell mass is not finite, which happens when
+    the problem's numbers overflow double precision.
     """
     options = options or SolverOptions()
     count = problem.n - len(problem.beta)

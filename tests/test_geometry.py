@@ -24,7 +24,6 @@ from curvequant.geometry import (
     _project_array,
     conditional_mean,
     curve_eval,
-    curve_length,
     distortion,
     project_to_curve,
     voronoi_breakpoints,
@@ -40,9 +39,9 @@ SEMI = UniformCurveMeasure((SEG11, HALF_ARC))
 
 
 def test_curve_length():
-    assert curve_length(SEG01) == 1.0
-    assert curve_length(HALF_ARC) == pytest.approx(math.pi, abs=0)
-    assert curve_length(SEG11) == 2.0
+    assert SEG01.length == 1.0
+    assert HALF_ARC.length == pytest.approx(math.pi, abs=0)
+    assert SEG11.length == 2.0
 
 
 def test_curve_eval():
@@ -164,8 +163,8 @@ def test_conditional_mean_degenerate_cell():
 
 
 def test_frame_tangents_are_unit_derivatives():
-    s_segment = np.linspace(0.0, curve_length(SEG11), 7)
-    s_arc = np.linspace(0.0, curve_length(HALF_ARC), 7)
+    s_segment = np.linspace(0.0, SEG11.length, 7)
+    s_arc = np.linspace(0.0, HALF_ARC.length, 7)
     for c, s in ((SEG11, s_segment), (Segment(Point2(0.3, -40), Point2(1.7, 40.2)), s_segment),
                  (HALF_ARC, s_arc), (Arc(Point2(0.1, 0.2), 1.3, -0.5, 2.0), s_arc)):
         _, tangents = _frame_array(c, s)
@@ -187,7 +186,7 @@ def _project_scalar(c, p: Point2) -> float:
     oracle: the foot of the perpendicular on a segment, clamped to its
     ends; on an arc the angle about the center inside the window, else the
     nearer end, and half the length at the center."""
-    length = curve_length(c)
+    length = c.length
     if isinstance(c, Segment):
         vx, vy = c.p1.x - c.p0.x, c.p1.y - c.p0.y
         t = ((p.x - c.p0.x) * vx + (p.y - c.p0.y) * vy) / (vx * vx + vy * vy)
@@ -249,7 +248,7 @@ def _curve_points(c, s):
     """Points of c at the arc lengths s, a (k, 2) array, written here apart
     from the package's own evaluation."""
     if isinstance(c, Segment):
-        t = s / curve_length(c)
+        t = s / c.length
         return np.stack([c.p0.x + t * (c.p1.x - c.p0.x),
                          c.p0.y + t * (c.p1.y - c.p0.y)], axis=1)
     ang = c.theta0 + s / c.radius
@@ -261,7 +260,7 @@ def _riemann_distortion(measure, sites, samples=10**6):
     sites_xy = np.array([(p.x, p.y) for p in sites])
     total = 0.0
     for c in measure.curves:
-        length = curve_length(c)
+        length = c.length
         k = max(int(samples * length / measure.total_length), 1000)
         s = (np.arange(k) + 0.5) * (length / k)
         pts = _curve_points(c, s)
@@ -302,7 +301,7 @@ def test_breakpoints_partition_constant_owner():
     for curves, sites in _partition_cases():
         sites_xy = np.array([(p.x, p.y) for p in sites])
         for c in curves:
-            cuts = [0.0] + voronoi_breakpoints(c, sites) + [curve_length(c)]
+            cuts = [0.0] + voronoi_breakpoints(c, sites) + [c.length]
             owners = []
             for s0, s1 in zip(cuts[:-1], cuts[1:]):
                 if s1 - s0 < 1e-9:
@@ -352,7 +351,7 @@ def test_piece_owners_match_midpoint_oracle():
         sites_xy = np.array([(p.x, p.y) for p in sites])
         for c in curves:
             s0, s1, owner = voronoi_breakpoints(c, sites_xy[None])
-            assert s0[0] == 0.0 and s1[-1] == curve_length(c)
+            assert s0[0] == 0.0 and s1[-1] == c.length
             assert np.all(s0 < s1)
             np.testing.assert_array_equal(owner, _midpoint_owners(c, 0.5 * (s0 + s1), sites_xy))
 
@@ -372,7 +371,7 @@ def _kept_cut_pieces(c, stack):
     (tol, length - tol), tol = PARAM_TOL * length, each is a cut when it
     lies more than tol past the cut kept before it, and each piece's owner
     is the envelope's at its midpoint, found by bisection."""
-    length, m = curve_length(c), stack.shape[1]
+    length, m = c.length, stack.shape[1]
     tol = PARAM_TOL * length
     start, who = _envelopes(c, stack)
     s0, s1, owner = [], [], []
@@ -394,7 +393,7 @@ def _crowded_stacks(c, rng):
     """(R, m, 2) stacks of sites crowded within 2e-12 of one another along
     c or near its ends: near twins, clusters and sites at the curve ends,
     on the curve and off it."""
-    length = curve_length(c)
+    length = c.length
     for k in range(60):
         sets, m = k % 4 + 1, k % 9 + 2
         if k % 3 == 0:  # near twins: pairs 1e-12 to 2e-12 apart
@@ -439,7 +438,7 @@ def _segment_march(c, sites_xy):
     is the earliest crossing below the owner, and of the lines crossing
     within 1e-12 of it the steepest takes over, ties to the lower index.
     """
-    length = curve_length(c)
+    length = c.length
     _, _, K, P, _ = _envelope(c, sites_xy)
     owner = int(np.argmin(K))
     t = 0.0
@@ -464,9 +463,9 @@ def _reach_bound(c, xy):
     function lies at an end of c or where two of its terms meet."""
     f = _project_array(c, xy)
     d = np.hypot(*(_frame_array(c, f)[0] - xy).T)
-    t = np.concatenate([[0.0, curve_length(c)], f,
+    t = np.concatenate([[0.0, c.length], f,
                         (0.5 * (f[:, None] + f[None, :] + d[None, :] - d[:, None])).ravel()])
-    t = np.clip(t, 0.0, curve_length(c))
+    t = np.clip(t, 0.0, c.length)
     return np.min(d[None, :] + np.abs(t[:, None] - f[None, :]), axis=1).max()
 
 
@@ -475,7 +474,7 @@ def _beyond_bound_set(c, rng):
     curve, a third in a cluster 2 to 5 away, and the rest just beyond the
     bound _reach_bound of the others, 1 rounding unit to 1e-6 farther from
     c than it, some of them just inside it."""
-    length = curve_length(c)
+    length = c.length
     m = int(rng.integers(CULL_ABOVE + 1, CULL_ABOVE + 89))
     on = _frame_array(c, rng.uniform(0.0, length, m // 3))[0]
     middle = _frame_array(c, np.array([0.5 * length]))[0][0]
@@ -515,7 +514,7 @@ def _random_segment_cases():
 
 def _on_line(seg, feet, offsets=None):
     """Sites at arc lengths feet along seg's line, offset along its normal."""
-    length = curve_length(seg)
+    length = seg.length
     u = np.array([seg.p1.x - seg.p0.x, seg.p1.y - seg.p0.y]) / length
     offsets = np.zeros(len(feet)) if offsets is None else np.asarray(offsets)
     return ((seg.p0.x, seg.p0.y) + np.outer(feet, u)
@@ -531,7 +530,7 @@ _EXPLICIT_SEGMENT_CASES = {
     ],
     "sites on the segment": [
         (SEG01, [(x, 0.0) for x in (0.0, 0.2, 0.45, 1.0, 1.3, -0.1)]),
-        (OBLIQUE, _on_line(OBLIQUE, [0.0, 0.4, 1.7, 2.2, curve_length(OBLIQUE), 3.5])),
+        (OBLIQUE, _on_line(OBLIQUE, [0.0, 0.4, 1.7, 2.2, OBLIQUE.length, 3.5])),
     ],
     "equal feet, different offsets": [
         (SEG01, [(0.25, 0.1), (0.25, -0.1), (0.25, 0.3), (0.6, 0.05), (0.6, -0.4), (0.6, 0.05)]),
@@ -551,7 +550,7 @@ _EXPLICIT_SEGMENT_CASES = {
         (SEG02, [(1.0, 0.5 - 1e-13), (-0.5 + 2e-13, 0.0), (1.5, 0.0), (0.5, 0.0),
                  (2.5 - 8e-13, 0.0)]),
         (OBLIQUE, _on_line(OBLIQUE, [-0.5 + 2e-13, 0.5, 1.0, 1.5,
-                                     2.0 * curve_length(OBLIQUE) - 1.5 - 8e-13],
+                                     2.0 * OBLIQUE.length - 1.5 - 8e-13],
                            [0.0, 0.0, 0.5 - 1e-13, 0.0, 0.0])),
     ],
     "narrow cells": [
@@ -689,7 +688,7 @@ def _arc_march(c, sites_xy):
     the steepest takes over, ties to the lower index. The owners are the
     nearest sites at the piece midpoints, from the same terms.
     """
-    length = curve_length(c)
+    length = c.length
     t0, scale, K, P, Q = _envelope(c, sites_xy)
 
     def nearest(t):
@@ -908,9 +907,9 @@ def test_overflowing_site_set_above_the_constant_drops_no_site(measure, monkeypa
     for far in ([[1e200, 0.0]], [[1e200, 0.0], [-1e200, 0.0]]):
         xy = np.concatenate([far, rng.uniform(-1.0, 1.0, (CULL_ABOVE + 8 - len(far), 2))])
         with np.errstate(all="ignore"):  # as the command line runs it
-            got = _cell_state(measure, xy)
+            got = _cell_state(measure, xy[None])
             monkeypatch.setattr(geometry, "CULL_ABOVE", 10 ** 9)
-            want = _cell_state(measure, xy)
+            want = _cell_state(measure, xy[None])
             monkeypatch.undo()
         for a, b in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(a, b)
@@ -960,17 +959,26 @@ def _outcome(fn, *args):
 def test_evaluators_equal_the_cell_state_pass():
     # distortion and voronoi_masses integrate only what they return, and
     # every public evaluator returns what the solver's full pass gives, bit
-    # for bit
+    # for bit; distortion sums the pass's pieces per curve pairwise
+    # (ndarray.sum) where the pass sums them in piece order
     def mean_of_state(masses, moments, i):
         if masses[i] == 0.0:
             raise DegenerateCellError
         cell_length = masses[i] * measure.total_length
         return Point2(float(moments[i, 0] / cell_length), float(moments[i, 1] / cell_length))
 
+    def distortion_of_pieces(pieces, curve_sum):
+        total = 0.0
+        for c, (s1, owner) in zip(measure.curves, pieces):
+            s0 = np.concatenate(([0.0], s1[:-1]))
+            total += curve_sum(geometry._piece_sq(c, s0, s1, xy[owner]))
+        return total * measure.density
+
     for measure, xy, indices in _evaluator_cases():
         with np.errstate(all="ignore"):  # as the command line runs it
-            d, masses, moments, _ = _cell_state(measure, xy)
-            assert _same_bits(distortion(measure, xy), d)
+            (d,), (masses,), (moments,), pieces = _cell_state(measure, xy[None])
+            assert _same_bits(d, distortion_of_pieces(pieces, lambda sq: np.cumsum(sq)[-1]))
+            assert _same_bits(distortion(measure, xy), distortion_of_pieces(pieces, np.sum))
             got = voronoi_masses(measure, xy)
             assert all(type(v) is float for v in got) and _same_bits(got, masses)
             got_masses, got_moments = geometry.voronoi_cell_stats(measure, xy)

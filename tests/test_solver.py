@@ -22,7 +22,6 @@ from curvequant.geometry import (
     _cell_state,
     _frame_array,
     curve_eval,
-    curve_length,
     distortion,
     voronoi_breakpoints,
     voronoi_masses,
@@ -355,7 +354,7 @@ def kmeans_pp_oracle(problem, samples, pick, uniform):
         return np.array(sites, dtype=float).reshape(-1, 2), np.zeros(0, dtype=int), np.zeros(0)
     size = SEED_SAMPLES * count
     measure = problem.measure
-    lengths = np.array([curve_length(c) for c in measure.curves])
+    lengths = np.array([c.length for c in measure.curves])
     bounds = np.concatenate([[0.0], np.cumsum(lengths)])
     u = (np.arange(size) + samples(size)) * (bounds[-1] / size)
     owner = np.minimum(np.searchsorted(bounds, u, side="right") - 1, len(lengths) - 1)
@@ -646,24 +645,69 @@ def assert_hessians_match_dense(problem, descent):
         assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max(), row
 
 
+def _member_problem(n):
+    """n points on 40 members scattered about the semicircle's arc."""
+    rng = np.random.default_rng(40)
+    t = np.sort(rng.uniform(0.0, math.pi, 40))
+    xy = np.stack([np.cos(t), np.sin(t)], axis=1) * rng.uniform(0.9, 1.1, (40, 1))
+    return Problem(sc.semicircle_measure(),
+                   (PointSetConstraint(tuple(Point2(*p) for p in xy)),), n)
+
+
+def _arc_free_problem(n):
+    """n free points on an arc of 4.5 rad."""
+    arc = Arc(Point2(0.0, 0.0), 1.0, 0.0, 4.5)
+    return Problem(UniformCurveMeasure((arc,)), (FreePlane(),), n)
+
+
+# every gallery family at its largest n, and a free-plane, a point-set and
+# an arc problem with free points
+BATCH_PROBLEMS = {
+    **{name: (lambda e=entry: e.build(e.n_range[1])) for name, entry in sc.GALLERY.items()},
+    "offset-beta-20": lambda: sc.offset_beta_problem(20),
+    "members-9": lambda: _member_problem(9),
+    "arc-free-11": lambda: _arc_free_problem(11),
+}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestBatch:
     """The lockstep descent's batched passes against one candidate at a time."""
 
-    @pytest.mark.parametrize("name", list(sc.GALLERY))
+    @pytest.mark.parametrize("name", list(BATCH_PROBLEMS))
     def test_stacked_state_equals_single_passes(self, name):
-        problem = sc.GALLERY[name].build(sc.GALLERY[name].n_range[1])
+        problem = BATCH_PROBLEMS[name]()
         sites = seed_batch(problem, 16).sites
         d, masses, moments, pieces = _cell_state(problem.measure, sites)
         m = sites.shape[1]
         for r, xy in enumerate(sites):
-            d1, masses1, moments1, pieces1 = _cell_state(problem.measure, xy)
-            np.testing.assert_array_equal(masses[r], masses1)
-            np.testing.assert_array_equal(moments[r], moments1)
-            assert d[r] == pytest.approx(d1, rel=1e-15, abs=0.0)
+            d1, masses1, moments1, pieces1 = _cell_state(problem.measure, xy[None])
+            assert _same_bits(d[r:r + 1], d1)
+            assert _same_bits(masses[r:r + 1], masses1)
+            assert _same_bits(moments[r:r + 1], moments1)
             for (s1, owner), (s1_one, owner_one) in zip(pieces, pieces1):
                 mine = owner // m == r
-                np.testing.assert_array_equal(s1[mine], s1_one)
-                np.testing.assert_array_equal(owner[mine] - r * m, owner_one)
+                assert _same_bits(s1[mine], s1_one)
+                assert _same_bits(owner[mine] - r * m, owner_one)
+
+    @pytest.mark.parametrize("name", list(BATCH_PROBLEMS))
+    def test_restart_descends_alone_as_in_its_batch(self, name):
+        # the best of the restarts is a function of the seeds only if each
+        # row's descent depends on its own seed alone: its distortion, sites
+        # and converged flag, bit for bit
+        problem, options = BATCH_PROBLEMS[name](), SolverOptions()
+        seeds = _seed_runs(problem, np.random.default_rng(42), 16)
+        batch = solver_module._descend(problem, seeds, options)
+        for r, (d, run, row, converged) in enumerate(batch):
+            (d1, run1, row1, converged1), = solver_module._descend(
+                problem, _Seeds(*(a[r:r + 1] for a in seeds)), options)
+            assert _same_bits(d, d1), r
+            assert _same_bits(run.state.xy[row], run1.state.xy[row1]), r
+            assert converged == converged1, r
 
     @pytest.mark.parametrize("name", list(sc.GALLERY))
     def test_hessians_equal_dense_oracle_on_gallery(self, name):
@@ -739,7 +783,7 @@ class TestBatch:
         for r in range(6):
             free = rng.random(6) < 0.5
             free[:2] = r % 2 == 0, r % 2 == 1  # every row mixes both kinds
-            s = np.sort(rng.uniform(0.0, curve_length(arc), 6))
+            s = np.sort(rng.uniform(0.0, arc.length, 6))
             candidates.append([tag_free(rng.uniform(-1.0, 1.0, 2))[0] if f
                                else TaggedPoint("constrained", curve_eval(arc, t), 1, t)
                                for f, t in zip(free, s)])
@@ -1123,7 +1167,7 @@ def count_passes(monkeypatch):
     state = solver_module._exact_state
 
     def counting(measure, sites_xy):
-        calls.extend([1] * (len(sites_xy) if sites_xy.ndim == 3 else 1))
+        calls.extend([1] * len(sites_xy))
         return state(measure, sites_xy)
 
     monkeypatch.setattr(solver_module, "_exact_state", counting)

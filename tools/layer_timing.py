@@ -28,8 +28,8 @@ timed runs:
   that large. Both tables print the sites kept per curve, summed over the
   sets;
 * small m: per gallery family at each n in SMALL_NS, SEEDS site sets drawn
-  as `solve` seeds them (one `_seed_runs` call), passed one at a time and as
-  one stacked pass;
+  as `solve` seeds them (one `_seed_runs` call), passed one at a time (each
+  a stack of one) and as one stacked pass;
 * Newton step: one descent state of some rows, where the solver's descent
   starts (`_Descent` over the seeds), and at that state one whole Newton
   step of every row (`_Descent.direction`; the step it keeps is dropped
@@ -109,18 +109,18 @@ def _large_m() -> None:
     for family in ("semicircle", "triangle"):
         for m in SIZES:
             measure, points = _sites(family, m)
-            xy = geometry._sites_array(points)
+            stack = geometry._sites_array(points)[None]
 
             def breakpoints():
                 for c in measure.curves:
-                    geometry.voronoi_breakpoints(c, xy)
+                    geometry.voronoi_breakpoints(c, stack)
 
             times = [_median_s(fn) for fn in (
-                breakpoints, lambda: geometry._cell_state(measure, xy),
+                breakpoints, lambda: geometry._cell_state(measure, stack),
                 lambda: geometry.distortion(measure, points),
                 lambda: geometry.voronoi_masses(measure, points))]
-            print(f"{family:<18}{len(xy):>6}" + "".join(f"{t * 1e3:>14.2f}" for t in times)
-                  + f"  {_kept(measure, xy[None])}")
+            print(f"{family:<18}{stack.shape[1]:>6}" + "".join(f"{t * 1e3:>14.2f}" for t in times)
+                  + f"  {_kept(measure, stack)}")
 
 
 def _pass_pair(measure, stack) -> tuple[float, float]:
@@ -165,8 +165,8 @@ def _small_m() -> None:
             stack = solver._seed_runs(problem, np.random.default_rng(42), SEEDS).sites
 
             def single():
-                for xy in stack:
-                    geometry._cell_state(problem.measure, xy)
+                for r in range(len(stack)):
+                    geometry._cell_state(problem.measure, stack[r:r + 1])
 
             one = _median_s(single)
             stacked = _median_s(lambda: geometry._cell_state(problem.measure, stack))
