@@ -22,16 +22,17 @@ curve owns none of it; at or below CULL_ABOVE, k = m. Both envelopes know
 the site that owns each of their pieces, and both take a stack of site
 sets at once: the lines are sorted by set before slope, and the sinusoid
 groups of every set are merged in the same numpy calls, each set with the
-sites it keeps. For a stack, voronoi_breakpoints turns the envelopes'
-arrays into the pieces of every set, each with its owner, in numpy, so
-that one cell-state pass serves a whole batch of the solver's candidates
-and no nearest-site search follows. That pass integrates squared
-distances, piece lengths and position moments, and sums each set's pieces
-in piece order. voronoi_masses integrates only the lengths, with the same
-arithmetic and so the same bits; distortion integrates only the squared
-distances, each piece's with the pass's arithmetic, but sums them per curve
-as numpy's pairwise sum does, which keeps a large set's sum within a few
-rounding units of its closed form.
+sites it keeps. voronoi_breakpoints takes only such a stack, a single set
+as a stack of one, and turns the envelopes' arrays into the pieces of
+every set, each with its owner, in numpy, so that one cell-state pass
+serves a whole batch of the solver's candidates and no nearest-site
+search follows. That pass integrates squared distances, piece lengths and
+position moments, and sums each set's pieces in piece order.
+voronoi_masses integrates only the lengths, with the same arithmetic and
+so the same bits; distortion integrates only the squared distances, each
+piece's with the pass's arithmetic, but sums them per curve as numpy's
+pairwise sum does, which keeps a large set's sum within a few rounding
+units of its closed form.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def _frame_array(c: Curve, s: np.ndarray):
 
 
 def _sites_array(sites) -> np.ndarray:
-    """Sites as an (m, 2) float array; an array (an (R, m, 2) stack too)
-    passes through unchanged."""
+    """Sites, a sequence of Point2 or an (m, 2) array, as an (m, 2) float
+    array; an array passes through unchanged."""
     if len(sites) == 0:
         raise ValueError("site list must be nonempty")
     if isinstance(sites, np.ndarray):
@@ -472,8 +473,15 @@ def _envelopes(c: Curve, stack: np.ndarray):
     return start, owner if kept is None else kept[owner]
 
 
-def voronoi_breakpoints(c: Curve, sites):
-    """Arc-length values where the nearest-site index changes along c.
+def voronoi_breakpoints(c: Curve, stack: np.ndarray):
+    """Voronoi pieces of c for each site set of stack, a nonempty (R, m, 2)
+    array: arrays (s0, s1, owner), set after set. A set's pieces run
+    between 0, its breakpoints (the arc lengths where the nearest site
+    changes along c) and the curve length, so s1[:-1] of a stack of one,
+    xy[None], are the breakpoints of xy. owner r * m + i is site i of set
+    r, the nearest site at the piece's midpoint as the envelope has it, so
+    that a Voronoi split needs no second nearest-site search. Anything
+    else, a Point2 list or an (m, 2) array among them, raises ValueError.
 
     Exact, from the lower envelope of the per-site distance terms. On a
     segment they are lines, and the envelope comes from one sort by slope:
@@ -494,23 +502,16 @@ def voronoi_breakpoints(c: Curve, sites):
     index wins, and on an arc a stretch where one term dips below another
     is an envelope piece however narrow. An envelope piece's start is a
     breakpoint when it lies more than 1e-12 of the curve length inside the
-    curve and as far past the piece start before it. sites is a sequence of
-    Point2 or an (m, 2) array, and the breakpoints come as a list.
-
-    sites may also be an (R, m, 2) stack of R site sets, as a cell-state
-    pass gives it. All their envelopes are then built in the same calls
-    (the lines sorted by set before slope, the sinusoid groups of every set
-    merged together, each set with the sites it keeps), and the result is
-    the pieces between 0, the breakpoints and the curve length: arrays
-    (s0, s1, owner), set after set, owner r * m + i being site i of set r,
-    the nearest site at the piece's midpoint as the envelope has it, so
-    that a Voronoi split needs no second nearest-site search. Each set's
-    pieces are what it gives alone.
+    curve and as far past the piece start before it. The envelopes of all
+    R sets are built in the same calls (the lines sorted by set before
+    slope, the sinusoid groups of every set merged together, each set with
+    the sites it keeps), and each set's pieces are what it gives alone.
     """
-    length = c.length
-    xy = _sites_array(sites)
-    m = xy.shape[-2]
-    start, who = _envelopes(c, xy if xy.ndim == 3 else xy[None])
+    if not (isinstance(stack, np.ndarray) and stack.ndim == 3
+            and stack.shape[2] == 2 and stack.size):
+        raise ValueError("sites must be a nonempty (R, m, 2) array of site sets")
+    length, m = c.length, stack.shape[1]
+    start, who = _envelopes(c, stack)
     # on the curve: clipping keeps the order, and which midpoints a start
     # lies at or before
     start = np.minimum(np.maximum(start, 0.0), length)
@@ -529,7 +530,7 @@ def voronoi_breakpoints(c: Curve, sites):
     mid = 0.5 * (s0 + s1)
     below = np.where(start <= mid[begin.cumsum() - 1], np.arange(len(start)), 0)
     owner = who[np.maximum.reduceat(below, at)]
-    return (s0, s1, owner) if xy.ndim == 3 else s1[:-1].tolist()
+    return s0, s1, owner
 
 
 def _h_minus_sin(h: np.ndarray) -> np.ndarray:
@@ -551,7 +552,10 @@ def _piece_sq(c: Curve, s0: np.ndarray, s1: np.ndarray, q: np.ndarray) -> np.nda
         a = q - np.array([c.p0.x, c.p0.y])
         foot = a @ u  # arc length of the site's projection onto the line
         off = a[:, 0] * u[1] - a[:, 1] * u[0]
-        return off * off * ds + ((s1 - foot) ** 3 - (s0 - foot) ** 3) / 3.0
+        # (hi^3 - lo^3) / 3 factored: the sum is at least (hi^2 + lo^2) / 2,
+        # so it does not cancel when the foot lies far off the piece
+        hi, lo = s1 - foot, s0 - foot
+        return off * off * ds + ds * (hi * hi + hi * lo + lo * lo) / 3.0
     r = c.radius
     half = 0.5 * ds / r
     mid = c.theta0 + 0.5 * (s0 + s1) / r

@@ -65,7 +65,7 @@ def _curve(c: Curve, to, sites: np.ndarray) -> tuple[str, list]:
     sites on it, which come from one evaluation along c with an arc's ends.
     A span over pi is drawn in two halves, so that no piece ends where it
     starts (full circles included) and none spans over pi."""
-    at = np.array(voronoi_breakpoints(c, sites) if len(sites) else [])
+    at = voronoi_breakpoints(c, sites[None])[1][:-1] if len(sites) else np.empty(0)
     if isinstance(c, Segment):
         (x0, y0), (x1, y1) = to(np.array([(c.p0.x, c.p0.y), (c.p1.x, c.p1.y)]))
         return (f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '

@@ -1418,3 +1418,25 @@ class TestDensityGap:
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError):
             density_gap(sc.interval_measure(), 0)
+
+
+class TestUnionDensity:
+    def test_union_of_optimal_sets_covers_the_semicircle(self, monkeypatch):
+        # the paper's key unconstrained result (Graf & Luschgy, LNM 1730):
+        # the union of optimal n-means sets is dense in the support. From
+        # default solves of free points, no beta and no closed form: the
+        # covering radius of the union over n <= N, the largest distance from
+        # a support sample to it, falls by more than a quarter per doubling
+        measure = sc.semicircle_measure()
+        refuse_closed_forms(monkeypatch)
+        samples = np.concatenate([_frame_array(c, np.linspace(0.0, c.length, 4001))[0]
+                                  for c in measure.curves])
+        union, radius = [], {}
+        for n in range(1, 17):
+            q = solve(Problem(measure, (FreePlane(),), n))
+            union += [(tp.point.x, tp.point.y) for tp in q.points]
+            if n in (4, 8, 16):
+                d2 = ((samples[:, None] - np.array(union)[None]) ** 2).sum(axis=2)
+                radius[n] = math.sqrt(d2.min(axis=1).max())
+        assert radius[8] < 0.75 * radius[4]
+        assert radius[16] < 0.75 * radius[8]

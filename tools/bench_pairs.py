@@ -10,7 +10,8 @@ The runs inherit this environment (set PYTHONDONTWRITEBYTECODE=1 to time
 set-up as a checkout without compiled files pays it).
 
 Prints each pair's end-to-end metrics, then per metric the median, the
-quartiles and their distance (IQR) on each side, and the pairs in which
+quartiles and their distance (IQR) on each side, the relative change of
+the medians (CHANGE's over PARENT's, minus 1) and the pairs in which
 CHANGE is better. Every end-to-end metric of the benchmark is better lower;
 ties count for neither side. Exits 1 if a run fails, reports
 `correct: false` or a failed op, else 0.
@@ -85,15 +86,19 @@ def main(argv=None) -> int:
                                               for name, metric in metrics.items()))
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':<13}{'side':<8}{'median':>12}{'q1':>12}{'q3':>12}{'IQR':>12}"
-          f"{'change better':>16}")
+          f"{'relative':>10}{'change better':>16}")
     for name, parent in values["parent"].items():
         change = values["change"][name]
         wins = sum(c < p for p, c in zip(parent, change))
+        base = quartiles(parent)[1]
         for side, series in (("parent", parent), ("change", change)):
             q1, q2, q3 = quartiles(series)
-            tally = f"{wins}/{len(parent)}" if side == "change" else ""
+            relative = tally = ""
+            if side == "change":
+                relative = f"{q2 / base - 1:+.2%}" if base else "n/a"
+                tally = f"{wins}/{len(parent)}"
             print(f"{name if side == 'parent' else '':<13}{side:<8}{q2:>12.6g}{q1:>12.6g}"
-                  f"{q3:>12.6g}{q3 - q1:>12.6g}{tally:>16}")
+                  f"{q3:>12.6g}{q3 - q1:>12.6g}{relative:>10}{tally:>16}")
     for line in bad:
         print(f"FAILED {line}", file=sys.stderr)
     return 1 if bad else 0

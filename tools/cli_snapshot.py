@@ -78,6 +78,12 @@ OVERFLOWS = {
     "tiny_support.json": {"measure": [_segment([0, 0], [5e-309, 0])],
                           "constraints": [{"type": "free"}], "n": 1},
 }
+# the constraint set of far_member.json at 1e100: its distortion, about
+# 1e200, is finite, though a difference of the cubes of the site's offsets
+# along the support cancels to 0. It is solved last, so that no earlier
+# file's number moves.
+FAR_MEMBER = {"far_member_1e100.json": {"measure": _UNIT, "n": 1, "constraints": [
+    {"type": "points", "points": [[1e100, 0]]}]}}
 # problem files on short supports: 1e-12 long, so that every cell is
 # shorter than 1e-12, and 1e-200 long, so that its squared length underflows
 TINY = {f"support_{length:g}.json": {"measure": [_segment([0, 0], [length, 0])],
@@ -227,6 +233,7 @@ def _cases() -> list[list[str]]:
     cases.append(["--restarts", "256", "solve", "triangle.json"])
     # at the default 16 restarts, half the tie's runs start at (0.75, 0)
     cases += [["solve", name] for name in MEMBERS]
+    cases += [["--restarts", "2", "solve", name] for name in FAR_MEMBER]
     return cases
 
 
@@ -267,7 +274,8 @@ def main_snapshot(outdir: str) -> int:
                                     "--output", f"{scenario}.csv"])
             if code != 0:
                 raise RuntimeError(f"could not write {scenario}.csv: {err}")
-        for name, doc in {**PROBLEMS, **OVERFLOWS, **TINY, **EDGES, **FAR_ARC, **MEMBERS}.items():
+        for name, doc in {**PROBLEMS, **OVERFLOWS, **FAR_MEMBER, **TINY, **EDGES, **FAR_ARC,
+                          **MEMBERS}.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump({"schema_version": 1, **doc}, fh)
         for name, text in CSVS.items():
