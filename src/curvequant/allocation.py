@@ -2,7 +2,8 @@
 
 Covers the half-disk boundary (how many of n points sit on the diameter vs
 the arc) and the equilateral triangle (split across the three sides), each
-with a direct method and a brute-force verifier. The half-disk objective is
+by a direct method; the brute-force scans that verify them are test oracles
+(tests/scalar_reference.py). The half-disk objective is
 strictly convex in the diameter count, so a walk from its derived continuous
 optimum n/(1 + pi/2) that stops at a local minimum has found the global one;
 the triangle's optimum is the balanced split.
@@ -39,7 +40,7 @@ def semicircle_allocate(n) -> Allocation:
     The leading terms, 1/a^2 + pi^3/(8 b^2), are least at b/a = pi/2, so the
     walk starts at k = 1 + round(n/(1 + pi/2)), clamped into [2, n]. It moves
     down while the lower neighbour is no worse (ties go to the smaller
-    count, as in the exhaustive scan), otherwise up while the upper one is
+    count, as in an exhaustive scan), otherwise up while the upper one is
     strictly better; each f(k) is evaluated once. Over n = 3..10000 the
     start is already the optimum, so an n costs at most three evaluations.
     The walk steps every n of an array at once: each semicircle_error call
@@ -71,35 +72,8 @@ def semicircle_allocate(n) -> Allocation:
     return Allocation((k, ns - k + 2), fk)
 
 
-def semicircle_allocate_exhaustive(n: int) -> Allocation:
-    """Full scan over every admissible diameter count, as one column of
-    errors; argmin keeps ties on the smaller count."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    k = np.arange(2, n + 1)
-    errors = semicircle_error(k, n - k + 2)
-    best = int(np.argmin(errors))
-    return Allocation((best + 2, n - best), float(errors[best]))
-
-
 def triangle_allocate(n) -> Allocation:
     """Balanced per-side counts for n boundary points (vertices shared), at
     one n or an array of n."""
     parts = triangle_split(n)
     return Allocation(parts, triangle_error(*parts))
-
-
-def triangle_allocate_exhaustive(n: int) -> Allocation:
-    """Scan all (n1, n2, n3) with side gaps summing to n; lexicographic ties."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    # side j holds nj points of which nj - 1 are "its own" (far vertex shared);
-    # every pair of gaps gi, gj >= 1 that leaves gk >= 1, gi first, then gj
-    r, c = np.triu_indices(n - 2)
-    gi, gj = r + 1, c - r + 1
-    gk = n - gi - gj
-    obj = (1.0 / 36.0) * (1.0 / gi**2 + 1.0 / gj**2 + 1.0 / gk**2)
-    best = int(np.argmin(obj))
-    n1, n2 = int(gi[best]) + 1, int(gj[best]) + 1
-    n3 = n - (n1 - 1) - (n2 - 1) + 1
-    return Allocation((n1, n2, n3), triangle_error(n1, n2, n3))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import re
@@ -267,14 +268,23 @@ def _names(field: str) -> list[str]:
 
 def cmd_closed_form(args) -> int:
     n = _limited(args.n, "n", "-n")
+    closed_form = scenarios.SCENARIOS[args.scenario].closed_form
+    # the options given; the closed form names those it takes
+    options = {key: getattr(args, key) for key in ("a", "b", "c", "d", "m", "intercept", "n1")
+               if hasattr(args, key)}
+    refused = sorted(options.keys() - inspect.signature(closed_form).parameters)
+    if refused:
+        raise CliError(f"{args.scenario}: does not take "
+                       + ", ".join(f"--{key}" for key in refused))
     try:
-        result = scenarios.SCENARIOS[args.scenario].closed_form(
-            n, a=args.a, b=args.b, c=args.c, d=args.d, m=args.m,
-            intercept=args.intercept, n1=args.n1)
+        result = closed_form(n, **options)
         if not math.isfinite(result.error):
             raise OverflowError
     except OverflowError as exc:
         raise CliError(f"{args.scenario}: the closed form overflows double precision") from exc
+    if result.error == 0.0:
+        # the distortion of a support of positive length is positive
+        raise CliError(f"{args.scenario}: the closed form underflows double precision")
     doc = {
         "scenario": args.scenario,
         "n": n,
@@ -440,16 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="problem JSON path")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("closed-form", help="closed-form configuration for a scenario")
+    # an option left out is not passed: the closed form names its defaults
+    p = sub.add_parser("closed-form", help="closed-form configuration for a scenario",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("scenario", choices=_names("closed_form"))
     p.add_argument("-n", type=int, required=True, help="point count")
-    p.add_argument("--a", type=float, default=0.0, help="support left endpoint")
-    p.add_argument("--b", type=float, default=1.0, help="support right endpoint")
-    p.add_argument("--c", type=float, default=None, help="subinterval left endpoint")
-    p.add_argument("--d", type=float, default=None, help="subinterval right endpoint")
-    p.add_argument("--m", type=float, default=None, help="constraint line slope")
-    p.add_argument("--intercept", type=float, default=None, help="constraint line intercept")
-    p.add_argument("--n1", type=int, default=None, help="force the semicircle base count")
+    p.add_argument("--a", type=float, help="support left endpoint")
+    p.add_argument("--b", type=float, help="support right endpoint")
+    p.add_argument("--c", type=float, help="subinterval left endpoint")
+    p.add_argument("--d", type=float, help="subinterval right endpoint")
+    p.add_argument("--m", type=float, help="constraint line slope")
+    p.add_argument("--intercept", type=float, help="constraint line intercept")
+    p.add_argument("--n1", type=int, help="force the semicircle base count")
     p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser("sweep", help="closed-form error sequence as CSV")

@@ -20,14 +20,16 @@ from curvequant.solver import CurveConstraint, FreePlane, Problem
 
 LINE_HALF_WIDTH = 40.0
 
-# the unit interval and the paper's lines over it, exam1's y = x/4 + 1/4 and
-# exam2's y = x + 4, built once (a sweep row must not rebuild them)
+# the unit interval (the default support) and the paper's lines over it,
+# exam1's y = x/4 + 1/4 and exam2's y = x + 4, built once (a sweep row must
+# not rebuild them)
 UNIT_INTERVAL = cf.IntervalScenario(0.0, 1.0, 0.0, 1.0)
-EXAM1_LINE = cf.LineConstraintScenario(0.0, 1.0, 0.25, 0.25)
-EXAM2_LINE = cf.LineConstraintScenario(0.0, 1.0, 1.0, 4.0)
+EXAM1_LINE = cf.LineConstraintScenario(UNIT_INTERVAL.a, UNIT_INTERVAL.b, 0.25, 0.25)
+EXAM2_LINE = cf.LineConstraintScenario(UNIT_INTERVAL.a, UNIT_INTERVAL.b, 1.0, 4.0)
 
 
-def interval_measure(a: float = 0.0, b: float = 1.0) -> UniformCurveMeasure:
+def interval_measure(a: float = UNIT_INTERVAL.a, b: float = UNIT_INTERVAL.b
+                     ) -> UniformCurveMeasure:
     return UniformCurveMeasure((Segment(Point2(a, 0.0), Point2(b, 0.0)),))
 
 
@@ -118,8 +120,10 @@ def offset_beta_problem(n_free: int) -> Problem:
 class Scenario:
     """What each command uses of one scenario; None where it uses nothing.
 
-    closed_form(n, *, a, b, c, d, m, intercept, n1) takes the `closed-form`
-    options; sweep(n) maps a column of n to the sweep's error column and its
+    closed_form(n, **options) gives `closed-form` its answer: it names the
+    options it takes (a subset of a, b, c, d, m, intercept, n1) as keyword-only
+    parameters with their defaults, and the command refuses any other.
+    sweep(n) maps a column of n to the sweep's error column and its
     allocation parts, one int column per part (none where the family has no
     allocation), and one n to one row's error and parts. build, config and
     n_range give `verify` its problem, optimum and range of n.
@@ -132,18 +136,28 @@ class Scenario:
     n_range: tuple[int, int] | None = None
 
 
-def _interval_interior(n: int, *, a, b, c, d, **_) -> cf.ClosedFormResult:
+def _interval_left(n: int, *, a=UNIT_INTERVAL.a, b=UNIT_INTERVAL.b) -> cf.ClosedFormResult:
+    return cf.interval_left_endpoint(n, a, b)
+
+
+def _interval_right(n: int, *, a=UNIT_INTERVAL.a, b=UNIT_INTERVAL.b) -> cf.ClosedFormResult:
+    return cf.interval_right_endpoint(n, a, b)
+
+
+def _interval_interior(n: int, *, a=UNIT_INTERVAL.a, b=UNIT_INTERVAL.b, c=None, d=None
+                       ) -> cf.ClosedFormResult:
     return cf.interval_interior(n, cf.IntervalScenario(a, b, a if c is None else c,
                                                        b if d is None else d))
 
 
-def _line_constraint(n: int, *, a, b, m, intercept, **_) -> cf.ClosedFormResult:
+def _line_constraint(n: int, *, a=UNIT_INTERVAL.a, b=UNIT_INTERVAL.b, m=None, intercept=None
+                     ) -> cf.ClosedFormResult:
     if m is None or intercept is None:
         raise ValueError("line-constraint needs --m and --intercept")
     return cf.line_constraint_optimal(n, cf.LineConstraintScenario(a, b, m, intercept))
 
 
-def _semicircle(n: int, *, n1=None, **_) -> cf.ClosedFormResult:
+def _semicircle(n: int, *, n1=None) -> cf.ClosedFormResult:
     return cf.semicircle_conditional(n, semicircle_allocate(n).parts[0] if n1 is None else n1)
 
 
@@ -161,15 +175,15 @@ def _triangle_config(n: int) -> tuple[Point2, ...]:
 # in `closed-form --help` order; `sweep` lists its names in this order too
 SCENARIOS: dict[str, Scenario] = {
     "interval-left": Scenario(
-        closed_form=lambda n, *, a, b, **_: cf.interval_left_endpoint(n, a, b),
-        sweep=lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ()),
+        closed_form=_interval_left,
+        sweep=lambda n: (cf.interval_endpoint_error(n, UNIT_INTERVAL.a, UNIT_INTERVAL.b), ()),
         build=interval_left_problem, n_range=(1, 10),
-        config=lambda n: cf.interval_left_endpoint(n, 0.0, 1.0).points),
+        config=lambda n: _interval_left(n).points),
     "interval-right": Scenario(
-        closed_form=lambda n, *, a, b, **_: cf.interval_right_endpoint(n, a, b),
-        sweep=lambda n: (cf.interval_endpoint_error(n, 0.0, 1.0), ()),
+        closed_form=_interval_right,
+        sweep=lambda n: (cf.interval_endpoint_error(n, UNIT_INTERVAL.a, UNIT_INTERVAL.b), ()),
         build=interval_right_problem, n_range=(1, 10),
-        config=lambda n: cf.interval_right_endpoint(n, 0.0, 1.0).points),
+        config=lambda n: _interval_right(n).points),
     "interval-interior": Scenario(
         closed_form=_interval_interior,
         sweep=lambda n: (cf.interval_interior_error(n, UNIT_INTERVAL), ()),
@@ -188,12 +202,12 @@ SCENARIOS: dict[str, Scenario] = {
         build=semicircle_problem, n_range=(3, 12),
         config=lambda n: _semicircle(n).points),
     "triangle": Scenario(
-        closed_form=lambda n, **_: cf.triangle_conditional(n),
+        closed_form=cf.triangle_conditional,
         sweep=lambda n: _allocated(triangle_allocate(n)),
         build=triangle_problem, n_range=(3, 12),
         config=_triangle_config),
     "exam1": Scenario(
-        closed_form=lambda n, **_: cf.exam1_conditional(n),
+        closed_form=cf.exam1_conditional,
         sweep=lambda n: (cf.exam1_published_error(n), ()),
         build=exam1_problem, n_range=(3, 10),
         config=lambda n: cf.exam1_conditional(n).points),

@@ -715,12 +715,13 @@ def existence_check(problem: Problem, options: SolverOptions | None = None) -> E
     """Whether an optimal set of exactly n positive-mass points exists.
 
     Runs the solver (four restarts by default) and checks that no point's
-    cell is empty (mass 0.0). The degeneracy signal is a cell the descent
-    shrinks until it is empty, since every run descends until an iteration
-    no longer lowers its distortion beyond rounding.
+    cell is empty (mass 0.0); the witness always holds n points (beta and
+    every row's n - l), so that is the whole test. The degeneracy signal is
+    a cell the descent shrinks until it is empty, since every run descends
+    until an iteration no longer lowers its distortion beyond rounding.
     """
     witness = solve(problem, options or SolverOptions(restarts=4))
-    exists = len(witness.points) == problem.n and not witness.degenerate_points
+    exists = not witness.degenerate_points
     return ExistenceReport(exists, witness)
 
 

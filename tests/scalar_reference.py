@@ -1,13 +1,21 @@
-"""The closed forms and allocation walk one n at a time, on Python numbers.
+"""The closed forms and allocation walk one n at a time, on Python numbers,
+and the brute-force allocation scans.
 
-These are the scalar loops that `closed_form` and `allocation` evaluate as
-numpy columns. The column path uses the same operations in the same order,
-so the tests require equal results, bit for bit, against these.
+The scalar loops are what `closed_form` and `allocation` evaluate as numpy
+columns. The column path uses the same operations in the same order, so the
+tests require equal results, bit for bit, against these. The exhaustive
+scans try every split of n, so they verify the allocation walk and the
+balanced triangle split without the convexity argument those rest on.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from curvequant import closed_form as cf
+from curvequant.allocation import Allocation
 
 PI_SPLIT = 1.0 + math.pi / 2.0
 
@@ -132,3 +140,30 @@ SWEEP_ROWS = {
     "exam1": (lambda n: (exam1_published_error(n), ()), 3),
     "exam2": (lambda n: (line_constraint_published_error(n, 0.0, 1.0, 1.0, 4.0), ()), 1),
 }
+
+
+def semicircle_allocate_exhaustive(n: int) -> Allocation:
+    """Full scan over every admissible diameter count, as one column of
+    errors; argmin keeps ties on the smaller count."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    k = np.arange(2, n + 1)
+    errors = cf.semicircle_error(k, n - k + 2)
+    best = int(np.argmin(errors))
+    return Allocation((best + 2, n - best), float(errors[best]))
+
+
+def triangle_allocate_exhaustive(n: int) -> Allocation:
+    """Scan all (n1, n2, n3) with side gaps summing to n; lexicographic ties."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    # side j holds nj points of which nj - 1 are "its own" (far vertex shared);
+    # every pair of gaps gi, gj >= 1 that leaves gk >= 1, gi first, then gj
+    r, c = np.triu_indices(n - 2)
+    gi, gj = r + 1, c - r + 1
+    gk = n - gi - gj
+    obj = (1.0 / 36.0) * (1.0 / gi**2 + 1.0 / gj**2 + 1.0 / gk**2)
+    best = int(np.argmin(obj))
+    n1, n2 = int(gi[best]) + 1, int(gj[best]) + 1
+    n3 = n - (n1 - 1) - (n2 - 1) + 1
+    return Allocation((n1, n2, n3), cf.triangle_error(n1, n2, n3))

@@ -17,12 +17,7 @@ import pytest
 
 from curvequant import cli
 from curvequant import closed_form as cf
-from curvequant.allocation import (
-    semicircle_allocate,
-    semicircle_allocate_exhaustive,
-    triangle_allocate,
-    triangle_allocate_exhaustive,
-)
+from curvequant.allocation import semicircle_allocate, triangle_allocate
 from curvequant.asymptotics import (
     ErrorSequence,
     estimate_coefficient,
@@ -39,6 +34,7 @@ from curvequant.scenarios import (
     offset_beta_problem,
 )
 from curvequant.solver import density_gap, existence_check, sandwich_check
+from scalar_reference import semicircle_allocate_exhaustive, triangle_allocate_exhaustive
 
 
 def write_problem(tmp_path, problem, name, restarts=4):

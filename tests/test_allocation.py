@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 
 import curvequant.allocation as allocation
-from curvequant.allocation import (
-    Allocation,
-    semicircle_allocate,
-    semicircle_allocate_exhaustive,
-    triangle_allocate,
-    triangle_allocate_exhaustive,
-)
+from curvequant.allocation import Allocation, semicircle_allocate, triangle_allocate
 from curvequant.cli import LIMITS
 from curvequant.closed_form import semicircle_error
+from scalar_reference import semicircle_allocate_exhaustive, triangle_allocate_exhaustive
 
 
 def test_semicircle_allocate_published():

@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import os
@@ -41,6 +42,23 @@ def rebuilt_parser():
     cli._parser.cache_clear()
     yield
     cli._parser.cache_clear()
+
+
+def closed_form_options() -> dict[str, argparse.Action]:
+    """The `closed-form` options that a scenario's closed form may name, by
+    name: all but -h and the required -n."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices["closed-form"]._actions
+            if a.option_strings and not a.required and a.dest != "help"}
+
+
+CLOSED_FORMS = {name: entry.closed_form for name, entry in scenarios.SCENARIOS.items()
+                if entry.closed_form is not None}
+# every scenario with every option its closed form does not name
+UNNAMED = [(name, option) for name, closed_form in CLOSED_FORMS.items()
+           for option in closed_form_options()
+           if option not in inspect.signature(closed_form).parameters]
 
 
 INTERVAL_LEFT_DOC = {
@@ -356,6 +374,50 @@ class TestClosedFormCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {argv[0]}: the closed form overflows double precision\n"
+
+    # a support of positive length has a positive distortion: 0.0 is underflow
+    @pytest.mark.parametrize("argv", [
+        ["interval-left", "-n", "3", "--a", "1e-300", "--b", "2e-300"],
+        ["interval-right", "-n", "3", "--a", "1e-300", "--b", "2e-300"],
+        ["interval-interior", "-n", "3", "--b", "1e-100", "--c", "0", "--d", "1e-110"],
+        ["line-constraint", "-n", "3", "--b", "1e-300", "--m", "0", "--intercept", "0"],
+    ])
+    def test_underflow_is_one_error_line(self, capsys, argv):
+        assert main(["closed-form", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {argv[0]}: the closed form underflows double precision\n"
+
+    @pytest.mark.parametrize("name, option", UNNAMED)
+    def test_unnamed_option_is_one_error_line(self, capsys, name, option):
+        assert main(["closed-form", name, "-n", "6", f"--{option}", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name}: does not take --{option}\n"
+
+    def test_every_unnamed_option_is_listed(self, capsys):
+        assert main(["closed-form", "triangle", "-n", "6", "--m", "9", "--a", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: triangle: does not take --a, --m\n"
+
+    def test_every_named_option_is_a_parser_option(self):
+        # so that no scenario can name an option the command line cannot pass
+        options = closed_form_options()
+        assert sorted(options) == ["a", "b", "c", "d", "intercept", "m", "n1"]
+        for name, closed_form in CLOSED_FORMS.items():
+            n, *named = inspect.signature(closed_form).parameters.values()
+            assert n.name == "n", name
+            assert all(p.kind is p.KEYWORD_ONLY for p in named), name
+            assert {p.name for p in named} <= options.keys(), name
+
+    @pytest.mark.parametrize("argv", [["interval-left", "-n", "3"],
+                                      ["interval-interior", "-n", "4"]])
+    def test_default_support_is_the_unit_interval(self, capsys, argv):
+        assert main(["closed-form", *argv]) == 0
+        default = capsys.readouterr().out
+        assert main(["closed-form", *argv, "--a", "0", "--b", "1"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_line_requires_slope_and_intercept(self, capsys):
         assert main(["closed-form", "line-constraint", "-n", "3"]) == 1

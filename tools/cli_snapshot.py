@@ -28,6 +28,7 @@ import warnings
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from curvequant.cli import main  # noqa: E402
+from curvequant.scenarios import SCENARIOS  # noqa: E402
 
 CLOSED_FORM_NAMES = ("interval-left", "interval-right", "interval-interior",
                      "line-constraint", "semicircle", "triangle", "exam1")
@@ -234,6 +235,24 @@ def _cases() -> list[list[str]]:
     # at the default 16 restarts, half the tie's runs start at (0.75, 0)
     cases += [["solve", name] for name in MEMBERS]
     cases += [["--restarts", "2", "solve", name] for name in FAR_MEMBER]
+    # errors: an option the scenario's closed form does not name, one per
+    # family, and closed forms whose error underflows to 0.0
+    cases += [
+        ["closed-form", "triangle", "-n", "6", "--a", "0"],
+        ["closed-form", "semicircle", "-n", "5", "--m", "1"],
+        ["closed-form", "exam1", "-n", "3", "--n1", "3"],
+        ["closed-form", "interval-left", "-n", "3", "--c", "0.2"],
+        ["closed-form", "interval-right", "-n", "3", "--intercept", "0"],
+        ["closed-form", "interval-interior", "-n", "4", "--m", "1"],
+        ["closed-form", "line-constraint", "-n", "4", "--m", "1", "--intercept", "4",
+         "--n1", "2"],
+        ["closed-form", "interval-left", "-n", "3", "--a", "1e-300", "--b", "2e-300"],
+        ["closed-form", "interval-right", "-n", "3", "--a", "1e-300", "--b", "2e-300"],
+        ["closed-form", "interval-interior", "-n", "3", "--b", "1e-100", "--c", "0",
+         "--d", "1e-110"],
+        ["closed-form", "line-constraint", "-n", "3", "--b", "1e-300", "--m", "0",
+         "--intercept", "0"],
+    ]
     return cases
 
 
@@ -263,7 +282,18 @@ def _render(result: str) -> str:
         return fh.read()
 
 
+def _check_names() -> None:
+    """Raise if a registry scenario with a closed form or a sweep has no
+    cases here, so that a new scenario cannot skip the snapshot."""
+    for names, field in ((CLOSED_FORM_NAMES, "closed_form"), (SWEEP_NAMES, "sweep")):
+        missing = [name for name, entry in SCENARIOS.items()
+                   if getattr(entry, field) is not None and name not in names]
+        if missing:
+            raise RuntimeError(f"scenarios with a {field} but no snapshot cases: {missing}")
+
+
 def main_snapshot(outdir: str) -> int:
+    _check_names()
     outdir = os.path.abspath(outdir)
     os.makedirs(outdir, exist_ok=True)
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
