@@ -23,18 +23,17 @@ class ErrorSequence:
         raw = tuple(self.entries)  # read twice below
         given = [n for n, _ in raw]
         try:
-            counts = [int(n) for n in given]
+            counts = list(map(int, given))
         except (OverflowError, ValueError):  # inf, nan
             counts = None
         if counts != given:  # elementwise ==, so 4.0 and numpy ints pass
             raise ValueError("point counts must be integers")
-        values = [float(v) for _, v in raw]
-        entries = tuple(zip(counts, values))
-        if not entries:
+        values = list(map(float, [v for _, v in raw]))
+        if not counts:
             raise ValueError("sequence is empty")
-        if entries[0][0] < 1:
+        if counts[0] < 1:
             raise ValueError("point counts must be positive")
-        for (n0, v0), (n1, v1) in zip(entries, entries[1:]):
+        for n0, n1, v0, v1 in zip(counts, counts[1:], values, values[1:]):
             if n1 <= n0:
                 raise ValueError("point counts must be strictly increasing")
             if v1 > v0 + 1e-12 * abs(v0):
@@ -45,7 +44,7 @@ class ErrorSequence:
             raise ValueError("point counts must have a finite float value") from None
         if not (all(map(math.isfinite, values)) and min(values) > 0):
             raise ValueError("errors must be finite and positive")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(zip(counts, values)))
 
     def __len__(self):
         return len(self.entries)
@@ -167,15 +166,14 @@ def estimate_dimension(seq: ErrorSequence, v_infinity: float,
     only one the package treats: a slope s gives dimension 2 / s.
     """
     window = _tail_entries(seq.entries, tail_window)
-    deltas = [(n, v - v_infinity) for n, v in window]
-    if any(d <= 0 for _, d in deltas):
+    deltas = [v - v_infinity for _, v in window]
+    if min(deltas) <= 0:
         raise ValueError("v <= v_infinity inside the tail window")
     lag = max(len(deltas) // 2, 1)
-    dims = []
-    for (n_a, d_a), (n_b, d_b) in zip(deltas, deltas[lag:]):
-        slope = (math.log(d_a) - math.log(d_b)) / (math.log(n_b) - math.log(n_a))
-        if slope > 0:
-            dims.append(2.0 / slope)
+    log_n = list(map(math.log, [n for n, _ in window]))
+    log_d = list(map(math.log, deltas))
+    dims = [2.0 / slope for n_a, n_b, d_a, d_b in zip(log_n, log_n[lag:], log_d, log_d[lag:])
+            if (slope := (d_a - d_b) / (n_b - n_a)) > 0]
     if not dims:
         raise ValueError("no decaying pairs in the tail window")
     return min(dims), max(dims)
@@ -196,8 +194,9 @@ def estimate_coefficient(seq: ErrorSequence, v_infinity: float, kappa: float,
         raise ValueError("kappa must be finite")
     window = _tail_entries(seq.entries, tail_window)
     lag = max(len(window) // 2, 1)
+    power = 2.0 / kappa
     try:  # an overflowing power raises, an infinite one (a subnormal kappa) gives inf
-        scaled = [(n, n ** (2.0 / kappa) * (v - v_infinity)) for n, v in window]
+        scaled = [(n, n ** power * (v - v_infinity)) for n, v in window]
         coeffs = [(n_b * c_b - n_a * c_a) / (n_b - n_a)
                   for (n_a, c_a), (n_b, c_b) in zip(scaled, scaled[lag:])]
         if not all(map(math.isfinite, coeffs)):

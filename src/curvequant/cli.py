@@ -236,9 +236,7 @@ def _options(opts: SolverOptions, where: str, **change) -> SolverOptions:
 
 
 def _solver_options(args, file_overrides: dict | None = None) -> SolverOptions:
-    opts = SolverOptions()
-    if file_overrides:
-        opts = replace(opts, **file_overrides)
+    opts = SolverOptions(**(file_overrides or {}))
     if args.seed is not None:
         opts = _options(opts, "--seed", rng_seed=args.seed)
     if args.restarts is not None:
@@ -282,8 +280,8 @@ def cmd_closed_form(args) -> int:
             raise OverflowError
     except OverflowError as exc:
         raise CliError(f"{args.scenario}: the closed form overflows double precision") from exc
-    if result.error == 0.0:
-        # the distortion of a support of positive length is positive
+    if result.error < sys.float_info.min:
+        # a support of positive length has a positive distortion; a subnormal has lost digits
         raise CliError(f"{args.scenario}: the closed form underflows double precision")
     doc = {
         "scenario": args.scenario,
@@ -306,11 +304,12 @@ def cmd_sweep(args) -> int:
     ns = np.arange(args.n_from, n_to + 1)
     errors, parts = sweep(ns)
     # Python ints and floats, so that !r prints the digits a scalar row would
-    allocs = (["+".join(map(str, row)) for row in zip(*(p.tolist() for p in parts))]
+    fmt = "+".join(["%d"] * len(parts))
+    allocs = ([fmt % row for row in zip(*[p.tolist() for p in parts])]
               if parts else [""] * ns.size)
-    text = "n,error,alloc\n" + "".join(
+    text = "n,error,alloc\n" + "".join([
         f"{n},{error!r},{alloc}\n"
-        for n, error, alloc in zip(ns.tolist(), errors.tolist(), allocs))
+        for n, error, alloc in zip(ns.tolist(), errors.tolist(), allocs)])
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -327,16 +326,18 @@ def _read_sweep_csv(path: str) -> ErrorSequence:
         raise CliError(f"{path}: {exc.strerror}") from exc
     if not lines or not lines[0].startswith("n,error"):
         raise CliError(f"{path}: expected a sweep CSV with header 'n,error,...'")
-    entries = []
+    entries, limit = [], LIMITS["n"]
     for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+        parts = line.split(",", 2)
         if len(parts) < 2:
             raise CliError(f"{path}:{i}: malformed row")
         try:
             n, v = int(parts[0]), float(parts[1])
         except ValueError as exc:
             raise CliError(f"{path}:{i}: {exc}") from exc
-        entries.append((_limited(n, "n", f"{path}:{i}"), v))
+        if n > limit:
+            _limited(n, "n", f"{path}:{i}")  # raises, naming the row
+        entries.append((n, v))
     if len(entries) < 6:
         raise CliError(f"{path}: need at least 6 rows, found {len(entries)}")
     try:

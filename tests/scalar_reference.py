@@ -1,8 +1,10 @@
 """The closed forms and allocation walk one n at a time, on Python numbers,
-and the brute-force allocation scans.
+the sweep CSV and the limit estimators one row at a time, and the
+brute-force allocation scans.
 
 The scalar loops are what `closed_form` and `allocation` evaluate as numpy
-columns. The column path uses the same operations in the same order, so the
+columns, what `curvequant sweep` formats and what `asymptotics` estimates
+from. The fast paths use the same operations in the same order, so the
 tests require equal results, bit for bit, against these. The exhaustive
 scans try every split of n, so they verify the allocation walk and the
 balanced triangle split without the convexity argument those rest on.
@@ -140,6 +142,45 @@ SWEEP_ROWS = {
     "exam1": (lambda n: (exam1_published_error(n), ()), 3),
     "exam2": (lambda n: (line_constraint_published_error(n, 0.0, 1.0, 1.0, 4.0), ()), 1),
 }
+
+
+def sweep_csv(family: str, n_from: int, n_to: int) -> str:
+    """`sweep` output as the per-row formatter wrote it: the repr of each
+    row's error and its allocation parts joined with '+'."""
+    row, _ = SWEEP_ROWS[family]
+    text = "n,error,alloc\n"
+    for n in range(n_from, n_to + 1):
+        error, parts = row(n)
+        text += f"{n},{error!r},{'+'.join(map(str, parts))}\n"
+    return text
+
+
+def estimate_dimension(entries, v_infinity: float) -> tuple[float, float]:
+    """Lagged log-log slopes over the default tail window (the last half,
+    at least 10), four logs a pair."""
+    window = entries[-max(len(entries) // 2, 10):]
+    deltas = [(n, v - v_infinity) for n, v in window]
+    if any(d <= 0 for _, d in deltas):
+        raise ValueError("v <= v_infinity inside the tail window")
+    lag = max(len(deltas) // 2, 1)
+    dims = []
+    for (n_a, d_a), (n_b, d_b) in zip(deltas, deltas[lag:]):
+        slope = (math.log(d_a) - math.log(d_b)) / (math.log(n_b) - math.log(n_a))
+        if slope > 0:
+            dims.append(2.0 / slope)
+    if not dims:
+        raise ValueError("no decaying pairs in the tail window")
+    return min(dims), max(dims)
+
+
+def estimate_coefficient(entries, v_infinity: float, kappa: float) -> tuple[float, float]:
+    """Pairs half the default tail window apart, n**(2/kappa) taken per entry."""
+    window = entries[-max(len(entries) // 2, 10):]
+    lag = max(len(window) // 2, 1)
+    scaled = [(n, n ** (2.0 / kappa) * (v - v_infinity)) for n, v in window]
+    coeffs = [(n_b * c_b - n_a * c_a) / (n_b - n_a)
+              for (n_a, c_a), (n_b, c_b) in zip(scaled, scaled[lag:])]
+    return min(coeffs), max(coeffs)
 
 
 def semicircle_allocate_exhaustive(n: int) -> Allocation:

@@ -375,12 +375,14 @@ class TestClosedFormCommand:
         assert captured.out == ""
         assert captured.err == f"error: {argv[0]}: the closed form overflows double precision\n"
 
-    # a support of positive length has a positive distortion: 0.0 is underflow
+    # a support of positive length has a positive distortion: 0.0 or a subnormal is underflow
     @pytest.mark.parametrize("argv", [
         ["interval-left", "-n", "3", "--a", "1e-300", "--b", "2e-300"],
         ["interval-right", "-n", "3", "--a", "1e-300", "--b", "2e-300"],
         ["interval-interior", "-n", "3", "--b", "1e-100", "--c", "0", "--d", "1e-110"],
         ["line-constraint", "-n", "3", "--b", "1e-300", "--m", "0", "--intercept", "0"],
+        # (b - a)**2 / 75 = 1.33e-322 is subnormal: most of its digits are lost
+        ["interval-left", "-n", "3", "--b", "1e-160"],
     ])
     def test_underflow_is_one_error_line(self, capsys, argv):
         assert main(["closed-form", *argv]) == 1
@@ -609,7 +611,18 @@ class TestAsymptoticsCommand:
          "{path}: point counts must be strictly increasing"),
         ([f"{n},1.0," for n in range(3, 15)], ["--v-infinity", "0"],
          "no decaying pairs in the tail window"),
-    ], ids=["missing", "one-field-row", "repeated-n", "constant-above-limit"])
+        # of two faulty rows the earlier one is reported, whatever its kind
+        ([f"{n},{1.0 / n!r}," for n in range(3, 9)] + ["9", "10,oops,"], [],
+         "{path}:8: malformed row"),
+        ([f"{n},{1.0 / n!r}," for n in range(3, 9)] + ["9,oops,", "10"], [],
+         "{path}:8: could not convert string to float: 'oops'"),
+        ([f"{n},{1.0 / n!r}," for n in range(3, 9)] + ["10001,1e-6,", "x,1e-7,"], [],
+         "{path}:8: 10001 exceeds the limit of 10000"),
+        ([f"{n},{1.0 / n!r}," for n in range(3, 9)] + ["x,1e-6,", "10001,1e-7,"], [],
+         "{path}:8: invalid literal for int() with base 10: 'x'"),
+    ], ids=["missing", "one-field-row", "repeated-n", "constant-above-limit",
+            "short-row-before-bad-float", "bad-float-before-short-row",
+            "over-limit-n-before-bad-int", "bad-int-before-over-limit-n"])
     def test_unusable_sweep_is_one(self, tmp_path, capsys, rows, option, message):
         csv_path = tmp_path / "sweep.csv"
         if rows is not None:
@@ -631,14 +644,25 @@ class TestAsymptoticsCommand:
             assert captured.err.endswith(" exceeds the limit of 10000\n")
 
     def test_row_numbers_count_nonblank_lines(self, tmp_path, capsys):
-        # blank lines are skipped and not counted; a row's number is its
-        # place among the non-blank lines, the header being line 1
-        csv_path = tmp_path / "gaps.csv"
-        rows = "".join(f"{k},{1.0 / k!r},\n\n" for k in range(3, 9))
-        csv_path.write_text("\n n,error,alloc \n\n" + rows + "  \n9,oops,\n")
-        assert main(["asymptotics", str(csv_path), "--kappa", "2"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {csv_path}:8: could not convert string to float")
+        # blank and whitespace-only lines are skipped and not counted; a
+        # row's number is its place among the other lines, the header being
+        # line 1. CRLF line ends read as LF ones.
+        rows = [f"{k},{1.0 / k!r}," for k in range(3, 9)]
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes("".join(f"{row}\n" for row in ["n,error,alloc", *rows]).encode())
+        assert main(["asymptotics", str(plain), "--kappa", "2"]) == 0
+        report = capsys.readouterr().out
+        for newline in ("\n", "\r\n"):
+            gaps = tmp_path / "gaps.csv"
+            lines = ["", " n,error,alloc ", "", *(f"{row}{newline} \t " for row in rows), "  "]
+            gaps.write_bytes(newline.join(lines).encode())
+            assert main(["asymptotics", str(gaps), "--kappa", "2"]) == 0
+            assert capsys.readouterr().out == report
+            with open(gaps, "ab") as fh:
+                fh.write(f"{newline}9,oops,{newline}".encode())
+            assert main(["asymptotics", str(gaps), "--kappa", "2"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {gaps}:8: could not convert string to float: 'oops'\n"
 
     def test_steep_rounding_level_tail(self, tmp_path, capsys):
         # the last three differences sit at rounding level and fit s = 29.49

@@ -3,10 +3,14 @@
 Every closed form a sweep uses, and both allocation walks, take an integer
 array of n and return arrays. Each element must equal the scalar loop's
 result (scalar_reference) bit for bit, and a scalar call must still return
-Python numbers.
+Python numbers. The sweep CSV and the limit report read back from it must
+equal, byte for byte and bit for bit, what the per-row formatter and the
+per-pair estimators give.
 """
 
+import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +18,8 @@ import pytest
 import curvequant.closed_form as cf
 import scalar_reference as ref
 from curvequant import scenarios
-from curvequant.cli import LIMITS, main
+from curvequant.asymptotics import AsymptoticsReport, build_report, estimate_v_infinity
+from curvequant.cli import LIMITS, _read_sweep_csv, main
 from curvequant.geometry import _h_minus_sin
 
 TOP = LIMITS["n"]
@@ -35,6 +40,34 @@ def test_column_equals_the_scalar_loop(family):
     rows = list(zip(*(p.tolist() for p in parts))) if parts else [()] * errors.size
     assert errors.dtype == np.float64
     assert list(zip(errors.tolist(), rows)) == [row(n) for n in range(lowest, TOP + 1)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sweep_csv_equals_the_per_row_formatter(family, capsys):
+    _, lowest = ref.SWEEP_ROWS[family]
+    assert main(["sweep", family, "--from", str(lowest), "--to", "2000", "--output", "-"]) == 0
+    assert capsys.readouterr() == (ref.sweep_csv(family, lowest, 2000), "")
+
+
+# the criterion-4 sweeps (their kappa and top n as the benchmark runs them)
+# and the semicircle sweep
+@pytest.mark.parametrize("family, n_to, kappa", [
+    ("triangle", 1500, 1.0), ("exam1", 1500, 2.0), ("exam2", 1500, 2.0),
+    ("interval-interior", 1500, 1.0), ("semicircle", 2000, 1.0)])
+def test_report_equals_the_per_pair_estimators(tmp_path, capsys, family, n_to, kappa):
+    csv_path = str(tmp_path / "sweep.csv")
+    assert main(["sweep", family, "--from", "3", "--to", str(n_to), "--output", csv_path]) == 0
+    row, _ = ref.SWEEP_ROWS[family]
+    entries = tuple((n, row(n)[0]) for n in range(3, n_to + 1))
+    seq = _read_sweep_csv(csv_path)
+    assert seq.entries == entries
+    v_inf = estimate_v_infinity(seq)
+    want = AsymptoticsReport(v_inf, *ref.estimate_dimension(entries, v_inf), kappa,
+                             *ref.estimate_coefficient(entries, v_inf, kappa),
+                             len(entries) // 2)
+    assert build_report(seq, kappa) == want
+    assert main(["asymptotics", csv_path, "--kappa", repr(kappa)]) == 0
+    assert capsys.readouterr() == (json.dumps(asdict(want), indent=2) + "\n", "")
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -133,13 +133,17 @@ def _csv(rows) -> str:
     return "n,error,alloc\n" + "".join(f"{n},{v!r},\n" for n, v in rows)
 
 
-# hand-written sweep CSVs: a point count over the limit, and a tail whose
-# last three differences sit at rounding level (a steep fit, s = 29.49)
+# hand-written sweep CSVs: a point count over the limit, a tail whose
+# last three differences sit at rounding level (a steep fit, s = 29.49), two
+# faulty rows (a short row, then a bad float), and CRLF line ends with
+# whitespace-only lines between the rows
 CSVS = {"huge_n.csv": _csv([(n, 1.0 / n) for n in range(3, 9)] + [(10 ** 400, 1e-6)]),
         "steep.csv": _csv([(2550 + 16 * k, 0.2041522931908706 + 1e-4 * (6 - k))
                            for k in range(6)]
                           + [(2646, 0.2041522931908706), (2662, 0.20415229319086498),
-                             (2678, 0.20415229319086028)])}
+                             (2678, 0.20415229319086028)]),
+        "two_faults.csv": _csv([(n, 1.0 / n) for n in range(3, 9)]) + "9\n10,oops,\n",
+        "crlf.csv": _csv([(n, 1.0 / n + 0.25) for n in range(3, 41)]).replace("\n", "\r\n \t\r\n")}
 
 
 def _cases() -> list[list[str]]:
@@ -253,6 +257,10 @@ def _cases() -> list[list[str]]:
         ["closed-form", "line-constraint", "-n", "3", "--b", "1e-300", "--m", "0",
          "--intercept", "0"],
     ]
+    # a closed form whose error is subnormal, and the reader's row rules
+    cases += [["closed-form", "interval-left", "-n", "3", "--b", "1e-160"],
+              ["asymptotics", "two_faults.csv", "--kappa", "1"],
+              ["asymptotics", "crlf.csv", "--kappa", "2"]]
     return cases
 
 
@@ -309,7 +317,7 @@ def main_snapshot(outdir: str) -> int:
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump({"schema_version": 1, **doc}, fh)
         for name, text in CSVS.items():
-            with open(name, "w", encoding="utf-8") as fh:
+            with open(name, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         for i, argv in enumerate(_cases()):
             code, out, err, caught = _run(argv)
