@@ -7,17 +7,20 @@ also has an error-only function that evaluates that expression without
 building points, for one n or an array of n (interval_interior_error,
 interval_endpoint_error, line_constraint_published_error, semicircle_error,
 triangle_split/triangle_error, exam1_breakpoint/exam1_published_error); the
-configuration function calls it, so every formula exists once. A Python int
-n gives Python numbers and stays a Python int inside the formula, so its
-powers never wrap. An integer array of n (up to COLUMN_MAX) gives arrays
-whose every element equals the one-n result bit for bit: the same
-operations run in the same order, and a float power goes through
-np.float_power, since `**` on a float64 array takes a vectorized pow that
-can differ from Python's in the last bit. Each docstring says whether its
-points are an optimum or only the published configuration: the published
-equal-spacing triangle sets are critical points but not optima at n = 4, 5
-(triangle_sliver gives the optimum there), and some error fields are
-extrapolated polynomials (see the per-scenario notes).
+configuration function calls it, so every formula exists once. The exact
+distortions of the two line families whose published error is an
+extrapolated polynomial (line_constraint_exact_error, exam1_exact_error)
+take one n or an array of n too. A Python int n gives Python numbers and
+stays a Python int inside the formula, so its powers never wrap. An
+integer array of n (up to COLUMN_MAX) gives arrays whose every element
+equals the one-n result bit for bit: the same operations run in the same
+order, and a float power goes through np.float_power, since `**` on a
+float64 array takes a vectorized pow that can differ from Python's in the
+last bit. Each docstring says whether its points are an optimum or only
+the published configuration: the published equal-spacing triangle sets
+are critical points but not optima at n = 4, 5 (triangle_sliver gives the
+optimum there), and some error fields are extrapolated polynomials (see
+the per-scenario notes).
 """
 
 from __future__ import annotations
@@ -184,16 +187,17 @@ def line_constraint_optimal(n: int, scen: LineConstraintScenario) -> ClosedFormR
     return ClosedFormResult(points, error)
 
 
-def line_constraint_exact_error(n: int, scen: LineConstraintScenario) -> float:
-    """True distortion of the line_constraint_optimal configuration.
+def line_constraint_exact_error(n, scen: LineConstraintScenario):
+    """True distortion of the line_constraint_optimal configuration, at one
+    n or an array of n.
 
     Orthogonal decomposition: squared distance to a line point splits into
     the fixed distance-to-line part plus a one-dimensional n-means problem
     along the line, giving floor + (b-a)^2 / (12 (1+m^2) n^2).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _line_floor(scen) + (scen.b - scen.a) ** 2 / (12.0 * (1.0 + scen.m ** 2) * n * n)
+    n = _counts(n, 1, "need n >= 1")
+    return _out(_line_floor(scen)
+                + (scen.b - scen.a) ** 2 / (12.0 * (1.0 + scen.m ** 2) * n * n))
 
 
 def semicircle_error(n1, n2):
@@ -343,13 +347,14 @@ def exam1_breakpoint(n):
     return _out((n * n + n * np.sqrt(17.0 * n * n + 52.0) - 4.0) / (16.0 * n * n - 4.0))
 
 
-def exam1_exact_error(n: int) -> float:
-    """True distortion of the exam1_conditional configuration.
+def exam1_exact_error(n):
+    """True distortion of the exam1_conditional configuration, at one n or
+    an array of n.
 
     Splits at d: the origin owns [0, d), the line points quantize the
     pushforward of [d, 1] at the one-dimensional n-means rate.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _counts(n, 1, "need n >= 1")
     d = exam1_breakpoint(n)
-    return d ** 3 / 3.0 + (8.0 - (1.0 + d) ** 3) / 51.0 + (4.0 / 51.0) * (1.0 - d) ** 3 / (n * n)
+    return _out(np.float_power(d, 3) / 3.0 + (8.0 - np.float_power(1.0 + d, 3)) / 51.0
+                + (4.0 / 51.0) * np.float_power(1.0 - d, 3) / (n * n))

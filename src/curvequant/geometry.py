@@ -46,10 +46,11 @@ import numpy as np
 PARAM_TOL = 1e-12
 
 # sites per set above which an envelope is built of only the sites that can
-# own a piece of the curve: the single-set crossover, the largest m at which
-# one pass of the closed-form semicircle set and one of the triangle set,
-# alone as one evaluation takes them, cost more in sum culled than with all
-# their sites (tools/layer_timing.py). Moving it can move arc cut bits
+# own a piece of the curve. 128 was the single-set crossover when it was
+# set: the largest m at which one pass of the closed-form semicircle set and
+# one of the triangle set, alone as one evaluation takes them, cost more in
+# sum culled than with all their sites (tools/layer_timing.py). Moving it
+# can move arc cut bits
 CULL_ABOVE = 128
 
 TWO_PI = 2.0 * math.pi
@@ -520,8 +521,8 @@ def voronoi_breakpoints(c: Curve, stack: np.ndarray):
     first[0] = True
     np.not_equal(who[1:] // m, who[:-1] // m, out=first[1:])
     begin = first.copy()
-    begin[1:] |= ((start[1:] > tol) & (start[1:] < length - tol)
-                  & (start[1:] - start[:-1] > tol))
+    # more than tol past a clipped start, a start is more than tol past 0
+    begin[1:] |= (start[1:] < length - tol) & (start[1:] - start[:-1] > tol)
     at = begin.nonzero()[0]
     s0 = start[at]
     s1 = np.concatenate((s0[1:], (length,)))

@@ -323,17 +323,15 @@ class _Layout(NamedTuple):
     x, w = 2 when the batch holds a free point and 1 otherwise: a free
     point's x and y (kind _FREE), a curve point's arc length,
     boxed to [0, length] (kind the constraint index), and _PAD for the rest.
-    Each coordinate moves one site along one unit vector; these arrays are
-    that chain, so no dense d(sites)/dx matrix is ever formed."""
+    Each coordinate moves one site along one unit vector, which each state
+    pass takes from the coordinate's constraint (see _State), so no dense
+    d(sites)/dx matrix is ever formed."""
 
     owner: np.ndarray  # (n,) the site each coordinate moves
     kind: np.ndarray  # (R, n) constraint index of an arc length, _FREE or _PAD
     lo: np.ndarray  # (R, n) box bounds (0 for padding)
     hi: np.ndarray
     slots: np.ndarray  # (m, w) the coordinates of each site, n where none
-    tangent: np.ndarray  # (R, n, 2) a free coordinate's unit vector, 0 elsewhere
-    center: np.ndarray  # (R, n, 2) an arc length's circle center, 0 elsewhere
-    radius2: np.ndarray  # (R, n) its squared radius, inf elsewhere
 
 
 def _layout(problem: Problem, seeds: _Seeds) -> tuple[_Layout, np.ndarray]:
@@ -355,16 +353,7 @@ def _layout(problem: Problem, seeds: _Seeds) -> tuple[_Layout, np.ndarray]:
     # indexed by kind: _PAD (-2) reads 0 and _FREE (-1) inf
     hi = np.array([c.curve.length if on else 0.0
                    for c, on in zip(problem.constraints, curves)] + [0.0, np.inf])[kind]
-    tangent = np.eye(2)[np.arange(n) % w] * (kind == _FREE)[..., None]
-    center, radius2 = np.zeros(x.shape + (2,)), np.full(x.shape, np.inf)
-    for ci, cons in enumerate(problem.constraints):
-        if isinstance(cons, CurveConstraint) and isinstance(cons.curve, Arc):
-            on = kind == ci
-            center[on] = (cons.curve.center.x, cons.curve.center.y)
-            # numpy's power has the bits of Python's, but overflows to inf
-            # where Python's raises
-            radius2[on] = np.float64(cons.curve.radius) ** 2
-    return _Layout(owner, kind, lo, hi, slots, tangent, center, radius2), np.clip(x, lo, hi)
+    return _Layout(owner, kind, lo, hi, slots), np.clip(x, lo, hi)
 
 
 def _indefinite(H: np.ndarray) -> list[int]:
@@ -397,7 +386,7 @@ class _State(NamedTuple):
     moments: np.ndarray  # (k, m, 2)
     grad: np.ndarray  # (k, n) of the distortion in x
     tangent: np.ndarray  # (k, n, 2) the unit vector each coordinate moves its site along
-    site_grad: np.ndarray  # (k, n, 2) of the distortion in that site
+    bend: np.ndarray  # (k, n) on an arc, g . (p - center) / r^2 = -g . c''(s); else 0
     pieces: list  # per support curve, (s1, site, batch row) of its pieces, row after row
 
 
@@ -422,10 +411,10 @@ class _Descent:
         self.layout, self.x = _layout(problem, seeds)
         self.curves = [(ci, cons.curve) for ci, cons in enumerate(problem.constraints)
                        if isinstance(cons, CurveConstraint)]
-        # fixed for the batch: the coordinates that move a site, and whether
-        # any coordinate is an arc length on an arc
+        # fixed for the batch: the coordinates that move a site, and the unit
+        # vector of each slot were it a free x or y
         self.real = self.layout.kind != _PAD
-        self.arcs = any(isinstance(curve, Arc) for _, curve in self.curves)
+        self.axes = np.eye(2)[np.arange(self.x.shape[1]) % self.layout.slots.shape[1]]
         self.state = self.evaluate(self.x)
         self.step = np.zeros(self.x.shape)
         self.moving, self.known = np.zeros((2, len(self.x)), bool)
@@ -435,20 +424,31 @@ class _Descent:
         rows[k] (every row by default), rows ascending."""
         rows = np.arange(len(self.x)) if rows is None else rows
         lay, m = self.layout, self.sites.shape[1]
-        kind, xy, tangent = lay.kind[rows], self.sites[rows], lay.tangent[rows]
+        kind, xy = lay.kind[rows], self.sites[rows]
         free = kind == _FREE
+        tangent = self.axes * free[..., None]
         if free.any():  # free x and y fill their sites' slots
             np.copyto(xy[:, len(self.problem.beta):], x.reshape(len(rows), -1, 2),
                       where=free.reshape(len(rows), -1, 2))
+        arcs = []
         for ci, curve in self.curves:
             r, k = (kind == ci).nonzero()
             if r.size:
                 # an arc length moves its point along the unit tangent
                 xy[r, lay.owner[k]], tangent[r, k] = _frame_array(curve, x[r, k])
+                if isinstance(curve, Arc):
+                    arcs.append((r, k, curve))
         d, masses, moments, pieces = _exact_state(self.measure, xy)
         # dD/dp_i = 2 (mass_i p_i - moment_i / L), chained to x
         g = 2.0 * (masses[..., None] * xy - moments * self.measure.density)[:, lay.owner]
-        return _State(rows, xy, d, masses, moments, _dot(g, tangent), tangent, g,
+        # on an arc, minus the curvature term g . c''(s) = -g . (p - center) / r^2
+        bend = np.zeros(kind.shape)
+        for r, k, arc in arcs:
+            # numpy's power has the bits of Python's, but overflows to inf
+            # where Python's raises
+            bend[r, k] = _dot(xy[r, lay.owner[k]] - (arc.center.x, arc.center.y),
+                              g[r, k]) / np.float64(arc.radius) ** 2
+        return _State(rows, xy, d, masses, moments, _dot(g, tangent), tangent, bend,
                       [(s1, owner_ % m, rows[owner_ // m]) for s1, owner_ in pieces])
 
     def _accept(self, new: _State, ok, x) -> None:
@@ -481,10 +481,9 @@ class _Descent:
         coordinate moves one site along a unit vector, so the mass term
         stays 2 mass_i on the diagonal, a cut's term touches at most the
         coordinates in the w slots of each of its two sites (see _Layout),
-        and a point on an arc also gets g_i . c''(s_i) =
-        -g_i . (p_i - center) / r^2 there, a term left out when no
-        coordinate is on an arc. The terms of all cuts of all rows are
-        summed into the stack by one bincount.
+        and a point on an arc also gets g_i . c''(s_i) there, minus the
+        state's bend. The terms of all cuts of all rows are summed into the
+        stack by one bincount.
         """
         state, lay, n = self.state, self.layout, self.x.shape[1]
         at_row = np.empty(len(self.x), dtype=int)
@@ -511,11 +510,7 @@ class _Descent:
         flat = (a[:, None, None] * (n + 1) + slot[:, :, None]) * (n + 1) + slot[:, None, :]
         H = np.bincount(flat.ravel(), (-v[:, :, None] * v[:, None, :]).ravel(),
                         minlength=len(rows) * (n + 1) ** 2).astype(float, copy=False)
-        own = rows[:, None], lay.owner
-        diag = 2.0 * state.masses[own]
-        if self.arcs:
-            diag -= _dot(state.xy[own] - lay.center[rows],
-                         state.site_grad[rows]) / lay.radius2[rows]
+        diag = 2.0 * state.masses[rows[:, None], lay.owner] - state.bend[rows]
         H.reshape(len(rows), -1)[:, :-1:n + 2] += np.where(self.real[rows], diag, 0.0)
         return H.reshape(len(rows), n + 1, n + 1)[:, :n, :n]
 

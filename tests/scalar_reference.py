@@ -55,6 +55,12 @@ def _line_floor(a: float, b: float, m: float, c: float) -> float:
     return num / (3.0 * m * (b - a) * mm1)
 
 
+def line_constraint_exact_error(n: int, a: float, b: float, m: float, c: float) -> float:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _line_floor(a, b, m, c) + (b - a) ** 2 / (12.0 * (1.0 + m ** 2) * n * n)
+
+
 def line_constraint_published_error(n: int, a: float, b: float, m: float, c: float) -> float:
     if n < 1:
         raise ValueError("need n >= 1")
@@ -129,6 +135,13 @@ def exam1_published_error(n: int) -> float:
         + 2 * d * (3 * n ** 3 - 3 * n ** 2 - 8 * n + 12)
         + 3 * n ** 3 + 18 * n ** 2 - 10 * n - 12
     ) / (51.0 * n ** 3)
+
+
+def exam1_exact_error(n: int) -> float:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    d = exam1_breakpoint(n)
+    return d ** 3 / 3.0 + (8.0 - (1.0 + d) ** 3) / 51.0 + (4.0 / 51.0) * (1.0 - d) ** 3 / (n * n)
 
 
 # each sweep family's row (error, alloc parts) as the loop computed it, and

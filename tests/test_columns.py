@@ -128,3 +128,24 @@ def test_semicircle_series_matches_the_scalar_series():
     # every x = pi/(2k) a semicircle error takes, and a grid over [0, 3]
     x = np.concatenate([np.linspace(0.0, 3.0, 30001), np.pi / (2.0 * np.arange(1, TOP + 1))])
     assert _h_minus_sin(x).tolist() == [ref.x_minus_sin(v) for v in x.tolist()]
+
+
+def test_exact_line_errors_equal_the_scalar_loop():
+    # the exact distortions of the two line families, which no sweep writes
+    n = np.arange(1, 2001)
+    for scen in (scenarios.EXAM1_LINE, scenarios.EXAM2_LINE,
+                 cf.LineConstraintScenario(-1.0, 2.0, 0.0, 0.5)):
+        want = [ref.line_constraint_exact_error(k, scen.a, scen.b, scen.m, scen.c)
+                for k in range(1, 2001)]
+        assert cf.line_constraint_exact_error(n, scen).tolist() == want
+        assert [cf.line_constraint_exact_error(k, scen) for k in range(1, 2001)] == want
+    want = [ref.exam1_exact_error(k) for k in range(1, 2001)]
+    assert cf.exam1_exact_error(n).tolist() == want
+    assert [cf.exam1_exact_error(k) for k in range(1, 2001)] == want
+    assert type(cf.exam1_exact_error(3)) is float
+    assert type(cf.line_constraint_exact_error(3, scenarios.EXAM1_LINE)) is float
+    for bad in (0, np.arange(0, 4)):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            cf.exam1_exact_error(bad)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            cf.line_constraint_exact_error(bad, scenarios.EXAM1_LINE)

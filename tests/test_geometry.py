@@ -65,6 +65,8 @@ def test_curve_validation():
     with pytest.raises(ValueError):
         Arc(Point2(0, 0), -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
+        Arc(Point2(0, 0), 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
         Arc(Point2(0, 0), 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         Arc(Point2(0, 0), 1.0, 0.0, 7.0)
@@ -204,6 +206,9 @@ def test_project_to_curve():
     assert project_to_curve(HALF_ARC, Point2(0.5, 0.5)) == pytest.approx(math.pi / 4, rel=1e-12)
     # below the diameter: angular window misses, nearest endpoint wins
     assert project_to_curve(HALF_ARC, Point2(0.2, -1.0)) == 0.0
+    # equidistant from both ends, in floats too (the end at pi lies 1.2e-16
+    # above the diameter, below half a unit of y = -2): the start on ties
+    assert project_to_curve(HALF_ARC, Point2(0.0, -2.0)) == 0.0
 
 
 def _project_scalar(c, p: Point2) -> float:
@@ -936,6 +941,23 @@ def test_overflowing_site_set_above_the_constant_drops_no_site(measure, monkeypa
             monkeypatch.undo()
         for a, b in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("c", [SEG01, HALF_ARC], ids=["segment", "arc"])
+def test_culling_starts_above_the_constant(c, monkeypatch):
+    # a set of exactly CULL_ABOVE sites builds its envelope of all of them;
+    # one more site and the envelope is built of the sites _owning_sites keeps
+    calls, owning = [], geometry._owning_sites
+
+    def spy(c, K, P, Q):
+        calls.append(K.shape[1])
+        return owning(c, K, P, Q)
+
+    monkeypatch.setattr(geometry, "_owning_sites", spy)
+    rng = np.random.default_rng(41)
+    for m in (CULL_ABOVE, CULL_ABOVE + 1):
+        voronoi_breakpoints(c, rng.uniform(-1.0, 1.0, (2, m, 2)))
+    assert calls == [CULL_ABOVE + 1]
 
 
 def _evaluator_cases():

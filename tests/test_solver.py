@@ -788,7 +788,7 @@ class TestBatch:
                                else TaggedPoint("constrained", curve_eval(arc, t), 1, t)
                                for f, t in zip(free, s)])
         descent = _Descent(problem, seeds_of(problem, candidates))
-        assert descent.layout.slots.shape[1] == 2 and descent.arcs
+        assert descent.layout.slots.shape[1] == 2 and descent.state.bend.any()
         assert_hessians_match_dense(problem, descent)
         descent.run(5)
         assert_hessians_match_dense(problem, descent)

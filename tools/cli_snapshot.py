@@ -261,6 +261,8 @@ def _cases() -> list[list[str]]:
     cases += [["closed-form", "interval-left", "-n", "3", "--b", "1e-160"],
               ["asymptotics", "two_faults.csv", "--kappa", "1"],
               ["asymptotics", "crlf.csv", "--kappa", "2"]]
+    # the whole gallery at seed 7 too, so one diff -r covers both verify seeds
+    cases.append(["--seed", "7", "verify"])
     return cases
 
 
