@@ -488,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare solver against closed forms")
     p.add_argument("--scenario", default=None, help="restrict to one gallery scenario")
     p.add_argument("--max-n", type=int, default=None, help="cap the per-scenario range")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=float, default=1e-12)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -18,7 +18,10 @@ dropped first: no point of the curve is farther from its nearest site than
 B = max over t of min_i (d_i + |t - f_i|), d_i the distance of site i to
 the curve and f_i the arc length of its nearest point, which one sort of
 the f_i and two prefix minima give, so a site farther than B from the
-curve owns none of it; at or below CULL_ABOVE, k = m. Both envelopes know
+curve owns none of it; at or below CULL_ABOVE, k = m. The d_i and f_i
+come from _reach, the package's one nearest-point routine, which
+project_to_curve and the solver's snap onto constraint curves also take.
+Both envelopes know
 the site that owns each of their pieces, and both take a stack of site
 sets at once: the lines are sorted by set before slope, and the sinusoid
 groups of every set are merged in the same numpy calls, each set with the
@@ -184,11 +187,13 @@ def _sites_array(sites) -> np.ndarray:
 def _envelope(c: Curve, sites_xy: np.ndarray):
     """(t0, scale, K, P, Q): |curve(t) - q_i|^2 = shared(t) + K_i + P_i x + Q_i y
     with (x, y) = (t, 0) for arc length t on a segment and (cos t, sin t) for
-    angle t on an arc; arc length is (t - t0) * scale."""
+    angle t on an arc; arc length is (t - t0) * scale. On a segment, where
+    the Q term vanishes, (P, Q) / 2 are the coordinates of a = start - q_i
+    along the segment and across it, so K = |a|^2 = (P^2 + Q^2) / 4."""
     if isinstance(c, Segment):
         a = np.array([c.p0.x, c.p0.y]) - sites_xy
         u = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y]) / c.length
-        t0, scale, P, Q = 0.0, 1.0, 2.0 * (a @ u), np.zeros(len(a))
+        t0, scale, P, Q = 0.0, 1.0, 2.0 * (a @ u), 2.0 * (a @ (u[1], -u[0]))
     else:
         a = np.array([c.center.x, c.center.y]) - sites_xy
         t0, scale, P, Q = c.theta0, c.radius, 2.0 * c.radius * a[:, 0], 2.0 * c.radius * a[:, 1]
@@ -383,15 +388,24 @@ def _line_stack(ks, ps, sites, m):
 def _reach(c: Curve, K, P, Q):
     """(d2, f): the squared distance from each site to c and the arc length
     of its nearest point on c, from the site's _envelope terms K, P, Q
-    (any shape). Those are written in the site's own frame, the difference
-    to the segment's start or to the arc's center, so no large coordinates
-    cancel; what does cancel is below a few rounding units of the terms."""
+    (any shape). The package's one nearest-point routine: the Voronoi cull
+    (_owning_sites) passes the terms its envelope already has, and
+    project_to_curve and the solver's _nearest on a constraint curve (the
+    seeding snap) pass _envelope(c, xy)'s. The terms are written in
+    the site's own frame, the difference to the segment's start or to the
+    arc's center, so no large coordinates cancel, and d2 is a sum of
+    squares: its root is within a few rounding units of that difference's
+    length (or of the radius), so a point on c reads within rounding of it.
+
+    On a segment f is the foot of the perpendicular, clamped to the ends.
+    On an arc it is the site's angle about the center when that falls
+    inside the arc's window, else the nearer end, the start on ties; the
+    center itself, equally far from every point, maps to half the length."""
     length = c.length
     if isinstance(c, Segment):
-        # the foot of the site on the line, -P / 2, clamped to the segment;
-        # there the squared distance is f^2 + K + P f
+        # the site lies -P / 2 along the segment from its start, -Q / 2 across
         f = np.minimum(np.maximum(-0.5 * P, 0.0), length)
-        return np.maximum(K + f * (P + f), 0.0), f
+        return (f + 0.5 * P) ** 2 + (0.5 * Q) ** 2, f
     # a site at radius rho about the center, at angle rel past theta0 ((P, Q)
     # points from it to the center) and gap from the arc's nearest point:
     # distance^2 = (r - rho)^2 + 4 r rho sin^2(gap / 2)
@@ -399,7 +413,8 @@ def _reach(c: Curve, K, P, Q):
     rel = np.mod(np.arctan2(Q, P) + (math.pi - c.theta0), TWO_PI)
     back, past = TWO_PI - rel, rel - (c.theta1 - c.theta0)  # to the start, past the end
     gap = np.maximum(np.minimum(back, past), 0.0)
-    f = np.where(back < past, 0.0, np.minimum(rel * r, length))
+    f = np.where(back <= past, 0.0, np.minimum(rel * r, length))
+    f[(P == 0.0) & (Q == 0.0)] = 0.5 * length
     return (r - rho) ** 2 + (4.0 * r) * rho * np.sin(0.5 * gap) ** 2, f
 
 
@@ -667,26 +682,5 @@ def conditional_mean(measure: UniformCurveMeasure, sites, site_index: int) -> Po
 
 
 def project_to_curve(c: Curve, p: Point2) -> float:
-    """Arc-length parameter of the point on c closest to p."""
-    return float(_project_array(c, np.array([[p.x, p.y]]))[0])
-
-
-def _project_array(c: Curve, xy: np.ndarray) -> np.ndarray:
-    """Arc-length parameter of the point on c closest to each row of the
-    (k, 2) array xy. On a segment the foot of the perpendicular, clamped to
-    the ends; on an arc the angle of the row about the center when it falls
-    inside the arc's window, else the nearer end (the start on ties), and
-    half the length for the center itself."""
-    length = c.length
-    if isinstance(c, Segment):
-        v = np.array([c.p1.x - c.p0.x, c.p1.y - c.p0.y])
-        t = (xy - (c.p0.x, c.p0.y)) @ v / (v @ v)
-        return np.clip(t, 0.0, 1.0) * length
-    d = xy - (c.center.x, c.center.y)
-    rel = np.mod(np.arctan2(d[:, 1], d[:, 0]) - c.theta0, TWO_PI)
-    p0, p1 = _frame_array(c, np.array([0.0, length]))[0]
-    e0, e1 = (xy - p0) ** 2, (xy - p1) ** 2  # summed by column: a length-2 .sum is slow
-    nearer0 = e0[:, 0] + e0[:, 1] <= e1[:, 0] + e1[:, 1]
-    s = np.where(rel <= c.theta1 - c.theta0, rel * c.radius, np.where(nearer0, 0.0, length))
-    s[(d == 0.0).all(axis=1)] = 0.5 * length
-    return s
+    """Arc-length parameter of the point on c closest to p (see _reach)."""
+    return float(_reach(c, *_envelope(c, np.array([[p.x, p.y]]))[2:])[1][0])

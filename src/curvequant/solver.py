@@ -16,6 +16,7 @@ consulted, so the solver checks them independently. Degenerate
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -29,9 +30,10 @@ from curvequant.geometry import (
     UniformCurveMeasure,
     _cell_state,
     _cell_state as _exact_state,  # the solver's own passes; evaluate's is apart
+    _envelope,
     _frame_array,
     _on_curve,
-    _project_array,
+    _reach,
     _sites_array,
     distortion,  # noqa: F401 -- bound by name; perfbench's tracer test relies on it
 )
@@ -209,36 +211,37 @@ def lloyd_step(problem: Problem, candidate) -> list[TaggedPoint]:
 
 def _nearest(cons: CurveConstraint | PointSetConstraint, xy: np.ndarray):
     """Nearest point of a curve or point-set constraint to each row of xy:
-    arrays (arc length or member index, points). The one member search of
-    the solver: the snap and the nearest-member move take it."""
+    arrays (arc length or member index, points, squared distances). The one
+    member search of the solver, which the snap and the nearest-member move
+    take: on a curve geometry._reach's, from the rows' _envelope terms; on a
+    point set the least squared distance to a member, the first on ties."""
     if isinstance(cons, CurveConstraint):
-        s = _project_array(cons.curve, xy)
-        return s, _frame_array(cons.curve, s)[0]
+        d2, s = _reach(cons.curve, *_envelope(cons.curve, xy)[2:])
+        return s, _frame_array(cons.curve, s)[0], d2
     members = np.array([(p.x, p.y) for p in cons.points])
-    member = ((xy[:, :1] - members[:, 0]) ** 2
-              + (xy[:, 1:] - members[:, 1]) ** 2).argmin(axis=1)
-    return member.astype(float), members[member]
+    d2 = (xy[:, :1] - members[:, 0]) ** 2 + (xy[:, 1:] - members[:, 1]) ** 2
+    member = d2.argmin(axis=1)
+    return member.astype(float), members[member], d2.min(axis=1)
 
 
 def _snap(problem: Problem, xy: np.ndarray):
     """Nearest admissible point to each row of xy over the union of the
-    constraint sets: arrays (points, constraint index, arc length or member
-    index), with index -1 for a free point."""
+    constraint sets, by the squared distances _nearest finds: arrays
+    (points, constraint index, arc length or member index, squared
+    distance), with index -1 and distance 0 for a free point."""
     points = xy.copy()
     index = np.full(len(xy), -1)
     param = np.zeros(len(xy))
     best = np.full(len(xy), np.inf)
     for i, cons in enumerate(problem.constraints):
         if isinstance(cons, FreePlane):
-            return xy, np.full(len(xy), -1), param
-        s, cand = _nearest(cons, xy)
-        # by coordinate: numpy sums a last axis of length 2 slowly
-        d2 = (xy[:, 0] - cand[:, 0]) ** 2 + (xy[:, 1] - cand[:, 1]) ** 2
+            return xy, np.full(len(xy), -1), param, np.zeros(len(xy))
+        s, cand, d2 = _nearest(cons, xy)
         # the first set claims every row, even one whose distance overflows
         nearer = (d2 < best) | (index < 0)
         best[nearer], points[nearer], index[nearer], param[nearer] = (
             d2[nearer], cand[nearer], i, s[nearer])
-    return points, index, param
+    return points, index, param, best
 
 
 class _Seeds(NamedTuple):
@@ -284,11 +287,10 @@ def _seed_runs(problem: Problem, rng, runs: int) -> _Seeds:
     for k, c in enumerate(problem.measure.curves):
         here = owner == k
         pool[here] = _frame_array(c, np.minimum(u[here] - bounds[k], lengths[k]))[0]
-    snapped, index, param = _snap(problem, pool.reshape(-1, 2))
-    snapped = snapped.reshape(pool.shape)
+    snapped, index, param, own = _snap(problem, pool.reshape(-1, 2))
+    snapped, own = snapped.reshape(pool.shape), own.reshape(u.shape)
     # by coordinate: numpy sums a last axis of length 2 slowly
     x, y = pool[..., 0], pool[..., 1]
-    own = (x - snapped[..., 0]) ** 2 + (y - snapped[..., 1]) ** 2
     d2 = np.full(u.shape, np.inf)
     for b in problem.beta:
         d2 = np.minimum(d2, (x - b.x) ** 2 + (y - b.y) ** 2)
@@ -635,7 +637,7 @@ def _nearest_members(problem: Problem, run: _Descent):
         if isinstance(cons, PointSetConstraint):
             r, i = ((run.index == ci) & (state.masses[:, ell:] > 0.0)).nonzero()
             mass = state.masses[r, ell + i] * problem.measure.total_length
-            k, at = _nearest(cons, state.moments[r, ell + i] / mass[:, None])
+            k, at, _ = _nearest(cons, state.moments[r, ell + i] / mass[:, None])
             new = k != param[r, i]
             r, i = r[new], i[new]
             sites[r, ell + i], param[r, i], moved[r] = at[new], k[new], True
@@ -742,12 +744,14 @@ def sandwich_check(problem: Problem, options: SolverOptions | None = None) -> Sa
 
 
 def _beta_inside_constraints(problem: Problem, b: Point2) -> bool:
-    """Whether b lies on the constraint union to within 1e-9 of the
-    problem's size: the support's length, or b's largest coordinate where
-    that is larger (the snap rounds relative to the coordinates)."""
-    snapped, _, _ = _snap(problem, np.array([[b.x, b.y]]))
+    """Whether the snap's distance from b to the constraint union is below
+    1e-9 of the problem's size: the support's length, or b's largest
+    coordinate where that is larger (the curves' coordinates round relative
+    to their magnitude)."""
+    d2 = _snap(problem, np.array([[b.x, b.y]]))[3][0]
     size = max(problem.measure.total_length, abs(b.x), abs(b.y))
-    return float(np.hypot(*(snapped[0] - (b.x, b.y)))) < 1e-9 * size
+    # the bound not squared: 1e-18 size^2 underflows for the smallest supports
+    return math.sqrt(d2) < 1e-9 * size
 
 
 def density_gap(measure: UniformCurveMeasure, n_max: int) -> list[tuple[int, float]]:

@@ -831,6 +831,20 @@ class TestVerifyCommand:
         assert "0 mismatch(es)" in out
         assert "interval-left n=3" in out
 
+    def test_default_tolerance_flags_a_gap_of_1e_9(self, capsys, monkeypatch):
+        # references 1e-9 above what the solver attains: a miss by default,
+        # within an explicit --tolerance 1e-6
+        distortion = cli.distortion
+        monkeypatch.setattr(cli, "distortion",
+                            lambda measure, sites: distortion(measure, sites) * (1.0 + 1e-9))
+        argv = ["--restarts", "6", "verify", "--scenario", "interval-left", "--max-n", "3"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.count("MISMATCH") == 3
+        assert out.endswith("verify: 3 mismatch(es) above rel 1e-12\n")
+        assert main(argv + ["--tolerance", "1e-6"]) == 0
+        assert capsys.readouterr().out.endswith("verify: 0 mismatch(es) above rel 1e-06\n")
+
     def test_unknown_scenario(self, capsys):
         assert main(["verify", "--scenario", "dodecahedron"]) == 1
         assert "unknown scenario" in capsys.readouterr().err

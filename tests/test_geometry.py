@@ -1,5 +1,6 @@
 import bisect
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from curvequant.geometry import (
     _envelope,
     _envelopes,
     _frame_array,
-    _project_array,
+    _reach,
     conditional_mean,
     curve_eval,
     distortion,
@@ -57,6 +58,19 @@ def test_curve_eval_out_of_range():
         curve_eval(SEG01, 1.5)
     with pytest.raises(ValueError):
         curve_eval(SEG01, -0.1)
+
+
+def test_curve_eval_accepts_the_tolerance_at_both_ends():
+    # PARAM_TOL of the length past either end is on the curve, the next
+    # float beyond it is not
+    for c in (SEG01, HALF_ARC, Segment(Point2(-1, 2), Point2(3, -1.3)),
+              Arc(Point2(0.3, -0.2), 1.5, -2.0, 1.0)):
+        length = c.length
+        for s, outward in ((length + PARAM_TOL * length, math.inf),
+                           (-PARAM_TOL * length, -math.inf)):
+            curve_eval(c, s)
+            with pytest.raises(ValueError, match="outside"):
+                curve_eval(c, math.nextafter(s, outward))
 
 
 def test_curve_validation():
@@ -232,14 +246,49 @@ def _project_scalar(c, p: Point2) -> float:
                    <= (p.x - e1.x) ** 2 + (p.y - e1.y) ** 2) else length
 
 
-def test_project_array_matches_scalar():
+def _reach_xy(c, xy):
+    """_reach of the rows of the (k, 2) array xy, as its callers by
+    coordinates take it: (d2, f)."""
+    return _reach(c, *_envelope(c, xy)[2:])
+
+
+def _squared_distances(c, xy, f):
+    """|p - curve_eval(c, s)|^2 for each row p of xy and arc length s of f."""
+    near = np.array([(q.x, q.y) for q in (curve_eval(c, s) for s in f.tolist())])
+    return ((xy - near) ** 2).sum(axis=1)
+
+
+def test_reach_matches_scalar():
     rng = np.random.default_rng(5)
     xy = rng.uniform(-2.0, 2.0, (400, 2))
-    xy[:2] = [(0.0, 0.0), (0.3, -0.2)]  # the two arc centers
+    # the two arc centers; then below the half arc's diameter, the first
+    # nearer its start, the others equidistant from both ends in floats
+    xy[:5] = [(0.0, 0.0), (0.3, -0.2), (0.2, -1.0), (0.0, -1.0), (0.0, -2.0)]
+    full = Arc(Point2(0, 0), 1.0, 0.0, 2 * math.pi)
     for c in (SEG01, Segment(Point2(-1, 2), Point2(3, -1)), HALF_ARC,
-              Arc(Point2(0.3, -0.2), 1.5, -2.0, 1.0), Arc(Point2(0, 0), 1.0, 0.0, 2 * math.pi)):
+              Arc(Point2(0.3, -0.2), 1.5, -2.0, 1.0), full):
+        d2, f = _reach_xy(c, xy)
         want = [_project_scalar(c, Point2(x, y)) for x, y in xy]
-        assert _project_array(c, xy) == pytest.approx(want, abs=1e-12)
+        assert f == pytest.approx(want, abs=1e-12)
+        assert d2 == pytest.approx(_squared_distances(c, xy, f), rel=1e-12)
+    assert _reach_xy(HALF_ARC, xy[:5])[1].tolist() == [0.5 * math.pi, 0.0, 0.0, 0.0, 0.0]
+    assert _reach_xy(full, xy[:1])[1].tolist() == [math.pi]
+
+
+def test_reach_is_exact_far_from_the_origin():
+    # dyadic coordinates, so the curves and points translated by 1e8 are
+    # the same geometry exactly; there a nearest point found by coordinates
+    # rounds by 1.5e-8, which moves these squared distances by up to 3e-6
+    rng = np.random.default_rng(8)
+    xy = np.round(rng.uniform(-2.0, 2.0, (300, 2)) * 2.0 ** 20) / 2.0 ** 20
+    shift = 1e8
+    for make in (lambda o: Segment(Point2(o - 1, o + 2), Point2(o + 3, o - 1)),
+                 lambda o: Arc(Point2(o + 0.25, o - 0.125), 1.5, -2.0, 1.0),
+                 lambda o: Arc(Point2(o, o), 1.0, 0.0, 2 * math.pi)):
+        c, far = make(0.0), make(shift)
+        d2, f = _reach_xy(far, xy + shift)
+        assert f == pytest.approx([_project_scalar(c, Point2(x, y)) for x, y in xy], abs=1e-12)
+        assert d2 == pytest.approx(_squared_distances(c, xy, f), rel=1e-9)
 
 
 def test_measure_needs_positive_finite_length():
@@ -255,6 +304,15 @@ def test_measure_needs_positive_finite_length():
         with pytest.raises(ValueError, match="too small: its square underflows"):
             UniformCurveMeasure((Segment(Point2(0, 0), Point2(tiny, 0)), SEG01))
     UniformCurveMeasure((Segment(Point2(0, 0), Point2(1.5e-154, 0)),))
+
+
+def test_measure_accepts_the_shortest_curve_whose_square_is_normal():
+    # sqrt(float_info.min) = 2^-511 squares to the smallest normal float
+    shortest = math.sqrt(sys.float_info.min)
+    assert shortest * shortest == sys.float_info.min
+    UniformCurveMeasure((Segment(Point2(0, 0), Point2(shortest, 0)),))
+    with pytest.raises(ValueError, match="too small: its square underflows"):
+        UniformCurveMeasure((Segment(Point2(0, 0), Point2(math.nextafter(shortest, 0.0), 0)),))
 
 
 def _random_measure(rng):
@@ -490,7 +548,7 @@ def _reach_bound(c, xy):
     the distance of site i from c and the arc length of its nearest point,
     from the points of c itself: the maximum of that piecewise linear
     function lies at an end of c or where two of its terms meet."""
-    f = _project_array(c, xy)
+    f = np.array([_project_scalar(c, Point2(x, y)) for x, y in xy])
     d = np.hypot(*(_frame_array(c, f)[0] - xy).T)
     t = np.concatenate([[0.0, c.length], f,
                         (0.5 * (f[:, None] + f[None, :] + d[None, :] - d[:, None])).ravel()])

@@ -362,8 +362,7 @@ def kmeans_pp_oracle(problem, samples, pick, uniform):
     for k, c in enumerate(measure.curves):
         here = owner == k
         pool[here] = _frame_array(c, np.minimum(u[here] - bounds[k], lengths[k]))[0]
-    snapped, index, param = solver_module._snap(problem, pool)
-    own = ((pool - snapped) ** 2).sum(axis=1)
+    snapped, index, param, own = solver_module._snap(problem, pool)
     d2 = np.full(size, np.inf)
     for b in problem.beta:
         d2 = np.minimum(d2, ((pool - (b.x, b.y)) ** 2).sum(axis=1))
@@ -1386,6 +1385,19 @@ class TestSandwich:
         arc = replace(problem, constraints=problem.constraints[1:])
         for prob in (problem, arc):
             assert all(_beta_inside_constraints(prob, b) for b in prob.beta)
+
+    def test_points_of_an_oblique_segment_inside(self):
+        # the snap's squared distance is a sum of squares, so a point of the
+        # segment reads within rounding of it, and one 1e-8 of its length
+        # off it is outside
+        segment = Segment(Point2(-1.0, 2.0), Point2(3.0, -1.3))
+        prob = Problem(UniformCurveMeasure((segment,)), (CurveConstraint(segment),), 2)
+        normal = np.array([3.3, 4.0]) / math.hypot(3.3, 4.0)
+        for s in np.random.default_rng(12).uniform(0.0, segment.length, 200).tolist():
+            b = curve_eval(segment, s)
+            assert _beta_inside_constraints(prob, b)
+            off = np.array([b.x, b.y]) + 1e-8 * segment.length * normal
+            assert not _beta_inside_constraints(prob, Point2(*off))
 
 
 class TestDensityGap:

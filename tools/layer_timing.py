@@ -179,7 +179,7 @@ def _closed_form_seeds(family: str, m: int):
     problem = scenarios.GALLERY[family].build(m)
     beta = {(b.x, b.y) for b in problem.beta}
     rest = [p for p in _sites(family, m)[1] if (p.x, p.y) not in beta]
-    xy, index, param = solver._snap(problem, geometry._sites_array(rest))
+    xy, index, param, _ = solver._snap(problem, geometry._sites_array(rest))
     sites = np.concatenate([geometry._sites_array(problem.beta), xy])
     return problem, solver._Seeds(sites[None], index[None], param[None])
 
